@@ -120,40 +120,34 @@ def classical_capacity(states: Sequence[DensityOperator], optimize: bool = False
     return best
 
 
-def _pure_vectors(ens: EnsembleSpec) -> list:
-    vectors = []
-    for s in ens.states:
-        purity = float(np.real(np.trace(s.matrix @ s.matrix)))
-        if abs(purity - 1.0) > 1e-9:
-            raise ValueError("entropy exchange requires pure ensemble members")
-        evals, vecs = np.linalg.eigh(s.matrix)
-        vectors.append(vecs[:, -1])
-    return vectors
+def _environment_gram(mix: np.ndarray, ch: QuantumChannel) -> np.ndarray:
+    """conj(W) for W_kl = tr(K_k mix K_l^dag); conj(W) has the spectrum of W.
+
+    A separate function so the r x d x d temporaries are freed before the
+    caller's eigensolve, which keeps peak memory at the Gram matrix."""
+    kraus = np.stack(ch.kraus_ops)
+    images = kraus @ mix
+    np.conjugate(images, out=images)
+    r = len(kraus)
+    return images.reshape(r, -1) @ kraus.reshape(r, -1).T
 
 
 def entropy_exchange(input_ens: EnsembleSpec, ch: QuantumChannel) -> float:
     """Entropy generated in the environment, in bits.
 
-    The ensemble average is diagonalized into eigenpairs (lambda_i, |psi_i>);
-    the channel acts on one half of the purification
-    sum_i sqrt(lambda_i) |psi_i> (x) |conj(psi_i)> and the entropy of the
-    joint output is returned.
+    Returns S(W) for the environment Gram matrix W_kl = tr(K_k rho K_l^dag),
+    where rho is the prior-weighted ensemble average and K_k are the Kraus
+    operators of `ch` (Schumacher, PRA 54, 2614, 1996).
     """
-    _pure_vectors(input_ens)  # contract: only pure-state ensembles accepted
+    for s in input_ens.states:
+        purity = float(np.real(np.trace(s.matrix @ s.matrix)))
+        if abs(purity - 1.0) > 1e-9:
+            raise ValueError("entropy exchange requires pure ensemble members")
     dim = input_ens.states[0].matrix.shape[0]
     if ch.kraus_ops[0].shape[0] != dim:
         raise ValueError("channel dimension does not match the ensemble states")
     mix = sum(p * s.matrix for p, s in zip(input_ens.priors, input_ens.states))
-    evals, vecs = np.linalg.eigh(mix)
-    joint = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for li, i in [(l, i) for i, l in enumerate(evals) if l > 1e-14]:
-        for lj, j in [(l, j) for j, l in enumerate(evals) if l > 1e-14]:
-            psi_i, psi_j = vecs[:, i], vecs[:, j]
-            cross = np.outer(psi_i, psi_j.conj())
-            sys_part = sum(k @ cross @ k.conj().T for k in ch.kraus_ops)
-            ref_part = np.outer(psi_i.conj(), psi_j)
-            joint += np.sqrt(li * lj) * np.kron(sys_part, ref_part)
-    return _entropy_of_matrix(joint)
+    return _entropy_of_matrix(_environment_gram(mix, ch))
 
 
 def _channel_output(ens: EnsembleSpec, ch: QuantumChannel) -> DensityOperator:

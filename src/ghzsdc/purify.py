@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import qcore
-from .qcore import CNOT, DensityOperator, Unitary
+from .qcore import DensityOperator
 from .sdc import shared_state
 
 
@@ -31,9 +31,6 @@ class PurificationResult:
     rounds: int
 
 
-_CNOT_GATE = Unitary(CNOT)
-
-
 def purify_round(
     pair_state: DensityOperator,
     n: int,
@@ -45,24 +42,24 @@ def purify_round(
     target copy. CNOTs run from control qubit i to target qubit i; the target
     register is measured and the round succeeds when `accept` holds on the
     outcome bits (default: all equal).
+
+    The CNOT layer maps |a, b> to |a, a xor b>, so outcome m selects the rows
+    a*2^n + (a xor m) of the pair matrix P. The unnormalized kept state is
+    sum over accepted m of P[rows_m, rows_m], and its trace is the success
+    probability (Bennett et al., PRL 76, 722, 1996).
     """
     if pair_state.qubit_count != 2 * n:
         raise ValueError(f"pair state has {pair_state.qubit_count} qubits, expected {2 * n}")
     ideal = shared_state(n)
     fidelity_before = qcore.fidelity(ideal, qcore.partial_trace(pair_state, range(n)))
 
-    rho = pair_state
-    for i in range(n):
-        rho = qcore.apply_unitary(rho, _CNOT_GATE, [i, n + i])
-
-    outcomes = qcore.measure_computational(rho, list(range(n, 2 * n)))
-    success = 0.0
+    a = np.arange(2 ** n)
     kept = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for out in outcomes:
-        bits = [(out.outcome_index >> (n - 1 - i)) & 1 for i in range(n)]
-        if accept(bits) and out.post_state is not None:
-            success += out.probability
-            kept = kept + out.probability * out.post_state.matrix
+    for m in range(2 ** n):
+        if accept([(m >> (n - 1 - i)) & 1 for i in range(n)]):
+            rows = a * 2 ** n + (a ^ m)
+            kept += pair_state.matrix[np.ix_(rows, rows)]
+    success = float(np.trace(kept).real)
     if success < 1e-12:
         raise PurificationUnderflow("acceptance probability below 1e-12")
     kept_state = DensityOperator(kept / success)

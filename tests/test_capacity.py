@@ -11,7 +11,8 @@ from ghzsdc.capacity import (
     holevo,
     quantum_capacity,
 )
-from ghzsdc.noise import NoiseKind, make_channel
+from ghzsdc.harness import embedded_noise_channel
+from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from ghzsdc.qcore import DensityOperator, QuantumChannel, StateVector, basis_state
 from ghzsdc.sdc import Codeword, ghz_basis, ideal_received_state
 
@@ -149,6 +150,22 @@ class TestEntropyExchange:
         for _ in range(20):
             ens = random_pure_ensemble(rng, 2, 3)
             assert abs(entropy_exchange(ens, ch) - environment_gram(ens, ch)) < 1e-9
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("p, per_qubit", [
+        (0.0, 0.0),
+        (0.25, 1.2075187496394219),  # H(3/4, 1/12, 1/12, 1/12); n=4 gives 4.830075
+        (0.75, 2.0),
+        (1.0, np.log2(3)),
+    ])
+    def test_depolarizing_both_stages_closed_form(self, n, p, per_qubit):
+        # r = d^2 Kraus operators at 0 < p < 1: the uniform GHZ-basis ensemble
+        # averages to I/d, so the environment is n independent Pauli registers
+        # and the entropy exchange is n * H(1 - p, p/3, p/3, p/3)
+        spec = NoiseSpec(NoiseKind.DEPOLARIZING, p, NoiseStage.DISTRIBUTION_AND_RETURN)
+        ens = EnsembleSpec.uniform([ideal_received_state(n, Codeword(n, v)).density()
+                                    for v in range(2 ** n)])
+        assert abs(entropy_exchange(ens, embedded_noise_channel(spec, n)) - n * per_qubit) < 1e-9
 
     def test_fully_depolarizing_on_mixed_average(self):
         ch = make_channel(NoiseKind.DEPOLARIZING, 0.75)

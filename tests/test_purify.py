@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzsdc import qcore
 from ghzsdc.noise import NoiseKind, make_channel
@@ -18,9 +20,10 @@ def noisy_ghz(n, q, kind=NoiseKind.BIT_FLIP):
     return qcore.apply_channel(rho, make_channel(kind, q), [0])
 
 
-def brute_force_round(pair_matrix, n):
+def brute_force_round(pair_matrix, n, accept=lambda bits: len(set(bits)) == 1):
     """Independent oracle: one explicit 4^(2n)-entry conjugation by the CNOT
-    layer, then projector post-selection over all accepting B outcomes."""
+    layer, then projector post-selection over all accepting B outcomes
+    (default: all bits equal)."""
     m = 2 * n
     dim = 2 ** m
     layer = np.eye(dim, dtype=complex)
@@ -31,7 +34,7 @@ def brute_force_round(pair_matrix, n):
     success = 0.0
     for outcome in range(2 ** n):
         bits = [(outcome >> (n - 1 - i)) & 1 for i in range(n)]
-        if len(set(bits)) != 1:
+        if not accept(bits):
             continue
         ket = np.zeros(2 ** n, dtype=complex)
         ket[outcome] = 1.0
@@ -84,6 +87,38 @@ class TestPurifyRound:
         success, kept = brute_force_round(pair.matrix, n)
         assert abs(result.success_probability - success) < 1e-9
         assert np.max(np.abs(result.kept_state.matrix - kept)) < 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([2, 3]),
+           rank=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1),
+           rule=st.sampled_from(["complement", "all", "first-zero"]))
+    def test_correlated_pair_against_oracle(self, n, rank, seed, rule):
+        # a random rank-r density matrix on all 2n qubits is generically
+        # entangled across the two copies, unlike the i.i.d. pairs above
+        accept = {
+            "complement": lambda bits: len(set(bits)) != 1,
+            "all": lambda bits: True,
+            "first-zero": lambda bits: bits[0] == 0,
+        }[rule]
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(4 ** n, rank)) + 1j * rng.normal(size=(4 ** n, rank))
+        pair = DensityOperator(g @ g.conj().T / np.linalg.norm(g) ** 2)
+        result = purify_round(pair, n, accept)
+        success, kept = brute_force_round(pair.matrix, n, accept)
+        assert abs(result.success_probability - success) < 1e-9
+        assert np.max(np.abs(result.kept_state.matrix - kept)) < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_yield_threshold_edge(self, n):
+        # clean control against a target flipped with probability q: only the
+        # unflipped 1 - q branch passes, straddling the 1e-12 yield floor
+        clean = shared_state(n).density()
+        near = purify_round(qcore.tensor_product(clean, noisy_ghz(n, 1 - 1e-11)), n)
+        assert abs(near.success_probability - 1e-11) < 1e-17
+        assert qcore.fidelity(shared_state(n), near.kept_state) > 1 - 1e-9
+        with pytest.raises(PurificationUnderflow):
+            purify_round(qcore.tensor_product(clean, noisy_ghz(n, 1 - 1e-12)), n)
 
     def test_fully_orthogonal_pair_underflows(self):
         # clean control against a fully flipped target never passes the
