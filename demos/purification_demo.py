@@ -8,13 +8,7 @@ tells you how many raw pairs one good pair consumes.
 Run: python3 demos/purification_demo.py
 """
 
-from ghzsdc import (
-    NoiseKind,
-    apply_channel,
-    make_channel,
-    purify_iterated,
-    shared_state,
-)
+from ghzsdc import NoiseKind, NoiseSpec, distribute, purify_iterated
 
 
 def main():
@@ -23,8 +17,7 @@ def main():
     print()
     print("rounds  noise p  fidelity before  fidelity after  success prob")
     for p in (0.1, 0.2, 0.3):
-        rho = apply_channel(shared_state(n).density(),
-                            make_channel(NoiseKind.BIT_FLIP, p), [0])
+        rho = distribute(n, NoiseSpec(NoiseKind.BIT_FLIP, p))
         for rounds in (1, 2, 3):
             result = purify_iterated(rho, n, rounds)
             print(f"  {rounds}      {p:.1f}      {result.fidelity_before:.6f}      "

@@ -2,7 +2,7 @@
 entanglement purification, QNN correction, and channel-capacity analysis."""
 
 from .capacity import CapacityReport, EnsembleSpec, classical_capacity, coherent_information, entropy_exchange, holevo, quantum_capacity
-from .harness import SweepConfig, SweepRecord, emit_records, run_sweep
+from .harness import CorrectionPipeline, SweepConfig, SweepRecord, emit_records, run_sweep
 from .noise import NoiseKind, NoiseSpec, NoiseStage, conjugate_by_hadamard, make_channel, sample_trajectory
 from .purify import PurificationResult, PurificationUnderflow, purify_iterated, purify_round
 from .qcore import (
@@ -21,6 +21,6 @@ from .qcore import (
     von_neumann_entropy,
 )
 from .qnn import NetworkArchitecture, QnnModel, TrainingPair, TrainingReport, correct_state, cost, feedforward, load_model, save_model, train
-from .sdc import Codeword, CorrectionPipeline, GhzBasis, SdcRunResult, decode_ghz, encode_usdc, ghz_basis, run_protocol, shared_state
+from .sdc import Codeword, GhzBasis, SdcRunResult, decode_ghz, distribute, encode_usdc, ghz_basis, run_protocol, shared_state, transmit
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,13 +5,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from . import capacity, harness, qnn
+from . import capacity, harness, purify, qnn
 from .capacity import EnsembleSpec
 from .harness import SweepConfig, embedded_noise_channel, train_inline_model
 from .noise import NoiseKind, NoiseSpec, NoiseStage
-from .sdc import Codeword, ideal_received_state
+from .sdc import Codeword, distribute, ideal_received_state, transmit
 
 
 def _add_noise_args(p: argparse.ArgumentParser) -> None:
@@ -83,11 +81,7 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_purify_demo(args) -> None:
-    from . import purify, qcore
-    from .noise import make_channel
-    from .sdc import shared_state
-    rho = shared_state(args.n).density()
-    rho = qcore.apply_channel(rho, make_channel(NoiseKind(args.noise), args.p), [0])
+    rho = distribute(args.n, NoiseSpec(NoiseKind(args.noise), args.p))
     result = purify.purify_iterated(rho, args.n, args.rounds)
     print(f"fidelity before: {result.fidelity_before:.6f}")
     print(f"fidelity after {args.rounds} round(s): {result.fidelity_after:.6f}")
@@ -100,12 +94,11 @@ def _cmd_capacity(args) -> None:
         ideal_received_state(args.n, Codeword(args.n, x)).density()
         for x in range(2 ** args.n)
     ])
-    ch = embedded_noise_channel(spec, args.n)
+    shared = distribute(args.n, spec)
     outputs = EnsembleSpec.uniform([
-        capacity.DensityOperator(sum(k @ s.matrix @ k.conj().T for k in ch.kraus_ops))
-        for s in ens.states
+        transmit(shared, Codeword(args.n, x), spec) for x in range(2 ** args.n)
     ])
-    rep = capacity.report(outputs, ens, ch)
+    rep = capacity.report(outputs, ens, embedded_noise_channel(spec, args.n))
     print(f"holevo: {rep.holevo:.6f} bits")
     print(f"classical capacity: {rep.classical_capacity:.6f} bits")
     print(f"entropy exchange: {rep.entropy_exchange:.6f} bits")

@@ -4,16 +4,16 @@ per-point capacity reports, and record emission."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import capacity, qcore, qnn
-from .capacity import CapacityReport, EnsembleSpec
+from . import capacity, purify, qcore, qnn
+from .capacity import EnsembleSpec
 from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel, sample_trajectory
-from .qcore import QuantumChannel, embedded_matrix
-from .sdc import Codeword, CorrectionPipeline, ideal_received_state, run_protocol, shared_state
+from .qcore import DensityOperator, QuantumChannel, embedded_matrix
+from .sdc import Codeword, distribute, ideal_received_state, shared_state, transmit
 
 PIPELINES = ("raw", "purify", "qnn", "purify-qnn")
 
@@ -67,6 +67,22 @@ class SweepRecord:
                 raise ValueError(f"{name} is not finite")
 
 
+@dataclass(frozen=True)
+class CorrectionPipeline:
+    """Corrections of the shared state between distribution and encoding,
+    run by calling it: purification rounds first, then a trained QNN model."""
+
+    purify_rounds: int = 0
+    model: Optional[qnn.QnnModel] = None
+
+    def __call__(self, rho: DensityOperator) -> DensityOperator:
+        if self.purify_rounds > 0:
+            rho = purify.purify_iterated(rho, rho.qubit_count, self.purify_rounds).kept_state
+        if self.model is not None:
+            rho = qnn.correct_state(self.model, rho)
+        return rho
+
+
 def p_grid(cfg: SweepConfig) -> List[float]:
     values = []
     for k in itertools.count():
@@ -104,11 +120,9 @@ def train_inline_model(cfg: SweepConfig, p_train: float) -> qnn.QnnModel:
     return model
 
 
-def _build_corrector(cfg: SweepConfig) -> Optional[CorrectionPipeline]:
+def _build_corrector(cfg: SweepConfig) -> CorrectionPipeline:
     wants_purify = cfg.pipeline in ("purify", "purify-qnn")
     wants_qnn = cfg.pipeline in ("qnn", "purify-qnn")
-    if not wants_purify and not wants_qnn:
-        return None
     model = None
     if wants_qnn:
         if cfg.model_path is not None:
@@ -126,23 +140,20 @@ def _build_corrector(cfg: SweepConfig) -> Optional[CorrectionPipeline]:
 
 
 def run_sweep(cfg: SweepConfig) -> List[SweepRecord]:
-    """One record per grid point: all 2^n codewords are run, the uniform
+    """One record per grid point: the shared state is distributed and
+    corrected once, then transmitted for all 2^n codewords; the uniform
     output ensemble is scored, and the noise channel itself is scored on the
     ideal encoded inputs. Deterministic for a fixed seed."""
     corrector = _build_corrector(cfg)
-    ideal_inputs = EnsembleSpec.uniform([
-        ideal_received_state(cfg.n, Codeword(cfg.n, x)).density()
-        for x in range(2 ** cfg.n)
-    ])
+    codes = [Codeword(cfg.n, x) for x in range(2 ** cfg.n)]
+    targets = [ideal_received_state(cfg.n, code) for code in codes]
+    ideal_inputs = EnsembleSpec.uniform([t.density() for t in targets])
     records = []
     for p in p_grid(cfg):
         spec = NoiseSpec(cfg.noise_kind, p, cfg.noise_stage)
-        outputs = []
-        fidelities = []
-        for x in range(2 ** cfg.n):
-            result = run_protocol(cfg.n, Codeword(cfg.n, x), spec, corrector)
-            outputs.append(result.received_state)
-            fidelities.append(result.post_fidelity)
+        shared = corrector(distribute(cfg.n, spec))
+        outputs = [transmit(shared, code, spec) for code in codes]
+        fidelities = [qcore.fidelity(t, rho) for t, rho in zip(targets, outputs)]
         rep = capacity.report(
             EnsembleSpec.uniform(outputs),
             ideal_inputs,

@@ -1,5 +1,5 @@
 """n-GHZ basis construction, the bitwise superdense-coding encoder, GHZ-basis
-decoding, and end-to-end protocol runs.
+decoding, and the protocol stages `distribute` and `transmit`.
 
 Qubit 0 of the shared state is Bob's (distributed through the noisy channel);
 qubits 1..n-1 are Alice's and carry the encoding.
@@ -7,9 +7,9 @@ qubits 1..n-1 are Alice's and carry the encoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -47,15 +47,6 @@ class Codeword:
     def y(self, k: int) -> int:
         """Bit y_k of floor(X/2) = y_{n-2}...y_0; equals x_{k+1}."""
         return ((self.value >> 1) >> k) & 1
-
-
-@dataclass(frozen=True)
-class CorrectionPipeline:
-    """Optional corrections applied to the shared state after distribution,
-    before encoding: purification rounds first, then a trained QNN model."""
-
-    purify_rounds: int = 0
-    model: Optional[object] = None  # qnn.QnnModel
 
 
 @dataclass(frozen=True)
@@ -131,39 +122,41 @@ def ideal_received_state(n: int, code: Codeword) -> StateVector:
     return qcore.apply_unitary_to_state(shared_state(n), u, list(range(1, n)))
 
 
+def distribute(n: int, noise: NoiseSpec) -> DensityOperator:
+    """The shared GHZ state after distribution: the channel acts on qubit 0
+    (Bob's) only; Alice's qubits 1..n-1 are untouched."""
+    rho = shared_state(n).density()
+    return qcore.apply_channel(rho, make_channel(noise.kind, noise.p), [0])
+
+
+def transmit(shared: DensityOperator, code: Codeword, noise: NoiseSpec) -> DensityOperator:
+    """Alice's encoding and return: the encoder acts on qubits 1..n-1, and
+    with stage `both` the channel then hits each of qubits 1..n-1 in transit.
+    Qubit 0 is untouched."""
+    n = code.n
+    rho = qcore.apply_unitary(shared, encode_usdc(code), list(range(1, n)))
+    if noise.stage is NoiseStage.DISTRIBUTION_AND_RETURN:
+        ch = make_channel(noise.kind, noise.p)
+        for q in range(1, n):
+            rho = qcore.apply_channel(rho, ch, [q])
+    return rho
+
+
 def run_protocol(
     n: int,
     code: Codeword,
     noise: NoiseSpec,
-    corrector: Optional[CorrectionPipeline] = None,
+    corrector: Optional[Callable[[DensityOperator], DensityOperator]] = None,
 ) -> SdcRunResult:
-    """One end-to-end superdense-coding run.
-
-    Distribution noise hits qubit 0; the optional corrector acts on the shared
-    state before encoding; encoding acts on qubits 1..n-1; with stage `both`
-    the channel additionally hits each encoded qubit in transit.
-    """
+    """One end-to-end superdense-coding run for a single codeword:
+    `distribute`, then the optional `corrector` on the shared state, then
+    `transmit`, then GHZ-basis decoding and the fidelity with the noise-free
+    received state."""
     if code.n != n:
         raise ValueError(f"codeword width {code.n} differs from n={n}")
-    from . import purify as purify_mod  # local import to avoid a cycle
-    from . import qnn as qnn_mod
-
-    ch = make_channel(noise.kind, noise.p)
-    rho = shared_state(n).density()
-    rho = qcore.apply_channel(rho, ch, [0])
-
+    rho = distribute(n, noise)
     if corrector is not None:
-        if corrector.purify_rounds > 0:
-            rho = purify_mod.purify_iterated(rho, n, corrector.purify_rounds).kept_state
-        if corrector.model is not None:
-            rho = qnn_mod.correct_state(corrector.model, rho)
-
-    u = encode_usdc(code)
-    rho = qcore.apply_unitary(rho, u, list(range(1, n)))
-    if noise.stage is NoiseStage.DISTRIBUTION_AND_RETURN:
-        for q in range(1, n):
-            rho = qcore.apply_channel(rho, ch, [q])
-
-    distribution = decode_ghz(rho, n)
+        rho = corrector(rho)
+    rho = transmit(rho, code, noise)
     target = ideal_received_state(n, code)
-    return SdcRunResult(code, rho, distribution, qcore.fidelity(target, rho))
+    return SdcRunResult(code, rho, decode_ghz(rho, n), qcore.fidelity(target, rho))

@@ -3,9 +3,10 @@ import pathlib
 import numpy as np
 import pytest
 
-from ghzsdc import cli, harness, qcore, qnn
+from ghzsdc import cli, harness, purify, qcore, qnn
 from ghzsdc.harness import (
     CSV_HEADER,
+    CorrectionPipeline,
     SweepConfig,
     SweepRecord,
     embedded_noise_channel,
@@ -14,7 +15,7 @@ from ghzsdc.harness import (
     run_sweep,
 )
 from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
-from ghzsdc.sdc import shared_state
+from ghzsdc.sdc import Codeword, run_protocol, shared_state
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -113,6 +114,33 @@ class TestRunSweep:
         raw = run_sweep(small_config(p_start=0.2, p_stop=0.2))
         pur = run_sweep(small_config(p_start=0.2, p_stop=0.2, pipeline="purify"))
         assert pur[0].avg_fidelity > raw[0].avg_fidelity
+
+    def test_correction_runs_once_per_grid_point(self, monkeypatch):
+        calls = []
+        original = purify.purify_iterated
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(purify, "purify_iterated", counted)
+        cfg = small_config(pipeline="purify")
+        run_sweep(cfg)
+        assert len(calls) == len(p_grid(cfg))
+
+    @pytest.mark.parametrize("pipeline", ["raw", "purify"])
+    @pytest.mark.parametrize("stage", list(NoiseStage))
+    def test_sweep_matches_single_codeword_runs(self, pipeline, stage):
+        cfg = small_config(pipeline=pipeline, noise_stage=stage,
+                           p_start=0.1, p_stop=0.3, p_step=0.2)
+        corrector = CorrectionPipeline(purify_rounds=cfg.rounds) if pipeline == "purify" else None
+        records = run_sweep(cfg)
+        assert [r.p for r in records] == p_grid(cfg)
+        for record in records:
+            spec = NoiseSpec(cfg.noise_kind, record.p, stage)
+            single = [run_protocol(cfg.n, Codeword(cfg.n, x), spec, corrector).post_fidelity
+                      for x in range(2 ** cfg.n)]
+            assert record.avg_fidelity == np.mean(single)
 
     def test_model_width_mismatch_rejected(self, tmp_path):
         model = qnn.identity_model(qnn.NetworkArchitecture(2, 1))

@@ -1,0 +1,67 @@
+"""Layering guard: no module of the package imports one above it.
+
+The order is qcore < noise < sdc < {capacity, purify, qnn} < harness < cli;
+modules on the same level may not import each other either. Imports inside
+functions count, so a cycle cannot hide behind a local import.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+import ghzsdc
+
+PACKAGE_DIR = pathlib.Path(ghzsdc.__file__).parent
+
+LEVEL = {
+    "qcore": 0,
+    "noise": 1,
+    "sdc": 2,
+    "capacity": 3,
+    "purify": 3,
+    "qnn": 3,
+    "harness": 4,
+    "cli": 5,
+}
+
+
+def imported_modules(path):
+    """Package modules imported anywhere in the file at `path`."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None:
+                found.update(alias.name for alias in node.names)
+            elif node.level == 1:
+                found.add(node.module.split(".")[0])
+            elif node.module and node.module.split(".")[0] == "ghzsdc":
+                parts = node.module.split(".")
+                found.update(parts[1:2] or [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "ghzsdc" and len(parts) > 1:
+                    found.add(parts[1])
+    return found & set(LEVEL)
+
+
+def test_every_module_has_a_level():
+    modules = {p.stem for p in PACKAGE_DIR.glob("*.py")} - {"__init__"}
+    assert modules == set(LEVEL)
+
+
+@pytest.mark.parametrize("module", sorted(LEVEL))
+def test_imports_only_lower_levels(module):
+    imports = imported_modules(PACKAGE_DIR / f"{module}.py")
+    upward = sorted(m for m in imports if LEVEL[m] >= LEVEL[module] and m != module)
+    assert not upward, f"{module} imports {upward} at or above its own level"
+
+
+def test_no_function_local_imports():
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local = [n for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
+                assert not local, f"{path.name}:{local[0].lineno} imports inside {fn.name}"

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from ghzsdc import qcore
+from ghzsdc.harness import CorrectionPipeline
 from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from ghzsdc.qcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityOperator
 from ghzsdc.sdc import (
     Codeword,
-    CorrectionPipeline,
     decode_ghz,
     encode_usdc,
     ghz_basis,
