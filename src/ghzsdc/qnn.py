@@ -10,6 +10,7 @@ dropped into the protocol as a noise corrector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -103,51 +104,78 @@ def correct_state(model: QnnModel, rho: DensityOperator) -> DensityOperator:
 
 
 # ---------------------------------------------------------------------------
-# Pure-state fast path used by cost evaluation and training. The full
-# register (input + all layer registers) is kept as one state vector; the
-# trace of Eq-style layer maps is deferred to the final overlap.
+# Pure-state training path used by cost evaluation and training. Each pure
+# input is kept on the full register (input + every layer register, qubit 0
+# high), and the distinct training pairs are the columns of one (2^m, P)
+# array. Perceptron i is applied to all columns at once through its gather
+# permutation: batch[perm] reshaped to (2^(n+1), -1) has the perceptron's
+# target qubits, in order, as its row index, so one matmul applies it and
+# the inverse permutation puts the qubits back. The trace over the non-output
+# registers is deferred to the final overlap with the target.
 
-def _op_schedule(model: QnnModel) -> List[Tuple[int, int, np.ndarray, List[int]]]:
-    n = model.architecture.input_width
-    sched = []
-    for t, layer in enumerate(model.perceptrons):
-        prev = list(range(t * n, (t + 1) * n))
-        for j, u in enumerate(layer):
-            sched.append((t, j, u.matrix, prev + [(t + 1) * n + j]))
-    return sched
+@lru_cache(maxsize=None)
+def _gathers(n: int, depth: int) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+    """(perm, inverse) per perceptron, layer-major, for a register of
+    (depth + 1) * n qubits: perceptron j of transition t targets the
+    transition's input register t*n..(t+1)*n-1, then its fresh qubit
+    (t+1)*n + j. The arrays are shared, so they are read-only."""
+    m = (depth + 1) * n
+    index = np.arange(2 ** m).reshape((2,) * m)
+    out = []
+    for t in range(depth):
+        for j in range(n):
+            targets = list(range(t * n, (t + 1) * n)) + [(t + 1) * n + j]
+            rest = [q for q in range(m) if q not in targets]
+            perm = index.transpose(targets + rest).reshape(-1)
+            inv = np.argsort(perm)
+            perm.flags.writeable = False
+            inv.flags.writeable = False
+            out.append((perm, inv))
+    return tuple(out)
 
 
-def _zero_vec(m: int) -> np.ndarray:
-    v = np.zeros(2 ** m, dtype=complex)
-    v[0] = 1.0
-    return v
+def _batch(architecture: NetworkArchitecture, pairs: Sequence[TrainingPair]):
+    """Full-register inputs |x>|0...0> as columns (2^m, P), and the
+    targets as columns (2^n, P)."""
+    if not pairs:
+        raise ValueError("training set must be nonempty")
+    n = architecture.input_width
+    for pair in pairs:
+        if pair.input.qubit_count != n or pair.target.qubit_count != n:
+            raise ValueError("training pair width differs from the model width")
+    extra = architecture.hidden_layers * n
+    inputs = np.array([p.input.amplitudes for p in pairs]).T
+    register = np.zeros((inputs.shape[0] * 2 ** extra, len(pairs)), dtype=complex)
+    register[::2 ** extra] = inputs
+    targets = np.array([p.target.amplitudes for p in pairs]).T
+    return register, targets
 
 
-def _full_register(model: QnnModel, psi: StateVector) -> np.ndarray:
-    # |psi> on the input register (high qubits), |0...0> on every layer register
-    extra = model.architecture.hidden_layers * model.architecture.input_width
-    return np.kron(psi.amplitudes, _zero_vec(extra))
+def _forward(model: QnnModel, register: np.ndarray) -> np.ndarray:
+    arch = model.architecture
+    out = register
+    mats = (u.matrix for layer in model.perceptrons for u in layer)
+    for mat, (perm, inv) in zip(mats, _gathers(arch.input_width, arch.hidden_layers)):
+        out = (mat @ out[perm].reshape(mat.shape[0], -1)).reshape(out.shape)[inv]
+    return out
 
 
-def _pair_cost(model: QnnModel, pair: TrainingPair) -> float:
-    n = model.architecture.input_width
-    total_qubits = (model.architecture.hidden_layers + 1) * n
-    vec = _full_register(model, pair.input)
-    for _, _, mat, axes in _op_schedule(model):
-        vec = qcore._apply_matrix_to_vector(mat, vec, axes, total_qubits)
-    rest = vec.reshape(-1, 2 ** n) @ pair.target.amplitudes.conj()
-    return float(np.linalg.norm(rest) ** 2)
+def _overlaps(out: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """(<target| on the output register) per pair: shape (2^(m-n), P)."""
+    split = out.reshape(-1, targets.shape[0], targets.shape[1])
+    return np.einsum("rop,op->rp", split, targets.conj())
+
+
+def _score(out: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> float:
+    overlap = _overlaps(out, targets)
+    return float(weights @ np.sum(overlap.real ** 2 + overlap.imag ** 2, axis=0))
 
 
 def cost(model: QnnModel, training_set: Sequence[TrainingPair]) -> float:
     """Mean target overlap (1/N) sum_x <target_x| rho_x^out |target_x>."""
-    if not training_set:
-        raise ValueError("training set must be nonempty")
-    n = model.architecture.input_width
-    for pair in training_set:
-        if pair.input.qubit_count != n or pair.target.qubit_count != n:
-            raise ValueError("training pair width differs from the model width")
-    return sum(_pair_cost(model, p) for p in training_set) / len(training_set)
+    register, targets = _batch(model.architecture, training_set)
+    weights = np.full(len(training_set), 1.0 / len(training_set))
+    return _score(_forward(model, register), targets, weights)
 
 
 def _dedupe(training_set: Sequence[TrainingPair]):
@@ -168,62 +196,51 @@ def _dedupe(training_set: Sequence[TrainingPair]):
     return unique, w
 
 
-def _weighted_cost(model: QnnModel, pairs, weights) -> float:
-    return float(sum(w * _pair_cost(model, p) for p, w in zip(pairs, weights)))
-
-
-def _group_axes(vec: np.ndarray, axes: List[int], m: int) -> np.ndarray:
-    """Reshape a 2^m vector to (2^k, 2^(m-k)) with `axes` first, in order."""
-    t = vec.reshape((2,) * m)
-    t = np.moveaxis(t, axes, range(len(axes)))
-    return t.reshape(2 ** len(axes), -1)
+def _ascent(model: QnnModel, out: np.ndarray, targets: np.ndarray,
+            weights: np.ndarray) -> np.ndarray:
+    """Ascent directions K, stacked layer-major, from the forward state
+    `out` of the batch: K_i = i(T - T^dag) with T = sum_x w_x A_x C_x^dag
+    over the target-qubit rows of the state A_x and of its projection C_x
+    onto the target, both swept back to just after perceptron i."""
+    arch = model.architecture
+    mats = [u.matrix for layer in model.perceptrons for u in layer]
+    gathers = _gathers(arch.input_width, arch.hidden_layers)
+    # project the output register onto the target, weights on that side
+    overlap = _overlaps(out, targets)
+    chi = (overlap[:, None, :] * targets[None, :, :]).reshape(out.shape) * weights
+    sweep = np.stack([out, chi])
+    dim = mats[0].shape[0]
+    grads = np.empty((len(mats), dim, dim), dtype=complex)
+    for idx in range(len(mats) - 1, -1, -1):
+        perm, inv = gathers[idx]
+        rows = sweep[:, perm].reshape(2, dim, -1)
+        t_ac = rows[0] @ rows[1].conj().T
+        grads[idx] = 1j * (t_ac - t_ac.conj().T)
+        if idx:
+            sweep = (mats[idx].conj().T @ rows).reshape(sweep.shape)[:, inv]
+    return grads
 
 
 def _gradients(model: QnnModel, training_set: Sequence[TrainingPair], weights=None):
     """Ascent directions K for every perceptron: the partial trace of
     i[A, B] over non-target qubits, accumulated across training pairs."""
-    n = model.architecture.input_width
-    m = (model.architecture.hidden_layers + 1) * n
-    sched = _op_schedule(model)
+    register, targets = _batch(model.architecture, training_set)
     if weights is None:
         weights = np.full(len(training_set), 1.0 / len(training_set))
-    grads = [np.zeros((2 ** (n + 1), 2 ** (n + 1)), dtype=complex) for _ in sched]
-    for weight, pair in zip(weights, training_set):
-        full = _full_register(model, pair.input)
-        for _, _, mat, axes in sched:
-            full = qcore._apply_matrix_to_vector(mat, full, axes, m)
-        # project the output register onto the target
-        overlap = full.reshape(-1, 2 ** n) @ pair.target.amplitudes.conj()
-        chi = np.kron(overlap, pair.target.amplitudes)
-        a, c = full, chi
-        for idx in range(len(sched) - 1, -1, -1):
-            _, _, mat, axes = sched[idx]
-            amat = _group_axes(a, axes, m)
-            cmat = _group_axes(c, axes, m)
-            t_ac = amat @ cmat.conj().T
-            grads[idx] = grads[idx] + weight * 1j * (t_ac - t_ac.conj().T)
-            a = qcore._apply_matrix_to_vector(mat.conj().T, a, axes, m)
-            c = qcore._apply_matrix_to_vector(mat.conj().T, c, axes, m)
-    return grads
+    return _ascent(model, _forward(model, register), targets, np.asarray(weights))
 
 
 def _expm_i(h: np.ndarray, eps: float) -> np.ndarray:
-    """exp(i * eps * h) for Hermitian h."""
+    """exp(i * eps * h) for Hermitian h; h may be a stack of matrices."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * eps * w)) @ v.conj().T
+    return (v * np.exp(1j * eps * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def _stepped(model: QnnModel, grads, eps: float) -> QnnModel:
-    n = model.architecture.input_width
-    layers = []
-    idx = 0
-    for layer in model.perceptrons:
-        new_layer = []
-        for u in layer:
-            new_layer.append(Unitary(_expm_i(grads[idx], eps) @ u.matrix))
-            idx += 1
-        layers.append(tuple(new_layer))
-    return QnnModel(model.architecture, tuple(layers))
+    steps = iter(_expm_i(np.asarray(grads), eps))
+    layers = tuple(tuple(Unitary(next(steps) @ u.matrix) for u in layer)
+                   for layer in model.perceptrons)
+    return QnnModel(model.architecture, layers)
 
 
 def random_model(architecture: NetworkArchitecture, rng: np.random.Generator,
@@ -274,28 +291,32 @@ def train(
     else:
         model = random_model(architecture, np.random.default_rng(rng_seed))
     pairs, weights = _dedupe(training_set)
+    register, targets = _batch(architecture, pairs)
     eps = step_size
-    current = _weighted_cost(model, pairs, weights)
+    # forward state of the current model, reused by its gradient
+    out = _forward(model, register)
+    current = _score(out, targets, weights)
     history = [current]
     converged = False
     iterations = 0
     for _ in range(max_iters):
-        grads = _gradients(model, pairs, weights)
-        largest = max(np.linalg.norm(g) for g in grads)
+        grads = _ascent(model, out, targets, weights)
+        largest = np.linalg.norm(grads, axis=(1, 2)).max()
         if largest > 1e-12:
-            grads = [g / largest for g in grads]
+            grads = grads / largest
         stepped = None
         while eps > 1e-8:
             candidate = _stepped(model, grads, eps)
-            new_cost = _weighted_cost(candidate, pairs, weights)
+            candidate_out = _forward(candidate, register)
+            new_cost = _score(candidate_out, targets, weights)
             if new_cost >= current - 1e-9:
-                stepped = (candidate, new_cost)
+                stepped = (candidate, candidate_out, new_cost)
                 break
             eps /= 2
         if stepped is None:
             converged = True
             break
-        model, new_cost = stepped
+        model, out, new_cost = stepped
         eps = min(eps * 1.05, step_size)
         iterations += 1
         history.append(new_cost)

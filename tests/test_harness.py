@@ -201,6 +201,40 @@ class TestEmitRecords:
         assert path.read_text() == (DATA_DIR / "sweep_ad_purify_n3.csv").read_text()
 
 
+QNN_SWEEP_ARGS = ["sweep", "--noise", "amplitude-damping", "--n", "3", "--pipeline", "qnn",
+                  "--p-start", "0", "--p-stop", "0.5", "--p-step", "0.1", "--seed", "0"]
+
+
+class TestQnnSweepRegression:
+    # Inline training sums floats in batch order, so the frozen QNN sweep is
+    # compared per field within the qnn-ad-n3 benchmark tolerance, relative
+    # to max(1, |value|); the non-numeric fields must match exactly.
+    TOLERANCE = 1e-6
+
+    def test_golden_fixture(self, tmp_path):
+        path = tmp_path / "out.csv"
+        assert cli.main(QNN_SWEEP_ARGS + ["--out", str(path)]) == 0
+        got = path.read_text().splitlines()
+        want = (DATA_DIR / "sweep_ad_qnn_n3.csv").read_text().splitlines()
+        assert got[0] == want[0] == CSV_HEADER
+        assert len(got) == len(want) == 7
+        numeric = {"p", "avg_fidelity", "holevo", "classical_capacity",
+                   "coherent_info", "quantum_capacity"}
+        for got_row, want_row in zip(got[1:], want[1:]):
+            for name, g, w in zip(CSV_HEADER.split(","), got_row.split(","),
+                                  want_row.split(",")):
+                if name in numeric:
+                    assert abs(float(g) - float(w)) <= self.TOLERANCE * max(1.0, abs(float(w))), name
+                else:
+                    assert g == w, name
+
+    def test_byte_identical_reruns(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.main(QNN_SWEEP_ARGS + ["--out", str(a)]) == 0
+        assert cli.main(QNN_SWEEP_ARGS + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
 class TestCli:
     def test_sweep_subcommand_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

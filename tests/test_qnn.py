@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzsdc import qcore, qnn
 from ghzsdc.noise import NoiseKind, make_channel, sample_trajectory
@@ -184,11 +186,64 @@ class TestTraining:
                 inner = np.real(np.trace(grads[idx].conj().T @ fd))
                 assert inner > 0
 
+    def test_directional_derivative_matches_gradient_at_depth_2(self):
+        # d/d(eps) cost(U_i <- exp(i eps H) U_i) at eps = 0 is tr(K_i H); at
+        # depth 2 the second transition's perceptrons read qubits n..2n-1
+        rng = np.random.default_rng(14)
+        eps = 1e-5
+        for n in (1, 2, 3):
+            model = qnn.random_model(qnn.NetworkArchitecture(n, 2), rng, spread=0.4)
+            pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n))
+                     for _ in range(3)]
+            unique, weights = qnn._dedupe(pairs)
+            grads = qnn._gradients(model, unique, weights)
+            assert len(grads) == 2 * n
+            dim = 2 ** (n + 1)
+            for idx in range(len(grads)):
+                raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                h = (raw + raw.conj().T) / 2
+                bump = [h if i == idx else np.zeros_like(h) for i in range(len(grads))]
+                up = qnn.cost(qnn._stepped(model, bump, eps), pairs)
+                down = qnn.cost(qnn._stepped(model, bump, -eps), pairs)
+                analytic = np.real(np.trace(grads[idx] @ h))
+                assert (up - down) / (2 * eps) == pytest.approx(analytic, abs=1e-7)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), depth=st.integers(1, 2), count=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_batched_gradients_sum_single_pair_gradients(self, n, depth, count, seed):
+        rng = np.random.default_rng(seed)
+        model = qnn.random_model(qnn.NetworkArchitecture(n, depth), rng, spread=0.5)
+        pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n))
+                 for _ in range(count)]
+        weights = rng.uniform(0.1, 1.0, count)
+        weights /= weights.sum()
+        batched = qnn._gradients(model, pairs, weights)
+        single = sum(w * np.asarray(qnn._gradients(model, [pair], [1.0]))
+                     for w, pair in zip(weights, pairs))
+        assert np.max(np.abs(np.asarray(batched) - single)) < 1e-12
+
     def test_gradient_explosion_regime_refused(self):
         psi = shared_state(2)
         pairs = [qnn.TrainingPair(psi, psi)]
         with pytest.raises(ValueError, match="limited"):
             qnn.train(qnn.NetworkArchitecture(7, 1), pairs)
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            qnn.train(qnn.NetworkArchitecture(2, 1), [])
+
+    @pytest.mark.parametrize("widths", [((3, 3),), ((2, 2), (3, 3)), ((2, 2), (2, 1))],
+                             ids=["all-wide", "mixed", "narrow-target"])
+    def test_width_mismatch_rejected(self, widths):
+        rng = np.random.default_rng(15)
+        pairs = [qnn.TrainingPair(random_state(rng, a), random_state(rng, b))
+                 for a, b in widths]
+        arch = qnn.NetworkArchitecture(2, 1)
+        with pytest.raises(ValueError, match="width differs from the model width"):
+            qnn.train(arch, pairs)
+        with pytest.raises(ValueError, match="width differs from the model width"):
+            qnn.cost(qnn.identity_model(arch), pairs)
 
     def test_bad_step_size_rejected(self):
         with pytest.raises(ValueError):
