@@ -1,5 +1,13 @@
 """CNOT-and-compare entanglement purification of pairs of noisy n-qubit GHZ
-states, single-round and iterated."""
+states, single-round and iterated.
+
+A round on a general (possibly correlated) pair state P gathers the rows
+a*2^n + (a xor m) of P for every accepted outcome m. For two i.i.d. copies,
+P = rho (x) rho, that block is rho[a, b] * rho[a xor m, b xor m], so iterated
+rounds work on the single copy and never build the 4^n-dim pair: the kept
+state is rho o sum over accepted m of rho[a xor m, b xor m] ("o" is the
+entrywise product), which reaches n = MAX_DENSITY_QUBITS.
+"""
 
 from __future__ import annotations
 
@@ -55,17 +63,13 @@ def purify_round(
 
     a = np.arange(2 ** n)
     kept = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for m in range(2 ** n):
-        if accept([(m >> (n - 1 - i)) & 1 for i in range(n)]):
-            rows = a * 2 ** n + (a ^ m)
-            kept += pair_state.matrix[np.ix_(rows, rows)]
-    success = float(np.trace(kept).real)
-    if success < 1e-12:
-        raise PurificationUnderflow("acceptance probability below 1e-12")
-    kept_state = DensityOperator(kept / success)
+    for m in _accepted_outcomes(n, accept):
+        rows = a * 2 ** n + (a ^ m)
+        kept += pair_state.matrix[np.ix_(rows, rows)]
+    kept_state, success = _normalised(kept)
     return PurificationResult(
         kept_state=kept_state,
-        success_probability=min(success, 1.0),
+        success_probability=success,
         fidelity_before=fidelity_before,
         fidelity_after=qcore.fidelity(ideal, kept_state),
         rounds=1,
@@ -79,23 +83,48 @@ def purify_iterated(
     accept: Callable[[Sequence[int]], bool] = accept_all_equal,
 ) -> PurificationResult:
     """Iterate purification, each round consuming two i.i.d. copies of the
-    previous round's output; reports the compound acceptance probability."""
+    previous round's output; reports the compound acceptance probability.
+
+    A round keeps rho o sum over accepted m of rho[a xor m, b xor m], the
+    gather `purify_round` makes on rho (x) rho, without building the pair.
+    """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if source_state.qubit_count != n:
+        raise ValueError(f"source state has {source_state.qubit_count} qubits, expected {n}")
     ideal = shared_state(n)
-    fidelity_before = qcore.fidelity(ideal, source_state)
+    a = np.arange(2 ** n)
+    outcomes = _accepted_outcomes(n, accept)
     state = source_state
     compound = 1.0
     for _ in range(rounds):
-        result = purify_round(qcore.tensor_product(state, state), n, accept)
-        state = result.kept_state
-        compound *= result.success_probability
+        rho = state.matrix
+        kept = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        for m in outcomes:
+            kept += rho * rho[np.ix_(a ^ m, a ^ m)]
+        state, success = _normalised(kept)
+        compound *= success
         if compound < 1e-12:
             raise PurificationUnderflow("compound success probability below 1e-12")
     return PurificationResult(
         kept_state=state,
         success_probability=compound,
-        fidelity_before=fidelity_before,
+        fidelity_before=qcore.fidelity(ideal, source_state),
         fidelity_after=qcore.fidelity(ideal, state),
         rounds=rounds,
     )
+
+
+def _accepted_outcomes(n: int, accept: Callable[[Sequence[int]], bool]) -> list:
+    """Target-register outcomes m, ascending, whose bits (qubit 0 first, the
+    most significant bit of m) satisfy `accept`."""
+    return [m for m in range(2 ** n) if accept([(m >> (n - 1 - i)) & 1 for i in range(n)])]
+
+
+def _normalised(kept: np.ndarray) -> tuple:
+    """The validated kept state and the success probability tr(kept), capped
+    at 1; raises PurificationUnderflow below the 1e-12 floor."""
+    success = float(np.trace(kept).real)
+    if success < 1e-12:
+        raise PurificationUnderflow("acceptance probability below 1e-12")
+    return DensityOperator(kept / success), min(success, 1.0)

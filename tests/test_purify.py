@@ -20,6 +20,14 @@ def noisy_ghz(n, q, kind=NoiseKind.BIT_FLIP):
     return qcore.apply_channel(rho, make_channel(kind, q), [0])
 
 
+PREDICATES = {
+    "all-equal": accept_all_equal,
+    "complement": lambda bits: len(set(bits)) != 1,
+    "all": lambda bits: True,
+    "first-zero": lambda bits: bits[0] == 0,
+}
+
+
 def brute_force_round(pair_matrix, n, accept=lambda bits: len(set(bits)) == 1):
     """Independent oracle: one explicit 4^(2n)-entry conjugation by the CNOT
     layer, then projector post-selection over all accepting B outcomes
@@ -96,11 +104,7 @@ class TestPurifyRound:
     def test_correlated_pair_against_oracle(self, n, rank, seed, rule):
         # a random rank-r density matrix on all 2n qubits is generically
         # entangled across the two copies, unlike the i.i.d. pairs above
-        accept = {
-            "complement": lambda bits: len(set(bits)) != 1,
-            "all": lambda bits: True,
-            "first-zero": lambda bits: bits[0] == 0,
-        }[rule]
+        accept = PREDICATES[rule]
         rng = np.random.default_rng(seed)
         g = rng.normal(size=(4 ** n, rank)) + 1j * rng.normal(size=(4 ** n, rank))
         pair = DensityOperator(g @ g.conj().T / np.linalg.norm(g) ** 2)
@@ -169,3 +173,65 @@ class TestPurifyIterated:
         assert accept_all_equal([0, 0, 0])
         assert accept_all_equal([1, 1])
         assert not accept_all_equal([0, 1, 0])
+
+    def test_wider_source_state_rejected(self):
+        with pytest.raises(ValueError, match="expected 2"):
+            purify_iterated(shared_state(3).density(), 2, 1)
+
+    def test_narrower_source_state_rejected(self):
+        with pytest.raises(ValueError, match="expected 4"):
+            purify_iterated(shared_state(3).density(), 4, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.sampled_from([2, 3, 4]),
+           rank=st.integers(1, 4),
+           rounds=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1),
+           rule=st.sampled_from(sorted(PREDICATES)))
+    def test_equals_repeated_pair_rounds(self, n, rank, rounds, seed, rule):
+        # the factored i.i.d. round must be bit-identical to purify_round on
+        # the built pair state, which is itself checked against the oracle
+        accept = PREDICATES[rule]
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(2 ** n, rank)) + 1j * rng.normal(size=(2 ** n, rank))
+        source = DensityOperator(g @ g.conj().T / np.linalg.norm(g) ** 2)
+
+        def repeated_pair_rounds():
+            state, compound = source, 1.0
+            for _ in range(rounds):
+                result = purify_round(qcore.tensor_product(state, state), n, accept)
+                state = result.kept_state
+                compound *= result.success_probability
+                if compound < 1e-12:
+                    raise PurificationUnderflow("compound success probability below 1e-12")
+            return state, compound
+
+        try:
+            state, compound = repeated_pair_rounds()
+        except PurificationUnderflow:
+            with pytest.raises(PurificationUnderflow):
+                purify_iterated(source, n, rounds, accept)
+            return
+        result = purify_iterated(source, n, rounds, accept)
+        assert np.array_equal(result.kept_state.matrix, state.matrix)
+        assert result.success_probability == compound
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_large_n_bit_flip_closed_form(self, n):
+        # (1-q)|G><G| + q X_0|G><G|X_0: a pair passes when both copies are
+        # flipped alike, so success = (1-q)^2 + q^2 and the kept GHZ weight is
+        # (1-q)^2 / success
+        q = 0.2
+        result = purify_iterated(noisy_ghz(n, q), n, 1)
+        success = (1 - q) ** 2 + q ** 2
+        assert abs(result.success_probability - success) < 1e-12
+        assert abs(result.fidelity_after ** 2 - (1 - q) ** 2 / success) < 1e-12
+
+    def test_iterated_near_zero_yield(self):
+        # the maximally mixed state is a fixed point with success 2/256 per
+        # round at n = 8: 5 rounds give 2^-35, the 6th crosses the 1e-12 floor
+        n = 8
+        mixed = DensityOperator(np.eye(2 ** n, dtype=complex) / 2 ** n)
+        assert purify_iterated(mixed, n, 5).success_probability == 2.0 ** -35
+        with pytest.raises(PurificationUnderflow):
+            purify_iterated(mixed, n, 6)
