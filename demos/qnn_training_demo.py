@@ -15,7 +15,7 @@ from ghzsdc import (
     NoiseKind,
     TrainingPair,
     apply_channel,
-    correct_state,
+    feedforward,
     fidelity,
     make_channel,
     sample_trajectory,
@@ -46,11 +46,11 @@ def main():
 
     psi = shared_state(n)
     noisy = apply_channel(psi.density(), make_channel(NoiseKind.AMPLITUDE_DAMPING, p), [0])
-    corrected = correct_state(model, noisy)
+    corrected = feedforward(model, noisy)
     print()
     print(f"fidelity without corrector: {fidelity(psi, noisy):.6f}")
     print(f"fidelity with corrector:    {fidelity(psi, corrected):.6f}")
-    print(f"clean state passthrough:    {fidelity(psi, correct_state(model, psi.density())):.6f}")
+    print(f"clean state passthrough:    {fidelity(psi, feedforward(model, psi.density())):.6f}")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .qcore import (
     tensor_product,
     von_neumann_entropy,
 )
-from .qnn import NetworkArchitecture, QnnModel, TrainingPair, TrainingReport, correct_state, cost, feedforward, load_model, save_model, train
+from .qnn import NetworkArchitecture, QnnModel, TrainingPair, TrainingReport, cost, feedforward, load_model, save_model, train
 from .sdc import Codeword, GhzBasis, SdcRunResult, decode_ghz, distribute, encode_usdc, ghz_basis, run_protocol, shared_state, transmit
 
 __all__ = [name for name in dir() if not name.startswith("_")]

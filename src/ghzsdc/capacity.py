@@ -198,12 +198,15 @@ def report(output_ens: EnsembleSpec, channel_input_ens: EnsembleSpec,
            ch: QuantumChannel) -> CapacityReport:
     """Bundle every quantity for one protocol configuration. The Holevo side
     uses the actual output ensemble; the coherent-information side uses the
-    ideal pure inputs and the noise channel itself."""
+    ideal pure inputs and the noise channel itself. At uniform priors the
+    classical capacity is the Holevo value already computed."""
     se = entropy_exchange(channel_input_ens, ch)
     icoh = von_neumann_entropy(_channel_output(channel_input_ens, ch)) - se
+    chi = holevo(output_ens)
+    uniform = np.all(output_ens.priors == 1.0 / len(output_ens.states))
     return CapacityReport(
-        holevo=holevo(output_ens),
-        classical_capacity=classical_capacity(output_ens.states),
+        holevo=chi,
+        classical_capacity=chi if uniform else classical_capacity(output_ens.states),
         entropy_exchange=se,
         coherent_information=icoh,
         quantum_capacity=max(icoh, 0.0),

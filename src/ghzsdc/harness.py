@@ -79,7 +79,7 @@ class CorrectionPipeline:
         if self.purify_rounds > 0:
             rho = purify.purify_iterated(rho, rho.qubit_count, self.purify_rounds).kept_state
         if self.model is not None:
-            rho = qnn.correct_state(self.model, rho)
+            rho = qnn.feedforward(self.model, rho)
         return rho
 
 

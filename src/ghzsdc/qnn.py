@@ -15,7 +15,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from . import qcore
 from .qcore import DensityOperator, StateVector, Unitary
 
 # Training refuses wider inputs: beyond this the loss fails to converge
@@ -79,32 +78,8 @@ def identity_model(architecture: NetworkArchitecture) -> QnnModel:
     return QnnModel(architecture, layers)
 
 
-def feedforward(model: QnnModel, rho_in: DensityOperator) -> DensityOperator:
-    """Propagate a (possibly mixed) state through the network.
-
-    Per transition: adjoin |0...0> on n fresh qubits, apply the perceptron
-    product, trace out the previous register.
-    """
-    n = model.architecture.input_width
-    if rho_in.qubit_count != n:
-        raise ValueError(f"input has {rho_in.qubit_count} qubits, model width is {n}")
-    zeros = qcore.basis_state(n, 0).density()
-    rho = rho_in
-    for layer in model.perceptrons:
-        joint = qcore.tensor_product(rho, zeros)
-        for j, u in enumerate(layer):
-            joint = qcore.apply_unitary(joint, u, list(range(n)) + [n + j])
-        rho = qcore.partial_trace(joint, range(n, 2 * n))
-    return rho
-
-
-def correct_state(model: QnnModel, rho: DensityOperator) -> DensityOperator:
-    """Pipeline alias: run the trained corrector on a shared state."""
-    return feedforward(model, rho)
-
-
 # ---------------------------------------------------------------------------
-# Pure-state training path used by cost evaluation and training. Each pure
+# Gather path shared by cost evaluation, training and `feedforward`. Each pure
 # input is kept on the full register (input + every layer register, qubit 0
 # high), and the distinct training pairs are the columns of one (2^m, P)
 # array. Perceptron i is applied to all columns at once through its gather
@@ -158,6 +133,26 @@ def _forward(model: QnnModel, register: np.ndarray) -> np.ndarray:
     for mat, (perm, inv) in zip(mats, _gathers(arch.input_width, arch.hidden_layers)):
         out = (mat @ out[perm].reshape(mat.shape[0], -1)).reshape(out.shape)[inv]
     return out
+
+
+def feedforward(model: QnnModel, rho_in: DensityOperator) -> DensityOperator:
+    """Propagate a (possibly mixed) state through the network by the training
+    gather path, layer by layer from its Kraus form: a transition sends the
+    basis inputs |i>|0...0> to K_r[o, i] = <r, o|U|i, 0...0> (r labels the
+    traced-out input register), and rho becomes sum_r K_r rho K_r^dag. The
+    qnn pipelines thus run up to n = MAX_TRAINABLE_WIDTH (6)."""
+    n = model.architecture.input_width
+    if n > MAX_TRAINABLE_WIDTH:
+        raise ValueError(f"width {n} exceeds MAX_TRAINABLE_WIDTH = {MAX_TRAINABLE_WIDTH}")
+    if rho_in.qubit_count != n:
+        raise ValueError(f"input has {rho_in.qubit_count} qubits, model width is {n}")
+    d = 2 ** n
+    basis = np.kron(np.eye(d), np.eye(d, 1))  # columns |i>|0...0>
+    rho = rho_in.matrix
+    for layer in model.perceptrons:
+        kraus = _forward(QnnModel(NetworkArchitecture(n, 1), (layer,)), basis).reshape(d, d, d)
+        rho = np.tensordot(kraus @ rho, kraus.conj(), axes=([0, 2], [0, 2]))
+    return DensityOperator(rho)
 
 
 def _overlaps(out: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -261,3 +261,20 @@ class TestReport:
                    - coherent_information(input_ens, embedded)) < 1e-12
         assert rep.quantum_capacity == max(rep.coherent_information, 0.0)
         assert rep.classical_capacity >= rep.holevo - 1e-12
+
+    def test_classical_capacity_at_uniform_priors_is_the_holevo_value(self):
+        ch = make_channel(NoiseKind.AMPLITUDE_DAMPING, 0.3)
+        states = tuple(qcore.apply_channel(bell.density(), ch, [0])
+                       for bell in ghz_basis(2).states)
+        input_ens = EnsembleSpec.uniform(tuple(
+            bell.density() for bell in ghz_basis(2).states))
+        embedded = QuantumChannel(tuple(np.kron(k, np.eye(2)) for k in ch.kraus_ops))
+        uniform = capacity.report(EnsembleSpec.uniform(states), input_ens, embedded)
+        assert uniform.classical_capacity == uniform.holevo
+        # skewed priors: the Holevo column follows the priors, the classical
+        # capacity stays the uniform-prior value of the same states
+        skewed_ens = EnsembleSpec(np.array([0.4, 0.3, 0.2, 0.1]), states)
+        skewed = capacity.report(skewed_ens, input_ens, embedded)
+        assert skewed.holevo == holevo(skewed_ens)
+        assert skewed.classical_capacity == classical_capacity(states)
+        assert skewed.classical_capacity != skewed.holevo

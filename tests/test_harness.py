@@ -115,6 +115,13 @@ class TestRunSweep:
         pur = run_sweep(small_config(p_start=0.2, p_stop=0.2, pipeline="purify"))
         assert pur[0].avg_fidelity > raw[0].avg_fidelity
 
+    def test_qnn_pipeline_at_training_cap_width(self):
+        cfg = small_config(noise_kind=NoiseKind.AMPLITUDE_DAMPING, n=qnn.MAX_TRAINABLE_WIDTH,
+                           pipeline="qnn", p_start=0.2, p_stop=0.2, train_iters=5)
+        (record,) = run_sweep(cfg)
+        assert record.n == qnn.MAX_TRAINABLE_WIDTH
+        assert 0.0 < record.avg_fidelity <= 1.0
+
     def test_correction_runs_once_per_grid_point(self, monkeypatch):
         calls = []
         original = purify.purify_iterated

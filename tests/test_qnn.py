@@ -20,6 +20,27 @@ def random_state(rng, m):
     return StateVector(amps / np.linalg.norm(amps))
 
 
+def random_mixed_state(rng, m, rank):
+    vecs = rng.normal(size=(2 ** m, rank)) + 1j * rng.normal(size=(2 ** m, rank))
+    mat = vecs @ vecs.conj().T
+    return DensityOperator(mat / np.trace(mat).real)
+
+
+def dense_feedforward(model, rho_in):
+    """Reference network map on the dense 2n-qubit state of each transition:
+    adjoin |0...0> on n fresh qubits, apply the perceptrons in order, trace
+    out the previous register."""
+    n = model.architecture.input_width
+    zeros = basis_state(n, 0).density()
+    rho = rho_in
+    for layer in model.perceptrons:
+        joint = qcore.tensor_product(rho, zeros)
+        for j, u in enumerate(layer):
+            joint = qcore.apply_unitary(joint, u, list(range(n)) + [n + j])
+        rho = qcore.partial_trace(joint, range(n, 2 * n))
+    return rho
+
+
 def trajectory_pairs(n, kind, p, count, seed):
     psi = shared_state(n)
     ch = make_channel(kind, p)
@@ -74,6 +95,23 @@ class TestFeedforward:
                                   @ target.amplitudes))
             pure = qnn.cost(model, [qnn.TrainingPair(psi, target)])
             assert abs(dense - pure) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), depth=st.integers(1, 3), rank_draw=st.integers(1, 16),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_oracle(self, n, depth, rank_draw, seed):
+        rng = np.random.default_rng(seed)
+        model = qnn.random_model(qnn.NetworkArchitecture(n, depth), rng, spread=0.5)
+        rho = random_mixed_state(rng, n, 1 + (rank_draw - 1) % 2 ** n)
+        got = qnn.feedforward(model, rho).matrix
+        want = dense_feedforward(model, rho).matrix
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_width_above_training_cap_rejected(self):
+        # only a model file can carry such a width; training refuses it
+        model = qnn.identity_model(qnn.NetworkArchitecture(qnn.MAX_TRAINABLE_WIDTH + 1, 1))
+        with pytest.raises(ValueError, match="MAX_TRAINABLE_WIDTH"):
+            qnn.feedforward(model, basis_state(qnn.MAX_TRAINABLE_WIDTH + 1, 0).density())
 
 
 class TestCost:
@@ -261,7 +299,7 @@ class TestCorrectState:
         noisy = qcore.apply_channel(shared_state(n).density(),
                                     make_channel(NoiseKind.AMPLITUDE_DAMPING, p), [0])
         before = qcore.fidelity(shared_state(n), noisy)
-        after = qcore.fidelity(shared_state(n), qnn.correct_state(model, noisy))
+        after = qcore.fidelity(shared_state(n), qnn.feedforward(model, noisy))
         assert after > before
 
     def test_trained_model_keeps_clean_states(self):
@@ -269,7 +307,7 @@ class TestCorrectState:
         pairs = trajectory_pairs(n, NoiseKind.AMPLITUDE_DAMPING, 0.3, 100, 0)
         model, _ = qnn.train(qnn.NetworkArchitecture(n, 1), pairs, max_iters=400, rng_seed=0)
         clean = shared_state(n).density()
-        assert qcore.fidelity(shared_state(n), qnn.correct_state(model, clean)) >= 0.9
+        assert qcore.fidelity(shared_state(n), qnn.feedforward(model, clean)) >= 0.9
 
 
 class TestModelFiles:
