@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import DensityOperator, QuantumChannel, von_neumann_entropy
+from .qcore import DensityOperator, QuantumChannel, basis_state, von_neumann_entropy
 
 _LN2 = np.log(2.0)
 
@@ -194,20 +194,25 @@ def quantum_capacity(input_ens: EnsembleSpec, ch: QuantumChannel,
     return max(val, base, 0.0)
 
 
-def report(output_ens: EnsembleSpec, channel_input_ens: EnsembleSpec,
-           ch: QuantumChannel) -> CapacityReport:
-    """Bundle every quantity for one protocol configuration. The Holevo side
-    uses the actual output ensemble; the coherent-information side uses the
-    ideal pure inputs and the noise channel itself. At uniform priors the
-    classical capacity is the Holevo value already computed."""
-    se = entropy_exchange(channel_input_ens, ch)
-    icoh = von_neumann_entropy(_channel_output(channel_input_ens, ch)) - se
+def report(output_ens: EnsembleSpec, factors: Sequence[QuantumChannel]) -> CapacityReport:
+    """Bundle every quantity for one protocol configuration.
+
+    The Holevo side uses the actual output ensemble; at uniform priors the
+    classical capacity is the Holevo value already computed. The channel side
+    scores the noise channel, given as one single-qubit channel per qubit
+    (the identity on an untouched qubit), on the ideal pure encoded inputs.
+    Those form a full GHZ basis, so their uniform mix is I/d, the product of
+    I/2 on every qubit; for a product channel the entropy exchange and the
+    coherent information are then sums of one 2x2 term per qubit, taken on
+    the uniform {|0>, |1>} ensemble."""
+    half = EnsembleSpec.uniform([basis_state(1, 0).density(), basis_state(1, 1).density()])
+    icoh = sum(coherent_information(half, f) for f in factors)
     chi = holevo(output_ens)
     uniform = np.all(output_ens.priors == 1.0 / len(output_ens.states))
     return CapacityReport(
         holevo=chi,
         classical_capacity=chi if uniform else classical_capacity(output_ens.states),
-        entropy_exchange=se,
+        entropy_exchange=sum(entropy_exchange(half, f) for f in factors),
         coherent_information=icoh,
         quantum_capacity=max(icoh, 0.0),
     )

@@ -7,9 +7,9 @@ import sys
 
 from . import capacity, harness, purify, qnn
 from .capacity import EnsembleSpec
-from .harness import SweepConfig, embedded_noise_channel, train_inline_model
+from .harness import SweepConfig, noise_factors, train_inline_model
 from .noise import NoiseKind, NoiseSpec, NoiseStage
-from .sdc import Codeword, distribute, ideal_received_state, transmit
+from .sdc import Codeword, distribute, transmit
 
 
 def _add_noise_args(p: argparse.ArgumentParser) -> None:
@@ -90,15 +90,11 @@ def _cmd_purify_demo(args) -> None:
 
 def _cmd_capacity(args) -> None:
     spec = NoiseSpec(NoiseKind(args.noise), args.p, NoiseStage(args.noise_stage))
-    ens = EnsembleSpec.uniform([
-        ideal_received_state(args.n, Codeword(args.n, x)).density()
-        for x in range(2 ** args.n)
-    ])
     shared = distribute(args.n, spec)
     outputs = EnsembleSpec.uniform([
         transmit(shared, Codeword(args.n, x), spec) for x in range(2 ** args.n)
     ])
-    rep = capacity.report(outputs, ens, embedded_noise_channel(spec, args.n))
+    rep = capacity.report(outputs, noise_factors(spec, args.n))
     print(f"holevo: {rep.holevo:.6f} bits")
     print(f"classical capacity: {rep.classical_capacity:.6f} bits")
     print(f"entropy exchange: {rep.entropy_exchange:.6f} bits")

@@ -12,7 +12,7 @@ import numpy as np
 from . import capacity, purify, qcore, qnn
 from .capacity import EnsembleSpec
 from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel, sample_trajectory
-from .qcore import DensityOperator, QuantumChannel, embedded_matrix
+from .qcore import DensityOperator
 from .sdc import Codeword, distribute, ideal_received_state, shared_state, transmit
 
 PIPELINES = ("raw", "purify", "qnn", "purify-qnn")
@@ -44,6 +44,8 @@ class SweepConfig:
             raise ValueError("p_step must be positive")
         if self.pipeline not in PIPELINES:
             raise ValueError(f"pipeline must be one of {PIPELINES}")
+        if self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -93,16 +95,13 @@ def p_grid(cfg: SweepConfig) -> List[float]:
     return values
 
 
-def embedded_noise_channel(spec: NoiseSpec, n: int) -> QuantumChannel:
-    """Noise on the full n-qubit space: the single-qubit channel on qubit 0
-    (distribution), composed with every remaining qubit for stage `both`."""
+def noise_factors(spec: NoiseSpec, n: int) -> List[qcore.QuantumChannel]:
+    """The scored noise channel as one single-qubit channel per qubit: the
+    noise on qubit 0 (distribution), and on every remaining qubit for stage
+    `both`; the identity channel on an untouched qubit."""
     single = make_channel(spec.kind, spec.p)
-    touched = [0] + (list(range(1, n)) if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN else [])
-    kraus = [np.eye(2 ** n, dtype=complex)]
-    for q in touched:
-        embedded = [embedded_matrix(k, [q], n) for k in single.kraus_ops]
-        kraus = [e @ k for k in kraus for e in embedded]
-    return QuantumChannel(tuple(kraus))
+    both = spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN
+    return [single] + [single if both else qcore.QuantumChannel((qcore.I2,))] * (n - 1)
 
 
 def train_inline_model(cfg: SweepConfig, p_train: float) -> qnn.QnnModel:
@@ -142,23 +141,20 @@ def _build_corrector(cfg: SweepConfig) -> CorrectionPipeline:
 def run_sweep(cfg: SweepConfig) -> List[SweepRecord]:
     """One record per grid point: the shared state is distributed and
     corrected once, then transmitted for all 2^n codewords; the uniform
-    output ensemble is scored, and the noise channel itself is scored on the
-    ideal encoded inputs. Deterministic for a fixed seed."""
-    corrector = _build_corrector(cfg)
+    output ensemble is scored. The noise channel itself is scored from its
+    single-qubit factors (see `capacity.report`). The ideal targets are built
+    before any corrector, so an unsupported n fails before training.
+    Deterministic for a fixed seed."""
     codes = [Codeword(cfg.n, x) for x in range(2 ** cfg.n)]
     targets = [ideal_received_state(cfg.n, code) for code in codes]
-    ideal_inputs = EnsembleSpec.uniform([t.density() for t in targets])
+    corrector = _build_corrector(cfg)
     records = []
     for p in p_grid(cfg):
         spec = NoiseSpec(cfg.noise_kind, p, cfg.noise_stage)
         shared = corrector(distribute(cfg.n, spec))
         outputs = [transmit(shared, code, spec) for code in codes]
         fidelities = [qcore.fidelity(t, rho) for t, rho in zip(targets, outputs)]
-        rep = capacity.report(
-            EnsembleSpec.uniform(outputs),
-            ideal_inputs,
-            embedded_noise_channel(spec, cfg.n),
-        )
+        rep = capacity.report(EnsembleSpec.uniform(outputs), noise_factors(spec, cfg.n))
         records.append(SweepRecord(
             noise=cfg.noise_kind.value,
             p=p,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ghzsdc import capacity, qcore
 from ghzsdc.capacity import (
@@ -11,15 +13,24 @@ from ghzsdc.capacity import (
     holevo,
     quantum_capacity,
 )
-from ghzsdc.harness import embedded_noise_channel
+from ghzsdc.harness import noise_factors
 from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from ghzsdc.qcore import DensityOperator, QuantumChannel, StateVector, basis_state
 from ghzsdc.sdc import Codeword, ghz_basis, ideal_received_state
+
+from full_space import full_space_channel
 
 
 def binary_entropy(x):
     terms = [q * np.log2(q) for q in (x, 1 - x) if q > 0]
     return -sum(terms)
+
+
+def floored_entropy(mat):
+    """Entropy of the eigenvalues in (0, 1e-12], which the entropy kernels drop."""
+    evals = np.linalg.eigvalsh(mat)
+    small = evals[(evals > 0) & (evals <= 1e-12)]
+    return float(-np.sum(small * np.log2(small)))
 
 
 def random_pure_ensemble(rng, m, members):
@@ -165,7 +176,7 @@ class TestEntropyExchange:
         spec = NoiseSpec(NoiseKind.DEPOLARIZING, p, NoiseStage.DISTRIBUTION_AND_RETURN)
         ens = EnsembleSpec.uniform([ideal_received_state(n, Codeword(n, v)).density()
                                     for v in range(2 ** n)])
-        assert abs(entropy_exchange(ens, embedded_noise_channel(spec, n)) - n * per_qubit) < 1e-9
+        assert abs(entropy_exchange(ens, full_space_channel(noise_factors(spec, n))) - n * per_qubit) < 1e-9
 
     def test_fully_depolarizing_on_mixed_average(self):
         ch = make_channel(NoiseKind.DEPOLARIZING, 0.75)
@@ -253,8 +264,9 @@ class TestReport:
         output_ens = EnsembleSpec.uniform(output_states)
         input_ens = EnsembleSpec.uniform(tuple(
             bell.density() for bell in ghz_basis(2).states))
-        embedded = QuantumChannel(tuple(np.kron(k, np.eye(2)) for k in ch.kraus_ops))
-        rep = capacity.report(output_ens, input_ens, embedded)
+        factors = [ch, QuantumChannel((np.eye(2),))]
+        embedded = full_space_channel(factors)
+        rep = capacity.report(output_ens, factors)
         assert abs(rep.holevo - holevo(output_ens)) < 1e-12
         assert abs(rep.entropy_exchange - entropy_exchange(input_ens, embedded)) < 1e-12
         assert abs(rep.coherent_information
@@ -266,15 +278,44 @@ class TestReport:
         ch = make_channel(NoiseKind.AMPLITUDE_DAMPING, 0.3)
         states = tuple(qcore.apply_channel(bell.density(), ch, [0])
                        for bell in ghz_basis(2).states)
-        input_ens = EnsembleSpec.uniform(tuple(
-            bell.density() for bell in ghz_basis(2).states))
-        embedded = QuantumChannel(tuple(np.kron(k, np.eye(2)) for k in ch.kraus_ops))
-        uniform = capacity.report(EnsembleSpec.uniform(states), input_ens, embedded)
+        factors = [ch, QuantumChannel((np.eye(2),))]
+        uniform = capacity.report(EnsembleSpec.uniform(states), factors)
         assert uniform.classical_capacity == uniform.holevo
         # skewed priors: the Holevo column follows the priors, the classical
         # capacity stays the uniform-prior value of the same states
         skewed_ens = EnsembleSpec(np.array([0.4, 0.3, 0.2, 0.1]), states)
-        skewed = capacity.report(skewed_ens, input_ens, embedded)
+        skewed = capacity.report(skewed_ens, factors)
         assert skewed.holevo == holevo(skewed_ens)
         assert skewed.classical_capacity == classical_capacity(states)
         assert skewed.classical_capacity != skewed.holevo
+
+    @settings(max_examples=25, deadline=None)
+    @example(n=5, kind=NoiseKind.AMPLITUDE_DAMPING, stage=NoiseStage.DISTRIBUTION_AND_RETURN, p=0.0)
+    @example(n=5, kind=NoiseKind.AMPLITUDE_DAMPING, stage=NoiseStage.DISTRIBUTION_AND_RETURN, p=1.0)
+    @example(n=3, kind=NoiseKind.DEPOLARIZING, stage=NoiseStage.DISTRIBUTION_ONLY, p=0.0)
+    @example(n=4, kind=NoiseKind.DEPOLARIZING, stage=NoiseStage.DISTRIBUTION_AND_RETURN, p=1.0)
+    @example(n=3, kind=NoiseKind.AMPLITUDE_DAMPING, stage=NoiseStage.DISTRIBUTION_AND_RETURN, p=1e-6)
+    @given(n=st.integers(3, 5), kind=st.sampled_from(NoiseKind),
+           stage=st.sampled_from(NoiseStage), p=st.floats(0.0, 1.0))
+    def test_channel_fields_match_full_space_channel(self, n, kind, stage, p):
+        # the product form against the full-space channel on the ideal
+        # encoded inputs, whose uniform mix is I/d
+        spec = NoiseSpec(kind, p, stage)
+        ideal = EnsembleSpec.uniform([ideal_received_state(n, Codeword(n, v)).density()
+                                      for v in range(2 ** n)])
+        factors = noise_factors(spec, n)
+        oracle = full_space_channel(factors)
+        rep = capacity.report(ideal, factors)
+        # the entropy kernels drop eigenvalues below 1e-12; products of small
+        # per-qubit eigenvalues (p near 0 or 1) can fall under that floor on
+        # the full space while every factor stays above it, so the oracle may
+        # miss exactly that much entropy
+        kraus = np.stack(oracle.kraus_ops)
+        flat = kraus.reshape(len(kraus), -1)
+        missed_gram = floored_entropy(flat.conj() @ flat.T / 2 ** n)
+        missed_out = floored_entropy(np.einsum("kij,klj->il", kraus, kraus.conj()) / 2 ** n)
+        assert (abs(rep.entropy_exchange - entropy_exchange(ideal, oracle))
+                < 1e-12 + missed_gram)
+        assert (abs(rep.coherent_information - coherent_information(ideal, oracle))
+                < 1e-12 + missed_gram + missed_out)
+        assert rep.quantum_capacity == max(rep.coherent_information, 0.0)

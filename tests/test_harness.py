@@ -9,13 +9,15 @@ from ghzsdc.harness import (
     CorrectionPipeline,
     SweepConfig,
     SweepRecord,
-    embedded_noise_channel,
     emit_records,
+    noise_factors,
     p_grid,
     run_sweep,
 )
 from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from ghzsdc.sdc import Codeword, run_protocol, shared_state
+
+from full_space import full_space_channel
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -39,6 +41,11 @@ class TestConfigValidation:
     def test_unknown_pipeline_rejected(self):
         with pytest.raises(ValueError):
             small_config(pipeline="bogus")
+
+    @pytest.mark.parametrize("rounds", [0, -3])
+    def test_rounds_below_one_rejected(self, rounds):
+        with pytest.raises(ValueError, match="rounds must be >= 1"):
+            small_config(pipeline="purify", rounds=rounds)
 
     def test_record_invariants(self):
         with pytest.raises(ValueError, match="avg_fidelity"):
@@ -65,7 +72,7 @@ class TestPGrid:
 class TestEmbeddedNoiseChannel:
     def test_distribution_only_touches_qubit_zero(self):
         spec = NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, 0.3, NoiseStage.DISTRIBUTION_ONLY)
-        ch = embedded_noise_channel(spec, 3)
+        ch = full_space_channel(noise_factors(spec, 3))
         direct = qcore.apply_channel(shared_state(3).density(),
                                      make_channel(spec.kind, spec.p), [0])
         via = qcore.apply_channel(shared_state(3).density(), ch, [0, 1, 2])
@@ -73,7 +80,7 @@ class TestEmbeddedNoiseChannel:
 
     def test_both_stage_composes_per_qubit(self):
         spec = NoiseSpec(NoiseKind.DEPOLARIZING, 0.2, NoiseStage.DISTRIBUTION_AND_RETURN)
-        ch = embedded_noise_channel(spec, 2)
+        ch = full_space_channel(noise_factors(spec, 2))
         single = make_channel(spec.kind, spec.p)
         direct = qcore.apply_channel(shared_state(2).density(), single, [0])
         direct = qcore.apply_channel(direct, single, [1])
@@ -82,7 +89,7 @@ class TestEmbeddedNoiseChannel:
 
     def test_completeness(self):
         spec = NoiseSpec(NoiseKind.PHASE_FLIP, 0.4, NoiseStage.DISTRIBUTION_AND_RETURN)
-        ch = embedded_noise_channel(spec, 3)
+        ch = full_space_channel(noise_factors(spec, 3))
         total = sum(k.conj().T @ k for k in ch.kraus_ops)
         assert np.max(np.abs(total - np.eye(8))) < 1e-10
 
@@ -121,6 +128,25 @@ class TestRunSweep:
         (record,) = run_sweep(cfg)
         assert record.n == qnn.MAX_TRAINABLE_WIDTH
         assert 0.0 < record.avg_fidelity <= 1.0
+
+    def test_unsupported_width_fails_before_training(self, monkeypatch):
+        def untrainable(*args, **kwargs):
+            raise AssertionError("qnn.train was called")
+
+        monkeypatch.setattr(qnn, "train", untrainable)
+        with pytest.raises(ValueError, match="n >= 3"):
+            run_sweep(small_config(n=2, pipeline="qnn", train_iters=5, trajectories=5))
+
+    def test_both_stage_depolarizing_at_six_qubits(self):
+        # the channel columns come from the per-qubit factors; the return
+        # noise touches every qubit, so each contributes 1 - H(1-p, p/3, p/3, p/3)
+        p = 0.2
+        (record,) = run_sweep(small_config(noise_kind=NoiseKind.DEPOLARIZING, n=6,
+                                           noise_stage=NoiseStage.DISTRIBUTION_AND_RETURN,
+                                           p_start=p, p_stop=p))
+        per_qubit = -sum(q * np.log2(q) for q in (1 - p, p / 3, p / 3, p / 3))
+        assert abs(record.coherent_info - 6 * (1 - per_qubit)) < 1e-12
+        assert record.quantum_capacity == 0.0
 
     def test_correction_runs_once_per_grid_point(self, monkeypatch):
         calls = []
