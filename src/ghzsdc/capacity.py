@@ -10,8 +10,6 @@ import numpy as np
 
 from .qcore import DensityOperator, QuantumChannel, basis_state, von_neumann_entropy
 
-_LN2 = np.log(2.0)
-
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -69,55 +67,15 @@ def holevo(ens: EnsembleSpec) -> float:
     return max(mixed - conditional, 0.0)
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho_idx = np.nonzero(u - css / (np.arange(v.size) + 1) > 0)[0][-1]
-    theta = css[rho_idx] / (rho_idx + 1)
-    return np.clip(v - theta, 0.0, None)
+def classical_capacity(states: Sequence[DensityOperator]) -> float:
+    """Holevo quantity of the state family at uniform priors, in bits.
 
-
-def classical_capacity(states: Sequence[DensityOperator], optimize: bool = False,
-                       tol: float = 1e-7, max_iters: int = 2000) -> float:
-    """Holevo quantity of the state family at uniform priors, optionally
-    maximized over priors with projected gradient ascent. The optimized
-    value never falls below the uniform-prior value."""
-    states = tuple(states)
-    uniform = holevo(EnsembleSpec.uniform(states))
-    if not optimize or len(states) == 1:
-        return uniform
-    entropies = np.array([von_neumann_entropy(s) for s in states])
-    mats = [s.matrix for s in states]
-    pi = np.full(len(states), 1.0 / len(states))
-    best = uniform
-
-    def value_and_grad(pi):
-        mix = sum(p * m for p, m in zip(pi, mats))
-        evals, vecs = np.linalg.eigh(mix)
-        safe = np.clip(evals, 1e-15, None)
-        log_mix = (vecs * np.log2(safe)) @ vecs.conj().T
-        val = float(-np.sum(safe[evals > 1e-12] * np.log2(safe[evals > 1e-12]))) \
-            - float(pi @ entropies)
-        grad = np.array([-np.real(np.trace(m @ log_mix)) - 1.0 / _LN2 for m in mats]) - entropies
-        return val, grad
-
-    step = 0.5
-    val, grad = value_and_grad(pi)
-    for _ in range(max_iters):
-        new_pi = _project_simplex(pi + step * grad)
-        new_val, new_grad = value_and_grad(new_pi)
-        if new_val <= val:
-            step /= 2
-            if step < 1e-12:
-                break
-            continue
-        if abs(new_val - val) < tol:
-            pi, val, grad = new_pi, new_val, new_grad
-            break
-        pi, val, grad = new_pi, new_val, new_grad
-    best = max(best, val)
-    return best
+    That is the optimum over priors for an orbit U_x rho U_x^dag of one state
+    under a unitary group (Hiroshima, J. Phys. A 34, 6907 (2001)): the
+    protocol's outputs under distribution noise, or under Pauli return noise,
+    which commutes with the Pauli encoders. Amplitude-damping return noise
+    breaks the orbit, and there the uniform value can sit slightly below."""
+    return holevo(EnsembleSpec.uniform(states))
 
 
 def _environment_gram(mix: np.ndarray, ch: QuantumChannel) -> np.ndarray:
@@ -161,44 +119,17 @@ def coherent_information(input_ens: EnsembleSpec, ch: QuantumChannel) -> float:
     return von_neumann_entropy(_channel_output(input_ens, ch)) - entropy_exchange(input_ens, ch)
 
 
-def quantum_capacity(input_ens: EnsembleSpec, ch: QuantumChannel,
-                     optimize: bool = False, tol: float = 1e-6,
-                     max_iters: int = 200) -> float:
-    """Coherent information of the ensemble floored at 0; optionally
-    maximized over priors by projected finite-difference ascent."""
-    base = coherent_information(input_ens, ch)
-    if not optimize:
-        return max(base, 0.0)
-    pi = np.array(input_ens.priors, dtype=float)
-    states = input_ens.states
-
-    def evaluate(p):
-        return coherent_information(EnsembleSpec(p, states), ch)
-
-    val = base
-    step = 0.2
-    h = 1e-5
-    for _ in range(max_iters):
-        grad = np.zeros_like(pi)
-        for i in range(pi.size):
-            bumped = _project_simplex(pi + h * np.eye(pi.size)[i])
-            grad[i] = (evaluate(bumped) - val) / h
-        new_pi = _project_simplex(pi + step * grad)
-        new_val = evaluate(new_pi)
-        if new_val < val + tol:
-            step /= 2
-            if step < 1e-6:
-                break
-            continue
-        pi, val = new_pi, new_val
-    return max(val, base, 0.0)
+def quantum_capacity(input_ens: EnsembleSpec, ch: QuantumChannel) -> float:
+    """Coherent information of the ensemble through `ch`, floored at 0."""
+    return max(coherent_information(input_ens, ch), 0.0)
 
 
 def report(output_ens: EnsembleSpec, factors: Sequence[QuantumChannel]) -> CapacityReport:
     """Bundle every quantity for one protocol configuration.
 
-    The Holevo side uses the actual output ensemble; at uniform priors the
-    classical capacity is the Holevo value already computed. The channel side
+    The Holevo side uses the actual output ensemble; the classical capacity
+    is the uniform-prior value of its states (`classical_capacity`), so at
+    uniform priors it is the Holevo value already computed. The channel side
     scores the noise channel, given as one single-qubit channel per qubit
     (the identity on an untouched qubit), on the ideal pure encoded inputs.
     Those form a full GHZ basis, so their uniform mix is I/d, the product of

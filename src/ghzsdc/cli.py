@@ -16,9 +16,11 @@ def _add_noise_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise", required=True,
                    choices=[k.value for k in NoiseKind])
     p.add_argument("--n", type=int, default=3)
+
+
+def _add_stage_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise-stage", choices=[s.value for s in NoiseStage],
                    default=NoiseStage.DISTRIBUTION_ONLY.value)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,6 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="sweep noise strength and emit records")
     _add_noise_args(sweep)
+    _add_stage_arg(sweep)
+    sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--p-start", type=float, default=0.0)
     sweep.add_argument("--p-stop", type=float, default=1.0)
     sweep.add_argument("--p-step", type=float, default=0.05)
@@ -39,6 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="train a QNN corrector and save it")
     _add_noise_args(train)
+    train.add_argument("--seed", type=int, default=0)
     train.add_argument("--p", type=float, required=True)
     train.add_argument("--layers", type=int, default=1)
     train.add_argument("--iters", type=int, default=200)
@@ -52,6 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cap = sub.add_parser("capacity", help="capacity report at a single noise point")
     _add_noise_args(cap)
+    _add_stage_arg(cap)
     cap.add_argument("--p", type=float, required=True)
     return parser
 

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import HADAMARD, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, QuantumChannel, StateVector, _apply_matrix_to_vector, _check_targets
+from .qcore import HADAMARD, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, QuantumChannel, StateVector, _apply_matrix, _check_targets
 
 
 class NoiseKind(enum.Enum):
@@ -76,7 +76,7 @@ def sample_trajectory(psi: StateVector, ch: QuantumChannel, targets: Sequence[in
     seeds converges to the channel output.
     """
     targets = _check_targets(targets, ch.qubit_count, psi.qubit_count)
-    branches = [_apply_matrix_to_vector(k, psi.amplitudes, targets, psi.qubit_count)
+    branches = [_apply_matrix(k, psi.amplitudes, targets, psi.qubit_count).reshape(-1)
                 for k in ch.kraus_ops]
     weights = np.array([np.linalg.norm(b) ** 2 for b in branches])
     weights = weights / weights.sum()

@@ -174,25 +174,20 @@ def _check_targets(targets: Sequence[int], k: int, m: int) -> list:
     return targets
 
 
-def _apply_matrix_to_vector(mat: np.ndarray, vec: np.ndarray, targets, m: int) -> np.ndarray:
+def _apply_matrix(mat: np.ndarray, arr: np.ndarray, targets, m: int) -> np.ndarray:
+    """`mat` on the `targets` axes of `arr` viewed as a (2,)*m tensor; returns
+    that tensor, which callers reshape."""
     k = len(targets)
-    t = vec.reshape((2,) * m)
+    t = arr.reshape((2,) * m)
     op = mat.reshape((2,) * (2 * k))
     t = np.tensordot(op, t, axes=(list(range(k, 2 * k)), list(targets)))
-    t = np.moveaxis(t, list(range(k)), list(targets))
-    return t.reshape(-1)
+    return np.moveaxis(t, list(range(k)), list(targets))
 
 
 def _conjugate_matrix(mat: np.ndarray, rho: np.ndarray, targets, m: int) -> np.ndarray:
     # rho as a (2,)*2m tensor: row axes 0..m-1, column axes m..2m-1.
-    k = len(targets)
-    t = rho.reshape((2,) * (2 * m))
-    op = mat.reshape((2,) * (2 * k))
-    t = np.tensordot(op, t, axes=(list(range(k, 2 * k)), list(targets)))
-    t = np.moveaxis(t, list(range(k)), list(targets))
-    col = [m + q for q in targets]
-    t = np.tensordot(op.conj(), t, axes=(list(range(k, 2 * k)), col))
-    t = np.moveaxis(t, list(range(k)), col)
+    t = _apply_matrix(mat, rho, targets, 2 * m)
+    t = _apply_matrix(mat.conj(), t, [m + q for q in targets], 2 * m)
     return t.reshape(2 ** m, 2 ** m)
 
 
@@ -200,11 +195,7 @@ def embedded_matrix(mat: np.ndarray, targets: Sequence[int], m: int) -> np.ndarr
     """Expand an operator on `targets` (ordered) to the full 2^m space."""
     targets = _check_targets(targets, _qubit_count_of(mat.shape[0], "operator"), m)
     dim = 2 ** m
-    out = np.empty((dim, dim), dtype=complex)
-    eye = np.eye(dim, dtype=complex)
-    for j in range(dim):
-        out[:, j] = _apply_matrix_to_vector(mat, eye[:, j], targets, m)
-    return out
+    return _apply_matrix(mat, np.eye(dim, dtype=complex), targets, 2 * m).reshape(dim, dim)
 
 
 def apply_unitary(rho: DensityOperator, u: Unitary, targets: Sequence[int]) -> DensityOperator:
@@ -215,7 +206,7 @@ def apply_unitary(rho: DensityOperator, u: Unitary, targets: Sequence[int]) -> D
 
 def apply_unitary_to_state(psi: StateVector, u: Unitary, targets: Sequence[int]) -> StateVector:
     targets = _check_targets(targets, u.qubit_count, psi.qubit_count)
-    return StateVector(_apply_matrix_to_vector(u.matrix, psi.amplitudes, targets, psi.qubit_count))
+    return StateVector(_apply_matrix(u.matrix, psi.amplitudes, targets, psi.qubit_count).reshape(-1))
 
 
 def apply_channel(rho: DensityOperator, ch: QuantumChannel, targets: Sequence[int]) -> DensityOperator:

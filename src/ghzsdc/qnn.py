@@ -375,16 +375,19 @@ def load_model(path) -> QnnModel:
         raise ModelFormatError(path, 1, f"bad header {header!r}")
     shape = next_line("architecture line").split()
     try:
-        n, depth = int(shape[0]), int(shape[1])
-    except (IndexError, ValueError):
+        n, depth = (int(v) for v in shape)
+    except ValueError:
         raise ModelFormatError(path, 2, "architecture line must be two integers 'n L'")
-    arch = NetworkArchitecture(n, depth)
+    try:
+        arch = NetworkArchitecture(n, depth)
+    except ValueError as exc:
+        raise ModelFormatError(path, 2, str(exc))
     layers = []
     for _ in range(depth):
         layer = []
         for _ in range(n):
             dim_line = next_line("'dim d'").split()
-            if len(dim_line) != 2 or dim_line[0] != "dim":
+            if len(dim_line) != 2 or dim_line[0] != "dim" or not dim_line[1].isdecimal():
                 raise ModelFormatError(path, pos, f"expected 'dim d', got {lines[pos - 1]!r}")
             d = int(dim_line[1])
             if d != 2 ** (n + 1):

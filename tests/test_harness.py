@@ -47,6 +47,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="rounds must be >= 1"):
             small_config(pipeline="purify", rounds=rounds)
 
+    @pytest.mark.parametrize("pipeline", ["raw", "purify"])
+    def test_model_rejected_outside_qnn_pipelines(self, pipeline):
+        with pytest.raises(ValueError, match="qnn and purify-qnn"):
+            small_config(pipeline=pipeline, model_path="model.txt")
+
     def test_record_invariants(self):
         with pytest.raises(ValueError, match="avg_fidelity"):
             SweepRecord("bit-flip", 0.1, 3, "raw", 1.5, 0, 0, 0, 0, 0)
@@ -319,3 +324,28 @@ class TestCli:
                        "--model", str(model_path), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "width" in capsys.readouterr().err
+
+    def test_model_with_purify_pipeline_exits_nonzero(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["sweep", "--noise", "amplitude-damping", "--p-start", "0",
+                       "--p-stop", "0", "--p-step", "0.1", "--pipeline", "purify",
+                       "--model", str(tmp_path / "missing.txt"), "--out", str(out)])
+        assert rc == 1
+        assert "purify-qnn" in capsys.readouterr().err
+        assert not out.exists()
+
+    # Only sweep and capacity score return noise; only sweep and train draw
+    # random numbers.
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--noise", "depolarizing", "--p", "0.1", "--seed", "1"],
+        ["purify-demo", "--noise", "bit-flip", "--p", "0.2", "--seed", "1"],
+        ["purify-demo", "--noise", "bit-flip", "--p", "0.2", "--noise-stage", "both"],
+        ["train", "--noise", "bit-flip", "--p", "0.2", "--noise-stage", "both",
+         "--out", "unused.txt"],
+    ])
+    def test_unread_options_rejected(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

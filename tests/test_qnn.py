@@ -348,3 +348,19 @@ class TestModelFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(qnn.ModelFormatError, match="non-numeric"):
             qnn.load_model(path)
+
+    def test_non_integer_dimension_reports_line_3(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("qnnmodel 1\n1 1\ndim abc\n")
+        with pytest.raises(qnn.ModelFormatError, match=r"model\.txt:3: .*'dim abc'"):
+            qnn.load_model(path)
+
+    @pytest.mark.parametrize("shape, reason", [("1 0", "layer transition"),
+                                               ("0 1", "input width"),
+                                               ("1 1 1", "two integers"),
+                                               ("1", "two integers")])
+    def test_bad_architecture_line_reports_line_2(self, tmp_path, shape, reason):
+        path = tmp_path / "model.txt"
+        path.write_text(f"qnnmodel 1\n{shape}\n")
+        with pytest.raises(qnn.ModelFormatError, match=rf"model\.txt:2: .*{reason}"):
+            qnn.load_model(path)
