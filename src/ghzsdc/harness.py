@@ -46,6 +46,8 @@ class SweepConfig:
             raise ValueError(f"pipeline must be one of {PIPELINES}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if self.trajectories < 1:
+            raise ValueError("trajectories must be >= 1")
         if self.model_path is not None and self.pipeline not in ("qnn", "purify-qnn"):
             raise ValueError("a model applies only to the qnn and purify-qnn pipelines")
 

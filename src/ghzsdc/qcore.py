@@ -204,11 +204,6 @@ def apply_unitary(rho: DensityOperator, u: Unitary, targets: Sequence[int]) -> D
     return DensityOperator(_conjugate_matrix(u.matrix, rho.matrix, targets, rho.qubit_count))
 
 
-def apply_unitary_to_state(psi: StateVector, u: Unitary, targets: Sequence[int]) -> StateVector:
-    targets = _check_targets(targets, u.qubit_count, psi.qubit_count)
-    return StateVector(_apply_matrix(u.matrix, psi.amplitudes, targets, psi.qubit_count).reshape(-1))
-
-
 def apply_channel(rho: DensityOperator, ch: QuantumChannel, targets: Sequence[int]) -> DensityOperator:
     """Sum of Kraus conjugations of rho on the given target qubits."""
     targets = _check_targets(targets, ch.qubit_count, rho.qubit_count)

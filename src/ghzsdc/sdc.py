@@ -15,7 +15,7 @@ import numpy as np
 
 from . import qcore
 from .noise import NoiseSpec, NoiseStage, make_channel
-from .qcore import DensityOperator, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, StateVector, Unitary
+from .qcore import DensityOperator, StateVector, Unitary
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,6 @@ class Codeword:
     def x(self, i: int) -> int:
         """Bit x_i of X = x_{n-1}...x_0."""
         return (self.value >> i) & 1
-
-    def y(self, k: int) -> int:
-        """Bit y_k of floor(X/2) = y_{n-2}...y_0; equals x_{k+1}."""
-        return ((self.value >> 1) >> k) & 1
 
 
 @dataclass(frozen=True)
@@ -76,26 +72,28 @@ def ghz_basis(n: int) -> GhzBasis:
     return GhzBasis(n, tuple(states))
 
 
-def encode_usdc(code: Codeword) -> Unitary:
-    """The (n-1)-qubit encoding operator for codeword X.
-
-    The first factor (Alice's first qubit) is I, sigma_x, sigma_z or
-    -i*sigma_y selected by (x_0, x_{n-1}); the remaining n-2 factors are
-    I or sigma_x selected by the shifted bits y, left to right.
-    """
+def _frame(code: Codeword) -> tuple:
+    """The encoder as a signed permutation of the n-qubit basis,
+    |a> -> sign[a] |image[a]>. image[a] = a xor floor(X/2) flips Alice's qubit q
+    when x_{n-q} is set, never qubit 0; sign[a] = -1 when x_0 = 1 and qubit 1 of
+    a is 1, as sigma_z acts before sigma_x there (sigma_x sigma_z = -i sigma_y)."""
     n = code.n
     if n < 3:
         raise ValueError("the bitwise encoder requires n >= 3")
-    first_by_bits = {
-        (0, 0): I2,
-        (0, 1): SIGMA_X,
-        (1, 0): SIGMA_Z,
-        (1, 1): -1j * SIGMA_Y,
-    }
-    mat = first_by_bits[(code.x(0), code.x(n - 1))]
-    for m in range(1, n - 1):
-        factor = SIGMA_X if code.y(n - 2 - m) else I2
-        mat = np.kron(mat, factor)
+    a = np.arange(2 ** n)
+    sign = np.where(code.x(0) & (a >> (n - 2)), -1.0, 1.0)
+    return a ^ (code.value >> 1), sign
+
+
+def encode_usdc(code: Codeword) -> Unitary:
+    """The (n-1)-qubit encoding operator for codeword X as a matrix: the Pauli
+    product of I, sigma_x, sigma_z or -i*sigma_y on Alice's first qubit, selected
+    by (x_0, x_{n-1}), and I or sigma_x selected by x_{n-2}..x_1 on the rest. The
+    protocol stages apply it as the signed permutation `_frame`."""
+    image, sign = _frame(code)
+    half = 2 ** (code.n - 1)
+    mat = np.zeros((half, half), dtype=complex)
+    mat[image[:half], np.arange(half)] = sign[:half]
     return Unitary(mat)
 
 
@@ -117,9 +115,11 @@ def shared_state(n: int) -> StateVector:
 
 
 def ideal_received_state(n: int, code: Codeword) -> StateVector:
-    """Noise-free image of the shared state under the encoder."""
-    u = encode_usdc(code)
-    return qcore.apply_unitary_to_state(shared_state(n), u, list(range(1, n)))
+    """Noise-free image of the shared state: (sign o psi_GHZ)[image]."""
+    if code.n != n:
+        raise ValueError(f"codeword width {code.n} differs from n={n}")
+    image, sign = _frame(code)
+    return StateVector((sign * shared_state(n).amplitudes)[image])
 
 
 def distribute(n: int, noise: NoiseSpec) -> DensityOperator:
@@ -132,9 +132,13 @@ def distribute(n: int, noise: NoiseSpec) -> DensityOperator:
 def transmit(shared: DensityOperator, code: Codeword, noise: NoiseSpec) -> DensityOperator:
     """Alice's encoding and return: the encoder acts on qubits 1..n-1, and
     with stage `both` the channel then hits each of qubits 1..n-1 in transit.
-    Qubit 0 is untouched."""
+    Qubit 0 is untouched. The encoder is a signed permutation, so the encoded
+    state is one gather, (rho o sign sign^T)[image, image]."""
     n = code.n
-    rho = qcore.apply_unitary(shared, encode_usdc(code), list(range(1, n)))
+    if shared.qubit_count != n:
+        raise ValueError(f"shared state has {shared.qubit_count} qubits, codeword width is {n}")
+    image, sign = _frame(code)
+    rho = DensityOperator((shared.matrix * np.outer(sign, sign))[np.ix_(image, image)])
     if noise.stage is NoiseStage.DISTRIBUTION_AND_RETURN:
         ch = make_channel(noise.kind, noise.p)
         for q in range(1, n):
@@ -152,8 +156,6 @@ def run_protocol(
     `distribute`, then the optional `corrector` on the shared state, then
     `transmit`, then GHZ-basis decoding and the fidelity with the noise-free
     received state."""
-    if code.n != n:
-        raise ValueError(f"codeword width {code.n} differs from n={n}")
     rho = distribute(n, noise)
     if corrector is not None:
         rho = corrector(rho)

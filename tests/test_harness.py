@@ -47,6 +47,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="rounds must be >= 1"):
             small_config(pipeline="purify", rounds=rounds)
 
+    @pytest.mark.parametrize("trajectories", [0, -1])
+    def test_trajectories_below_one_rejected(self, trajectories):
+        with pytest.raises(ValueError, match="trajectories must be >= 1"):
+            small_config(pipeline="qnn", trajectories=trajectories)
+
     @pytest.mark.parametrize("pipeline", ["raw", "purify"])
     def test_model_rejected_outside_qnn_pipelines(self, pipeline):
         with pytest.raises(ValueError, match="qnn and purify-qnn"):
@@ -315,6 +320,14 @@ class TestCli:
                        "--p-stop", "0.2", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_trajectories_exit_nonzero(self, tmp_path, capsys):
+        out = tmp_path / "model.txt"
+        rc = cli.main(["train", "--noise", "amplitude-damping", "--p", "0.3",
+                       "--trajectories", "-1", "--out", str(out)])
+        assert rc == 1
+        assert "error: trajectories must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_model_config_mismatch_via_cli(self, tmp_path, capsys):
         model_path = tmp_path / "model.txt"

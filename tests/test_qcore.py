@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ghzsdc import qcore
 from ghzsdc.qcore import (
     CNOT,
     HADAMARD,
@@ -162,18 +161,6 @@ class TestApplyUnitary:
             before = np.sort(np.linalg.eigvalsh(rho.matrix))
             after = np.sort(np.linalg.eigvalsh(out.matrix))
             assert np.max(np.abs(before - after)) < 1e-9
-
-    def test_statevector_and_density_paths_agree(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            m = 3
-            amps = rng.normal(size=2 ** m) + 1j * rng.normal(size=2 ** m)
-            psi = StateVector(amps / np.linalg.norm(amps))
-            u = random_unitary(rng, 2)
-            targets = list(rng.choice(m, size=2, replace=False))
-            via_vec = qcore.apply_unitary_to_state(psi, u, targets).density()
-            via_rho = apply_unitary(psi.density(), u, targets)
-            assert np.max(np.abs(via_vec.matrix - via_rho.matrix)) < 1e-10
 
 
 class TestApplyChannel:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ghzsdc import qcore
 from ghzsdc.harness import CorrectionPipeline
@@ -8,11 +10,13 @@ from ghzsdc.qcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityOperator
 from ghzsdc.sdc import (
     Codeword,
     decode_ghz,
+    distribute,
     encode_usdc,
     ghz_basis,
     ideal_received_state,
     run_protocol,
     shared_state,
+    transmit,
 )
 
 # Table-1 operators for n=3, codeword-indexed: the first factor acts on
@@ -27,6 +31,24 @@ TABLE1_OPERATORS = {
     0b110: np.kron(SIGMA_X, SIGMA_X),
     0b111: np.kron(-1j * SIGMA_Y, SIGMA_X),
 }
+
+
+def pauli_product_encoder(code):
+    """Reference encoder built as the published Pauli product: I, sigma_x,
+    sigma_z or -i*sigma_y on Alice's first qubit by (x_0, x_{n-1}), then
+    sigma_x on qubit q = 2..n-1 when x_{n-q} is set."""
+    n = code.n
+    first = {(0, 0): I2, (0, 1): SIGMA_X, (1, 0): SIGMA_Z, (1, 1): -1j * SIGMA_Y}
+    mat = first[(code.x(0), code.x(n - 1))]
+    for q in range(2, n):
+        mat = np.kron(mat, SIGMA_X if code.x(n - q) else I2)
+    return mat
+
+
+def random_mixed_state(rng, n, rank):
+    a = rng.normal(size=(2 ** n, rank)) + 1j * rng.normal(size=(2 ** n, rank))
+    rho = a @ a.conj().T
+    return DensityOperator(rho / np.trace(rho).real)
 
 
 class TestGhzBasis:
@@ -65,13 +87,6 @@ class TestGhzBasis:
 
 
 class TestCodeword:
-    def test_shift_identity(self):
-        for n in (3, 4, 5):
-            for value in range(2 ** n):
-                code = Codeword(n, value)
-                for k in range(n - 1):
-                    assert code.y(k) == code.x(k + 1)
-
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             Codeword(3, 8)
@@ -96,6 +111,13 @@ class TestEncoder:
         with pytest.raises(ValueError):
             encode_usdc(Codeword(2, 1))
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_matches_pauli_product_rule(self, n):
+        for value in range(2 ** n):
+            code = Codeword(n, value)
+            assert np.array_equal(encode_usdc(code).matrix, pauli_product_encoder(code)), \
+                f"codeword {value:0{n}b}"
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_signed_permutation(self, n):
         for value in range(2 ** n):
@@ -119,6 +141,45 @@ class TestEncoder:
         # each image coincides with exactly one basis member (up to sign)
         assert np.allclose(np.sort(overlaps, axis=1)[:, -1], 1, atol=1e-10)
         assert np.allclose(overlaps.sum(axis=0), 1, atol=1e-9)
+
+
+class TestStages:
+    # The dense path conjugates by the encoder matrix; the stages gather by
+    # its signed permutation. Every product is by 0 or +-1, so both are exact.
+    @settings(max_examples=40, deadline=None)
+    @example(n=3, kind=NoiseKind.AMPLITUDE_DAMPING, stage=NoiseStage.DISTRIBUTION_AND_RETURN,
+             p=1.0, rank=1, seed=0)
+    @example(n=7, kind=NoiseKind.DEPOLARIZING, stage=NoiseStage.DISTRIBUTION_AND_RETURN,
+             p=0.0, rank=128, seed=1)
+    @given(n=st.integers(3, 7), kind=st.sampled_from(NoiseKind), stage=st.sampled_from(NoiseStage),
+           p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           rank=st.integers(1, 128), seed=st.integers(0, 2 ** 32 - 1))
+    def test_transmit_and_ideal_state_match_dense_encoder(self, n, kind, stage, p, rank, seed):
+        rng = np.random.default_rng(seed)
+        shared = random_mixed_state(rng, n, 1 + (rank - 1) % 2 ** n)
+        spec = NoiseSpec(kind, p, stage)
+        ch = make_channel(kind, p)
+        values = range(2 ** n) if n <= 5 else rng.choice(2 ** n, size=4, replace=False)
+        for value in values:
+            code = Codeword(n, int(value))
+            u = encode_usdc(code)
+            want = qcore.apply_unitary(shared, u, range(1, n))
+            if stage is NoiseStage.DISTRIBUTION_AND_RETURN:
+                for q in range(1, n):
+                    want = qcore.apply_channel(want, ch, [q])
+            assert np.array_equal(transmit(shared, code, spec).matrix, want.matrix)
+            psi = np.kron(I2, u.matrix) @ shared_state(n).amplitudes
+            assert np.array_equal(ideal_received_state(n, code).amplitudes, psi)
+
+    @pytest.mark.parametrize("shared_n, code_n", [(4, 3), (3, 4)])
+    def test_transmit_rejects_width_mismatch(self, shared_n, code_n):
+        spec = NoiseSpec(NoiseKind.BIT_FLIP, 0.1)
+        with pytest.raises(ValueError, match=f"{shared_n} qubits, codeword width is {code_n}"):
+            transmit(distribute(shared_n, spec), Codeword(code_n, 5), spec)
+
+    def test_ideal_received_state_rejects_width_mismatch(self):
+        with pytest.raises(ValueError, match="codeword width 3 differs from n=4"):
+            ideal_received_state(4, Codeword(3, 1))
 
 
 class TestDecode:
