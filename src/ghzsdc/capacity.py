@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import DensityOperator, QuantumChannel, basis_state, von_neumann_entropy
+from .qcore import DensityOperator, QuantumChannel, _spectrum_entropy, basis_state, von_neumann_entropy
 
 
 @dataclass(frozen=True)
@@ -47,17 +47,12 @@ class CapacityReport:
     quantum_capacity: float
 
 
+def _mixture(ens: EnsembleSpec) -> np.ndarray:
+    return sum(p * s.matrix for p, s in zip(ens.priors, ens.states))
+
+
 def average_state(ens: EnsembleSpec) -> DensityOperator:
-    mix = sum(p * s.matrix for p, s in zip(ens.priors, ens.states))
-    return DensityOperator(mix)
-
-
-def _entropy_of_matrix(mat: np.ndarray) -> float:
-    evals = np.linalg.eigvalsh(mat)
-    if evals.min() < -1e-12:
-        raise ValueError(f"matrix eigenvalue {evals.min()} below the clamp floor")
-    evals = evals[evals > 1e-12]
-    return float(-np.sum(evals * np.log2(evals)))
+    return DensityOperator(_mixture(ens))
 
 
 def holevo(ens: EnsembleSpec) -> float:
@@ -104,12 +99,12 @@ def entropy_exchange(input_ens: EnsembleSpec, ch: QuantumChannel) -> float:
     dim = input_ens.states[0].matrix.shape[0]
     if ch.kraus_ops[0].shape[0] != dim:
         raise ValueError("channel dimension does not match the ensemble states")
-    mix = sum(p * s.matrix for p, s in zip(input_ens.priors, input_ens.states))
-    return _entropy_of_matrix(_environment_gram(mix, ch))
+    gram = _environment_gram(_mixture(input_ens), ch)
+    return _spectrum_entropy(np.linalg.eigvalsh(gram))
 
 
 def _channel_output(ens: EnsembleSpec, ch: QuantumChannel) -> DensityOperator:
-    mix = sum(p * s.matrix for p, s in zip(ens.priors, ens.states))
+    mix = _mixture(ens)
     out = sum(k @ mix @ k.conj().T for k in ch.kraus_ops)
     return DensityOperator(out)
 
@@ -124,26 +119,26 @@ def quantum_capacity(input_ens: EnsembleSpec, ch: QuantumChannel) -> float:
     return max(coherent_information(input_ens, ch), 0.0)
 
 
-def report(output_ens: EnsembleSpec, factors: Sequence[QuantumChannel]) -> CapacityReport:
+def report(outputs: Sequence[DensityOperator], factors: Sequence[QuantumChannel]) -> CapacityReport:
     """Bundle every quantity for one protocol configuration.
 
-    The Holevo side uses the actual output ensemble; the classical capacity
-    is the uniform-prior value of its states (`classical_capacity`), so at
-    uniform priors it is the Holevo value already computed. The channel side
-    scores the noise channel, given as one single-qubit channel per qubit
-    (the identity on an untouched qubit), on the ideal pure encoded inputs.
-    Those form a full GHZ basis, so their uniform mix is I/d, the product of
-    I/2 on every qubit; for a product channel the entropy exchange and the
-    coherent information are then sums of one 2x2 term per qubit, taken on
-    the uniform {|0>, |1>} ensemble."""
+    The output states are scored at uniform priors, so one Holevo value fills
+    both the holevo and the classical capacity (`classical_capacity`). The
+    channel side scores the noise channel, given as one single-qubit channel
+    per qubit (the identity on an untouched qubit), on the ideal pure encoded
+    inputs. Those form a full GHZ basis, so their uniform mix is I/d, the
+    product of I/2 on every qubit; for a product channel the entropy exchange
+    and the coherent information are then sums of one 2x2 term per qubit on
+    the uniform {|0>, |1>} ensemble, sharing each factor's entropy exchange."""
     half = EnsembleSpec.uniform([basis_state(1, 0).density(), basis_state(1, 1).density()])
-    icoh = sum(coherent_information(half, f) for f in factors)
-    chi = holevo(output_ens)
-    uniform = np.all(output_ens.priors == 1.0 / len(output_ens.states))
+    exchanges = [entropy_exchange(half, f) for f in factors]
+    icoh = sum(von_neumann_entropy(_channel_output(half, f)) - s_e
+               for f, s_e in zip(factors, exchanges))
+    chi = classical_capacity(outputs)
     return CapacityReport(
         holevo=chi,
-        classical_capacity=chi if uniform else classical_capacity(output_ens.states),
-        entropy_exchange=sum(entropy_exchange(half, f) for f in factors),
+        classical_capacity=chi,
+        entropy_exchange=sum(exchanges),
         coherent_information=icoh,
         quantum_capacity=max(icoh, 0.0),
     )

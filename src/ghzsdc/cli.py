@@ -6,7 +6,6 @@ import argparse
 import sys
 
 from . import capacity, harness, purify, qnn
-from .capacity import EnsembleSpec
 from .harness import SweepConfig, noise_factors, train_inline_model
 from .noise import NoiseKind, NoiseSpec, NoiseStage
 from .sdc import Codeword, distribute, transmit
@@ -63,6 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(args) -> None:
+    if args.train_at is not None and args.pipeline not in ("qnn", "purify-qnn"):
+        raise ValueError("--train-at applies only to the qnn and purify-qnn pipelines")
     cfg = SweepConfig(
         noise_kind=NoiseKind(args.noise),
         p_start=args.p_start, p_stop=args.p_stop, p_step=args.p_step,
@@ -97,9 +98,7 @@ def _cmd_purify_demo(args) -> None:
 def _cmd_capacity(args) -> None:
     spec = NoiseSpec(NoiseKind(args.noise), args.p, NoiseStage(args.noise_stage))
     shared = distribute(args.n, spec)
-    outputs = EnsembleSpec.uniform([
-        transmit(shared, Codeword(args.n, x), spec) for x in range(2 ** args.n)
-    ])
+    outputs = [transmit(shared, Codeword(args.n, x), spec) for x in range(2 ** args.n)]
     rep = capacity.report(outputs, noise_factors(spec, args.n))
     print(f"holevo: {rep.holevo:.6f} bits")
     print(f"classical capacity: {rep.classical_capacity:.6f} bits")

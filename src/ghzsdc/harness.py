@@ -10,7 +10,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import capacity, purify, qcore, qnn
-from .capacity import EnsembleSpec
 from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel, sample_trajectory
 from .qcore import DensityOperator
 from .sdc import Codeword, distribute, ideal_received_state, shared_state, transmit
@@ -50,6 +49,10 @@ class SweepConfig:
             raise ValueError("trajectories must be >= 1")
         if self.model_path is not None and self.pipeline not in ("qnn", "purify-qnn"):
             raise ValueError("a model applies only to the qnn and purify-qnn pipelines")
+        if self.rounds > 1 and self.pipeline not in ("purify", "purify-qnn"):
+            raise ValueError("rounds > 1 applies only to the purify and purify-qnn pipelines")
+        if self.train_at is not None and self.model_path is not None:
+            raise ValueError("train_at sets inline training and cannot go with a model file")
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ def run_sweep(cfg: SweepConfig) -> List[SweepRecord]:
         shared = corrector(distribute(cfg.n, spec))
         outputs = [transmit(shared, code, spec) for code in codes]
         fidelities = [qcore.fidelity(t, rho) for t, rho in zip(targets, outputs)]
-        rep = capacity.report(EnsembleSpec.uniform(outputs), noise_factors(spec, cfg.n))
+        rep = capacity.report(outputs, noise_factors(spec, cfg.n))
         records.append(SweepRecord(
             noise=cfg.noise_kind.value,
             p=p,

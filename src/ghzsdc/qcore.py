@@ -67,10 +67,12 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite matrix on ``qubit_count`` qubits."""
+    """Hermitian, unit-trace, positive-semidefinite matrix on ``qubit_count``
+    qubits; ``spectrum`` keeps the ascending eigenvalues of its PSD check."""
 
     matrix: np.ndarray
     qubit_count: int = field(init=False)
+    spectrum: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -84,11 +86,14 @@ class DensityOperator:
         tr = np.trace(mat).real
         if abs(tr - 1.0) > ATOL:
             raise ValueError(f"density operator trace {tr} is not 1")
-        if np.linalg.eigvalsh(mat).min() < -ATOL:
+        evals = np.linalg.eigvalsh(mat)
+        if evals.min() < -ATOL:
             raise ValueError("density operator has a negative eigenvalue")
         mat.flags.writeable = False
+        evals.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "qubit_count", m)
+        object.__setattr__(self, "spectrum", evals)
 
 
 @dataclass(frozen=True)
@@ -276,8 +281,14 @@ def fidelity(psi: StateVector, rho: DensityOperator) -> float:
     return float(np.sqrt(min(max(overlap, 0.0), 1.0)))
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """-sum(lambda log2 lambda) over eigenvalues, in bits."""
-    evals = np.linalg.eigvalsh(rho.matrix)
+def _spectrum_entropy(evals: np.ndarray) -> float:
+    """-sum(lambda log2 lambda) over the eigenvalues above 1e-12, in bits."""
+    if evals.min() < -1e-12:
+        raise ValueError(f"matrix eigenvalue {evals.min()} below the clamp floor")
     evals = evals[evals > 1e-12]
     return float(-np.sum(evals * np.log2(evals)))
+
+
+def von_neumann_entropy(rho: DensityOperator) -> float:
+    """Entropy of the spectrum validation already computed, in bits."""
+    return _spectrum_entropy(rho.spectrum)

@@ -382,6 +382,8 @@ def load_model(path) -> QnnModel:
         arch = NetworkArchitecture(n, depth)
     except ValueError as exc:
         raise ModelFormatError(path, 2, str(exc))
+    if n > MAX_TRAINABLE_WIDTH:
+        raise ModelFormatError(path, 2, f"width {n} exceeds MAX_TRAINABLE_WIDTH = {MAX_TRAINABLE_WIDTH}")
     layers = []
     for _ in range(depth):
         layer = []

@@ -57,6 +57,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="qnn and purify-qnn"):
             small_config(pipeline=pipeline, model_path="model.txt")
 
+    @pytest.mark.parametrize("pipeline", ["raw", "qnn"])
+    def test_rounds_rejected_outside_purify_pipelines(self, pipeline):
+        with pytest.raises(ValueError, match="purify and purify-qnn"):
+            small_config(pipeline=pipeline, rounds=2)
+
+    @pytest.mark.parametrize("pipeline", ["qnn", "purify-qnn"])
+    def test_train_at_rejected_with_model(self, pipeline):
+        with pytest.raises(ValueError, match="train_at"):
+            small_config(pipeline=pipeline, model_path="model.txt", train_at=0.2)
+
     def test_record_invariants(self):
         with pytest.raises(ValueError, match="avg_fidelity"):
             SweepRecord("bit-flip", 0.1, 3, "raw", 1.5, 0, 0, 0, 0, 0)
@@ -345,6 +355,21 @@ class TestCli:
                        "--model", str(tmp_path / "missing.txt"), "--out", str(out)])
         assert rc == 1
         assert "purify-qnn" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("options, message", [
+        (["--pipeline", "raw", "--rounds", "5"], "purify and purify-qnn"),
+        (["--pipeline", "qnn", "--rounds", "2"], "purify and purify-qnn"),
+        (["--pipeline", "raw", "--train-at", "0.9"], "--train-at"),
+        (["--pipeline", "purify", "--train-at", "0.2"], "--train-at"),
+        (["--pipeline", "qnn", "--model", "m.txt", "--train-at", "0.2"], "train_at"),
+    ])
+    def test_options_the_pipeline_ignores_exit_nonzero(self, options, message, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["sweep", "--noise", "amplitude-damping", "--p-start", "0",
+                       "--p-stop", "0", "--p-step", "0.1", *options, "--out", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     # Only sweep and capacity score return noise; only sweep and train draw

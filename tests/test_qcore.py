@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzsdc.qcore import (
     CNOT,
@@ -65,6 +69,24 @@ class TestValidation:
     def test_incomplete_kraus_rejected(self):
         with pytest.raises(ValueError, match="completeness"):
             QuantumChannel((0.5 * I2,))
+
+
+class TestSpectrum:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 6), rank=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+    def test_is_the_validation_eigensolve_and_read_only(self, n, rank, seed):
+        rng = np.random.default_rng(seed)
+        d = 2 ** n
+        g = rng.normal(size=(d, min(rank, d))) + 1j * rng.normal(size=(d, min(rank, d)))
+        mat = g @ g.conj().T
+        rho = DensityOperator(mat / np.trace(mat).real)
+        assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(rho.matrix))
+        assert not rho.spectrum.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rho.spectrum[0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rho.spectrum = np.ones(d) / d
+        assert "spectrum" not in repr(rho)
 
 
 class TestTensorProduct:

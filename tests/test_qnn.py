@@ -364,3 +364,11 @@ class TestModelFiles:
         path.write_text(f"qnnmodel 1\n{shape}\n")
         with pytest.raises(qnn.ModelFormatError, match=rf"model\.txt:2: .*{reason}"):
             qnn.load_model(path)
+
+    def test_width_above_training_cap_rejected_at_line_2(self, tmp_path):
+        # rejected before any perceptron is read or allocated
+        path = tmp_path / "model.txt"
+        path.write_text(f"qnnmodel 1\n{qnn.MAX_TRAINABLE_WIDTH + 1} 1\n")
+        with pytest.raises(qnn.ModelFormatError,
+                           match=r"model\.txt:2: width 7 exceeds MAX_TRAINABLE_WIDTH = 6"):
+            qnn.load_model(path)
