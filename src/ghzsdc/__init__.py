@@ -3,19 +3,16 @@ entanglement purification, QNN correction, and channel-capacity analysis."""
 
 from .capacity import CapacityReport, EnsembleSpec, classical_capacity, coherent_information, entropy_exchange, holevo, quantum_capacity
 from .harness import CorrectionPipeline, SweepConfig, SweepRecord, emit_records, run_sweep
-from .noise import NoiseKind, NoiseSpec, NoiseStage, conjugate_by_hadamard, make_channel, sample_trajectory
+from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel, sample_trajectory
 from .purify import PurificationResult, PurificationUnderflow, purify_iterated, purify_round
 from .qcore import (
     DensityOperator,
-    MeasurementOutcome,
     QuantumChannel,
     StateVector,
     Unitary,
     apply_channel,
-    apply_unitary,
     basis_state,
     fidelity,
-    measure_computational,
     partial_trace,
     tensor_product,
     von_neumann_entropy,

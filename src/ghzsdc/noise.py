@@ -1,5 +1,5 @@
-"""Single-qubit noise channels, Hadamard conjugation, and pure-state
-trajectory sampling used to build QNN training sets."""
+"""Single-qubit noise channels and pure-state trajectory sampling used to
+build QNN training sets."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import HADAMARD, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, QuantumChannel, StateVector, _apply_matrix, _check_targets
+from .qcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, QuantumChannel, StateVector, _apply_matrix, _check_targets
 
 
 class NoiseKind(enum.Enum):
@@ -60,13 +60,6 @@ def make_channel(kind: NoiseKind, p: float) -> QuantumChannel:
     else:
         raise ValueError(f"unknown noise kind {kind}")
     return QuantumChannel(tuple(op for op in ops if np.any(op)))
-
-
-def conjugate_by_hadamard(ch: QuantumChannel) -> QuantumChannel:
-    """Replace every Kraus operator K by H K H (phase-flip <-> bit-flip)."""
-    if ch.qubit_count != 1:
-        raise ValueError("Hadamard conjugation is defined for single-qubit channels")
-    return QuantumChannel(tuple(HADAMARD @ k @ HADAMARD for k in ch.kraus_ops))
 
 
 def sample_trajectory(psi: StateVector, ch: QuantumChannel, targets: Sequence[int], rng_seed: int) -> StateVector:

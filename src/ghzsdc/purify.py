@@ -1,8 +1,9 @@
 """CNOT-and-compare entanglement purification of pairs of noisy n-qubit GHZ
 states, single-round and iterated.
 
-A round on a general (possibly correlated) pair state P gathers the rows
-a*2^n + (a xor m) of P for every accepted outcome m. For two i.i.d. copies,
+A round keeps the pair when every target bit agrees, i.e. on the outcomes
+m = 0 and m = 2^n - 1. On a general (possibly correlated) pair state P it
+gathers the rows a*2^n + (a xor m) of P for both. For two i.i.d. copies,
 P = rho (x) rho, that block is rho[a, b] * rho[a xor m, b xor m], so iterated
 rounds work on the single copy and never build the 4^n-dim pair: the kept
 state is rho o sum over accepted m of rho[a xor m, b xor m] ("o" is the
@@ -12,7 +13,6 @@ entrywise product), which reaches n = MAX_DENSITY_QUBITS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,11 +25,6 @@ class PurificationUnderflow(RuntimeError):
     """Compound success probability fell below the representable floor."""
 
 
-def accept_all_equal(outcome_bits: Sequence[int]) -> bool:
-    """Default acceptance rule: all target-register outcomes identical."""
-    return len(set(outcome_bits)) == 1
-
-
 @dataclass(frozen=True)
 class PurificationResult:
     kept_state: DensityOperator
@@ -39,22 +34,18 @@ class PurificationResult:
     rounds: int
 
 
-def purify_round(
-    pair_state: DensityOperator,
-    n: int,
-    accept: Callable[[Sequence[int]], bool] = accept_all_equal,
-) -> PurificationResult:
+def purify_round(pair_state: DensityOperator, n: int) -> PurificationResult:
     """One purification round on a 2n-qubit pair state.
 
     Qubits 0..n-1 are the control copy (kept on success), qubits n..2n-1 the
     target copy. CNOTs run from control qubit i to target qubit i; the target
-    register is measured and the round succeeds when `accept` holds on the
-    outcome bits (default: all equal).
+    register is measured and the round succeeds when all its outcome bits are
+    equal.
 
     The CNOT layer maps |a, b> to |a, a xor b>, so outcome m selects the rows
     a*2^n + (a xor m) of the pair matrix P. The unnormalized kept state is
-    sum over accepted m of P[rows_m, rows_m], and its trace is the success
-    probability (Bennett et al., PRL 76, 722, 1996).
+    P[rows_0, rows_0] + P[rows_M, rows_M] with M = 2^n - 1, and its trace is
+    the success probability (Bennett et al., PRL 76, 722, 1996).
     """
     if pair_state.qubit_count != 2 * n:
         raise ValueError(f"pair state has {pair_state.qubit_count} qubits, expected {2 * n}")
@@ -63,7 +54,7 @@ def purify_round(
 
     a = np.arange(2 ** n)
     kept = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for m in _accepted_outcomes(n, accept):
+    for m in (0, 2 ** n - 1):
         rows = a * 2 ** n + (a ^ m)
         kept += pair_state.matrix[np.ix_(rows, rows)]
     kept_state, success = _normalised(kept)
@@ -76,12 +67,7 @@ def purify_round(
     )
 
 
-def purify_iterated(
-    source_state: DensityOperator,
-    n: int,
-    rounds: int,
-    accept: Callable[[Sequence[int]], bool] = accept_all_equal,
-) -> PurificationResult:
+def purify_iterated(source_state: DensityOperator, n: int, rounds: int) -> PurificationResult:
     """Iterate purification, each round consuming two i.i.d. copies of the
     previous round's output; reports the compound acceptance probability.
 
@@ -94,13 +80,12 @@ def purify_iterated(
         raise ValueError(f"source state has {source_state.qubit_count} qubits, expected {n}")
     ideal = shared_state(n)
     a = np.arange(2 ** n)
-    outcomes = _accepted_outcomes(n, accept)
     state = source_state
     compound = 1.0
     for _ in range(rounds):
         rho = state.matrix
         kept = np.zeros((2 ** n, 2 ** n), dtype=complex)
-        for m in outcomes:
+        for m in (0, 2 ** n - 1):
             kept += rho * rho[np.ix_(a ^ m, a ^ m)]
         state, success = _normalised(kept)
         compound *= success
@@ -113,12 +98,6 @@ def purify_iterated(
         fidelity_after=qcore.fidelity(ideal, state),
         rounds=rounds,
     )
-
-
-def _accepted_outcomes(n: int, accept: Callable[[Sequence[int]], bool]) -> list:
-    """Target-register outcomes m, ascending, whose bits (qubit 0 first, the
-    most significant bit of m) satisfy `accept`."""
-    return [m for m in range(2 ** n) if accept([(m >> (n - 1 - i)) & 1 for i in range(n)])]
 
 
 def _normalised(kept: np.ndarray) -> tuple:

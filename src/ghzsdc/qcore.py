@@ -1,5 +1,5 @@
 """Dense multi-qubit linear algebra: states, density operators, gates,
-channels, tensor composition, partial trace, measurement, fidelity, entropy.
+channels, tensor composition, partial trace, fidelity, entropy.
 
 Conventions
 -----------
@@ -25,7 +25,6 @@ I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 CNOT = np.array(
     [[1, 0, 0, 0],
      [0, 1, 0, 0],
@@ -140,13 +139,6 @@ class QuantumChannel:
         object.__setattr__(self, "qubit_count", k)
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    outcome_index: int
-    probability: float
-    post_state: DensityOperator | None
-
-
 def basis_state(qubit_count: int, index: int) -> StateVector:
     """Computational basis state |index> on the given number of qubits."""
     amps = np.zeros(2 ** qubit_count, dtype=complex)
@@ -203,20 +195,19 @@ def embedded_matrix(mat: np.ndarray, targets: Sequence[int], m: int) -> np.ndarr
     return _apply_matrix(mat, np.eye(dim, dtype=complex), targets, 2 * m).reshape(dim, dim)
 
 
-def apply_unitary(rho: DensityOperator, u: Unitary, targets: Sequence[int]) -> DensityOperator:
-    """Conjugate rho by u embedded on the given (ordered) target qubits."""
-    targets = _check_targets(targets, u.qubit_count, rho.qubit_count)
-    return DensityOperator(_conjugate_matrix(u.matrix, rho.matrix, targets, rho.qubit_count))
+def _kraus_sum(ch: QuantumChannel, rho: np.ndarray, targets, m: int) -> np.ndarray:
+    """Sum of Kraus conjugations of the bare matrix rho on `targets`, added
+    from a zero matrix in Kraus order; validates nothing."""
+    out = np.zeros_like(rho)
+    for op in ch.kraus_ops:
+        out = out + _conjugate_matrix(op, rho, targets, m)
+    return out
 
 
 def apply_channel(rho: DensityOperator, ch: QuantumChannel, targets: Sequence[int]) -> DensityOperator:
     """Sum of Kraus conjugations of rho on the given target qubits."""
     targets = _check_targets(targets, ch.qubit_count, rho.qubit_count)
-    m = rho.qubit_count
-    out = np.zeros_like(rho.matrix)
-    for op in ch.kraus_ops:
-        out = out + _conjugate_matrix(op, rho.matrix, targets, m)
-    return DensityOperator(out)
+    return DensityOperator(_kraus_sum(ch, rho.matrix, targets, rho.qubit_count))
 
 
 def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:
@@ -237,40 +228,6 @@ def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:
     return DensityOperator(reduced.reshape(d, d))
 
 
-def measure_computational(rho: DensityOperator, targets: Sequence[int]) -> list:
-    """Projective measurement of `targets` in the computational basis.
-
-    Returns one outcome per bit string over `targets` (targets[0] is the high
-    bit of the outcome index). The post state lives on the remaining qubits;
-    when every qubit is measured it is the projected full state. Outcomes with
-    probability below 1e-12 carry post_state=None.
-    """
-    m = rho.qubit_count
-    targets = _check_targets(targets, len(targets), m)
-    if not targets:
-        raise ValueError("targets must be nonempty")
-    tensor = rho.matrix.reshape((2,) * (2 * m))
-    remaining = [q for q in range(m) if q not in targets]
-    outcomes = []
-    for idx in range(2 ** len(targets)):
-        bits = [(idx >> (len(targets) - 1 - i)) & 1 for i in range(len(targets))]
-        sl = [slice(None)] * (2 * m)
-        for q, b in zip(targets, bits):
-            sl[q] = b
-            sl[m + q] = b
-        block = tensor[tuple(sl)]
-        if remaining:
-            d = 2 ** len(remaining)
-            block = block.reshape(d, d)
-            prob = float(np.trace(block).real)
-            post = DensityOperator(block / prob) if prob >= 1e-12 else None
-        else:
-            prob = float(block.real)
-            post = basis_state(m, idx).density() if prob >= 1e-12 else None
-        outcomes.append(MeasurementOutcome(idx, max(prob, 0.0), post))
-    return outcomes
-
-
 def fidelity(psi: StateVector, rho: DensityOperator) -> float:
     """sqrt(<psi|rho|psi>), clamped to [0, 1]."""
     if psi.qubit_count != rho.qubit_count:
@@ -282,8 +239,9 @@ def fidelity(psi: StateVector, rho: DensityOperator) -> float:
 
 
 def _spectrum_entropy(evals: np.ndarray) -> float:
-    """-sum(lambda log2 lambda) over the eigenvalues above 1e-12, in bits."""
-    if evals.min() < -1e-12:
+    """-sum(lambda log2 lambda) over the eigenvalues above 1e-12, in bits.
+    Eigenvalues down to -ATOL, which validation admits, count as zero."""
+    if evals.min() < -ATOL:
         raise ValueError(f"matrix eigenvalue {evals.min()} below the clamp floor")
     evals = evals[evals > 1e-12]
     return float(-np.sum(evals * np.log2(evals)))

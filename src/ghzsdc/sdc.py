@@ -133,17 +133,18 @@ def transmit(shared: DensityOperator, code: Codeword, noise: NoiseSpec) -> Densi
     """Alice's encoding and return: the encoder acts on qubits 1..n-1, and
     with stage `both` the channel then hits each of qubits 1..n-1 in transit.
     Qubit 0 is untouched. The encoder is a signed permutation, so the encoded
-    state is one gather, (rho o sign sign^T)[image, image]."""
+    state is one gather, (rho o sign sign^T)[image, image]. The return steps
+    act on the bare matrix, and only the transmitted state is validated."""
     n = code.n
     if shared.qubit_count != n:
         raise ValueError(f"shared state has {shared.qubit_count} qubits, codeword width is {n}")
     image, sign = _frame(code)
-    rho = DensityOperator((shared.matrix * np.outer(sign, sign))[np.ix_(image, image)])
+    rho = (shared.matrix * np.outer(sign, sign))[np.ix_(image, image)]
     if noise.stage is NoiseStage.DISTRIBUTION_AND_RETURN:
         ch = make_channel(noise.kind, noise.p)
         for q in range(1, n):
-            rho = qcore.apply_channel(rho, ch, [q])
-    return rho
+            rho = qcore._kraus_sum(ch, rho, [q], n)
+    return DensityOperator(rho)
 
 
 def run_protocol(

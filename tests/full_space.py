@@ -1,8 +1,11 @@
-"""Test oracle: a product of single-qubit channels built on the full space."""
+"""Test oracles on the full space: a product of single-qubit channels as one
+channel, and dense conjugation by a unitary on chosen qubits."""
+
+from typing import Sequence
 
 import numpy as np
 
-from ghzsdc.qcore import QuantumChannel
+from ghzsdc.qcore import DensityOperator, QuantumChannel, Unitary, _check_targets, _conjugate_matrix
 
 
 def full_space_channel(factors):
@@ -12,3 +15,9 @@ def full_space_channel(factors):
     for factor in factors:
         kraus = [np.kron(k, e) for k in kraus for e in factor.kraus_ops]
     return QuantumChannel(tuple(kraus))
+
+
+def apply_unitary(rho: DensityOperator, u: Unitary, targets: Sequence[int]) -> DensityOperator:
+    """Conjugate rho by u embedded on the given (ordered) target qubits."""
+    targets = _check_targets(targets, u.qubit_count, rho.qubit_count)
+    return DensityOperator(_conjugate_matrix(u.matrix, rho.matrix, targets, rho.qubit_count))

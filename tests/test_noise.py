@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from ghzsdc import qcore
 from ghzsdc.noise import (
     NoiseKind,
     NoiseSpec,
-    conjugate_by_hadamard,
     make_channel,
     sample_trajectory,
 )
@@ -57,39 +55,6 @@ def test_out_of_range_p_rejected():
         make_channel(NoiseKind.BIT_FLIP, 1.5)
     with pytest.raises(ValueError):
         NoiseSpec(NoiseKind.BIT_FLIP, -0.1)
-
-
-class TestHadamardConjugation:
-    def test_phase_flip_becomes_bit_flip(self):
-        p = 0.3
-        converted = conjugate_by_hadamard(make_channel(NoiseKind.PHASE_FLIP, p))
-        expected = make_channel(NoiseKind.BIT_FLIP, p)
-        for got, want in zip(converted.kraus_ops, expected.kraus_ops):
-            assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_bit_flip_becomes_phase_flip(self):
-        p = 0.2
-        converted = conjugate_by_hadamard(make_channel(NoiseKind.BIT_FLIP, p))
-        expected = make_channel(NoiseKind.PHASE_FLIP, p)
-        for got, want in zip(converted.kraus_ops, expected.kraus_ops):
-            assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_identity_channel_fixed(self):
-        ch = make_channel(NoiseKind.BIT_FLIP, 0.0)
-        out = conjugate_by_hadamard(ch)
-        assert np.max(np.abs(out.kraus_ops[0] - np.eye(2))) < 1e-12
-
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_involution(self, kind):
-        ch = make_channel(kind, 0.4)
-        twice = conjugate_by_hadamard(conjugate_by_hadamard(ch))
-        for got, want in zip(twice.kraus_ops, ch.kraus_ops):
-            assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_multi_qubit_rejected(self):
-        ch = qcore.QuantumChannel((np.eye(4),))
-        with pytest.raises(ValueError):
-            conjugate_by_hadamard(ch)
 
 
 class TestTrajectories:

@@ -5,12 +5,7 @@ from hypothesis import strategies as st
 
 from ghzsdc import qcore
 from ghzsdc.noise import NoiseKind, make_channel
-from ghzsdc.purify import (
-    PurificationUnderflow,
-    accept_all_equal,
-    purify_iterated,
-    purify_round,
-)
+from ghzsdc.purify import PurificationUnderflow, purify_iterated, purify_round
 from ghzsdc.qcore import CNOT, DensityOperator
 from ghzsdc.sdc import shared_state
 
@@ -18,14 +13,6 @@ from ghzsdc.sdc import shared_state
 def noisy_ghz(n, q, kind=NoiseKind.BIT_FLIP):
     rho = shared_state(n).density()
     return qcore.apply_channel(rho, make_channel(kind, q), [0])
-
-
-PREDICATES = {
-    "all-equal": accept_all_equal,
-    "complement": lambda bits: len(set(bits)) != 1,
-    "all": lambda bits: True,
-    "first-zero": lambda bits: bits[0] == 0,
-}
 
 
 def brute_force_round(pair_matrix, n, accept=lambda bits: len(set(bits)) == 1):
@@ -99,17 +86,15 @@ class TestPurifyRound:
     @settings(max_examples=30, deadline=None)
     @given(n=st.sampled_from([2, 3]),
            rank=st.integers(1, 6),
-           seed=st.integers(0, 2 ** 32 - 1),
-           rule=st.sampled_from(["complement", "all", "first-zero"]))
-    def test_correlated_pair_against_oracle(self, n, rank, seed, rule):
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_correlated_pair_against_oracle(self, n, rank, seed):
         # a random rank-r density matrix on all 2n qubits is generically
         # entangled across the two copies, unlike the i.i.d. pairs above
-        accept = PREDICATES[rule]
         rng = np.random.default_rng(seed)
         g = rng.normal(size=(4 ** n, rank)) + 1j * rng.normal(size=(4 ** n, rank))
         pair = DensityOperator(g @ g.conj().T / np.linalg.norm(g) ** 2)
-        result = purify_round(pair, n, accept)
-        success, kept = brute_force_round(pair.matrix, n, accept)
+        result = purify_round(pair, n)
+        success, kept = brute_force_round(pair.matrix, n)
         assert abs(result.success_probability - success) < 1e-9
         assert np.max(np.abs(result.kept_state.matrix - kept)) < 1e-9
 
@@ -136,7 +121,7 @@ class TestPurifyRound:
         copy = noisy_ghz(n, 0.3)
         pair = qcore.tensor_product(copy, copy)
         accepted = purify_round(pair, n).success_probability
-        rejected = purify_round(pair, n, accept=lambda bits: len(set(bits)) != 1).success_probability
+        rejected, _ = brute_force_round(pair.matrix, n, accept=lambda bits: len(set(bits)) != 1)
         assert abs(accepted + rejected - 1) < 1e-9
 
     def test_odd_qubit_count_rejected(self):
@@ -169,11 +154,6 @@ class TestPurifyIterated:
         with pytest.raises(ValueError):
             purify_iterated(shared_state(2).density(), 2, 0)
 
-    def test_all_equal_predicate(self):
-        assert accept_all_equal([0, 0, 0])
-        assert accept_all_equal([1, 1])
-        assert not accept_all_equal([0, 1, 0])
-
     def test_wider_source_state_rejected(self):
         with pytest.raises(ValueError, match="expected 2"):
             purify_iterated(shared_state(3).density(), 2, 1)
@@ -186,12 +166,10 @@ class TestPurifyIterated:
     @given(n=st.sampled_from([2, 3, 4]),
            rank=st.integers(1, 4),
            rounds=st.integers(1, 3),
-           seed=st.integers(0, 2 ** 32 - 1),
-           rule=st.sampled_from(sorted(PREDICATES)))
-    def test_equals_repeated_pair_rounds(self, n, rank, rounds, seed, rule):
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_repeated_pair_rounds(self, n, rank, rounds, seed):
         # the factored i.i.d. round must be bit-identical to purify_round on
         # the built pair state, which is itself checked against the oracle
-        accept = PREDICATES[rule]
         rng = np.random.default_rng(seed)
         g = rng.normal(size=(2 ** n, rank)) + 1j * rng.normal(size=(2 ** n, rank))
         source = DensityOperator(g @ g.conj().T / np.linalg.norm(g) ** 2)
@@ -199,7 +177,7 @@ class TestPurifyIterated:
         def repeated_pair_rounds():
             state, compound = source, 1.0
             for _ in range(rounds):
-                result = purify_round(qcore.tensor_product(state, state), n, accept)
+                result = purify_round(qcore.tensor_product(state, state), n)
                 state = result.kept_state
                 compound *= result.success_probability
                 if compound < 1e-12:
@@ -210,9 +188,9 @@ class TestPurifyIterated:
             state, compound = repeated_pair_rounds()
         except PurificationUnderflow:
             with pytest.raises(PurificationUnderflow):
-                purify_iterated(source, n, rounds, accept)
+                purify_iterated(source, n, rounds)
             return
-        result = purify_iterated(source, n, rounds, accept)
+        result = purify_iterated(source, n, rounds)
         assert np.array_equal(result.kept_state.matrix, state.matrix)
         assert result.success_probability == compound
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ghzsdc.qcore import (
     CNOT,
-    HADAMARD,
     I2,
     SIGMA_X,
     SIGMA_Y,
@@ -16,15 +15,16 @@ from ghzsdc.qcore import (
     QuantumChannel,
     StateVector,
     Unitary,
+    _spectrum_entropy,
     apply_channel,
-    apply_unitary,
     basis_state,
     fidelity,
-    measure_computational,
     partial_trace,
     tensor_product,
     von_neumann_entropy,
 )
+
+from full_space import apply_unitary
 
 
 def bell_state():
@@ -221,32 +221,6 @@ class TestApplyChannel:
             assert np.linalg.eigvalsh(out.matrix).min() > -1e-10
 
 
-class TestMeasurement:
-    def test_point_mass(self):
-        outcomes = measure_computational(basis_state(2, 0).density(), [0, 1])
-        assert [round(o.probability, 12) for o in outcomes] == [1, 0, 0, 0]
-
-    def test_bell_halves(self):
-        outcomes = measure_computational(bell_state().density(), [0, 1])
-        probs = [o.probability for o in outcomes]
-        assert np.allclose(probs, [0.5, 0, 0, 0.5], atol=1e-12)
-        assert outcomes[1].post_state is None
-
-    def test_ghz_single_qubit_collapse(self):
-        amps = np.zeros(8, dtype=complex)
-        amps[0] = amps[7] = 1 / np.sqrt(2)
-        outcomes = measure_computational(StateVector(amps).density(), [0])
-        assert np.allclose([o.probability for o in outcomes], [0.5, 0.5])
-        assert np.allclose(outcomes[0].post_state.matrix, basis_state(2, 0).density().matrix)
-        assert np.allclose(outcomes[1].post_state.matrix, basis_state(2, 3).density().matrix)
-
-    def test_probabilities_sum_to_one(self):
-        rng = np.random.default_rng(23)
-        rho = random_density(rng, 3)
-        outcomes = measure_computational(rho, [2, 0])
-        assert abs(sum(o.probability for o in outcomes) - 1) < 1e-9
-
-
 class TestFidelityAndEntropy:
     def test_pure_state_fidelity_one(self):
         rng = np.random.default_rng(29)
@@ -273,3 +247,10 @@ class TestFidelityAndEntropy:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(basis_state(2, 0), DensityOperator(np.eye(2) / 2))
+
+    def test_entropy_admits_what_validation_admits(self):
+        # validation accepts eigenvalues down to -ATOL, so the entropy must too
+        rho = DensityOperator(np.diag([1 + 5e-11, -5e-11]))
+        assert abs(von_neumann_entropy(rho)) < 1e-9
+        with pytest.raises(ValueError, match="clamp floor"):
+            _spectrum_entropy(np.array([1 + 2e-10, -2e-10]))

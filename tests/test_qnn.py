@@ -8,6 +8,8 @@ from ghzsdc.noise import NoiseKind, make_channel, sample_trajectory
 from ghzsdc.qcore import DensityOperator, StateVector, Unitary, basis_state
 from ghzsdc.sdc import shared_state
 
+from full_space import apply_unitary
+
 SWAP = Unitary(np.array(
     [[1, 0, 0, 0],
      [0, 0, 1, 0],
@@ -36,7 +38,7 @@ def dense_feedforward(model, rho_in):
     for layer in model.perceptrons:
         joint = qcore.tensor_product(rho, zeros)
         for j, u in enumerate(layer):
-            joint = qcore.apply_unitary(joint, u, list(range(n)) + [n + j])
+            joint = apply_unitary(joint, u, list(range(n)) + [n + j])
         rho = qcore.partial_trace(joint, range(n, 2 * n))
     return rho
 

@@ -19,6 +19,8 @@ from ghzsdc.sdc import (
     transmit,
 )
 
+from full_space import apply_unitary
+
 # Table-1 operators for n=3, codeword-indexed: the first factor acts on
 # Alice's first qubit, the second on her last.
 TABLE1_OPERATORS = {
@@ -163,13 +165,34 @@ class TestStages:
         for value in values:
             code = Codeword(n, int(value))
             u = encode_usdc(code)
-            want = qcore.apply_unitary(shared, u, range(1, n))
+            want = apply_unitary(shared, u, range(1, n))
             if stage is NoiseStage.DISTRIBUTION_AND_RETURN:
                 for q in range(1, n):
                     want = qcore.apply_channel(want, ch, [q])
             assert np.array_equal(transmit(shared, code, spec).matrix, want.matrix)
             psi = np.kron(I2, u.matrix) @ shared_state(n).amplitudes
             assert np.array_equal(ideal_received_state(n, code).amplitudes, psi)
+
+    # transmit runs its return steps on the bare matrix and validates once;
+    # the result must be the validated step-by-step channel output.
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 6), kind=st.sampled_from(NoiseKind), p=st.floats(0.0, 1.0),
+           value=st.integers(0, 2 ** 6 - 1))
+    @example(n=3, kind=NoiseKind.AMPLITUDE_DAMPING, p=0.0, value=5)
+    @example(n=6, kind=NoiseKind.AMPLITUDE_DAMPING, p=1.0, value=63)
+    @example(n=4, kind=NoiseKind.DEPOLARIZING, p=1.0, value=9)
+    def test_return_stage_is_stepwise_channel_output(self, n, kind, p, value):
+        both = NoiseSpec(kind, p, NoiseStage.DISTRIBUTION_AND_RETURN)
+        code = Codeword(n, value % 2 ** n)
+        shared = distribute(n, both)
+        want = transmit(shared, code, NoiseSpec(kind, p, NoiseStage.DISTRIBUTION_ONLY))
+        ch = make_channel(kind, p)
+        for q in range(1, n):
+            want = qcore.apply_channel(want, ch, [q])
+        got = transmit(shared, code, both)
+        assert np.array_equal(got.matrix, want.matrix)
+        assert abs(np.trace(got.matrix).real - 1) < qcore.ATOL
+        assert got.spectrum.min() >= -qcore.ATOL
 
     @pytest.mark.parametrize("shared_n, code_n", [(4, 3), (3, 4)])
     def test_transmit_rejects_width_mismatch(self, shared_n, code_n):
