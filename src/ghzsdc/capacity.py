@@ -9,6 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .qcore import DensityOperator, QuantumChannel, _spectrum_entropy, basis_state, von_neumann_entropy
+from .sdc import twirl
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,16 @@ def classical_capacity(states: Sequence[DensityOperator]) -> float:
     return holevo(EnsembleSpec.uniform(states))
 
 
+def orbit_holevo(state: DensityOperator) -> float:
+    """`classical_capacity` of the 2^n encoded images of `state`, in bits.
+
+    The images share the spectrum of `state`, and their uniform mixture is
+    its twirl over the encoder frames (`sdc.twirl`), so the Holevo value is
+    S(twirl(state)) - S(state) (Bowen, PRA 63, 022302 (2001)): one
+    eigensolve, with no state built per codeword."""
+    return max(von_neumann_entropy(twirl(state)) - von_neumann_entropy(state), 0.0)
+
+
 def _environment_gram(mix: np.ndarray, ch: QuantumChannel) -> np.ndarray:
     """conj(W) for W_kl = tr(K_k mix K_l^dag); conj(W) has the spectrum of W.
 
@@ -119,11 +130,12 @@ def quantum_capacity(input_ens: EnsembleSpec, ch: QuantumChannel) -> float:
     return max(coherent_information(input_ens, ch), 0.0)
 
 
-def report(outputs: Sequence[DensityOperator], factors: Sequence[QuantumChannel]) -> CapacityReport:
+def report(chi: float, factors: Sequence[QuantumChannel]) -> CapacityReport:
     """Bundle every quantity for one protocol configuration.
 
-    The output states are scored at uniform priors, so one Holevo value fills
-    both the holevo and the classical capacity (`classical_capacity`). The
+    `chi` is the Holevo value of the output states at uniform priors
+    (`classical_capacity`, or `orbit_holevo` of one state when the outputs
+    are one orbit); it fills both the holevo and the classical capacity. The
     channel side scores the noise channel, given as one single-qubit channel
     per qubit (the identity on an untouched qubit), on the ideal pure encoded
     inputs. Those form a full GHZ basis, so their uniform mix is I/d, the
@@ -134,7 +146,6 @@ def report(outputs: Sequence[DensityOperator], factors: Sequence[QuantumChannel]
     exchanges = [entropy_exchange(half, f) for f in factors]
     icoh = sum(von_neumann_entropy(_channel_output(half, f)) - s_e
                for f, s_e in zip(factors, exchanges))
-    chi = classical_capacity(outputs)
     return CapacityReport(
         holevo=chi,
         classical_capacity=chi,

@@ -5,10 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import capacity, harness, purify, qnn
-from .harness import SweepConfig, noise_factors, train_inline_model
+from . import harness, purify, qnn
+from .harness import SweepConfig, score_point, train_inline_model
 from .noise import NoiseKind, NoiseSpec, NoiseStage
-from .sdc import Codeword, distribute, transmit
+from .sdc import distribute
 
 
 def _add_noise_args(p: argparse.ArgumentParser) -> None:
@@ -97,9 +97,7 @@ def _cmd_purify_demo(args) -> None:
 
 def _cmd_capacity(args) -> None:
     spec = NoiseSpec(NoiseKind(args.noise), args.p, NoiseStage(args.noise_stage))
-    shared = distribute(args.n, spec)
-    outputs = [transmit(shared, Codeword(args.n, x), spec) for x in range(2 ** args.n)]
-    rep = capacity.report(outputs, noise_factors(spec, args.n))
+    _, rep = score_point(distribute(args.n, spec), spec)
     print(f"holevo: {rep.holevo:.6f} bits")
     print(f"classical capacity: {rep.classical_capacity:.6f} bits")
     print(f"entropy exchange: {rep.entropy_exchange:.6f} bits")

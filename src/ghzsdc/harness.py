@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -145,29 +145,50 @@ def _build_corrector(cfg: SweepConfig) -> CorrectionPipeline:
     )
 
 
+def score_point(shared: DensityOperator, spec: NoiseSpec) -> Tuple[float, capacity.CapacityReport]:
+    """Average fidelity and capacity report of the 2^n codewords sent from
+    the corrected shared state.
+
+    On an orbit point (`NoiseSpec.is_orbit`) every output is U_x sigma U_x^dag
+    for one state sigma: the shared state itself at stage dist, or with the
+    return noise applied once at stage both (codeword 0 encodes with the
+    identity). Every fidelity is then <GHZ|sigma|GHZ> and the Holevo value is
+    `capacity.orbit_holevo(sigma)`. Otherwise each codeword is transmitted and
+    scored on its own. The noise channel is scored from its single-qubit
+    factors (see `capacity.report`)."""
+    n = shared.qubit_count
+    if spec.is_orbit:
+        sigma = shared
+        if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN:
+            sigma = transmit(shared, Codeword(n, 0), spec)
+        fidelities = [qcore.fidelity(shared_state(n), sigma)] * 2 ** n
+        chi = capacity.orbit_holevo(sigma)
+    else:
+        codes = [Codeword(n, x) for x in range(2 ** n)]
+        outputs = [transmit(shared, code, spec) for code in codes]
+        fidelities = [qcore.fidelity(ideal_received_state(n, code), rho)
+                      for code, rho in zip(codes, outputs)]
+        chi = capacity.classical_capacity(outputs)
+    return float(np.mean(fidelities)), capacity.report(chi, noise_factors(spec, n))
+
+
 def run_sweep(cfg: SweepConfig) -> List[SweepRecord]:
     """One record per grid point: the shared state is distributed and
-    corrected once, then transmitted for all 2^n codewords; the uniform
-    output ensemble is scored. The noise channel itself is scored from its
-    single-qubit factors (see `capacity.report`). The ideal targets are built
-    before any corrector, so an unsupported n fails before training.
-    Deterministic for a fixed seed."""
-    codes = [Codeword(cfg.n, x) for x in range(2 ** cfg.n)]
-    targets = [ideal_received_state(cfg.n, code) for code in codes]
+    corrected once, then scored by `score_point`. Deterministic for a fixed
+    seed."""
+    # raises for an n the encoder does not support, before any training
+    ideal_received_state(cfg.n, Codeword(cfg.n, 0))
     corrector = _build_corrector(cfg)
     records = []
     for p in p_grid(cfg):
         spec = NoiseSpec(cfg.noise_kind, p, cfg.noise_stage)
-        shared = corrector(distribute(cfg.n, spec))
-        outputs = [transmit(shared, code, spec) for code in codes]
-        fidelities = [qcore.fidelity(t, rho) for t, rho in zip(targets, outputs)]
-        rep = capacity.report(outputs, noise_factors(spec, cfg.n))
+        avg_fidelity, rep = score_point(corrector(distribute(cfg.n, spec)), spec)
         records.append(SweepRecord(
             noise=cfg.noise_kind.value,
             p=p,
             n=cfg.n,
             pipeline=cfg.pipeline,
-            avg_fidelity=float(np.mean(fidelities)),
+            avg_fidelity=avg_fidelity,
             holevo=rep.holevo,
             classical_capacity=rep.classical_capacity,
             coherent_info=rep.coherent_information,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -36,12 +37,23 @@ class NoiseSpec:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"noise probability {self.p} outside [0, 1]")
 
+    @property
+    def is_orbit(self) -> bool:
+        """Whether every transmitted state is U_x sigma U_x^dag for one state
+        sigma and the Pauli encoders U_x: the noise acts at distribution only,
+        before the encoder, or it is a Pauli channel, which commutes with the
+        Pauli encoders. Amplitude-damping return noise breaks the orbit."""
+        return (self.stage is NoiseStage.DISTRIBUTION_ONLY
+                or self.kind in (NoiseKind.BIT_FLIP, NoiseKind.PHASE_FLIP, NoiseKind.DEPOLARIZING))
 
+
+@lru_cache(maxsize=128)
 def make_channel(kind: NoiseKind, p: float) -> QuantumChannel:
     """Kraus set of the named single-qubit channel with error weight p.
 
     Depolarizing splits p equally across the three Paulis, so p=0 is
-    noiseless and p=3/4 maps every state to I/2.
+    noiseless and p=3/4 maps every state to I/2. The channel is immutable, so
+    repeat calls share one instance instead of rebuilding and re-checking it.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise probability {p} outside [0, 1]")

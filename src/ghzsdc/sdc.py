@@ -147,6 +147,24 @@ def transmit(shared: DensityOperator, code: Codeword, noise: NoiseSpec) -> Densi
     return DensityOperator(rho)
 
 
+def twirl(state: DensityOperator) -> DensityOperator:
+    """The uniform mixture of the 2^n encoded images of `state`, in closed form.
+
+    Averaged over the codewords, the sign pairs cancel unless qubit 1 of a
+    xor b is 0, and the flips run over every a' that shares qubit 0 with a:
+    T[a, b] = 2^-(n-1) sum_{a'_0 = a_0} state[a', a' xor a xor b]. One gather
+    by (row, a xor b), a sum over rows sharing qubit 0 to a 2 x 2^n table, and
+    one gather back; no loop over codewords."""
+    n = state.qubit_count
+    if n < 3:
+        raise ValueError("the bitwise encoder requires n >= 3")
+    a = np.arange(2 ** n)
+    by_offset = state.matrix[a[:, None], a[:, None] ^ a]
+    table = by_offset.reshape(2, -1, 2 ** n).sum(axis=1) / 2 ** (n - 1)
+    table[:, (a >> (n - 2)) & 1 == 1] = 0
+    return DensityOperator(table[(a >> (n - 1))[:, None], a[:, None] ^ a])
+
+
 def run_protocol(
     n: int,
     code: Codeword,

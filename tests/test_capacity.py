@@ -265,7 +265,7 @@ class TestReport:
             bell.density() for bell in ghz_basis(2).states))
         factors = [ch, QuantumChannel((np.eye(2),))]
         embedded = full_space_channel(factors)
-        rep = capacity.report(output_states, factors)
+        rep = capacity.report(classical_capacity(output_states), factors)
         assert abs(rep.holevo - holevo(output_ens)) < 1e-12
         assert abs(rep.entropy_exchange - entropy_exchange(input_ens, embedded)) < 1e-12
         assert abs(rep.coherent_information
@@ -278,7 +278,7 @@ class TestReport:
         states = tuple(qcore.apply_channel(bell.density(), ch, [0])
                        for bell in ghz_basis(2).states)
         factors = [ch, QuantumChannel((np.eye(2),))]
-        uniform = capacity.report(states, factors)
+        uniform = capacity.report(classical_capacity(states), factors)
         assert uniform.classical_capacity == uniform.holevo
 
     def test_one_eigensolve_for_the_output_mixture(self, monkeypatch):
@@ -296,7 +296,7 @@ class TestReport:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        rep = capacity.report(outputs, noise_factors(spec, 4))
+        rep = capacity.report(classical_capacity(outputs), noise_factors(spec, 4))
         assert sizes.count((16, 16)) == 1
         assert max(sizes) == (16, 16)
         assert rep.holevo == rep.classical_capacity == expected
@@ -315,7 +315,7 @@ class TestReport:
             return original(input_ens, ch)
 
         monkeypatch.setattr(capacity, "entropy_exchange", counted)
-        rep = capacity.report(outputs, factors)
+        rep = capacity.report(classical_capacity(outputs), factors)
         assert len(seen) == len(factors)
         assert all(a is b for a, b in zip(seen, factors))
         # the shared per-factor value keeps the summation order of the
@@ -338,7 +338,7 @@ class TestReport:
                                       for v in range(2 ** n)])
         factors = noise_factors(spec, n)
         oracle = full_space_channel(factors)
-        rep = capacity.report(ideal.states, factors)
+        rep = capacity.report(classical_capacity(ideal.states), factors)
         # the entropy kernels drop eigenvalues below 1e-12; products of small
         # per-qubit eigenvalues (p near 0 or 1) can fall under that floor on
         # the full space while every factor stays above it, so the oracle may

@@ -2,8 +2,11 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ghzsdc import cli, harness, purify, qcore, qnn
+from ghzsdc.capacity import classical_capacity
 from ghzsdc.harness import (
     CSV_HEADER,
     CorrectionPipeline,
@@ -13,9 +16,19 @@ from ghzsdc.harness import (
     noise_factors,
     p_grid,
     run_sweep,
+    score_point,
 )
 from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
-from ghzsdc.sdc import Codeword, run_protocol, shared_state
+from ghzsdc.sdc import (
+    Codeword,
+    _frame,
+    distribute,
+    ideal_received_state,
+    run_protocol,
+    shared_state,
+    transmit,
+    twirl,
+)
 
 from full_space import full_space_channel
 
@@ -195,6 +208,23 @@ class TestRunSweep:
                       for x in range(2 ** cfg.n)]
             assert record.avg_fidelity == np.mean(single)
 
+    def test_return_channel_built_once_per_point(self, monkeypatch):
+        # amplitude-damping return noise is scored per codeword; the 2^n
+        # transmits share one channel instead of building one each
+        built = []
+        validate = qcore.QuantumChannel.__post_init__
+
+        def counted(self):
+            built.append(self)
+            validate(self)
+
+        make_channel.cache_clear()
+        monkeypatch.setattr(qcore.QuantumChannel, "__post_init__", counted)
+        cfg = small_config(noise_kind=NoiseKind.AMPLITUDE_DAMPING, n=5, p_start=0.3,
+                           p_stop=0.3, noise_stage=NoiseStage.DISTRIBUTION_AND_RETURN)
+        run_sweep(cfg)
+        assert len(built) <= 2
+
     def test_model_width_mismatch_rejected(self, tmp_path):
         model = qnn.identity_model(qnn.NetworkArchitecture(2, 1))
         path = tmp_path / "model.txt"
@@ -202,6 +232,65 @@ class TestRunSweep:
         cfg = small_config(pipeline="qnn", model_path=str(path))
         with pytest.raises(ValueError, match="width"):
             run_sweep(cfg)
+
+
+# Every kind at stage dist, and the Pauli kinds at stage both: the points
+# whose outputs are one orbit U_x sigma U_x^dag.
+ORBIT_NOISE = ([(kind, NoiseStage.DISTRIBUTION_ONLY) for kind in NoiseKind]
+               + [(kind, NoiseStage.DISTRIBUTION_AND_RETURN)
+                  for kind in (NoiseKind.BIT_FLIP, NoiseKind.PHASE_FLIP, NoiseKind.DEPOLARIZING)])
+
+
+class TestOrbitScoring:
+    def test_orbit_predicate(self):
+        for kind in NoiseKind:
+            for stage in NoiseStage:
+                assert NoiseSpec(kind, 0.3, stage).is_orbit == ((kind, stage) in ORBIT_NOISE)
+
+    @settings(max_examples=30, deadline=None)
+    @example(n=3, noise_=ORBIT_NOISE[0], pipeline="raw", p=0.0)
+    @example(n=7, noise_=ORBIT_NOISE[-1], pipeline="purify", p=1.0)
+    @example(n=5, noise_=ORBIT_NOISE[4], pipeline="raw", p=1.0)
+    @example(n=4, noise_=ORBIT_NOISE[5], pipeline="purify", p=0.0)
+    @given(n=st.integers(3, 7), noise_=st.sampled_from(ORBIT_NOISE),
+           pipeline=st.sampled_from(["raw", "purify"]), p=st.floats(0.0, 1.0))
+    def test_matches_per_codeword_oracle(self, n, noise_, pipeline, p):
+        spec = NoiseSpec(noise_[0], p, noise_[1])
+        corrector = CorrectionPipeline(purify_rounds=1 if pipeline == "purify" else 0)
+        shared = corrector(distribute(n, spec))
+        avg_fidelity, rep = score_point(shared, spec)
+        codes = [Codeword(n, x) for x in range(2 ** n)]
+        outputs = [transmit(shared, code, spec) for code in codes]
+        fidelities = [qcore.fidelity(ideal_received_state(n, code), rho)
+                      for code, rho in zip(codes, outputs)]
+        assert avg_fidelity == np.mean(fidelities)
+        assert abs(rep.holevo - classical_capacity(outputs)) < 1e-13
+        # the closed-form twirl against the mean of the encoder gathers;
+        # codeword 0 encodes with the identity, so output 0 is sigma
+        sigma = outputs[0]
+        explicit = np.zeros_like(sigma.matrix)
+        for code in codes:
+            image, sign = _frame(code)
+            explicit += (sigma.matrix * np.outer(sign, sign))[np.ix_(image, image)]
+        assert np.max(np.abs(twirl(sigma).matrix - explicit / 2 ** n)) < 1e-15
+
+    # Distribution noise touches qubit 0 only, so an n-qubit point is the
+    # 3-qubit point plus n - 3 noiseless bits; this is the only check at
+    # n = 8..10, where the per-codeword oracle is too slow.
+    @settings(max_examples=20, deadline=None)
+    @example(n=10, kind=NoiseKind.AMPLITUDE_DAMPING, pipeline="raw", p=0.2)
+    @example(n=4, kind=NoiseKind.DEPOLARIZING, pipeline="purify", p=0.0)
+    @example(n=9, kind=NoiseKind.BIT_FLIP, pipeline="purify", p=1.0)
+    @given(n=st.integers(4, 9), kind=st.sampled_from(NoiseKind),
+           pipeline=st.sampled_from(["raw", "purify"]), p=st.floats(0.0, 1.0))
+    def test_distribution_noise_reduces_to_three_qubits(self, n, kind, pipeline, p):
+        (wide,) = run_sweep(small_config(noise_kind=kind, n=n, pipeline=pipeline,
+                                         p_start=p, p_stop=p))
+        (narrow,) = run_sweep(small_config(noise_kind=kind, n=3, pipeline=pipeline,
+                                           p_start=p, p_stop=p))
+        assert abs(wide.holevo - (n - 3) - narrow.holevo) < 1e-12
+        assert abs(wide.avg_fidelity - narrow.avg_fidelity) < 1e-15
+        assert abs(wide.coherent_info - narrow.coherent_info - (n - 3)) < 1e-12
 
 
 class TestEmitRecords:
@@ -324,6 +413,18 @@ class TestCli:
         for field in ("holevo", "classical capacity", "entropy exchange",
                       "coherent information", "quantum capacity"):
             assert field in out
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("stage", list(NoiseStage))
+    def test_capacity_matches_sweep_record(self, kind, stage, capsys):
+        rc = cli.main(["capacity", "--noise", kind.value, "--noise-stage", stage.value,
+                       "--n", "4", "--p", "0.3"])
+        assert rc == 0
+        printed = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        (record,) = run_sweep(small_config(noise_kind=kind, noise_stage=stage, n=4,
+                                           p_start=0.3, p_stop=0.3))
+        assert printed["holevo"] == f"{record.holevo:.6f} bits"
+        assert printed["coherent information"] == f"{record.coherent_info:.6f} bits"
 
     def test_errors_exit_nonzero(self, tmp_path, capsys):
         rc = cli.main(["sweep", "--noise", "bit-flip", "--p-start", "0.5",
