@@ -8,6 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .noise import NoiseSpec, NoiseStage, make_channel
 from .qcore import DensityOperator, QuantumChannel, _spectrum_entropy, basis_state, von_neumann_entropy
 from .sdc import twirl
 
@@ -130,26 +131,25 @@ def quantum_capacity(input_ens: EnsembleSpec, ch: QuantumChannel) -> float:
     return max(coherent_information(input_ens, ch), 0.0)
 
 
-def report(chi: float, factors: Sequence[QuantumChannel]) -> CapacityReport:
+def report(chi: float, spec: NoiseSpec, n: int) -> CapacityReport:
     """Bundle every quantity for one protocol configuration.
 
     `chi` is the Holevo value of the output states at uniform priors
     (`classical_capacity`, or `orbit_holevo` of one state when the outputs
     are one orbit); it fills both the holevo and the classical capacity. The
-    channel side scores the noise channel, given as one single-qubit channel
-    per qubit (the identity on an untouched qubit), on the ideal pure encoded
-    inputs. Those form a full GHZ basis, so their uniform mix is I/d, the
-    product of I/2 on every qubit; for a product channel the entropy exchange
-    and the coherent information are then sums of one 2x2 term per qubit on
-    the uniform {|0>, |1>} ensemble, sharing each factor's entropy exchange."""
+    channel side scores the noise of `spec` on the ideal encoded inputs of
+    n qubits, as one 2x2 term per noisy qubit and 0 and 1 bit per untouched
+    one: the ideal inputs mix to I/d, and the noise is a product."""
+    noisy = n if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN else 1
+    ch = make_channel(spec.kind, spec.p)
     half = EnsembleSpec.uniform([basis_state(1, 0).density(), basis_state(1, 1).density()])
-    exchanges = [entropy_exchange(half, f) for f in factors]
-    icoh = sum(von_neumann_entropy(_channel_output(half, f)) - s_e
-               for f, s_e in zip(factors, exchanges))
+    s_e = entropy_exchange(half, ch)
+    term = von_neumann_entropy(_channel_output(half, ch)) - s_e
+    icoh = sum([term] * noisy + [1.0] * (n - noisy))
     return CapacityReport(
         holevo=chi,
         classical_capacity=chi,
-        entropy_exchange=sum(exchanges),
+        entropy_exchange=sum([s_e] * noisy),
         coherent_information=icoh,
         quantum_capacity=max(icoh, 0.0),
     )

@@ -102,15 +102,6 @@ def p_grid(cfg: SweepConfig) -> List[float]:
     return values
 
 
-def noise_factors(spec: NoiseSpec, n: int) -> List[qcore.QuantumChannel]:
-    """The scored noise channel as one single-qubit channel per qubit: the
-    noise on qubit 0 (distribution), and on every remaining qubit for stage
-    `both`; the identity channel on an untouched qubit."""
-    single = make_channel(spec.kind, spec.p)
-    both = spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN
-    return [single] + [single if both else qcore.QuantumChannel((qcore.I2,))] * (n - 1)
-
-
 def train_inline_model(cfg: SweepConfig, p_train: float) -> qnn.QnnModel:
     """Train a corrector on noisy-distribution trajectories of the shared
     state, targeting the ideal shared state."""
@@ -154,8 +145,7 @@ def score_point(shared: DensityOperator, spec: NoiseSpec) -> Tuple[float, capaci
     return noise applied once at stage both (codeword 0 encodes with the
     identity). Every fidelity is then <GHZ|sigma|GHZ> and the Holevo value is
     `capacity.orbit_holevo(sigma)`. Otherwise each codeword is transmitted and
-    scored on its own. The noise channel is scored from its single-qubit
-    factors (see `capacity.report`)."""
+    scored on its own. `capacity.report` scores the noise channel."""
     n = shared.qubit_count
     if spec.is_orbit:
         sigma = shared
@@ -169,7 +159,7 @@ def score_point(shared: DensityOperator, spec: NoiseSpec) -> Tuple[float, capaci
         fidelities = [qcore.fidelity(ideal_received_state(n, code), rho)
                       for code, rho in zip(codes, outputs)]
         chi = capacity.classical_capacity(outputs)
-    return float(np.mean(fidelities)), capacity.report(chi, noise_factors(spec, n))
+    return float(np.mean(fidelities)), capacity.report(chi, spec, n)
 
 
 def run_sweep(cfg: SweepConfig) -> List[SweepRecord]:

@@ -56,8 +56,8 @@ class SdcRunResult:
 @lru_cache(maxsize=None)
 def ghz_basis(n: int) -> GhzBasis:
     """Orthonormal basis of 2^n GHZ states on n qubits."""
-    if not 2 <= n <= 12:
-        raise ValueError(f"GHZ basis supports 2..12 qubits, got {n}")
+    if not 2 <= n <= qcore.MAX_DENSITY_QUBITS:
+        raise ValueError(f"GHZ basis supports 2..{qcore.MAX_DENSITY_QUBITS} qubits, got {n}")
     dim = 2 ** n
     states = []
     for k in range(dim // 2):
@@ -124,9 +124,11 @@ def ideal_received_state(n: int, code: Codeword) -> StateVector:
 
 def distribute(n: int, noise: NoiseSpec) -> DensityOperator:
     """The shared GHZ state after distribution: the channel acts on qubit 0
-    (Bob's) only; Alice's qubits 1..n-1 are untouched."""
-    rho = shared_state(n).density()
-    return qcore.apply_channel(rho, make_channel(noise.kind, noise.p), [0])
+    (Bob's) only; Alice's qubits 1..n-1 are untouched. The channel acts on
+    the bare outer product, and only the distributed state is validated."""
+    amps = shared_state(n).amplitudes
+    rho = np.outer(amps, amps.conj())
+    return DensityOperator(qcore._kraus_sum(make_channel(noise.kind, noise.p), rho, [0], n))
 
 
 def transmit(shared: DensityOperator, code: Codeword, noise: NoiseSpec) -> DensityOperator:

@@ -13,12 +13,11 @@ from ghzsdc.capacity import (
     holevo,
     quantum_capacity,
 )
-from ghzsdc.harness import noise_factors
 from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from ghzsdc.qcore import DensityOperator, QuantumChannel, StateVector, basis_state
 from ghzsdc.sdc import Codeword, distribute, ghz_basis, ideal_received_state, transmit
 
-from full_space import full_space_channel
+from full_space import full_space_channel, noise_factors
 
 
 def binary_entropy(x):
@@ -256,16 +255,16 @@ class TestQuantumCapacity:
 
 class TestReport:
     def test_fields_consistent_with_components(self):
-        ch = make_channel(NoiseKind.AMPLITUDE_DAMPING, 0.3)
+        spec = NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, 0.3)
+        ch = make_channel(spec.kind, spec.p)
         output_states = tuple(
             qcore.apply_channel(bell.density(), ch, [0])
             for bell in ghz_basis(2).states)
         output_ens = EnsembleSpec.uniform(output_states)
         input_ens = EnsembleSpec.uniform(tuple(
             bell.density() for bell in ghz_basis(2).states))
-        factors = [ch, QuantumChannel((np.eye(2),))]
-        embedded = full_space_channel(factors)
-        rep = capacity.report(classical_capacity(output_states), factors)
+        embedded = full_space_channel(noise_factors(spec, 2))
+        rep = capacity.report(classical_capacity(output_states), spec, 2)
         assert abs(rep.holevo - holevo(output_ens)) < 1e-12
         assert abs(rep.entropy_exchange - entropy_exchange(input_ens, embedded)) < 1e-12
         assert abs(rep.coherent_information
@@ -277,8 +276,8 @@ class TestReport:
         ch = make_channel(NoiseKind.AMPLITUDE_DAMPING, 0.3)
         states = tuple(qcore.apply_channel(bell.density(), ch, [0])
                        for bell in ghz_basis(2).states)
-        factors = [ch, QuantumChannel((np.eye(2),))]
-        uniform = capacity.report(classical_capacity(states), factors)
+        uniform = capacity.report(classical_capacity(states),
+                                  NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, 0.3), 2)
         assert uniform.classical_capacity == uniform.holevo
 
     def test_one_eigensolve_for_the_output_mixture(self, monkeypatch):
@@ -296,17 +295,23 @@ class TestReport:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        rep = capacity.report(classical_capacity(outputs), noise_factors(spec, 4))
+        rep = capacity.report(classical_capacity(outputs), spec, 4)
         assert sizes.count((16, 16)) == 1
         assert max(sizes) == (16, 16)
         assert rep.holevo == rep.classical_capacity == expected
 
-    def test_one_entropy_exchange_per_factor(self, monkeypatch):
-        spec = NoiseSpec(NoiseKind.DEPOLARIZING, 0.3, NoiseStage.DISTRIBUTION_AND_RETURN)
-        factors = noise_factors(spec, 3)
-        outputs = [transmit(distribute(3, spec), Codeword(3, x), spec) for x in range(8)]
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("stage", list(NoiseStage))
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.75, 1.0])
+    def test_one_entropy_exchange_per_report(self, n, kind, stage, p, monkeypatch):
+        # one exchange of the single-qubit channel serves every noisy qubit,
+        # and the sums keep the per-factor order, bit for bit
+        spec = NoiseSpec(kind, p, stage)
         half = EnsembleSpec.uniform([basis_state(1, 0).density(), basis_state(1, 1).density()])
+        factors = noise_factors(spec, n)
         expected_icoh = sum(coherent_information(half, f) for f in factors)
+        expected_exchange = sum(entropy_exchange(half, f) for f in factors)
         seen = []
         original = capacity.entropy_exchange
 
@@ -315,12 +320,12 @@ class TestReport:
             return original(input_ens, ch)
 
         monkeypatch.setattr(capacity, "entropy_exchange", counted)
-        rep = capacity.report(classical_capacity(outputs), factors)
-        assert len(seen) == len(factors)
-        assert all(a is b for a, b in zip(seen, factors))
-        # the shared per-factor value keeps the summation order of the
-        # per-factor coherent information, bit for bit
+        rep = capacity.report(1.5, spec, n)
+        assert len(seen) == 1
+        assert seen[0] is make_channel(kind, p)
         assert rep.coherent_information == expected_icoh
+        assert rep.entropy_exchange == expected_exchange
+        assert rep.quantum_capacity == max(expected_icoh, 0.0)
 
     @settings(max_examples=25, deadline=None)
     @example(n=5, kind=NoiseKind.AMPLITUDE_DAMPING, stage=NoiseStage.DISTRIBUTION_AND_RETURN, p=0.0)
@@ -336,9 +341,8 @@ class TestReport:
         spec = NoiseSpec(kind, p, stage)
         ideal = EnsembleSpec.uniform([ideal_received_state(n, Codeword(n, v)).density()
                                       for v in range(2 ** n)])
-        factors = noise_factors(spec, n)
-        oracle = full_space_channel(factors)
-        rep = capacity.report(classical_capacity(ideal.states), factors)
+        oracle = full_space_channel(noise_factors(spec, n))
+        rep = capacity.report(classical_capacity(ideal.states), spec, n)
         # the entropy kernels drop eigenvalues below 1e-12; products of small
         # per-qubit eigenvalues (p near 0 or 1) can fall under that floor on
         # the full space while every factor stays above it, so the oracle may

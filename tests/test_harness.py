@@ -13,7 +13,6 @@ from ghzsdc.harness import (
     SweepConfig,
     SweepRecord,
     emit_records,
-    noise_factors,
     p_grid,
     run_sweep,
     score_point,
@@ -30,7 +29,7 @@ from ghzsdc.sdc import (
     twirl,
 )
 
-from full_space import full_space_channel
+from full_space import full_space_channel, noise_factors
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -171,7 +170,7 @@ class TestRunSweep:
             run_sweep(small_config(n=2, pipeline="qnn", train_iters=5, trajectories=5))
 
     def test_both_stage_depolarizing_at_six_qubits(self):
-        # the channel columns come from the per-qubit factors; the return
+        # the channel columns are one single-qubit term per qubit; the return
         # noise touches every qubit, so each contributes 1 - H(1-p, p/3, p/3, p/3)
         p = 0.2
         (record,) = run_sweep(small_config(noise_kind=NoiseKind.DEPOLARIZING, n=6,
@@ -210,7 +209,7 @@ class TestRunSweep:
 
     def test_return_channel_built_once_per_point(self, monkeypatch):
         # amplitude-damping return noise is scored per codeword; the 2^n
-        # transmits share one channel instead of building one each
+        # transmits and the capacity report share one channel
         built = []
         validate = qcore.QuantumChannel.__post_init__
 
@@ -223,7 +222,7 @@ class TestRunSweep:
         cfg = small_config(noise_kind=NoiseKind.AMPLITUDE_DAMPING, n=5, p_start=0.3,
                            p_stop=0.3, noise_stage=NoiseStage.DISTRIBUTION_AND_RETURN)
         run_sweep(cfg)
-        assert len(built) <= 2
+        assert len(built) == 1
 
     def test_model_width_mismatch_rejected(self, tmp_path):
         model = qnn.identity_model(qnn.NetworkArchitecture(2, 1))
@@ -342,6 +341,20 @@ class TestEmitRecords:
         emit_records(run_sweep(cfg), path)
         assert path.read_text() == (DATA_DIR / "sweep_ad_purify_n3.csv").read_text()
 
+    # frozen both-stage outputs, where every qubit is noisy: amplitude damping
+    # scores each codeword and purifies, depolarizing scores one orbit state
+    @pytest.mark.parametrize("kind, pipeline, golden", [
+        (NoiseKind.AMPLITUDE_DAMPING, "purify", "sweep_both_ad_purify_n4.csv"),
+        (NoiseKind.DEPOLARIZING, "raw", "sweep_both_depol_raw_n4.csv"),
+    ])
+    def test_both_stage_golden_fixture(self, kind, pipeline, golden, tmp_path):
+        cfg = SweepConfig(noise_kind=kind, p_start=0.0, p_stop=1.0, p_step=0.125, n=4,
+                          pipeline=pipeline, noise_stage=NoiseStage.DISTRIBUTION_AND_RETURN,
+                          seed=0)
+        path = tmp_path / "out.csv"
+        emit_records(run_sweep(cfg), path)
+        assert path.read_bytes() == (DATA_DIR / golden).read_bytes()
+
 
 QNN_SWEEP_ARGS = ["sweep", "--noise", "amplitude-damping", "--n", "3", "--pipeline", "qnn",
                   "--p-start", "0", "--p-stop", "0.5", "--p-step", "0.1", "--seed", "0"]
@@ -413,6 +426,11 @@ class TestCli:
         for field in ("holevo", "classical capacity", "entropy exchange",
                       "coherent information", "quantum capacity"):
             assert field in out
+
+    def test_capacity_above_density_cap_fails_fast(self, capsys):
+        rc = cli.main(["capacity", "--noise", "amplitude-damping", "--n", "11", "--p", "0.2"])
+        assert rc == 1
+        assert "GHZ basis supports 2..10 qubits" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     @pytest.mark.parametrize("stage", list(NoiseStage))

@@ -86,6 +86,8 @@ class TestGhzBasis:
             ghz_basis(1)
         with pytest.raises(ValueError):
             ghz_basis(13)
+        with pytest.raises(ValueError, match="2..10 qubits"):
+            ghz_basis(11)
 
 
 class TestCodeword:
@@ -193,6 +195,20 @@ class TestStages:
         assert np.array_equal(got.matrix, want.matrix)
         assert abs(np.trace(got.matrix).real - 1) < qcore.ATOL
         assert got.spectrum.min() >= -qcore.ATOL
+
+    def test_distribute_validates_once(self, monkeypatch):
+        # the noiseless GHZ density is a program constant; only the channel
+        # output is validated
+        built = []
+        validate = DensityOperator.__post_init__
+
+        def counted(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(DensityOperator, "__post_init__", counted)
+        distribute(4, NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, 0.3))
+        assert len(built) == 1
 
     @pytest.mark.parametrize("shared_n, code_n", [(4, 3), (3, 4)])
     def test_transmit_rejects_width_mismatch(self, shared_n, code_n):
