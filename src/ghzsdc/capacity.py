@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .noise import NoiseSpec, NoiseStage, make_channel
-from .qcore import DensityOperator, QuantumChannel, _spectrum_entropy, basis_state, von_neumann_entropy
+from .qcore import DensityOperator, QuantumChannel, _spectrum_entropy, von_neumann_entropy
 from .sdc import twirl
 
 
@@ -111,19 +111,21 @@ def entropy_exchange(input_ens: EnsembleSpec, ch: QuantumChannel) -> float:
     dim = input_ens.states[0].matrix.shape[0]
     if ch.kraus_ops[0].shape[0] != dim:
         raise ValueError("channel dimension does not match the ensemble states")
-    gram = _environment_gram(_mixture(input_ens), ch)
-    return _spectrum_entropy(np.linalg.eigvalsh(gram))
+    return _exchange(_mixture(input_ens), ch)
 
 
-def _channel_output(ens: EnsembleSpec, ch: QuantumChannel) -> DensityOperator:
-    mix = _mixture(ens)
-    out = sum(k @ mix @ k.conj().T for k in ch.kraus_ops)
-    return DensityOperator(out)
+def _exchange(mix: np.ndarray, ch: QuantumChannel) -> float:
+    """Entropy exchange of `ch` on the input state `mix`, unchecked."""
+    return _spectrum_entropy(np.linalg.eigvalsh(_environment_gram(mix, ch)))
+
+
+def _channel_output(mix: np.ndarray, ch: QuantumChannel) -> DensityOperator:
+    return DensityOperator(sum(k @ mix @ k.conj().T for k in ch.kraus_ops))
 
 
 def coherent_information(input_ens: EnsembleSpec, ch: QuantumChannel) -> float:
     """S(channel output mixture) - entropy exchange; may be negative."""
-    return von_neumann_entropy(_channel_output(input_ens, ch)) - entropy_exchange(input_ens, ch)
+    return von_neumann_entropy(_channel_output(_mixture(input_ens), ch)) - entropy_exchange(input_ens, ch)
 
 
 def quantum_capacity(input_ens: EnsembleSpec, ch: QuantumChannel) -> float:
@@ -138,12 +140,12 @@ def report(chi: float, spec: NoiseSpec, n: int) -> CapacityReport:
     (`classical_capacity`, or `orbit_holevo` of one state when the outputs
     are one orbit); it fills both the holevo and the classical capacity. The
     channel side scores the noise of `spec` on the ideal encoded inputs of
-    n qubits, as one 2x2 term per noisy qubit and 0 and 1 bit per untouched
-    one: the ideal inputs mix to I/d, and the noise is a product."""
+    n qubits, as one term of the channel on I/2 per noisy qubit and 0 and 1 bit
+    per untouched one: the ideal inputs mix to I/d, and the noise is a product."""
     noisy = n if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN else 1
     ch = make_channel(spec.kind, spec.p)
-    half = EnsembleSpec.uniform([basis_state(1, 0).density(), basis_state(1, 1).density()])
-    s_e = entropy_exchange(half, ch)
+    half = np.eye(2, dtype=complex) / 2
+    s_e = _exchange(half, ch)
     term = von_neumann_entropy(_channel_output(half, ch)) - s_e
     icoh = sum([term] * noisy + [1.0] * (n - noisy))
     return CapacityReport(

@@ -81,7 +81,7 @@ def sample_trajectory(psi: StateVector, ch: QuantumChannel, targets: Sequence[in
     seeds converges to the channel output.
     """
     targets = _check_targets(targets, ch.qubit_count, psi.qubit_count)
-    branches = [_apply_matrix(k, psi.amplitudes, targets, psi.qubit_count).reshape(-1)
+    branches = [_apply_matrix(k, psi.amplitudes, targets, psi.qubit_count)
                 for k in ch.kraus_ops]
     weights = np.array([np.linalg.norm(b) ** 2 for b in branches])
     weights = weights / weights.sum()

@@ -6,6 +6,9 @@ Conventions
 Qubit 0 is the most significant (leftmost) position of a basis label, so
 |q0 q1 ... q(m-1)> maps to the integer index with q0 as the high bit.
 All entropies are in bits (log base 2).
+
+`_apply_matrix`, the one kernel that maps qubits to array axes, applies the
+noise channels, trajectory branches and QNN perceptrons alike.
 """
 
 from __future__ import annotations
@@ -171,28 +174,40 @@ def _check_targets(targets: Sequence[int], k: int, m: int) -> list:
     return targets
 
 
+def _target_order(targets, m: int) -> list:
+    """Axes of (2,)*m + (columns,): targets in order, other qubits, columns."""
+    return list(targets) + [q for q in range(m + 1) if q not in targets]
+
+
+def _target_rows(arr: np.ndarray, targets, m: int) -> np.ndarray:
+    """`arr` (2^m rows, any columns) as 2^k rows indexed by its k `targets`
+    qubits, in order; columns run over the other qubits, then arr's columns."""
+    order = _target_order(targets, m)
+    return arr.reshape((2,) * m + (-1,)).transpose(order).reshape(2 ** len(targets), -1)
+
+
+def _from_target_rows(rows: np.ndarray, targets, m: int) -> np.ndarray:
+    """Inverse of `_target_rows`: the (2^m, columns) array."""
+    inverse = sorted(range(m + 1), key=_target_order(targets, m).__getitem__)
+    return rows.reshape((2,) * m + (-1,)).transpose(inverse).reshape(2 ** m, -1)
+
+
 def _apply_matrix(mat: np.ndarray, arr: np.ndarray, targets, m: int) -> np.ndarray:
-    """`mat` on the `targets` axes of `arr` viewed as a (2,)*m tensor; returns
-    that tensor, which callers reshape."""
-    k = len(targets)
-    t = arr.reshape((2,) * m)
-    op = mat.reshape((2,) * (2 * k))
-    t = np.tensordot(op, t, axes=(list(range(k, 2 * k)), list(targets)))
-    return np.moveaxis(t, list(range(k)), list(targets))
+    """`mat` on the ordered `targets` of `arr` (a state, a density matrix's rows
+    or a batch of column states), by one matmul; the result has its shape."""
+    return _from_target_rows(mat @ _target_rows(arr, targets, m), targets, m).reshape(arr.shape)
 
 
 def _conjugate_matrix(mat: np.ndarray, rho: np.ndarray, targets, m: int) -> np.ndarray:
-    # rho as a (2,)*2m tensor: row axes 0..m-1, column axes m..2m-1.
-    t = _apply_matrix(mat, rho, targets, 2 * m)
-    t = _apply_matrix(mat.conj(), t, [m + q for q in targets], 2 * m)
-    return t.reshape(2 ** m, 2 ** m)
+    # flattened to one column, rho is a 2m-qubit vector: rows, then columns
+    t = _apply_matrix(mat, rho, targets, m)
+    return _apply_matrix(mat.conj(), t.reshape(-1, 1), [m + q for q in targets], 2 * m).reshape(rho.shape)
 
 
 def embedded_matrix(mat: np.ndarray, targets: Sequence[int], m: int) -> np.ndarray:
     """Expand an operator on `targets` (ordered) to the full 2^m space."""
     targets = _check_targets(targets, _qubit_count_of(mat.shape[0], "operator"), m)
-    dim = 2 ** m
-    return _apply_matrix(mat, np.eye(dim, dtype=complex), targets, 2 * m).reshape(dim, dim)
+    return _apply_matrix(mat, np.eye(2 ** m, dtype=complex), targets, m)
 
 
 def _kraus_sum(ch: QuantumChannel, rho: np.ndarray, targets, m: int) -> np.ndarray:
@@ -233,17 +248,17 @@ def fidelity(psi: StateVector, rho: DensityOperator) -> float:
     if psi.qubit_count != rho.qubit_count:
         raise ValueError("state and operator dimensions differ")
     overlap = float(np.real(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes))
-    if overlap < -1e-12 or overlap > 1.0 + 1e-12:
+    if overlap < -ATOL or overlap > 1.0 + ATOL:
         raise ValueError(f"overlap {overlap} outside [0, 1]")
     return float(np.sqrt(min(max(overlap, 0.0), 1.0)))
 
 
 def _spectrum_entropy(evals: np.ndarray) -> float:
-    """-sum(lambda log2 lambda) over the eigenvalues above 1e-12, in bits.
-    Eigenvalues down to -ATOL, which validation admits, count as zero."""
+    """-sum(lambda log2 lambda) over the positive eigenvalues, in bits (x log x
+    is continuous at 0); eigenvalues down to -ATOL, as validation admits, are 0."""
     if evals.min() < -ATOL:
         raise ValueError(f"matrix eigenvalue {evals.min()} below the clamp floor")
-    evals = evals[evals > 1e-12]
+    evals = evals[evals > 0]
     return float(-np.sum(evals * np.log2(evals)))
 
 

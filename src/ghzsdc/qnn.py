@@ -10,12 +10,11 @@ dropped into the protocol as a noise corrector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .qcore import DensityOperator, StateVector, Unitary
+from .qcore import DensityOperator, StateVector, Unitary, _apply_matrix, _from_target_rows, _target_rows
 
 # Training refuses wider inputs: beyond this the loss fails to converge
 # (runaway gradients), so the cap is explicit rather than silent.
@@ -79,34 +78,13 @@ def identity_model(architecture: NetworkArchitecture) -> QnnModel:
 
 
 # ---------------------------------------------------------------------------
-# Gather path shared by cost evaluation, training and `feedforward`. Each pure
-# input is kept on the full register (input + every layer register, qubit 0
-# high), and the distinct training pairs are the columns of one (2^m, P)
-# array. Perceptron i is applied to all columns at once through its gather
-# permutation: batch[perm] reshaped to (2^(n+1), -1) has the perceptron's
-# target qubits, in order, as its row index, so one matmul applies it and
-# the inverse permutation puts the qubits back. The trace over the non-output
-# registers is deferred to the final overlap with the target.
+# One path for cost, training and `feedforward`: `qcore._apply_matrix` applies
+# each perceptron to the distinct training pairs, the columns of one (2^m, P)
+# full register; the trace over the non-output registers waits for the overlap.
 
-@lru_cache(maxsize=None)
-def _gathers(n: int, depth: int) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-    """(perm, inverse) per perceptron, layer-major, for a register of
-    (depth + 1) * n qubits: perceptron j of transition t targets the
-    transition's input register t*n..(t+1)*n-1, then its fresh qubit
-    (t+1)*n + j. The arrays are shared, so they are read-only."""
-    m = (depth + 1) * n
-    index = np.arange(2 ** m).reshape((2,) * m)
-    out = []
-    for t in range(depth):
-        for j in range(n):
-            targets = list(range(t * n, (t + 1) * n)) + [(t + 1) * n + j]
-            rest = [q for q in range(m) if q not in targets]
-            perm = index.transpose(targets + rest).reshape(-1)
-            inv = np.argsort(perm)
-            perm.flags.writeable = False
-            inv.flags.writeable = False
-            out.append((perm, inv))
-    return tuple(out)
+def _targets(n: int, t: int, j: int) -> list:
+    """Qubits of perceptron j of transition t: t*n..(t+1)*n-1, then (t+1)*n + j."""
+    return list(range(t * n, (t + 1) * n)) + [(t + 1) * n + j]
 
 
 def _batch(architecture: NetworkArchitecture, pairs: Sequence[TrainingPair]):
@@ -126,18 +104,19 @@ def _batch(architecture: NetworkArchitecture, pairs: Sequence[TrainingPair]):
     return register, targets
 
 
-def _forward(model: QnnModel, register: np.ndarray) -> np.ndarray:
-    arch = model.architecture
-    out = register
-    mats = (u.matrix for layer in model.perceptrons for u in layer)
-    for mat, (perm, inv) in zip(mats, _gathers(arch.input_width, arch.hidden_layers)):
-        out = (mat @ out[perm].reshape(mat.shape[0], -1)).reshape(out.shape)[inv]
-    return out
+def _forward(layers, arr: np.ndarray) -> np.ndarray:
+    """The perceptrons of `layers` (transitions 0, 1, ...), in order, on the
+    rows of `arr`, a register of (len(layers) + 1) * n qubits."""
+    n = len(layers[0])
+    for t, layer in enumerate(layers):
+        for j, u in enumerate(layer):
+            arr = _apply_matrix(u.matrix, arr, _targets(n, t, j), (len(layers) + 1) * n)
+    return arr
 
 
 def feedforward(model: QnnModel, rho_in: DensityOperator) -> DensityOperator:
     """Propagate a (possibly mixed) state through the network by the training
-    gather path, layer by layer from its Kraus form: a transition sends the
+    path, layer by layer from its Kraus form: a transition sends the
     basis inputs |i>|0...0> to K_r[o, i] = <r, o|U|i, 0...0> (r labels the
     traced-out input register), and rho becomes sum_r K_r rho K_r^dag. The
     qnn pipelines thus run up to n = MAX_TRAINABLE_WIDTH (6)."""
@@ -150,7 +129,7 @@ def feedforward(model: QnnModel, rho_in: DensityOperator) -> DensityOperator:
     basis = np.kron(np.eye(d), np.eye(d, 1))  # columns |i>|0...0>
     rho = rho_in.matrix
     for layer in model.perceptrons:
-        kraus = _forward(QnnModel(NetworkArchitecture(n, 1), (layer,)), basis).reshape(d, d, d)
+        kraus = _forward((layer,), basis).reshape(d, d, d)
         rho = np.tensordot(kraus @ rho, kraus.conj(), axes=([0, 2], [0, 2]))
     return DensityOperator(rho)
 
@@ -170,7 +149,7 @@ def cost(model: QnnModel, training_set: Sequence[TrainingPair]) -> float:
     """Mean target overlap (1/N) sum_x <target_x| rho_x^out |target_x>."""
     register, targets = _batch(model.architecture, training_set)
     weights = np.full(len(training_set), 1.0 / len(training_set))
-    return _score(_forward(model, register), targets, weights)
+    return _score(_forward(model.perceptrons, register), targets, weights)
 
 
 def _dedupe(training_set: Sequence[TrainingPair]):
@@ -197,22 +176,25 @@ def _ascent(model: QnnModel, out: np.ndarray, targets: np.ndarray,
     `out` of the batch: K_i = i(T - T^dag) with T = sum_x w_x A_x C_x^dag
     over the target-qubit rows of the state A_x and of its projection C_x
     onto the target, both swept back to just after perceptron i."""
-    arch = model.architecture
+    n = model.architecture.input_width
+    m = (model.architecture.hidden_layers + 1) * n
     mats = [u.matrix for layer in model.perceptrons for u in layer]
-    gathers = _gathers(arch.input_width, arch.hidden_layers)
-    # project the output register onto the target, weights on that side
+    # sweep the state and its weighted target projection as one register; an
+    # extra leading qubit picks between them, so perceptron qubits shift by 1
+    qubits = [[q + 1 for q in _targets(n, t, j)]
+              for t in range(model.architecture.hidden_layers) for j in range(n)]
     overlap = _overlaps(out, targets)
     chi = (overlap[:, None, :] * targets[None, :, :]).reshape(out.shape) * weights
-    sweep = np.stack([out, chi])
-    dim = mats[0].shape[0]
-    grads = np.empty((len(mats), dim, dim), dtype=complex)
+    rows = _target_rows(np.concatenate([out, chi]), qubits[-1], m + 1)
+    del chi  # hold at most three full registers at a time
+    half = rows.shape[1] // 2
+    grads = np.empty((len(mats),) + mats[0].shape, dtype=complex)
     for idx in range(len(mats) - 1, -1, -1):
-        perm, inv = gathers[idx]
-        rows = sweep[:, perm].reshape(2, dim, -1)
-        t_ac = rows[0] @ rows[1].conj().T
+        t_ac = rows[:, :half] @ rows[:, half:].conj().T
         grads[idx] = 1j * (t_ac - t_ac.conj().T)
         if idx:
-            sweep = (mats[idx].conj().T @ rows).reshape(sweep.shape)[:, inv]
+            rows = _target_rows(_from_target_rows(mats[idx].conj().T @ rows, qubits[idx], m + 1),
+                                qubits[idx - 1], m + 1)
     return grads
 
 
@@ -222,7 +204,7 @@ def _gradients(model: QnnModel, training_set: Sequence[TrainingPair], weights=No
     register, targets = _batch(model.architecture, training_set)
     if weights is None:
         weights = np.full(len(training_set), 1.0 / len(training_set))
-    return _ascent(model, _forward(model, register), targets, np.asarray(weights))
+    return _ascent(model, _forward(model.perceptrons, register), targets, np.asarray(weights))
 
 
 def _expm_i(h: np.ndarray, eps: float) -> np.ndarray:
@@ -289,7 +271,7 @@ def train(
     register, targets = _batch(architecture, pairs)
     eps = step_size
     # forward state of the current model, reused by its gradient
-    out = _forward(model, register)
+    out = _forward(model.perceptrons, register)
     current = _score(out, targets, weights)
     history = [current]
     converged = False
@@ -302,7 +284,7 @@ def train(
         stepped = None
         while eps > 1e-8:
             candidate = _stepped(model, grads, eps)
-            candidate_out = _forward(candidate, register)
+            candidate_out = _forward(candidate.perceptrons, register)
             new_cost = _score(candidate_out, targets, weights)
             if new_cost >= current - 1e-9:
                 stepped = (candidate, candidate_out, new_cost)

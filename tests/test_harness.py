@@ -251,6 +251,9 @@ class TestOrbitScoring:
     @example(n=7, noise_=ORBIT_NOISE[-1], pipeline="purify", p=1.0)
     @example(n=5, noise_=ORBIT_NOISE[4], pipeline="raw", p=1.0)
     @example(n=4, noise_=ORBIT_NOISE[5], pipeline="purify", p=0.0)
+    # small p: eigenvalues on both sides of the old 1e-12 entropy floor
+    @example(n=3, noise_=(NoiseKind.BIT_FLIP, NoiseStage.DISTRIBUTION_ONLY), pipeline="purify", p=1e-6)
+    @example(n=4, noise_=(NoiseKind.BIT_FLIP, NoiseStage.DISTRIBUTION_AND_RETURN), pipeline="raw", p=1e-12)
     @given(n=st.integers(3, 7), noise_=st.sampled_from(ORBIT_NOISE),
            pipeline=st.sampled_from(["raw", "purify"]), p=st.floats(0.0, 1.0))
     def test_matches_per_codeword_oracle(self, n, noise_, pipeline, p):

@@ -15,9 +15,13 @@ from ghzsdc.qcore import (
     QuantumChannel,
     StateVector,
     Unitary,
+    _apply_matrix,
+    _from_target_rows,
     _spectrum_entropy,
+    _target_rows,
     apply_channel,
     basis_state,
+    embedded_matrix,
     fidelity,
     partial_trace,
     tensor_product,
@@ -185,6 +189,43 @@ class TestApplyUnitary:
             assert np.max(np.abs(before - after)) < 1e-9
 
 
+def kron_embedding(mat, targets, m):
+    """Independent oracle for `embedded_matrix`: mat (x) I with the targets as
+    the high qubits, then the basis relabelled bit by bit into qubit order."""
+    order = list(targets) + [q for q in range(m) if q not in targets]
+    x = np.arange(2 ** m)
+    relabel = sum(((x >> (m - 1 - q)) & 1) << (m - 1 - pos) for pos, q in enumerate(order))
+    full = np.kron(mat, np.eye(2 ** (m - len(targets))))
+    return full[np.ix_(relabel, relabel)]
+
+
+class TestApplyMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 8), columns=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_embedded_matrix(self, data, m, columns, seed):
+        # ordered, possibly non-contiguous targets on rows of several columns
+        k = data.draw(st.integers(1, min(m, 3)))
+        targets = data.draw(st.permutations(range(m)))[:k]
+        rng = np.random.default_rng(seed)
+        mat = rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k))
+        arr = rng.normal(size=(2 ** m, columns)) + 1j * rng.normal(size=(2 ** m, columns))
+        full = embedded_matrix(mat, targets, m)
+        assert np.max(np.abs(full - kron_embedding(mat, targets, m))) < 1e-12
+        out = _apply_matrix(mat, arr, targets, m)
+        assert out.shape == arr.shape
+        assert np.max(np.abs(out - full @ arr)) < 1e-12
+        rows = _target_rows(arr, targets, m)
+        assert rows.shape == (2 ** k, 2 ** (m - k) * columns)
+        assert np.array_equal(_from_target_rows(rows, targets, m), arr)
+
+    def test_state_vector_keeps_its_shape(self):
+        amps = bell_state().amplitudes
+        out = _apply_matrix(SIGMA_X, amps, [1], 2)
+        assert out.shape == (4,)
+        assert np.array_equal(out, amps[[1, 0, 3, 2]])
+
+
 class TestApplyChannel:
     def test_identity_channel(self):
         ch = QuantumChannel((I2,))
@@ -254,3 +295,16 @@ class TestFidelityAndEntropy:
         assert abs(von_neumann_entropy(rho)) < 1e-9
         with pytest.raises(ValueError, match="clamp floor"):
             _spectrum_entropy(np.array([1 + 2e-10, -2e-10]))
+
+    def test_fidelity_admits_what_validation_admits(self):
+        # an eigenvalue ATOL / 2 past 0 or 1 still validates, and is clamped
+        rho = DensityOperator(np.diag([1 + 5e-11, -5e-11]))
+        assert fidelity(basis_state(1, 0), rho) == 1.0
+        assert fidelity(basis_state(1, 1), rho) == 0.0
+
+    def test_entropy_counts_tiny_eigenvalues(self):
+        # x log x is continuous at 0: an eigenvalue of 1e-13 carries 4.3e-12 bits
+        evals = np.array([1e-13, 1 - 1e-13])
+        expected = -(1e-13 * np.log2(1e-13) + (1 - 1e-13) * np.log2(1 - 1e-13))
+        assert abs(_spectrum_entropy(evals) - expected) < 1e-20
+        assert _spectrum_entropy(np.array([0.0, 1.0])) == 0.0
