@@ -19,7 +19,7 @@ def main():
     for p in (0.1, 0.2, 0.3):
         rho = distribute(n, NoiseSpec(NoiseKind.BIT_FLIP, p))
         for rounds in (1, 2, 3):
-            result = purify_iterated(rho, n, rounds)
+            result = purify_iterated(rho, rounds)
             print(f"  {rounds}      {p:.1f}      {result.fidelity_before:.6f}      "
                   f"  {result.fidelity_after:.6f}      {result.success_probability:.6f}")
         print()

@@ -1,7 +1,7 @@
 """GHZ-state superdense coding under noise: density-matrix simulation,
 entanglement purification, QNN correction, and channel-capacity analysis."""
 
-from .capacity import CapacityReport, EnsembleSpec, classical_capacity, coherent_information, entropy_exchange, holevo, quantum_capacity
+from .capacity import CapacityReport, coherent_information, entropy_exchange, holevo
 from .harness import CorrectionPipeline, SweepConfig, SweepRecord, emit_records, run_sweep
 from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel, sample_trajectory
 from .purify import PurificationResult, PurificationUnderflow, purify_iterated, purify_round

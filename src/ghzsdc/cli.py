@@ -82,14 +82,17 @@ def _cmd_train(args) -> None:
         n=args.n, seed=args.seed, trajectories=args.trajectories,
         train_iters=args.iters, hidden_layers=args.layers,
     )
-    model = train_inline_model(cfg, args.p)
+    model, rep = train_inline_model(cfg, args.p)
     qnn.save_model(model, args.out)
     print(f"saved model to {args.out}")
+    print(f"final cost: {rep.final_cost:.6f}")
+    print(f"iterations: {rep.iterations}")
+    print(f"converged: {rep.converged}")
 
 
 def _cmd_purify_demo(args) -> None:
     rho = distribute(args.n, NoiseSpec(NoiseKind(args.noise), args.p))
-    result = purify.purify_iterated(rho, args.n, args.rounds)
+    result = purify.purify_iterated(rho, args.rounds)
     print(f"fidelity before: {result.fidelity_before:.6f}")
     print(f"fidelity after {args.rounds} round(s): {result.fidelity_after:.6f}")
     print(f"compound success probability: {result.success_probability:.6f}")

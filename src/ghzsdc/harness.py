@@ -86,7 +86,7 @@ class CorrectionPipeline:
 
     def __call__(self, rho: DensityOperator) -> DensityOperator:
         if self.purify_rounds > 0:
-            rho = purify.purify_iterated(rho, rho.qubit_count, self.purify_rounds).kept_state
+            rho = purify.purify_iterated(rho, self.purify_rounds).kept_state
         if self.model is not None:
             rho = qnn.feedforward(self.model, rho)
         return rho
@@ -102,9 +102,9 @@ def p_grid(cfg: SweepConfig) -> List[float]:
     return values
 
 
-def train_inline_model(cfg: SweepConfig, p_train: float) -> qnn.QnnModel:
+def train_inline_model(cfg: SweepConfig, p_train: float) -> Tuple[qnn.QnnModel, qnn.TrainingReport]:
     """Train a corrector on noisy-distribution trajectories of the shared
-    state, targeting the ideal shared state."""
+    state, targeting the ideal shared state; returns it with its report."""
     psi = shared_state(cfg.n)
     single = make_channel(cfg.noise_kind, p_train)
     seed_root = np.random.default_rng(cfg.seed).integers(0, 2 ** 31, size=cfg.trajectories)
@@ -113,8 +113,7 @@ def train_inline_model(cfg: SweepConfig, p_train: float) -> qnn.QnnModel:
         for s in seed_root
     ]
     arch = qnn.NetworkArchitecture(cfg.n, cfg.hidden_layers)
-    model, _ = qnn.train(arch, pairs, max_iters=cfg.train_iters, rng_seed=cfg.seed)
-    return model
+    return qnn.train(arch, pairs, max_iters=cfg.train_iters, rng_seed=cfg.seed)
 
 
 def _build_corrector(cfg: SweepConfig) -> CorrectionPipeline:
@@ -129,7 +128,7 @@ def _build_corrector(cfg: SweepConfig) -> CorrectionPipeline:
                     f"model width {model.architecture.input_width} differs from n={cfg.n}")
         else:
             p_train = cfg.train_at if cfg.train_at is not None else 0.3
-            model = train_inline_model(cfg, p_train)
+            model, _ = train_inline_model(cfg, p_train)
     return CorrectionPipeline(
         purify_rounds=cfg.rounds if wants_purify else 0,
         model=model,
@@ -158,7 +157,7 @@ def score_point(shared: DensityOperator, spec: NoiseSpec) -> Tuple[float, capaci
         outputs = [transmit(shared, code, spec) for code in codes]
         fidelities = [qcore.fidelity(ideal_received_state(n, code), rho)
                       for code, rho in zip(codes, outputs)]
-        chi = capacity.classical_capacity(outputs)
+        chi = capacity.holevo(outputs)
     return float(np.mean(fidelities)), capacity.report(chi, spec, n)
 
 

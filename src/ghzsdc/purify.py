@@ -34,8 +34,8 @@ class PurificationResult:
     rounds: int
 
 
-def purify_round(pair_state: DensityOperator, n: int) -> PurificationResult:
-    """One purification round on a 2n-qubit pair state.
+def purify_round(pair_state: DensityOperator) -> PurificationResult:
+    """One purification round on a 2n-qubit pair state; an odd width is rejected.
 
     Qubits 0..n-1 are the control copy (kept on success), qubits n..2n-1 the
     target copy. CNOTs run from control qubit i to target qubit i; the target
@@ -47,8 +47,9 @@ def purify_round(pair_state: DensityOperator, n: int) -> PurificationResult:
     P[rows_0, rows_0] + P[rows_M, rows_M] with M = 2^n - 1, and its trace is
     the success probability (Bennett et al., PRL 76, 722, 1996).
     """
-    if pair_state.qubit_count != 2 * n:
-        raise ValueError(f"pair state has {pair_state.qubit_count} qubits, expected {2 * n}")
+    n, odd = divmod(pair_state.qubit_count, 2)
+    if odd:
+        raise ValueError(f"pair state has an odd qubit count {pair_state.qubit_count}")
     ideal = shared_state(n)
     fidelity_before = qcore.fidelity(ideal, qcore.partial_trace(pair_state, range(n)))
 
@@ -67,7 +68,7 @@ def purify_round(pair_state: DensityOperator, n: int) -> PurificationResult:
     )
 
 
-def purify_iterated(source_state: DensityOperator, n: int, rounds: int) -> PurificationResult:
+def purify_iterated(source_state: DensityOperator, rounds: int) -> PurificationResult:
     """Iterate purification, each round consuming two i.i.d. copies of the
     previous round's output; reports the compound acceptance probability.
 
@@ -76,8 +77,7 @@ def purify_iterated(source_state: DensityOperator, n: int, rounds: int) -> Purif
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if source_state.qubit_count != n:
-        raise ValueError(f"source state has {source_state.qubit_count} qubits, expected {n}")
+    n = source_state.qubit_count
     ideal = shared_state(n)
     a = np.arange(2 ** n)
     state = source_state

@@ -60,14 +60,12 @@ def ghz_basis(n: int) -> GhzBasis:
         raise ValueError(f"GHZ basis supports 2..{qcore.MAX_DENSITY_QUBITS} qubits, got {n}")
     dim = 2 ** n
     states = []
-    for k in range(dim // 2):
-        # k-th bit pattern with a leading 0, paired with its complement
-        b = k
-        b_comp = (dim - 1) ^ b
+    for b in range(dim // 2):
+        # the b-th bit pattern with a leading 0, paired with its complement
         for sign in (1.0, -1.0):
             amps = np.zeros(dim, dtype=complex)
             amps[b] = 1 / np.sqrt(2)
-            amps[b_comp] = sign / np.sqrt(2)
+            amps[(dim - 1) ^ b] = sign / np.sqrt(2)
             states.append(StateVector(amps))
     return GhzBasis(n, tuple(states))
 
@@ -97,21 +95,21 @@ def encode_usdc(code: Codeword) -> Unitary:
     return Unitary(mat)
 
 
-def decode_ghz(rho: DensityOperator, n: int) -> np.ndarray:
+def decode_ghz(rho: DensityOperator) -> np.ndarray:
     """Probability of each GHZ-basis outcome: entry i is <Psi_{i+1}|rho|Psi_{i+1}>."""
-    if rho.qubit_count != n:
-        raise ValueError(f"state has {rho.qubit_count} qubits, expected {n}")
-    basis = ghz_basis(n)
-    probs = np.array([
-        float(np.real(s.amplitudes.conj() @ rho.matrix @ s.amplitudes))
-        for s in basis.states
-    ])
+    probs = [float(np.real(s.amplitudes.conj() @ rho.matrix @ s.amplitudes))
+             for s in ghz_basis(rho.qubit_count).states]
     return np.clip(probs, 0.0, None)
 
 
+@lru_cache(maxsize=None)
 def shared_state(n: int) -> StateVector:
     """The pre-shared n-qubit GHZ state (|0...0> + |1...1>)/sqrt(2)."""
-    return ghz_basis(n).states[0]
+    if not 2 <= n <= qcore.MAX_DENSITY_QUBITS:
+        raise ValueError(f"GHZ basis supports 2..{qcore.MAX_DENSITY_QUBITS} qubits, got {n}")
+    amps = np.zeros(2 ** n, dtype=complex)
+    amps[[0, -1]] = 1 / np.sqrt(2)
+    return StateVector(amps)
 
 
 def ideal_received_state(n: int, code: Codeword) -> StateVector:
@@ -182,4 +180,4 @@ def run_protocol(
         rho = corrector(rho)
     rho = transmit(rho, code, noise)
     target = ideal_received_state(n, code)
-    return SdcRunResult(code, rho, decode_ghz(rho, n), qcore.fidelity(target, rho))
+    return SdcRunResult(code, rho, decode_ghz(rho), qcore.fidelity(target, rho))

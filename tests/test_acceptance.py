@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ghzsdc import capacity, qcore, qnn
-from ghzsdc.capacity import EnsembleSpec, entropy_exchange
+from ghzsdc.capacity import entropy_exchange
 from ghzsdc.harness import SweepConfig, emit_records, run_sweep
 from ghzsdc.noise import NoiseKind, NoiseStage, make_channel, sample_trajectory
 from ghzsdc.purify import purify_round
@@ -95,7 +95,7 @@ def test_criterion_4_purification_gain():
         for q in (0.05, 0.15, 0.25, 0.35, 0.45):
             copy = qcore.apply_channel(shared_state(n).density(),
                                        make_channel(NoiseKind.BIT_FLIP, q), [0])
-            result = purify_round(qcore.tensor_product(copy, copy), n)
+            result = purify_round(qcore.tensor_product(copy, copy))
             assert result.fidelity_after > result.fidelity_before, f"no gain at n={n}, q={q}"
             # oracle: explicit embedded conjugation plus projector post-selection
             m = 2 * n
@@ -166,7 +166,7 @@ def test_criterion_7_entropy_exchange_oracle():
     def stinespring_environment_entropy(ens, ch):
         # isometry V|phi> = sum_k (K_k|phi>) (x) |k>_env acting on the
         # system half of the eigenpurification of the ensemble average
-        mix = sum(p * s.matrix for p, s in zip(ens.priors, ens.states))
+        mix = sum(1.0 / len(ens) * s.matrix for s in ens)
         evals, vecs = np.linalg.eigh(mix)
         dim = mix.shape[0]
         branches = len(ch.kraus_ops)
@@ -184,8 +184,7 @@ def test_criterion_7_entropy_exchange_oracle():
         evs = evs[evs > 1e-12]
         return float(-np.sum(evs * np.log2(evs)))
 
-    ens = EnsembleSpec.uniform([ideal_received_state(3, Codeword(3, v)).density()
-                                for v in range(8)])
+    ens = [ideal_received_state(3, Codeword(3, v)).density() for v in range(8)]
     identity = QuantumChannel((np.eye(8),))
     assert abs(entropy_exchange(ens, identity)) < 1e-12
 

@@ -4,20 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzsdc import capacity, qcore
-from ghzsdc.capacity import (
-    EnsembleSpec,
-    average_state,
-    classical_capacity,
-    coherent_information,
-    entropy_exchange,
-    holevo,
-    quantum_capacity,
-)
+from ghzsdc.capacity import coherent_information, entropy_exchange, holevo
 from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from ghzsdc.qcore import DensityOperator, QuantumChannel, StateVector, basis_state
 from ghzsdc.sdc import Codeword, distribute, ghz_basis, ideal_received_state, transmit
 
-from full_space import full_space_channel, noise_factors
+from full_space import full_space_channel, noise_factors, stinespring_environment_entropy
 
 
 def binary_entropy(x):
@@ -25,19 +17,26 @@ def binary_entropy(x):
     return -sum(terms)
 
 
-def random_pure_ensemble(rng, m, members):
+def random_pure_states(rng, m, count):
     states = []
-    for _ in range(members):
+    for _ in range(count):
         amps = rng.normal(size=2 ** m) + 1j * rng.normal(size=2 ** m)
         states.append(StateVector(amps / np.linalg.norm(amps)).density())
-    priors = rng.dirichlet(np.ones(members))
-    return EnsembleSpec(priors, tuple(states))
+    return states
 
 
-def environment_gram(ens, ch):
+def random_channel(rng, m, r):
+    """r Kraus operators on m qubits, cut from a random isometry: the d x d
+    blocks of the Q factor of a random (r d) x d complex matrix."""
+    d = 2 ** m
+    q, _ = np.linalg.qr(rng.normal(size=(r * d, d)) + 1j * rng.normal(size=(r * d, d)))
+    return QuantumChannel(tuple(q[k * d:(k + 1) * d] for k in range(r)))
+
+
+def environment_gram(states, ch):
     """Independent entropy-exchange oracle: the environment state in the
     Kraus basis has entries rho_env[k, l] = tr(K_k rho K_l^dag)."""
-    mix = sum(p * s.matrix for p, s in zip(ens.priors, ens.states))
+    mix = sum(s.matrix for s in states) / len(states)
     ops = ch.kraus_ops
     gram = np.array([[np.trace(k @ mix @ l.conj().T) for l in ops] for k in ops])
     evals = np.linalg.eigvalsh(gram)
@@ -45,67 +44,45 @@ def environment_gram(ens, ch):
     return float(-np.sum(evals * np.log2(evals)))
 
 
-class TestEnsembleSpec:
-    def test_priors_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec(np.array([0.5, 0.6]),
-                         (basis_state(1, 0).density(), basis_state(1, 1).density()))
-
-    def test_count_mismatch(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec(np.array([1.0]), (basis_state(1, 0).density(),
-                                           basis_state(1, 1).density()))
-
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec.uniform((basis_state(1, 0).density(),
-                                  basis_state(2, 0).density()))
-
-    def test_average_state(self):
-        ens = EnsembleSpec(np.array([0.75, 0.25]),
-                           (basis_state(1, 0).density(), basis_state(1, 1).density()))
-        assert np.allclose(average_state(ens).matrix, np.diag([0.75, 0.25]))
-
-
 class TestHolevo:
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="at least one state"):
+            holevo([])
+
+    def test_mixed_widths_rejected(self):
+        with pytest.raises(ValueError, match="one dimension"):
+            holevo([basis_state(1, 0).density(), basis_state(2, 0).density()])
+
     def test_single_state_is_zero(self):
-        ens = EnsembleSpec(np.array([1.0]), (DensityOperator(np.eye(2) / 2),))
-        assert holevo(ens) == 0.0
+        assert holevo([DensityOperator(np.eye(2) / 2)]) == 0.0
 
     def test_orthogonal_pure_qubit_pair_is_one(self):
-        ens = EnsembleSpec.uniform((basis_state(1, 0).density(),
-                                    basis_state(1, 1).density()))
-        assert abs(holevo(ens) - 1.0) < 1e-12
+        states = [basis_state(1, 0).density(), basis_state(1, 1).density()]
+        assert abs(holevo(states) - 1.0) < 1e-12
 
     def test_noiseless_protocol_outputs_reach_n_bits(self):
         for n in (3, 4):
-            states = tuple(ideal_received_state(n, Codeword(n, v)).density()
-                           for v in range(2 ** n))
-            assert abs(holevo(EnsembleSpec.uniform(states)) - n) < 1e-9
+            states = [ideal_received_state(n, Codeword(n, v)).density()
+                      for v in range(2 ** n)]
+            assert abs(holevo(states) - n) < 1e-9
 
     def test_depolarized_bell_ensemble_closed_form(self):
         # each Pauli error permutes the Bell basis, so every output has
         # eigenvalues {1 - p, p/3, p/3, p/3} while the average stays I/4
         p = 0.3
         ch = make_channel(NoiseKind.DEPOLARIZING, p)
-        states = tuple(
-            qcore.apply_channel(bell.density(), ch, [0])
-            for bell in ghz_basis(2).states)
+        states = [qcore.apply_channel(bell.density(), ch, [0]) for bell in ghz_basis(2).states]
         member_entropy = -( (1 - p) * np.log2(1 - p) + p * np.log2(p / 3) )
         expected = 2.0 - member_entropy
-        assert abs(holevo(EnsembleSpec.uniform(states)) - expected) < 1e-10
+        assert abs(holevo(states) - expected) < 1e-10
 
     def test_never_negative(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
-            assert holevo(random_pure_ensemble(rng, 1, 3)) >= 0
+            assert holevo(random_pure_states(rng, 1, 3)) >= 0
 
 
 class TestClassicalCapacity:
-    def test_uniform_value_without_optimization(self):
-        states = (basis_state(1, 0).density(), basis_state(1, 1).density())
-        assert abs(classical_capacity(states) - 1.0) < 1e-12
-
     # Uniform priors are optimal when the outputs are one unitary orbit, since
     # the mixture entropy is concave and invariant under the group's
     # relabelling of the priors; equal spectra for every codeword is the
@@ -148,7 +125,7 @@ class TestEntropyExchange:
         rng = np.random.default_rng(41)
         ch = QuantumChannel((np.eye(2),))
         for _ in range(200):
-            assert abs(entropy_exchange(random_pure_ensemble(rng, 1, 2), ch)) < 1e-9
+            assert abs(entropy_exchange(random_pure_states(rng, 1, 2), ch)) < 1e-9
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
@@ -156,8 +133,8 @@ class TestEntropyExchange:
         ch = make_channel(kind, p)
         rng = np.random.default_rng(43)
         for _ in range(5):
-            ens = random_pure_ensemble(rng, 1, 3)
-            assert abs(entropy_exchange(ens, ch) - environment_gram(ens, ch)) < 1e-9
+            states = random_pure_states(rng, 1, 3)
+            assert abs(entropy_exchange(states, ch) - environment_gram(states, ch)) < 1e-9
 
     def test_multi_qubit_oracle_agreement(self):
         # depolarizing noise embedded on qubit 0 of two-qubit ensembles
@@ -166,8 +143,19 @@ class TestEntropyExchange:
         ch = QuantumChannel(ops)
         rng = np.random.default_rng(47)
         for _ in range(20):
-            ens = random_pure_ensemble(rng, 2, 3)
-            assert abs(entropy_exchange(ens, ch) - environment_gram(ens, ch)) < 1e-9
+            states = random_pure_states(rng, 2, 3)
+            assert abs(entropy_exchange(states, ch) - environment_gram(states, ch)) < 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @example(m=1, r=1, count=1, seed=0)
+    @example(m=3, r=6, count=4, seed=1)
+    @given(m=st.integers(1, 3), r=st.integers(1, 6), count=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_gram_matches_stinespring_on_random_channels(self, m, r, count, seed):
+        rng = np.random.default_rng(seed)
+        ch = random_channel(rng, m, r)
+        states = random_pure_states(rng, m, count)
+        assert abs(entropy_exchange(states, ch) - stinespring_environment_entropy(states, ch)) < 1e-9
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("p, per_qubit", [
@@ -181,95 +169,67 @@ class TestEntropyExchange:
         # averages to I/d, so the environment is n independent Pauli registers
         # and the entropy exchange is n * H(1 - p, p/3, p/3, p/3)
         spec = NoiseSpec(NoiseKind.DEPOLARIZING, p, NoiseStage.DISTRIBUTION_AND_RETURN)
-        ens = EnsembleSpec.uniform([ideal_received_state(n, Codeword(n, v)).density()
-                                    for v in range(2 ** n)])
-        assert abs(entropy_exchange(ens, full_space_channel(noise_factors(spec, n))) - n * per_qubit) < 1e-9
+        states = [ideal_received_state(n, Codeword(n, v)).density() for v in range(2 ** n)]
+        assert abs(entropy_exchange(states, full_space_channel(noise_factors(spec, n))) - n * per_qubit) < 1e-9
 
     def test_fully_depolarizing_on_mixed_average(self):
         ch = make_channel(NoiseKind.DEPOLARIZING, 0.75)
-        ens = EnsembleSpec.uniform((basis_state(1, 0).density(),
-                                    basis_state(1, 1).density()))
-        assert abs(entropy_exchange(ens, ch) - 2.0) < 1e-9
+        states = [basis_state(1, 0).density(), basis_state(1, 1).density()]
+        assert abs(entropy_exchange(states, ch) - 2.0) < 1e-9
 
     def test_mixed_member_rejected(self):
-        ens = EnsembleSpec(np.array([1.0]), (DensityOperator(np.eye(2) / 2),))
         with pytest.raises(ValueError, match="pure"):
-            entropy_exchange(ens, make_channel(NoiseKind.BIT_FLIP, 0.1))
+            entropy_exchange([DensityOperator(np.eye(2) / 2)], make_channel(NoiseKind.BIT_FLIP, 0.1))
 
     def test_dimension_mismatch_rejected(self):
-        ens = EnsembleSpec.uniform((basis_state(2, 0).density(),))
         with pytest.raises(ValueError, match="dimension"):
-            entropy_exchange(ens, make_channel(NoiseKind.BIT_FLIP, 0.1))
+            entropy_exchange([basis_state(2, 0).density()], make_channel(NoiseKind.BIT_FLIP, 0.1))
 
 
 class TestCoherentInformation:
     def test_identity_channel_gives_input_entropy(self):
         ch = QuantumChannel((np.eye(2),))
-        ens = EnsembleSpec.uniform((basis_state(1, 0).density(),
-                                    basis_state(1, 1).density()))
-        assert abs(coherent_information(ens, ch) - 1.0) < 1e-9
+        states = [basis_state(1, 0).density(), basis_state(1, 1).density()]
+        assert abs(coherent_information(states, ch) - 1.0) < 1e-9
 
     def test_fully_depolarizing_is_minus_one(self):
         ch = make_channel(NoiseKind.DEPOLARIZING, 0.75)
-        ens = EnsembleSpec.uniform((basis_state(1, 0).density(),
-                                    basis_state(1, 1).density()))
-        assert abs(coherent_information(ens, ch) - (-1.0)) < 1e-9
+        states = [basis_state(1, 0).density(), basis_state(1, 1).density()]
+        assert abs(coherent_information(states, ch) - (-1.0)) < 1e-9
 
     @pytest.mark.parametrize("gamma", [0.1, 0.3, 0.5, 0.8])
     def test_amplitude_damping_closed_form(self, gamma):
         # for the uniform {|0>, |1>} ensemble the output entropy is
         # H((1-gamma)/2) and the environment entropy is H(gamma/2)
         ch = make_channel(NoiseKind.AMPLITUDE_DAMPING, gamma)
-        ens = EnsembleSpec.uniform((basis_state(1, 0).density(),
-                                    basis_state(1, 1).density()))
+        states = [basis_state(1, 0).density(), basis_state(1, 1).density()]
         expected = binary_entropy((1 - gamma) / 2) - binary_entropy(gamma / 2)
-        assert abs(coherent_information(ens, ch) - expected) < 1e-10
+        assert abs(coherent_information(states, ch) - expected) < 1e-10
 
     def test_damping_crossover_at_half(self):
         ch = make_channel(NoiseKind.AMPLITUDE_DAMPING, 0.5)
-        ens = EnsembleSpec.uniform((basis_state(1, 0).density(),
-                                    basis_state(1, 1).density()))
-        assert abs(coherent_information(ens, ch)) < 1e-10
-
-
-class TestQuantumCapacity:
-    def test_floored_at_zero(self):
-        ch = make_channel(NoiseKind.DEPOLARIZING, 0.75)
-        ens = EnsembleSpec.uniform((basis_state(1, 0).density(),
-                                    basis_state(1, 1).density()))
-        assert quantum_capacity(ens, ch) == 0.0
-
-    def test_identity_channel_full_bit(self):
-        ch = QuantumChannel((np.eye(2),))
-        ens = EnsembleSpec.uniform((basis_state(1, 0).density(),
-                                    basis_state(1, 1).density()))
-        assert abs(quantum_capacity(ens, ch) - 1.0) < 1e-9
+        states = [basis_state(1, 0).density(), basis_state(1, 1).density()]
+        assert abs(coherent_information(states, ch)) < 1e-10
 
 
 class TestReport:
     def test_fields_consistent_with_components(self):
         spec = NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, 0.3)
         ch = make_channel(spec.kind, spec.p)
-        output_states = tuple(
-            qcore.apply_channel(bell.density(), ch, [0])
-            for bell in ghz_basis(2).states)
-        output_ens = EnsembleSpec.uniform(output_states)
-        input_ens = EnsembleSpec.uniform(tuple(
-            bell.density() for bell in ghz_basis(2).states))
+        outputs = [qcore.apply_channel(bell.density(), ch, [0]) for bell in ghz_basis(2).states]
+        inputs = [bell.density() for bell in ghz_basis(2).states]
         embedded = full_space_channel(noise_factors(spec, 2))
-        rep = capacity.report(classical_capacity(output_states), spec, 2)
-        assert abs(rep.holevo - holevo(output_ens)) < 1e-12
-        assert abs(rep.entropy_exchange - entropy_exchange(input_ens, embedded)) < 1e-12
+        rep = capacity.report(holevo(outputs), spec, 2)
+        assert abs(rep.entropy_exchange - entropy_exchange(inputs, embedded)) < 1e-12
         assert abs(rep.coherent_information
-                   - coherent_information(input_ens, embedded)) < 1e-12
+                   - coherent_information(inputs, embedded)) < 1e-12
         assert rep.quantum_capacity == max(rep.coherent_information, 0.0)
         assert rep.classical_capacity >= rep.holevo - 1e-12
 
     def test_classical_capacity_at_uniform_priors_is_the_holevo_value(self):
         ch = make_channel(NoiseKind.AMPLITUDE_DAMPING, 0.3)
-        states = tuple(qcore.apply_channel(bell.density(), ch, [0])
-                       for bell in ghz_basis(2).states)
-        uniform = capacity.report(classical_capacity(states),
+        states = [qcore.apply_channel(bell.density(), ch, [0]) for bell in ghz_basis(2).states]
+        uniform = capacity.report(holevo(states),
                                   NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, 0.3), 2)
         assert uniform.classical_capacity == uniform.holevo
 
@@ -279,7 +239,7 @@ class TestReport:
         spec = NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, 0.3)
         shared = distribute(4, spec)
         outputs = [transmit(shared, Codeword(4, x), spec) for x in range(16)]
-        expected = holevo(EnsembleSpec.uniform(outputs))
+        expected = holevo(outputs)
         sizes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -288,7 +248,7 @@ class TestReport:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        rep = capacity.report(classical_capacity(outputs), spec, 4)
+        rep = capacity.report(holevo(outputs), spec, 4)
         assert sizes.count((16, 16)) == 1
         assert max(sizes) == (16, 16)
         assert rep.holevo == rep.classical_capacity == expected
@@ -301,7 +261,7 @@ class TestReport:
         # one exchange of the single-qubit channel serves every noisy qubit,
         # and the sums keep the per-factor order, bit for bit
         spec = NoiseSpec(kind, p, stage)
-        half = EnsembleSpec.uniform([basis_state(1, 0).density(), basis_state(1, 1).density()])
+        half = [basis_state(1, 0).density(), basis_state(1, 1).density()]
         factors = noise_factors(spec, n)
         expected_icoh = sum(coherent_information(half, f) for f in factors)
         expected_exchange = sum(entropy_exchange(half, f) for f in factors)
@@ -333,10 +293,9 @@ class TestReport:
         # the product form against the full-space channel on the ideal
         # encoded inputs, whose uniform mix is I/d
         spec = NoiseSpec(kind, p, stage)
-        ideal = EnsembleSpec.uniform([ideal_received_state(n, Codeword(n, v)).density()
-                                      for v in range(2 ** n)])
+        ideal = [ideal_received_state(n, Codeword(n, v)).density() for v in range(2 ** n)]
         oracle = full_space_channel(noise_factors(spec, n))
-        rep = capacity.report(classical_capacity(ideal.states), spec, n)
+        rep = capacity.report(holevo(ideal), spec, n)
         # the entropy kernel drops no positive eigenvalue, so the products of
         # small per-qubit eigenvalues (p near 0 or 1) count on the full space too
         assert abs(rep.entropy_exchange - entropy_exchange(ideal, oracle)) < 1e-12

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzsdc import cli, harness, purify, qcore, qnn
-from ghzsdc.capacity import classical_capacity
+from ghzsdc.capacity import holevo
 from ghzsdc.harness import (
     CSV_HEADER,
     CorrectionPipeline,
@@ -266,7 +266,7 @@ class TestOrbitScoring:
         fidelities = [qcore.fidelity(ideal_received_state(n, code), rho)
                       for code, rho in zip(codes, outputs)]
         assert avg_fidelity == np.mean(fidelities)
-        assert abs(rep.holevo - classical_capacity(outputs)) < 1e-13
+        assert abs(rep.holevo - holevo(outputs)) < 1e-13
         # the closed-form twirl against the mean of the encoder gathers;
         # codeword 0 encodes with the identity, so output 0 is sigma
         sigma = outputs[0]
@@ -413,6 +413,25 @@ class TestCli:
         assert model_path.exists()
         model = qnn.load_model(model_path)
         assert model.architecture.input_width == 2
+
+    def test_train_reports_training(self, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        rc = cli.main(["train", "--noise", "amplitude-damping", "--p", "0.3",
+                       "--n", "2", "--iters", "3", "--trajectories", "20",
+                       "--out", str(model_path)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"saved model to {model_path}"
+        printed = dict(line.split(": ") for line in lines[1:])
+        assert set(printed) == {"final cost", "iterations", "converged"}
+        assert 1 <= int(printed["iterations"]) <= 3
+        assert printed["converged"] in ("True", "False")
+        cfg = SweepConfig(noise_kind=NoiseKind.AMPLITUDE_DAMPING, p_start=0.0, p_stop=0.0,
+                          p_step=1.0, n=2, trajectories=20, train_iters=3)
+        _, report = harness.train_inline_model(cfg, 0.3)
+        assert printed["final cost"] == f"{report.final_cost:.6f}"
+        assert printed["iterations"] == str(report.iterations)
+        assert printed["converged"] == str(report.converged)
 
     def test_purify_demo_reports_gain(self, capsys):
         rc = cli.main(["purify-demo", "--noise", "bit-flip", "--p", "0.2",

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ghzsdc import qcore
-from ghzsdc.harness import CorrectionPipeline
+from ghzsdc import qcore, sdc
+from ghzsdc.harness import CorrectionPipeline, SweepConfig, run_sweep
 from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from ghzsdc.qcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityOperator
 from ghzsdc.sdc import (
@@ -88,6 +88,29 @@ class TestGhzBasis:
             ghz_basis(13)
         with pytest.raises(ValueError, match="2..10 qubits"):
             ghz_basis(11)
+
+
+class TestSharedState:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_is_the_first_basis_state_bit_for_bit(self, n):
+        assert np.array_equal(shared_state(n).amplitudes, ghz_basis(n).states[0].amplitudes)
+
+    def test_range_check(self):
+        for n in (1, 11):
+            with pytest.raises(ValueError, match="2..10 qubits"):
+                shared_state(n)
+
+    @pytest.mark.parametrize("stage", list(NoiseStage))
+    def test_sweeps_build_no_basis(self, stage, monkeypatch):
+        def no_basis(n):
+            raise AssertionError("the sweep built the GHZ basis")
+
+        monkeypatch.setattr(sdc, "ghz_basis", no_basis)
+        sdc.shared_state.cache_clear()
+        for pipeline in ("raw", "purify"):
+            cfg = SweepConfig(noise_kind=NoiseKind.AMPLITUDE_DAMPING, p_start=0.0, p_stop=0.5,
+                              p_step=0.25, n=4, pipeline=pipeline, noise_stage=stage)
+            assert len(run_sweep(cfg)) == 3
 
 
 class TestCodeword:
@@ -224,19 +247,19 @@ class TestStages:
 class TestDecode:
     def test_point_mass_on_basis_member(self):
         rho = ghz_basis(3).states[0].density()
-        dist = decode_ghz(rho, 3)
+        dist = decode_ghz(rho)
         assert np.allclose(dist, np.eye(8)[0], atol=1e-12)
 
     def test_uniform_for_maximally_mixed(self):
         rho = DensityOperator(np.eye(8) / 8)
-        assert np.allclose(decode_ghz(rho, 3), np.full(8, 1 / 8), atol=1e-12)
+        assert np.allclose(decode_ghz(rho), np.full(8, 1 / 8), atol=1e-12)
 
     def test_bit_flip_weights(self):
         # Kraus expansion: weight 0.9 stays on the shared state, 0.1 moves to
         # its qubit-0-flipped partner (|100>+|011>)/sqrt2, basis index 6.
         rho = qcore.apply_channel(shared_state(3).density(),
                                   make_channel(NoiseKind.BIT_FLIP, 0.1), [0])
-        dist = decode_ghz(rho, 3)
+        dist = decode_ghz(rho)
         assert abs(dist[0] - 0.9) < 1e-12
         assert abs(dist[6] - 0.1) < 1e-12
 
@@ -244,11 +267,7 @@ class TestDecode:
         rng = np.random.default_rng(7)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = DensityOperator((a @ a.conj().T) / np.trace(a @ a.conj().T))
-        assert abs(decode_ghz(rho, 3).sum() - 1) < 1e-9
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            decode_ghz(DensityOperator(np.eye(4) / 4), 3)
+        assert abs(decode_ghz(rho).sum() - 1) < 1e-9
 
 
 class TestRunProtocol:
