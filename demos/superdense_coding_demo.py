@@ -25,7 +25,7 @@ def main():
     print(f"=== noiseless protocol, n = {n} ===")
     clean = NoiseSpec(NoiseKind.BIT_FLIP, 0.0)
     for value in range(2 ** n):
-        result = run_protocol(n, Codeword(n, value), clean)
+        result = run_protocol(Codeword(n, value), clean)
         decoded = int(np.argmax(result.decode_distribution))
         print(f"  sent {value:0{n}b}  decoded index {decoded}  "
               f"fidelity {result.post_fidelity:.6f}")
@@ -42,7 +42,7 @@ def main():
     print("=== bit-flip noise on the distributed qubit ===")
     for p in (0.0, 0.1, 0.2, 0.3):
         spec = NoiseSpec(NoiseKind.BIT_FLIP, p)
-        result = run_protocol(n, Codeword(n, 0b101), spec)
+        result = run_protocol(Codeword(n, 0b101), spec)
         top = np.sort(result.decode_distribution)[::-1][:2]
         print(f"  p = {p:.1f}  fidelity {result.post_fidelity:.4f}  "
               f"top decode weights {top[0]:.3f}, {top[1]:.3f}")

@@ -1,6 +1,6 @@
-"""Entropic channel quantities of a sequence of states at uniform priors:
-Holevo quantity, entropy exchange and coherent information, and the capacity
-report of one protocol configuration."""
+"""The Holevo quantity of a sequence of states at uniform priors, and the
+capacity report of one protocol configuration, whose entropy exchange and
+coherent information score the noise channel."""
 
 from __future__ import annotations
 
@@ -69,42 +69,15 @@ def _environment_gram(mix: np.ndarray, ch: QuantumChannel) -> np.ndarray:
     return images.reshape(r, -1) @ kraus.reshape(r, -1).T
 
 
-def _pure_input(states: Sequence[DensityOperator], ch: QuantumChannel) -> np.ndarray:
-    """The uniform mixture of pure `states` on which `ch` acts."""
-    for s in states:
-        purity = float(np.real(np.trace(s.matrix @ s.matrix)))
-        if abs(purity - 1.0) > 1e-9:
-            raise ValueError("entropy exchange requires pure input states")
-    mix = _mixture(states)
-    if ch.kraus_ops[0].shape[0] != mix.shape[0]:
-        raise ValueError("channel dimension does not match the input states")
-    return mix
-
-
-def entropy_exchange(states: Sequence[DensityOperator], ch: QuantumChannel) -> float:
-    """Entropy generated in the environment, in bits.
-
-    Returns S(W) for the environment Gram matrix W_kl = tr(K_k rho K_l^dag),
-    where rho is the uniform mixture of the pure input `states` and K_k are
-    the Kraus operators of `ch` (Schumacher, PRA 54, 2614, 1996).
-    """
-    return _exchange(_pure_input(states, ch), ch)
-
-
 def _exchange(mix: np.ndarray, ch: QuantumChannel) -> float:
-    """Entropy exchange of `ch` on the input state `mix`, unchecked."""
+    """Entropy generated in the environment by `ch` on the input state `mix`,
+    in bits, unchecked: S(W) for the environment Gram matrix
+    W_kl = tr(K_k mix K_l^dag) (Schumacher, PRA 54, 2614, 1996)."""
     return _spectrum_entropy(np.linalg.eigvalsh(_environment_gram(mix, ch)))
 
 
 def _channel_output(mix: np.ndarray, ch: QuantumChannel) -> DensityOperator:
     return DensityOperator(sum(k @ mix @ k.conj().T for k in ch.kraus_ops))
-
-
-def coherent_information(states: Sequence[DensityOperator], ch: QuantumChannel) -> float:
-    """S(channel output of the uniform mixture) - entropy exchange; may be
-    negative. Floored at 0, it is the quantum capacity of the report."""
-    mix = _pure_input(states, ch)
-    return von_neumann_entropy(_channel_output(mix, ch)) - _exchange(mix, ch)
 
 
 def report(chi: float, spec: NoiseSpec, n: int) -> CapacityReport:

@@ -39,8 +39,9 @@ class SweepConfig:
     def __post_init__(self):
         if not (0.0 <= self.p_start <= self.p_stop <= 1.0):
             raise ValueError("need 0 <= p_start <= p_stop <= 1")
-        if self.p_step <= 0:
-            raise ValueError("p_step must be positive")
+        # written so that NaN, which fails every comparison, fails it too
+        if not 0.0 < self.p_step < np.inf:
+            raise ValueError("p_step must be finite and positive")
         if self.pipeline not in PIPELINES:
             raise ValueError(f"pipeline must be one of {PIPELINES}")
         if self.rounds < 1:
@@ -155,7 +156,7 @@ def score_point(shared: DensityOperator, spec: NoiseSpec) -> Tuple[float, capaci
     else:
         codes = [Codeword(n, x) for x in range(2 ** n)]
         outputs = [transmit(shared, code, spec) for code in codes]
-        fidelities = [qcore.fidelity(ideal_received_state(n, code), rho)
+        fidelities = [qcore.fidelity(ideal_received_state(code), rho)
                       for code, rho in zip(codes, outputs)]
         chi = capacity.holevo(outputs)
     return float(np.mean(fidelities)), capacity.report(chi, spec, n)
@@ -166,7 +167,7 @@ def run_sweep(cfg: SweepConfig) -> List[SweepRecord]:
     corrected once, then scored by `score_point`. Deterministic for a fixed
     seed."""
     # raises for an n the encoder does not support, before any training
-    ideal_received_state(cfg.n, Codeword(cfg.n, 0))
+    ideal_received_state(Codeword(cfg.n, 0))
     corrector = _build_corrector(cfg)
     records = []
     for p in p_grid(cfg):

@@ -1,5 +1,5 @@
 """Dense multi-qubit linear algebra: states, density operators, gates,
-channels, tensor composition, partial trace, fidelity, entropy.
+channels, partial trace, fidelity, entropy.
 
 Conventions
 -----------
@@ -23,18 +23,11 @@ ATOL = 1e-10
 MAX_STATE_QUBITS = 12
 MAX_DENSITY_QUBITS = 10
 
-# Single-qubit gates and CNOT (control on the high qubit).
+# Single-qubit gates.
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-CNOT = np.array(
-    [[1, 0, 0, 0],
-     [0, 1, 0, 0],
-     [0, 0, 0, 1],
-     [0, 0, 1, 0]],
-    dtype=complex,
-)
 
 
 def _qubit_count_of(dim: int, what: str) -> int:
@@ -110,7 +103,8 @@ class Unitary:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("unitary must be a square matrix")
         k = _qubit_count_of(mat.shape[0], "unitary")
-        if np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))) > ATOL:
+        # NaN passes a `>` bound, and an inf entry warns in the matmul
+        if not np.isfinite(mat).all() or np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))) > ATOL:
             raise ValueError("matrix is not unitary")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -140,27 +134,6 @@ class QuantumChannel:
             op.flags.writeable = False
         object.__setattr__(self, "kraus_ops", ops)
         object.__setattr__(self, "qubit_count", k)
-
-
-def basis_state(qubit_count: int, index: int) -> StateVector:
-    """Computational basis state |index> on the given number of qubits."""
-    amps = np.zeros(2 ** qubit_count, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(amps)
-
-
-def tensor_product(a, b):
-    """Kronecker composition of two objects of the same kind.
-
-    Qubit order is `a` (high/left qubits) followed by `b` (low/right qubits).
-    """
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator(np.kron(a.matrix, b.matrix))
-    if isinstance(a, Unitary) and isinstance(b, Unitary):
-        return Unitary(np.kron(a.matrix, b.matrix))
-    raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
 
 
 def _check_targets(targets: Sequence[int], k: int, m: int) -> list:
@@ -202,12 +175,6 @@ def _conjugate_matrix(mat: np.ndarray, rho: np.ndarray, targets, m: int) -> np.n
     # flattened to one column, rho is a 2m-qubit vector: rows, then columns
     t = _apply_matrix(mat, rho, targets, m)
     return _apply_matrix(mat.conj(), t.reshape(-1, 1), [m + q for q in targets], 2 * m).reshape(rho.shape)
-
-
-def embedded_matrix(mat: np.ndarray, targets: Sequence[int], m: int) -> np.ndarray:
-    """Expand an operator on `targets` (ordered) to the full 2^m space."""
-    targets = _check_targets(targets, _qubit_count_of(mat.shape[0], "operator"), m)
-    return _apply_matrix(mat, np.eye(2 ** m, dtype=complex), targets, m)
 
 
 def _kraus_sum(ch: QuantumChannel, rho: np.ndarray, targets, m: int) -> np.ndarray:

@@ -70,13 +70,6 @@ class TrainingReport:
     converged: bool
 
 
-def identity_model(architecture: NetworkArchitecture) -> QnnModel:
-    n = architecture.input_width
-    eye = Unitary(np.eye(2 ** (n + 1), dtype=complex))
-    layers = tuple(tuple(eye for _ in range(n)) for _ in range(architecture.hidden_layers))
-    return QnnModel(architecture, layers)
-
-
 # ---------------------------------------------------------------------------
 # One path for cost, training and `feedforward`: `qcore._apply_matrix` applies
 # each perceptron to the distinct training pairs, the columns of one (2^m, P)
@@ -243,7 +236,6 @@ def train(
     max_iters: int = 200,
     tol: float = 1e-6,
     rng_seed: int = 0,
-    init_identity: bool = False,
 ) -> Tuple[QnnModel, TrainingReport]:
     """Gradient-ascent training of the perceptron unitaries.
 
@@ -263,10 +255,7 @@ def train(
         raise ValueError(
             f"training is limited to {MAX_TRAINABLE_WIDTH} input qubits; "
             f"wider networks fail to converge (runaway gradients)")
-    if init_identity:
-        model = identity_model(architecture)
-    else:
-        model = random_model(architecture, np.random.default_rng(rng_seed))
+    model = random_model(architecture, np.random.default_rng(rng_seed))
     pairs, weights = _dedupe(training_set)
     register, targets = _batch(architecture, pairs)
     eps = step_size

@@ -1,5 +1,5 @@
-"""n-GHZ basis construction, the bitwise superdense-coding encoder, GHZ-basis
-decoding, and the protocol stages `distribute` and `transmit`.
+"""The bitwise superdense-coding encoder, closed-form GHZ-basis decoding, and
+the protocol stages `distribute` and `transmit`.
 
 Qubit 0 of the shared state is Bob's (distributed through the noisy channel);
 qubits 1..n-1 are Alice's and carry the encoding.
@@ -16,15 +16,6 @@ import numpy as np
 from . import qcore
 from .noise import NoiseSpec, NoiseStage, make_channel
 from .qcore import DensityOperator, StateVector, Unitary
-
-
-@dataclass(frozen=True)
-class GhzBasis:
-    """The 2^n orthonormal GHZ states on n qubits, in conventional order:
-    states 2k and 2k+1 are (|b> +/- |~b>)/sqrt(2) for the k-th pattern b."""
-
-    n: int
-    states: tuple
 
 
 @dataclass(frozen=True)
@@ -53,23 +44,6 @@ class SdcRunResult:
     post_fidelity: float
 
 
-@lru_cache(maxsize=None)
-def ghz_basis(n: int) -> GhzBasis:
-    """Orthonormal basis of 2^n GHZ states on n qubits."""
-    if not 2 <= n <= qcore.MAX_DENSITY_QUBITS:
-        raise ValueError(f"GHZ basis supports 2..{qcore.MAX_DENSITY_QUBITS} qubits, got {n}")
-    dim = 2 ** n
-    states = []
-    for b in range(dim // 2):
-        # the b-th bit pattern with a leading 0, paired with its complement
-        for sign in (1.0, -1.0):
-            amps = np.zeros(dim, dtype=complex)
-            amps[b] = 1 / np.sqrt(2)
-            amps[(dim - 1) ^ b] = sign / np.sqrt(2)
-            states.append(StateVector(amps))
-    return GhzBasis(n, tuple(states))
-
-
 def _frame(code: Codeword) -> tuple:
     """The encoder as a signed permutation of the n-qubit basis,
     |a> -> sign[a] |image[a]>. image[a] = a xor floor(X/2) flips Alice's qubit q
@@ -96,28 +70,35 @@ def encode_usdc(code: Codeword) -> Unitary:
 
 
 def decode_ghz(rho: DensityOperator) -> np.ndarray:
-    """Probability of each GHZ-basis outcome: entry i is <Psi_{i+1}|rho|Psi_{i+1}>."""
-    probs = [float(np.real(s.amplitudes.conj() @ rho.matrix @ s.amplitudes))
-             for s in ghz_basis(rho.qubit_count).states]
-    return np.clip(probs, 0.0, None)
+    """Probability of each GHZ-basis outcome: entry i is <Psi_{i+1}|rho|Psi_{i+1}>.
+
+    Basis states 2k and 2k+1 are (|k> +/- |~k>)/sqrt(2) for k < 2^(n-1), with
+    ~k = (2^n - 1) xor k, so outcome 2k +/- is (rho[k,k] + rho[~k,~k])/2
+    +/- Re rho[k,~k]: two diagonal entries and one off-diagonal entry each."""
+    if rho.qubit_count < 2:
+        raise ValueError(f"GHZ decoding needs at least 2 qubits, got {rho.qubit_count}")
+    mat = rho.matrix
+    k = np.arange(mat.shape[0] // 2)
+    partner = (mat.shape[0] - 1) ^ k
+    mean = (mat[k, k].real + mat[partner, partner].real) / 2
+    cross = mat[k, partner].real
+    return np.clip(np.stack([mean + cross, mean - cross], axis=1).reshape(-1), 0.0, None)
 
 
 @lru_cache(maxsize=None)
 def shared_state(n: int) -> StateVector:
     """The pre-shared n-qubit GHZ state (|0...0> + |1...1>)/sqrt(2)."""
     if not 2 <= n <= qcore.MAX_DENSITY_QUBITS:
-        raise ValueError(f"GHZ basis supports 2..{qcore.MAX_DENSITY_QUBITS} qubits, got {n}")
+        raise ValueError(f"the shared GHZ state supports 2..{qcore.MAX_DENSITY_QUBITS} qubits, got {n}")
     amps = np.zeros(2 ** n, dtype=complex)
     amps[[0, -1]] = 1 / np.sqrt(2)
     return StateVector(amps)
 
 
-def ideal_received_state(n: int, code: Codeword) -> StateVector:
+def ideal_received_state(code: Codeword) -> StateVector:
     """Noise-free image of the shared state: (sign o psi_GHZ)[image]."""
-    if code.n != n:
-        raise ValueError(f"codeword width {code.n} differs from n={n}")
     image, sign = _frame(code)
-    return StateVector((sign * shared_state(n).amplitudes)[image])
+    return StateVector((sign * shared_state(code.n).amplitudes)[image])
 
 
 def distribute(n: int, noise: NoiseSpec) -> DensityOperator:
@@ -166,18 +147,17 @@ def twirl(state: DensityOperator) -> DensityOperator:
 
 
 def run_protocol(
-    n: int,
     code: Codeword,
     noise: NoiseSpec,
     corrector: Optional[Callable[[DensityOperator], DensityOperator]] = None,
 ) -> SdcRunResult:
-    """One end-to-end superdense-coding run for a single codeword:
-    `distribute`, then the optional `corrector` on the shared state, then
-    `transmit`, then GHZ-basis decoding and the fidelity with the noise-free
-    received state."""
-    rho = distribute(n, noise)
+    """One end-to-end superdense-coding run for a single codeword of n bits:
+    `distribute` on n qubits, then the optional `corrector` on the shared
+    state, then `transmit`, then GHZ-basis decoding and the fidelity with the
+    noise-free received state."""
+    rho = distribute(code.n, noise)
     if corrector is not None:
         rho = corrector(rho)
     rho = transmit(rho, code, noise)
-    target = ideal_received_state(n, code)
+    target = ideal_received_state(code)
     return SdcRunResult(code, rho, decode_ghz(rho), qcore.fidelity(target, rho))

@@ -1,14 +1,81 @@
-"""Test oracles on the full space: a product of single-qubit channels as one
-channel, the per-qubit factors of the protocol's noise, dense conjugation by a
-unitary on chosen qubits, and the entropy exchange from a Stinespring
-dilation."""
+"""Test oracles on the full space: basis states, Kronecker composition, the
+dense GHZ basis, an operator embedded on chosen qubits, a product of
+single-qubit channels as one channel, the per-qubit factors of the protocol's
+noise, dense conjugation by a unitary on chosen qubits, the identity network,
+and the entropy exchange and coherent information of a channel on pure
+states, checked against a Stinespring dilation."""
 
 from typing import Sequence
 
 import numpy as np
 
+from ghzsdc.capacity import _channel_output, _exchange, _mixture
 from ghzsdc.noise import NoiseSpec, NoiseStage, make_channel
-from ghzsdc.qcore import I2, DensityOperator, QuantumChannel, Unitary, _check_targets, _conjugate_matrix
+from ghzsdc.qcore import (
+    I2,
+    MAX_DENSITY_QUBITS,
+    DensityOperator,
+    QuantumChannel,
+    StateVector,
+    Unitary,
+    _apply_matrix,
+    _check_targets,
+    _conjugate_matrix,
+    _qubit_count_of,
+    von_neumann_entropy,
+)
+from ghzsdc.qnn import NetworkArchitecture, QnnModel
+
+# CNOT with the control on the high qubit.
+CNOT = np.array(
+    [[1, 0, 0, 0],
+     [0, 1, 0, 0],
+     [0, 0, 0, 1],
+     [0, 0, 1, 0]],
+    dtype=complex,
+)
+
+
+def basis_state(qubit_count: int, index: int) -> StateVector:
+    """Computational basis state |index> on the given number of qubits."""
+    amps = np.zeros(2 ** qubit_count, dtype=complex)
+    amps[index] = 1.0
+    return StateVector(amps)
+
+
+def tensor_product(a, b):
+    """Kronecker composition of two objects of the same kind.
+
+    Qubit order is `a` (high/left qubits) followed by `b` (low/right qubits).
+    """
+    if isinstance(a, StateVector) and isinstance(b, StateVector):
+        return StateVector(np.kron(a.amplitudes, b.amplitudes))
+    if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
+        return DensityOperator(np.kron(a.matrix, b.matrix))
+    if isinstance(a, Unitary) and isinstance(b, Unitary):
+        return Unitary(np.kron(a.matrix, b.matrix))
+    raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
+
+
+def ghz_basis(n: int) -> np.ndarray:
+    """The 2^n orthonormal GHZ states on n qubits as rows of amplitudes, in
+    conventional order: rows 2k and 2k+1 are (|k> +/- |~k>)/sqrt(2) for the
+    k-th bit pattern with a leading 0 and its complement ~k."""
+    if not 2 <= n <= MAX_DENSITY_QUBITS:
+        raise ValueError(f"GHZ basis supports 2..{MAX_DENSITY_QUBITS} qubits, got {n}")
+    dim = 2 ** n
+    rows = np.zeros((dim, dim), dtype=complex)
+    for k in range(dim // 2):
+        for i, sign in enumerate((1.0, -1.0)):
+            rows[2 * k + i, k] = 1 / np.sqrt(2)
+            rows[2 * k + i, (dim - 1) ^ k] = sign / np.sqrt(2)
+    return rows
+
+
+def embedded_matrix(mat: np.ndarray, targets: Sequence[int], m: int) -> np.ndarray:
+    """Expand an operator on `targets` (ordered) to the full 2^m space."""
+    targets = _check_targets(targets, _qubit_count_of(mat.shape[0], "operator"), m)
+    return _apply_matrix(mat, np.eye(2 ** m, dtype=complex), targets, m)
 
 
 def full_space_channel(factors):
@@ -49,3 +116,37 @@ def stinespring_environment_entropy(states: Sequence[DensityOperator], ch: Quant
     env = np.linalg.eigvalsh(flat @ flat.conj().T)
     env = env[env > 1e-12]
     return float(-np.sum(env * np.log2(env)))
+
+
+def identity_model(architecture: NetworkArchitecture) -> QnnModel:
+    """The network whose every perceptron is the identity: it traces the input
+    away and outputs the untouched fresh register |0...0>."""
+    n = architecture.input_width
+    eye = Unitary(np.eye(2 ** (n + 1), dtype=complex))
+    layers = tuple(tuple(eye for _ in range(n)) for _ in range(architecture.hidden_layers))
+    return QnnModel(architecture, layers)
+
+
+def _pure_input(states: Sequence[DensityOperator], ch: QuantumChannel) -> np.ndarray:
+    """The uniform mixture of pure `states` on which `ch` acts."""
+    for s in states:
+        purity = float(np.real(np.trace(s.matrix @ s.matrix)))
+        if abs(purity - 1.0) > 1e-9:
+            raise ValueError("entropy exchange requires pure input states")
+    mix = _mixture(states)
+    if ch.kraus_ops[0].shape[0] != mix.shape[0]:
+        raise ValueError("channel dimension does not match the input states")
+    return mix
+
+
+def entropy_exchange(states: Sequence[DensityOperator], ch: QuantumChannel) -> float:
+    """Entropy exchange of `ch` on the uniform mixture of pure `states`, in
+    bits, by the package's own environment Gram kernel."""
+    return _exchange(_pure_input(states, ch), ch)
+
+
+def coherent_information(states: Sequence[DensityOperator], ch: QuantumChannel) -> float:
+    """S(channel output of the uniform mixture of pure `states`) - entropy
+    exchange, by the package's own kernels; may be negative."""
+    mix = _pure_input(states, ch)
+    return von_neumann_entropy(_channel_output(mix, ch)) - _exchange(mix, ch)

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from ghzsdc import capacity, qcore, qnn
-from ghzsdc.capacity import entropy_exchange
 from ghzsdc.harness import SweepConfig, emit_records, run_sweep
 from ghzsdc.noise import NoiseKind, NoiseStage, make_channel, sample_trajectory
 from ghzsdc.purify import purify_round
 from ghzsdc.qcore import QuantumChannel, StateVector
-from ghzsdc.sdc import Codeword, encode_usdc, ghz_basis, ideal_received_state, shared_state
+from ghzsdc.sdc import Codeword, encode_usdc, ideal_received_state, shared_state
+
+import full_space
+from full_space import entropy_exchange
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -58,11 +60,11 @@ def test_criterion_2_encoder_correctness():
         got = encode_usdc(Codeword(3, value)).matrix
         assert np.max(np.abs(got - want)) < 1e-12, f"operator mismatch at {value:03b}"
     for n in (3, 4, 5, 6):
-        images = np.array([ideal_received_state(n, Codeword(n, v)).amplitudes
+        images = np.array([ideal_received_state(Codeword(n, v)).amplitudes
                            for v in range(2 ** n)])
         gram = images.conj() @ images.T
         assert np.max(np.abs(gram - np.eye(2 ** n))) < 1e-10, f"non-orthonormal at n={n}"
-        basis = np.array([s.amplitudes for s in ghz_basis(n).states])
+        basis = full_space.ghz_basis(n)
         overlaps = np.abs(images.conj() @ basis.T)
         assert np.allclose(np.sort(overlaps, axis=1)[:, -1], 1, atol=1e-10), \
             f"images leave the entangled basis at n={n}"
@@ -95,14 +97,14 @@ def test_criterion_4_purification_gain():
         for q in (0.05, 0.15, 0.25, 0.35, 0.45):
             copy = qcore.apply_channel(shared_state(n).density(),
                                        make_channel(NoiseKind.BIT_FLIP, q), [0])
-            result = purify_round(qcore.tensor_product(copy, copy))
+            result = purify_round(full_space.tensor_product(copy, copy))
             assert result.fidelity_after > result.fidelity_before, f"no gain at n={n}, q={q}"
             # oracle: explicit embedded conjugation plus projector post-selection
             m = 2 * n
             layer = np.eye(2 ** m, dtype=complex)
             for i in range(n):
-                layer = qcore.embedded_matrix(qcore.CNOT, [i, n + i], m) @ layer
-            rho = layer @ qcore.tensor_product(copy, copy).matrix @ layer.conj().T
+                layer = full_space.embedded_matrix(full_space.CNOT, [i, n + i], m) @ layer
+            rho = layer @ full_space.tensor_product(copy, copy).matrix @ layer.conj().T
             kept = np.zeros((2 ** n, 2 ** n), dtype=complex)
             success = 0.0
             for outcome in (0, 2 ** n - 1):
@@ -184,7 +186,7 @@ def test_criterion_7_entropy_exchange_oracle():
         evs = evs[evs > 1e-12]
         return float(-np.sum(evs * np.log2(evs)))
 
-    ens = [ideal_received_state(3, Codeword(3, v)).density() for v in range(8)]
+    ens = [ideal_received_state(Codeword(3, v)).density() for v in range(8)]
     identity = QuantumChannel((np.eye(8),))
     assert abs(entropy_exchange(ens, identity)) < 1e-12
 

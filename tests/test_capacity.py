@@ -4,12 +4,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzsdc import capacity, qcore
-from ghzsdc.capacity import coherent_information, entropy_exchange, holevo
+from ghzsdc.capacity import holevo
 from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
-from ghzsdc.qcore import DensityOperator, QuantumChannel, StateVector, basis_state
-from ghzsdc.sdc import Codeword, distribute, ghz_basis, ideal_received_state, transmit
+from ghzsdc.qcore import DensityOperator, QuantumChannel, StateVector
+from ghzsdc.sdc import Codeword, distribute, ideal_received_state, transmit
 
-from full_space import full_space_channel, noise_factors, stinespring_environment_entropy
+from full_space import (
+    basis_state,
+    coherent_information,
+    entropy_exchange,
+    full_space_channel,
+    ghz_basis,
+    noise_factors,
+    stinespring_environment_entropy,
+)
 
 
 def binary_entropy(x):
@@ -62,7 +70,7 @@ class TestHolevo:
 
     def test_noiseless_protocol_outputs_reach_n_bits(self):
         for n in (3, 4):
-            states = [ideal_received_state(n, Codeword(n, v)).density()
+            states = [ideal_received_state(Codeword(n, v)).density()
                       for v in range(2 ** n)]
             assert abs(holevo(states) - n) < 1e-9
 
@@ -71,7 +79,7 @@ class TestHolevo:
         # eigenvalues {1 - p, p/3, p/3, p/3} while the average stays I/4
         p = 0.3
         ch = make_channel(NoiseKind.DEPOLARIZING, p)
-        states = [qcore.apply_channel(bell.density(), ch, [0]) for bell in ghz_basis(2).states]
+        states = [qcore.apply_channel(StateVector(bell).density(), ch, [0]) for bell in ghz_basis(2)]
         member_entropy = -( (1 - p) * np.log2(1 - p) + p * np.log2(p / 3) )
         expected = 2.0 - member_entropy
         assert abs(holevo(states) - expected) < 1e-10
@@ -169,7 +177,7 @@ class TestEntropyExchange:
         # averages to I/d, so the environment is n independent Pauli registers
         # and the entropy exchange is n * H(1 - p, p/3, p/3, p/3)
         spec = NoiseSpec(NoiseKind.DEPOLARIZING, p, NoiseStage.DISTRIBUTION_AND_RETURN)
-        states = [ideal_received_state(n, Codeword(n, v)).density() for v in range(2 ** n)]
+        states = [ideal_received_state(Codeword(n, v)).density() for v in range(2 ** n)]
         assert abs(entropy_exchange(states, full_space_channel(noise_factors(spec, n))) - n * per_qubit) < 1e-9
 
     def test_fully_depolarizing_on_mixed_average(self):
@@ -216,8 +224,8 @@ class TestReport:
     def test_fields_consistent_with_components(self):
         spec = NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, 0.3)
         ch = make_channel(spec.kind, spec.p)
-        outputs = [qcore.apply_channel(bell.density(), ch, [0]) for bell in ghz_basis(2).states]
-        inputs = [bell.density() for bell in ghz_basis(2).states]
+        outputs = [qcore.apply_channel(StateVector(bell).density(), ch, [0]) for bell in ghz_basis(2)]
+        inputs = [StateVector(bell).density() for bell in ghz_basis(2)]
         embedded = full_space_channel(noise_factors(spec, 2))
         rep = capacity.report(holevo(outputs), spec, 2)
         assert abs(rep.entropy_exchange - entropy_exchange(inputs, embedded)) < 1e-12
@@ -228,7 +236,7 @@ class TestReport:
 
     def test_classical_capacity_at_uniform_priors_is_the_holevo_value(self):
         ch = make_channel(NoiseKind.AMPLITUDE_DAMPING, 0.3)
-        states = [qcore.apply_channel(bell.density(), ch, [0]) for bell in ghz_basis(2).states]
+        states = [qcore.apply_channel(StateVector(bell).density(), ch, [0]) for bell in ghz_basis(2)]
         uniform = capacity.report(holevo(states),
                                   NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, 0.3), 2)
         assert uniform.classical_capacity == uniform.holevo
@@ -293,7 +301,7 @@ class TestReport:
         # the product form against the full-space channel on the ideal
         # encoded inputs, whose uniform mix is I/d
         spec = NoiseSpec(kind, p, stage)
-        ideal = [ideal_received_state(n, Codeword(n, v)).density() for v in range(2 ** n)]
+        ideal = [ideal_received_state(Codeword(n, v)).density() for v in range(2 ** n)]
         oracle = full_space_channel(noise_factors(spec, n))
         rep = capacity.report(holevo(ideal), spec, n)
         # the entropy kernel drops no positive eigenvalue, so the products of

@@ -29,7 +29,7 @@ from ghzsdc.sdc import (
     twirl,
 )
 
-from full_space import full_space_channel, noise_factors
+from full_space import full_space_channel, identity_model, noise_factors
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -49,6 +49,12 @@ class TestConfigValidation:
     def test_zero_step_rejected(self):
         with pytest.raises(ValueError):
             small_config(p_step=0.0)
+
+    # a NaN step would never let the grid reach p_stop
+    @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf])
+    def test_non_finite_or_negative_step_rejected(self, step):
+        with pytest.raises(ValueError, match="p_step must be finite and positive"):
+            small_config(p_step=step)
 
     def test_unknown_pipeline_rejected(self):
         with pytest.raises(ValueError):
@@ -203,7 +209,7 @@ class TestRunSweep:
         assert [r.p for r in records] == p_grid(cfg)
         for record in records:
             spec = NoiseSpec(cfg.noise_kind, record.p, stage)
-            single = [run_protocol(cfg.n, Codeword(cfg.n, x), spec, corrector).post_fidelity
+            single = [run_protocol(Codeword(cfg.n, x), spec, corrector).post_fidelity
                       for x in range(2 ** cfg.n)]
             assert record.avg_fidelity == np.mean(single)
 
@@ -225,7 +231,7 @@ class TestRunSweep:
         assert len(built) == 1
 
     def test_model_width_mismatch_rejected(self, tmp_path):
-        model = qnn.identity_model(qnn.NetworkArchitecture(2, 1))
+        model = identity_model(qnn.NetworkArchitecture(2, 1))
         path = tmp_path / "model.txt"
         qnn.save_model(model, path)
         cfg = small_config(pipeline="qnn", model_path=str(path))
@@ -263,7 +269,7 @@ class TestOrbitScoring:
         avg_fidelity, rep = score_point(shared, spec)
         codes = [Codeword(n, x) for x in range(2 ** n)]
         outputs = [transmit(shared, code, spec) for code in codes]
-        fidelities = [qcore.fidelity(ideal_received_state(n, code), rho)
+        fidelities = [qcore.fidelity(ideal_received_state(code), rho)
                       for code, rho in zip(codes, outputs)]
         assert avg_fidelity == np.mean(fidelities)
         assert abs(rep.holevo - holevo(outputs)) < 1e-13
@@ -452,7 +458,7 @@ class TestCli:
     def test_capacity_above_density_cap_fails_fast(self, capsys):
         rc = cli.main(["capacity", "--noise", "amplitude-damping", "--n", "11", "--p", "0.2"])
         assert rc == 1
-        assert "GHZ basis supports 2..10 qubits" in capsys.readouterr().err
+        assert "shared GHZ state supports 2..10 qubits" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     @pytest.mark.parametrize("stage", list(NoiseStage))
@@ -472,6 +478,32 @@ class TestCli:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_step_exits_nonzero(self, step, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["sweep", "--noise", "bit-flip", "--p-step", step, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: p_step must be finite and positive\n"
+        assert not out.exists()
+
+    def test_model_with_non_finite_entry_exits_nonzero(self, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        qnn.save_model(qnn.random_model(qnn.NetworkArchitecture(3, 1), np.random.default_rng(0)),
+                       model_path)
+        lines = model_path.read_text().splitlines()
+        lines[4] = "nan nan"
+        model_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.csv"
+        rc = cli.main(["sweep", "--noise", "amplitude-damping", "--p-start", "0",
+                       "--p-stop", "0", "--p-step", "0.1", "--pipeline", "qnn",
+                       "--model", str(model_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model_path}:")
+        assert err.endswith(": matrix is not unitary\n")
+        assert not out.exists()
+
     def test_negative_trajectories_exit_nonzero(self, tmp_path, capsys):
         out = tmp_path / "model.txt"
         rc = cli.main(["train", "--noise", "amplitude-damping", "--p", "0.3",
@@ -482,7 +514,7 @@ class TestCli:
 
     def test_model_config_mismatch_via_cli(self, tmp_path, capsys):
         model_path = tmp_path / "model.txt"
-        qnn.save_model(qnn.identity_model(qnn.NetworkArchitecture(2, 1)), model_path)
+        qnn.save_model(identity_model(qnn.NetworkArchitecture(2, 1)), model_path)
         rc = cli.main(["sweep", "--noise", "bit-flip", "--p-start", "0",
                        "--p-stop", "0", "--p-step", "0.1", "--pipeline", "qnn",
                        "--model", str(model_path), "--out", str(tmp_path / "x.csv")])

@@ -7,7 +7,9 @@ from ghzsdc.noise import (
     make_channel,
     sample_trajectory,
 )
-from ghzsdc.qcore import DensityOperator, StateVector, apply_channel, basis_state
+from ghzsdc.qcore import DensityOperator, StateVector, apply_channel
+
+from full_space import basis_state
 
 ALL_KINDS = list(NoiseKind)
 

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from ghzsdc import qcore
 from ghzsdc.noise import NoiseKind, make_channel
 from ghzsdc.purify import PurificationUnderflow, purify_iterated, purify_round
-from ghzsdc.qcore import CNOT, DensityOperator
+from ghzsdc.qcore import DensityOperator
 from ghzsdc.sdc import shared_state
+
+from full_space import CNOT, embedded_matrix, tensor_product
 
 
 def noisy_ghz(n, q, kind=NoiseKind.BIT_FLIP):
@@ -23,7 +25,7 @@ def brute_force_round(pair_matrix, n, accept=lambda bits: len(set(bits)) == 1):
     dim = 2 ** m
     layer = np.eye(dim, dtype=complex)
     for i in range(n):
-        layer = qcore.embedded_matrix(CNOT, [i, n + i], m) @ layer
+        layer = embedded_matrix(CNOT, [i, n + i], m) @ layer
     rho = layer @ pair_matrix @ layer.conj().T
     kept = np.zeros((2 ** n, 2 ** n), dtype=complex)
     success = 0.0
@@ -45,7 +47,7 @@ def brute_force_round(pair_matrix, n, accept=lambda bits: len(set(bits)) == 1):
 class TestPurifyRound:
     def test_perfect_pair_is_fixed(self):
         n = 3
-        pair = qcore.tensor_product(shared_state(n).density(), shared_state(n).density())
+        pair = tensor_product(shared_state(n).density(), shared_state(n).density())
         result = purify_round(pair)
         assert abs(result.success_probability - 1) < 1e-9
         assert abs(result.fidelity_after - 1) < 1e-9
@@ -53,10 +55,10 @@ class TestPurifyRound:
 
     def test_bell_case_gain(self):
         copy = noisy_ghz(2, 0.25)
-        result = purify_round(qcore.tensor_product(copy, copy))
+        result = purify_round(tensor_product(copy, copy))
         assert result.fidelity_after > result.fidelity_before
         # 16x16 brute-force oracle
-        success, kept = brute_force_round(qcore.tensor_product(copy, copy).matrix, 2)
+        success, kept = brute_force_round(tensor_product(copy, copy).matrix, 2)
         assert abs(result.success_probability - success) < 1e-9
         assert np.max(np.abs(result.kept_state.matrix - kept)) < 1e-9
 
@@ -64,7 +66,7 @@ class TestPurifyRound:
     @pytest.mark.parametrize("q", [0.05, 0.15, 0.25, 0.35, 0.45])
     def test_gain_against_oracle(self, n, q):
         copy = noisy_ghz(n, q)
-        pair = qcore.tensor_product(copy, copy)
+        pair = tensor_product(copy, copy)
         result = purify_round(pair)
         assert result.fidelity_after > result.fidelity_before
         success, kept = brute_force_round(pair.matrix, n)
@@ -77,7 +79,7 @@ class TestPurifyRound:
         n = 2
         clean = shared_state(n).density()
         mostly_flipped = noisy_ghz(n, 0.7)
-        pair = qcore.tensor_product(clean, mostly_flipped)
+        pair = tensor_product(clean, mostly_flipped)
         result = purify_round(pair)
         success, kept = brute_force_round(pair.matrix, n)
         assert abs(result.success_probability - success) < 1e-9
@@ -103,23 +105,23 @@ class TestPurifyRound:
         # clean control against a target flipped with probability q: only the
         # unflipped 1 - q branch passes, straddling the 1e-12 yield floor
         clean = shared_state(n).density()
-        near = purify_round(qcore.tensor_product(clean, noisy_ghz(n, 1 - 1e-11)))
+        near = purify_round(tensor_product(clean, noisy_ghz(n, 1 - 1e-11)))
         assert abs(near.success_probability - 1e-11) < 1e-17
         assert qcore.fidelity(shared_state(n), near.kept_state) > 1 - 1e-9
         with pytest.raises(PurificationUnderflow):
-            purify_round(qcore.tensor_product(clean, noisy_ghz(n, 1 - 1e-12)))
+            purify_round(tensor_product(clean, noisy_ghz(n, 1 - 1e-12)))
 
     def test_fully_orthogonal_pair_underflows(self):
         # clean control against a fully flipped target never passes the
         # all-equal check, which must surface as the distinct underflow signal
-        pair = qcore.tensor_product(shared_state(2).density(), noisy_ghz(2, 1.0))
+        pair = tensor_product(shared_state(2).density(), noisy_ghz(2, 1.0))
         with pytest.raises(PurificationUnderflow):
             purify_round(pair)
 
     def test_success_and_rejection_sum_to_one(self):
         n = 2
         copy = noisy_ghz(n, 0.3)
-        pair = qcore.tensor_product(copy, copy)
+        pair = tensor_product(copy, copy)
         accepted = purify_round(pair).success_probability
         rejected, _ = brute_force_round(pair.matrix, n, accept=lambda bits: len(set(bits)) != 1)
         assert abs(accepted + rejected - 1) < 1e-9
@@ -134,7 +136,7 @@ class TestPurifyIterated:
         n = 2
         copy = noisy_ghz(n, 0.2)
         iterated = purify_iterated(copy, 1)
-        direct = purify_round(qcore.tensor_product(copy, copy))
+        direct = purify_round(tensor_product(copy, copy))
         assert np.max(np.abs(iterated.kept_state.matrix - direct.kept_state.matrix)) < 1e-12
         assert abs(iterated.success_probability - direct.success_probability) < 1e-12
 
@@ -169,7 +171,7 @@ class TestPurifyIterated:
         def repeated_pair_rounds():
             state, compound = source, 1.0
             for _ in range(rounds):
-                result = purify_round(qcore.tensor_product(state, state))
+                result = purify_round(tensor_product(state, state))
                 state = result.kept_state
                 compound *= result.success_probability
                 if compound < 1e-12:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzsdc.qcore import (
-    CNOT,
     I2,
     SIGMA_X,
     SIGMA_Y,
@@ -20,15 +19,12 @@ from ghzsdc.qcore import (
     _spectrum_entropy,
     _target_rows,
     apply_channel,
-    basis_state,
-    embedded_matrix,
     fidelity,
     partial_trace,
-    tensor_product,
     von_neumann_entropy,
 )
 
-from full_space import apply_unitary
+from full_space import CNOT, apply_unitary, basis_state, embedded_matrix, tensor_product
 
 
 def bell_state():
@@ -69,6 +65,13 @@ class TestValidation:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             Unitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_unitary_rejected(self, entry):
+        mat = np.eye(2, dtype=complex)
+        mat[1, 0] = entry
+        with pytest.raises(ValueError, match="not unitary"):
+            Unitary(mat)
 
     def test_incomplete_kraus_rejected(self):
         with pytest.raises(ValueError, match="completeness"):
