@@ -8,12 +8,17 @@ Qubit 0 is the most significant (leftmost) position of a basis label, so
 All entropies are in bits (log base 2).
 
 `_apply_matrix`, the one kernel that maps qubits to array axes, applies the
-noise channels, trajectory branches and QNN perceptrons alike.
+noise channels, trajectory branches and QNN perceptrons alike. A channel on
+a density matrix is one matmul: flattened row-major, rho is a vector on 2m
+qubits (its row qubits, then its column qubits), and the channel's
+superoperator sum_k K_k (x) conj(K_k) acts on the row and column copies of
+the target qubits (Wood, Biamonte and Cory, QIC 15, 759 (2015)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -49,8 +54,10 @@ class StateVector:
         m = _qubit_count_of(amps.size, "state vector")
         if m > MAX_STATE_QUBITS:
             raise ValueError(f"state vectors support at most {MAX_STATE_QUBITS} qubits, got {m}")
+        if not np.isfinite(amps).all():
+            raise ValueError("state vector has a non-finite amplitude")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > ATOL:
+        if not abs(norm - 1.0) <= ATOL:
             raise ValueError(f"state vector norm {norm} is not 1")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -76,13 +83,18 @@ class DensityOperator:
         m = _qubit_count_of(mat.shape[0], "density operator")
         if m > MAX_DENSITY_QUBITS:
             raise ValueError(f"density operators support at most {MAX_DENSITY_QUBITS} qubits, got {m}")
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
+        # an inf entry would warn in the Hermiticity subtract, and each bound
+        # below is written so that NaN fails it too; the method forms keep
+        # the finiteness pass from adding to the cost
+        if not np.isfinite(mat).all():
+            raise ValueError("density operator has a non-finite entry")
+        if not np.abs(mat - mat.conj().T).max() <= ATOL:
             raise ValueError("density operator is not Hermitian")
-        tr = np.trace(mat).real
-        if abs(tr - 1.0) > ATOL:
+        tr = mat.trace().real
+        if not abs(tr - 1.0) <= ATOL:
             raise ValueError(f"density operator trace {tr} is not 1")
         evals = np.linalg.eigvalsh(mat)
-        if evals.min() < -ATOL:
+        if not evals[0] >= -ATOL:
             raise ValueError("density operator has a negative eigenvalue")
         mat.flags.writeable = False
         evals.flags.writeable = False
@@ -103,8 +115,8 @@ class Unitary:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("unitary must be a square matrix")
         k = _qubit_count_of(mat.shape[0], "unitary")
-        # NaN passes a `>` bound, and an inf entry warns in the matmul
-        if not np.isfinite(mat).all() or np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))) > ATOL:
+        # an inf entry warns in the matmul, and the bound fails on NaN too
+        if not np.isfinite(mat).all() or not np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))) <= ATOL:
             raise ValueError("matrix is not unitary")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -113,7 +125,9 @@ class Unitary:
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """Completely positive trace-preserving map given by Kraus operators."""
+    """Completely positive trace-preserving map given by Kraus operators;
+    `superoperator` is its matrix on flattened density matrices, built on
+    first use."""
 
     kraus_ops: tuple
     qubit_count: int = field(init=False)
@@ -127,13 +141,24 @@ class QuantumChannel:
         for op in ops:
             if op.shape != (dim, dim):
                 raise ValueError("Kraus operators must share one square shape")
+            if not np.isfinite(op).all():
+                raise ValueError("Kraus operator has a non-finite entry")
         total = sum(op.conj().T @ op for op in ops)
-        if np.max(np.abs(total - np.eye(dim))) > ATOL:
+        if not np.max(np.abs(total - np.eye(dim))) <= ATOL:
             raise ValueError("Kraus operators do not satisfy completeness")
         for op in ops:
             op.flags.writeable = False
         object.__setattr__(self, "kraus_ops", ops)
         object.__setattr__(self, "qubit_count", k)
+
+    @cached_property
+    def superoperator(self) -> np.ndarray:
+        """sum_k K_k (x) conj(K_k), read-only: the channel on a density matrix
+        flattened row-major. Lazy, because a full-space channel of 4^n Kraus
+        operators that is only scored through its Kraus form never needs it."""
+        sup = sum(np.kron(op, op.conj()) for op in self.kraus_ops)
+        sup.flags.writeable = False
+        return sup
 
 
 def _check_targets(targets: Sequence[int], k: int, m: int) -> list:
@@ -171,23 +196,16 @@ def _apply_matrix(mat: np.ndarray, arr: np.ndarray, targets, m: int) -> np.ndarr
     return _from_target_rows(mat @ _target_rows(arr, targets, m), targets, m).reshape(arr.shape)
 
 
-def _conjugate_matrix(mat: np.ndarray, rho: np.ndarray, targets, m: int) -> np.ndarray:
-    # flattened to one column, rho is a 2m-qubit vector: rows, then columns
-    t = _apply_matrix(mat, rho, targets, m)
-    return _apply_matrix(mat.conj(), t.reshape(-1, 1), [m + q for q in targets], 2 * m).reshape(rho.shape)
-
-
 def _kraus_sum(ch: QuantumChannel, rho: np.ndarray, targets, m: int) -> np.ndarray:
-    """Sum of Kraus conjugations of the bare matrix rho on `targets`, added
-    from a zero matrix in Kraus order; validates nothing."""
-    out = np.zeros_like(rho)
-    for op in ch.kraus_ops:
-        out = out + _conjugate_matrix(op, rho, targets, m)
-    return out
+    """`ch` on `targets` of the bare matrix rho, as one matmul of its
+    superoperator on the row and column copies of the targets of rho
+    flattened to a 2m-qubit column; validates nothing."""
+    doubled = list(targets) + [m + q for q in targets]
+    return _apply_matrix(ch.superoperator, rho.reshape(-1, 1), doubled, 2 * m).reshape(rho.shape)
 
 
 def apply_channel(rho: DensityOperator, ch: QuantumChannel, targets: Sequence[int]) -> DensityOperator:
-    """Sum of Kraus conjugations of rho on the given target qubits."""
+    """`ch` on the given target qubits of rho, by its superoperator."""
     targets = _check_targets(targets, ch.qubit_count, rho.qubit_count)
     return DensityOperator(_kraus_sum(ch, rho.matrix, targets, rho.qubit_count))
 
@@ -223,6 +241,8 @@ def fidelity(psi: StateVector, rho: DensityOperator) -> float:
 def _spectrum_entropy(evals: np.ndarray) -> float:
     """-sum(lambda log2 lambda) over the positive eigenvalues, in bits (x log x
     is continuous at 0); eigenvalues down to -ATOL, as validation admits, are 0."""
+    if not np.isfinite(evals).all():
+        raise ValueError("matrix spectrum has a non-finite eigenvalue")
     if evals.min() < -ATOL:
         raise ValueError(f"matrix eigenvalue {evals.min()} below the clamp floor")
     evals = evals[evals > 0]

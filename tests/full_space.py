@@ -1,9 +1,10 @@
 """Test oracles on the full space: basis states, Kronecker composition, the
 dense GHZ basis, an operator embedded on chosen qubits, a product of
 single-qubit channels as one channel, the per-qubit factors of the protocol's
-noise, dense conjugation by a unitary on chosen qubits, the identity network,
-and the entropy exchange and coherent information of a channel on pure
-states, checked against a Stinespring dilation."""
+noise, random channels cut from isometries, conjugation by one operator on
+chosen qubits and a channel as the sum of its Kraus conjugations, the
+identity network, and the entropy exchange and coherent information of a
+channel on pure states, checked against a Stinespring dilation."""
 
 from typing import Sequence
 
@@ -20,7 +21,6 @@ from ghzsdc.qcore import (
     Unitary,
     _apply_matrix,
     _check_targets,
-    _conjugate_matrix,
     _qubit_count_of,
     von_neumann_entropy,
 )
@@ -96,10 +96,35 @@ def noise_factors(spec: NoiseSpec, n: int):
     return [single] + [single if both else QuantumChannel((I2,))] * (n - 1)
 
 
+def random_channel(rng, m, r):
+    """r Kraus operators on m qubits, cut from a random isometry: the d x d
+    blocks of the Q factor of a random (r d) x d complex matrix."""
+    d = 2 ** m
+    q, _ = np.linalg.qr(rng.normal(size=(r * d, d)) + 1j * rng.normal(size=(r * d, d)))
+    return QuantumChannel(tuple(q[k * d:(k + 1) * d] for k in range(r)))
+
+
+def conjugate_matrix(mat: np.ndarray, rho: np.ndarray, targets, m: int) -> np.ndarray:
+    """mat rho mat^dag with mat on the ordered `targets` of the bare matrix rho,
+    as mat on rho's rows, then conj(mat) on its columns."""
+    # flattened to one column, rho is a 2m-qubit vector: rows, then columns
+    t = _apply_matrix(mat, rho, targets, m)
+    return _apply_matrix(mat.conj(), t.reshape(-1, 1), [m + q for q in targets], 2 * m).reshape(rho.shape)
+
+
+def kraus_sum(ch: QuantumChannel, rho: np.ndarray, targets, m: int) -> np.ndarray:
+    """`ch` on `targets` of the bare matrix rho as the sum of its Kraus
+    conjugations, added from a zero matrix in Kraus order."""
+    out = np.zeros_like(rho)
+    for op in ch.kraus_ops:
+        out = out + conjugate_matrix(op, rho, targets, m)
+    return out
+
+
 def apply_unitary(rho: DensityOperator, u: Unitary, targets: Sequence[int]) -> DensityOperator:
     """Conjugate rho by u embedded on the given (ordered) target qubits."""
     targets = _check_targets(targets, u.qubit_count, rho.qubit_count)
-    return DensityOperator(_conjugate_matrix(u.matrix, rho.matrix, targets, rho.qubit_count))
+    return DensityOperator(conjugate_matrix(u.matrix, rho.matrix, targets, rho.qubit_count))
 
 
 def stinespring_environment_entropy(states: Sequence[DensityOperator], ch: QuantumChannel) -> float:

@@ -16,6 +16,7 @@ from full_space import (
     full_space_channel,
     ghz_basis,
     noise_factors,
+    random_channel,
     stinespring_environment_entropy,
 )
 
@@ -31,14 +32,6 @@ def random_pure_states(rng, m, count):
         amps = rng.normal(size=2 ** m) + 1j * rng.normal(size=2 ** m)
         states.append(StateVector(amps / np.linalg.norm(amps)).density())
     return states
-
-
-def random_channel(rng, m, r):
-    """r Kraus operators on m qubits, cut from a random isometry: the d x d
-    blocks of the Q factor of a random (r d) x d complex matrix."""
-    d = 2 ** m
-    q, _ = np.linalg.qr(rng.normal(size=(r * d, d)) + 1j * rng.normal(size=(r * d, d)))
-    return QuantumChannel(tuple(q[k * d:(k + 1) * d] for k in range(r)))
 
 
 def environment_gram(states, ch):
@@ -233,6 +226,19 @@ class TestReport:
                    - coherent_information(inputs, embedded)) < 1e-12
         assert rep.quantum_capacity == max(rep.coherent_information, 0.0)
         assert rep.classical_capacity >= rep.holevo - 1e-12
+
+    def test_scoring_leaves_the_superoperator_unbuilt(self):
+        # capacity works from the Kraus form: a full-space channel of 4^n
+        # operators must never pay for its 16^n-entry superoperator
+        make_channel.cache_clear()
+        spec = NoiseSpec(NoiseKind.DEPOLARIZING, 0.3, NoiseStage.DISTRIBUTION_AND_RETURN)
+        capacity.report(1.0, spec, 3)
+        assert "superoperator" not in make_channel(spec.kind, spec.p).__dict__
+        embedded = full_space_channel(noise_factors(spec, 3))
+        inputs = [ideal_received_state(Codeword(3, v)).density() for v in range(8)]
+        entropy_exchange(inputs, embedded)
+        coherent_information(inputs, embedded)
+        assert "superoperator" not in embedded.__dict__
 
     def test_classical_capacity_at_uniform_priors_is_the_holevo_value(self):
         ch = make_channel(NoiseKind.AMPLITUDE_DAMPING, 0.3)

@@ -16,6 +16,7 @@ from ghzsdc.qcore import (
     Unitary,
     _apply_matrix,
     _from_target_rows,
+    _kraus_sum,
     _spectrum_entropy,
     _target_rows,
     apply_channel,
@@ -24,7 +25,17 @@ from ghzsdc.qcore import (
     von_neumann_entropy,
 )
 
-from full_space import CNOT, apply_unitary, basis_state, embedded_matrix, tensor_product
+from full_space import (
+    CNOT,
+    apply_unitary,
+    basis_state,
+    embedded_matrix,
+    kraus_sum,
+    random_channel,
+    tensor_product,
+)
+
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.nan)]
 
 
 def bell_state():
@@ -66,12 +77,36 @@ class TestValidation:
         with pytest.raises(ValueError, match="unitary"):
             Unitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
-    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("entry", NON_FINITE)
     def test_non_finite_unitary_rejected(self, entry):
         mat = np.eye(2, dtype=complex)
         mat[1, 0] = entry
         with pytest.raises(ValueError, match="not unitary"):
             Unitary(mat)
+
+    @pytest.mark.parametrize("entry", NON_FINITE)
+    def test_non_finite_state_rejected(self, entry):
+        with pytest.raises(ValueError, match="non-finite"):
+            StateVector(np.array([entry, 0.0]))
+
+    @pytest.mark.parametrize("entry", NON_FINITE)
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_density_rejected(self, entry, where):
+        # before any arithmetic: an inf entry must not warn in the subtract
+        mat = np.diag([0.0, 1.0]).astype(complex)
+        mat[where] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityOperator(mat)
+
+    @pytest.mark.parametrize("entry", NON_FINITE)
+    def test_non_finite_kraus_rejected(self, entry):
+        with pytest.raises(ValueError, match="non-finite"):
+            QuantumChannel((np.array([[entry, 0], [0, 1]], dtype=complex),))
+
+    @pytest.mark.parametrize("entry", NON_FINITE)
+    def test_non_finite_spectrum_rejected(self, entry):
+        with pytest.raises(ValueError, match="non-finite"):
+            _spectrum_entropy(np.array([entry, 0.5, 0.5]))
 
     def test_incomplete_kraus_rejected(self):
         with pytest.raises(ValueError, match="completeness"):
@@ -263,6 +298,34 @@ class TestApplyChannel:
             out = apply_channel(rho, ch, [int(rng.integers(2))])
             assert abs(np.trace(out.matrix).real - 1) < 1e-10
             assert np.linalg.eigvalsh(out.matrix).min() > -1e-10
+
+
+class TestSuperoperator:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 2), r=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_kraus_sum_matches_the_kraus_conjugations(self, data, k, r, seed):
+        m = data.draw(st.integers(k, 6))
+        targets = data.draw(st.permutations(range(m)))[:k]
+        rng = np.random.default_rng(seed)
+        ch = random_channel(rng, k, r)
+        rho = random_density(rng, m).matrix
+        out = _kraus_sum(ch, rho, targets, m)
+        assert out.shape == rho.shape
+        assert np.max(np.abs(out - kraus_sum(ch, rho, targets, m))) < 1e-14
+
+    def test_is_the_cached_read_only_kron_sum(self):
+        ch = random_channel(np.random.default_rng(3), 2, 3)
+        assert "superoperator" not in ch.__dict__
+        sup = ch.superoperator
+        expected = sum(np.kron(op, op.conj()) for op in ch.kraus_ops)
+        assert np.array_equal(sup, expected)
+        assert ch.superoperator is sup
+        assert not sup.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sup[0, 0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ch.superoperator = expected
 
 
 class TestFidelityAndEntropy:
