@@ -1,9 +1,11 @@
 """Train a dissipative network corrector on noisy trajectories.
 
 The training set is built from pure-state trajectories of the shared
-state under amplitude damping; the target is always the ideal state. The
-trained network is then applied as a channel corrector and compared
-against the uncorrected fidelity.
+state under amplitude damping, drawn by one `sample_trajectories` call
+that computes the Kraus branches once; the target is always the ideal
+state. Training makes one eigendecomposition per ascent and validates the
+model where it returns it. The trained network is then applied as a
+channel corrector and compared against the uncorrected fidelity.
 
 Run: python3 demos/qnn_training_demo.py
 """
@@ -18,7 +20,7 @@ from ghzsdc import (
     feedforward,
     fidelity,
     make_channel,
-    sample_trajectory,
+    sample_trajectories,
     shared_state,
     train,
 )
@@ -28,7 +30,7 @@ def build_training_set(n, p, count, seed):
     psi = shared_state(n)
     ch = make_channel(NoiseKind.AMPLITUDE_DAMPING, p)
     seeds = np.random.default_rng(seed).integers(0, 2 ** 31, size=count)
-    return [TrainingPair(sample_trajectory(psi, ch, [0], int(s)), psi) for s in seeds]
+    return [TrainingPair(x, psi) for x in sample_trajectories(psi, ch, [0], seeds)]
 
 def main():
     n = 2

@@ -3,7 +3,7 @@ entanglement purification, QNN correction, and channel-capacity analysis."""
 
 from .capacity import CapacityReport, holevo
 from .harness import CorrectionPipeline, SweepConfig, SweepRecord, emit_records, run_sweep
-from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel, sample_trajectory
+from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel, sample_trajectories
 from .purify import PurificationResult, PurificationUnderflow, purify_iterated, purify_round
 from .qcore import (
     DensityOperator,

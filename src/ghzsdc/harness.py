@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import capacity, purify, qcore, qnn
-from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel, sample_trajectory
+from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel, sample_trajectories
 from .qcore import DensityOperator
 from .sdc import Codeword, distribute, ideal_received_state, shared_state, transmit
 
@@ -109,10 +109,7 @@ def train_inline_model(cfg: SweepConfig, p_train: float) -> Tuple[qnn.QnnModel, 
     psi = shared_state(cfg.n)
     single = make_channel(cfg.noise_kind, p_train)
     seed_root = np.random.default_rng(cfg.seed).integers(0, 2 ** 31, size=cfg.trajectories)
-    pairs = [
-        qnn.TrainingPair(sample_trajectory(psi, single, [0], int(s)), psi)
-        for s in seed_root
-    ]
+    pairs = [qnn.TrainingPair(x, psi) for x in sample_trajectories(psi, single, [0], seed_root)]
     arch = qnn.NetworkArchitecture(cfg.n, cfg.hidden_layers)
     return qnn.train(arch, pairs, max_iters=cfg.train_iters, rng_seed=cfg.seed)
 

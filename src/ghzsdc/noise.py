@@ -6,7 +6,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -74,17 +74,20 @@ def make_channel(kind: NoiseKind, p: float) -> QuantumChannel:
     return QuantumChannel(tuple(op for op in ops if np.any(op)))
 
 
-def sample_trajectory(psi: StateVector, ch: QuantumChannel, targets: Sequence[int], rng_seed: int) -> StateVector:
-    """Sample one Kraus branch with its Born probability and renormalize.
+def sample_trajectories(psi: StateVector, ch: QuantumChannel, targets: Sequence[int],
+                        seeds: Sequence[int]) -> List[StateVector]:
+    """Per seed, one Kraus branch drawn with its Born probability and
+    renormalized. The branches and weights are computed once, and each drawn
+    branch is validated once and shared by every seed that draws it.
 
-    Deterministic for a fixed seed; averaging trajectory outer products over
-    seeds converges to the channel output.
+    Deterministic per seed; averaging trajectory outer products over seeds
+    converges to the channel output.
     """
     targets = _check_targets(targets, ch.qubit_count, psi.qubit_count)
     branches = [_apply_matrix(k, psi.amplitudes, targets, psi.qubit_count)
                 for k in ch.kraus_ops]
     weights = np.array([np.linalg.norm(b) ** 2 for b in branches])
     weights = weights / weights.sum()
-    rng = np.random.default_rng(rng_seed)
-    i = rng.choice(len(branches), p=weights)
-    return StateVector(branches[i] / np.linalg.norm(branches[i]))
+    picks = [np.random.default_rng(int(seed)).choice(len(branches), p=weights) for seed in seeds]
+    states = {i: StateVector(branches[i] / np.linalg.norm(branches[i])) for i in set(picks)}
+    return [states[i] for i in picks]

@@ -74,6 +74,20 @@ class TrainingReport:
 # One path for cost, training and `feedforward`: `qcore._apply_matrix` applies
 # each perceptron to the distinct training pairs, the columns of one (2^m, P)
 # full register; the trace over the non-output registers waits for the overlap.
+# Training works on the bare layer-major (L*n, d, d) perceptron stack, with one
+# eigendecomposition per ascent; the model is validated where `train` returns it.
+
+def _stack(model: QnnModel) -> np.ndarray:
+    """The perceptrons as one layer-major (L*n, d, d) stack."""
+    return np.array([u.matrix for layer in model.perceptrons for u in layer])
+
+
+def _model(architecture: NetworkArchitecture, stack: np.ndarray) -> QnnModel:
+    """The validated model of a layer-major perceptron stack."""
+    n = architecture.input_width
+    return QnnModel(architecture, tuple(tuple(Unitary(u) for u in stack[t:t + n])
+                                        for t in range(0, len(stack), n)))
+
 
 def _targets(n: int, t: int, j: int) -> list:
     """Qubits of perceptron j of transition t: t*n..(t+1)*n-1, then (t+1)*n + j."""
@@ -97,13 +111,11 @@ def _batch(architecture: NetworkArchitecture, pairs: Sequence[TrainingPair]):
     return register, targets
 
 
-def _forward(layers, arr: np.ndarray) -> np.ndarray:
-    """The perceptrons of `layers` (transitions 0, 1, ...), in order, on the
-    rows of `arr`, a register of (len(layers) + 1) * n qubits."""
-    n = len(layers[0])
-    for t, layer in enumerate(layers):
-        for j, u in enumerate(layer):
-            arr = _apply_matrix(u.matrix, arr, _targets(n, t, j), (len(layers) + 1) * n)
+def _forward(stack: np.ndarray, n: int, arr: np.ndarray) -> np.ndarray:
+    """The perceptrons of the layer-major `stack` (n per transition), in
+    order, on the rows of `arr`, a register of len(stack) + n qubits."""
+    for i, u in enumerate(stack):
+        arr = _apply_matrix(u, arr, _targets(n, i // n, i % n), len(stack) + n)
     return arr
 
 
@@ -121,8 +133,8 @@ def feedforward(model: QnnModel, rho_in: DensityOperator) -> DensityOperator:
     d = 2 ** n
     basis = np.kron(np.eye(d), np.eye(d, 1))  # columns |i>|0...0>
     rho = rho_in.matrix
-    for layer in model.perceptrons:
-        kraus = _forward((layer,), basis).reshape(d, d, d)
+    for layer in _stack(model).reshape(-1, n, 2 * d, 2 * d):
+        kraus = _forward(layer, n, basis).reshape(d, d, d)
         rho = np.tensordot(kraus @ rho, kraus.conj(), axes=([0, 2], [0, 2]))
     return DensityOperator(rho)
 
@@ -142,7 +154,8 @@ def cost(model: QnnModel, training_set: Sequence[TrainingPair]) -> float:
     """Mean target overlap (1/N) sum_x <target_x| rho_x^out |target_x>."""
     register, targets = _batch(model.architecture, training_set)
     weights = np.full(len(training_set), 1.0 / len(training_set))
-    return _score(_forward(model.perceptrons, register), targets, weights)
+    return _score(_forward(_stack(model), model.architecture.input_width, register),
+                  targets, weights)
 
 
 def _dedupe(training_set: Sequence[TrainingPair]):
@@ -163,30 +176,27 @@ def _dedupe(training_set: Sequence[TrainingPair]):
     return unique, w
 
 
-def _ascent(model: QnnModel, out: np.ndarray, targets: np.ndarray,
+def _ascent(stack: np.ndarray, n: int, out: np.ndarray, targets: np.ndarray,
             weights: np.ndarray) -> np.ndarray:
-    """Ascent directions K, stacked layer-major, from the forward state
+    """Ascent directions K, stacked like `stack`, from the forward state
     `out` of the batch: K_i = i(T - T^dag) with T = sum_x w_x A_x C_x^dag
     over the target-qubit rows of the state A_x and of its projection C_x
     onto the target, both swept back to just after perceptron i."""
-    n = model.architecture.input_width
-    m = (model.architecture.hidden_layers + 1) * n
-    mats = [u.matrix for layer in model.perceptrons for u in layer]
+    m = len(stack) + n
     # sweep the state and its weighted target projection as one register; an
     # extra leading qubit picks between them, so perceptron qubits shift by 1
-    qubits = [[q + 1 for q in _targets(n, t, j)]
-              for t in range(model.architecture.hidden_layers) for j in range(n)]
+    qubits = [[q + 1 for q in _targets(n, i // n, i % n)] for i in range(len(stack))]
     overlap = _overlaps(out, targets)
     chi = (overlap[:, None, :] * targets[None, :, :]).reshape(out.shape) * weights
     rows = _target_rows(np.concatenate([out, chi]), qubits[-1], m + 1)
     del chi  # hold at most three full registers at a time
     half = rows.shape[1] // 2
-    grads = np.empty((len(mats),) + mats[0].shape, dtype=complex)
-    for idx in range(len(mats) - 1, -1, -1):
+    grads = np.empty_like(stack)
+    for idx in range(len(stack) - 1, -1, -1):
         t_ac = rows[:, :half] @ rows[:, half:].conj().T
         grads[idx] = 1j * (t_ac - t_ac.conj().T)
         if idx:
-            rows = _target_rows(_from_target_rows(mats[idx].conj().T @ rows, qubits[idx], m + 1),
+            rows = _target_rows(_from_target_rows(stack[idx].conj().T @ rows, qubits[idx], m + 1),
                                 qubits[idx - 1], m + 1)
     return grads
 
@@ -197,36 +207,24 @@ def _gradients(model: QnnModel, training_set: Sequence[TrainingPair], weights=No
     register, targets = _batch(model.architecture, training_set)
     if weights is None:
         weights = np.full(len(training_set), 1.0 / len(training_set))
-    return _ascent(model, _forward(model.perceptrons, register), targets, np.asarray(weights))
+    stack, n = _stack(model), model.architecture.input_width
+    return _ascent(stack, n, _forward(stack, n, register), targets, np.asarray(weights))
 
 
-def _expm_i(h: np.ndarray, eps: float) -> np.ndarray:
-    """exp(i * eps * h) for Hermitian h; h may be a stack of matrices."""
-    w, v = np.linalg.eigh(h)
+def _expm_i(w: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
+    """exp(i * eps * h) from the eigenpairs (w, v) = eigh(h) of a Hermitian
+    h, or of a stack of them."""
     return (v * np.exp(1j * eps * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-
-
-def _stepped(model: QnnModel, grads, eps: float) -> QnnModel:
-    steps = iter(_expm_i(np.asarray(grads), eps))
-    layers = tuple(tuple(Unitary(next(steps) @ u.matrix) for u in layer)
-                   for layer in model.perceptrons)
-    return QnnModel(model.architecture, layers)
 
 
 def random_model(architecture: NetworkArchitecture, rng: np.random.Generator,
                  spread: float = 0.1) -> QnnModel:
     """Perceptrons exp(iH) with H Hermitian, entries uniform in +/- spread."""
-    n = architecture.input_width
-    dim = 2 ** (n + 1)
-    layers = []
-    for _ in range(architecture.hidden_layers):
-        layer = []
-        for _ in range(n):
-            raw = rng.uniform(-spread, spread, (dim, dim)) + 1j * rng.uniform(-spread, spread, (dim, dim))
-            h = (raw + raw.conj().T) / 2
-            layer.append(Unitary(_expm_i(h, 1.0)))
-        layers.append(tuple(layer))
-    return QnnModel(architecture, tuple(layers))
+    dim = 2 ** (architecture.input_width + 1)
+    raw = np.array([rng.uniform(-spread, spread, (dim, dim)) + 1j * rng.uniform(-spread, spread, (dim, dim))
+                    for _ in range(architecture.hidden_layers * architecture.input_width)])
+    h = (raw + np.swapaxes(raw.conj(), -1, -2)) / 2
+    return _model(architecture, _expm_i(*np.linalg.eigh(h), 1.0))
 
 
 def train(
@@ -246,8 +244,9 @@ def train(
     recovers multiplicatively after accepted steps, so the history is
     non-decreasing.
     """
-    if step_size <= 0:
-        raise ValueError("step size must be positive")
+    # written so that NaN, which fails every comparison, fails it too
+    if not 0 < step_size < np.inf:
+        raise ValueError("step size must be finite and positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     n = architecture.input_width
@@ -255,34 +254,34 @@ def train(
         raise ValueError(
             f"training is limited to {MAX_TRAINABLE_WIDTH} input qubits; "
             f"wider networks fail to converge (runaway gradients)")
-    model = random_model(architecture, np.random.default_rng(rng_seed))
+    stack = _stack(random_model(architecture, np.random.default_rng(rng_seed)))
     pairs, weights = _dedupe(training_set)
     register, targets = _batch(architecture, pairs)
     eps = step_size
-    # forward state of the current model, reused by its gradient
-    out = _forward(model.perceptrons, register)
+    # forward state of the current stack, reused by its gradient
+    out = _forward(stack, n, register)
     current = _score(out, targets, weights)
     history = [current]
     converged = False
     iterations = 0
     for _ in range(max_iters):
-        grads = _ascent(model, out, targets, weights)
+        grads = _ascent(stack, n, out, targets, weights)
         largest = np.linalg.norm(grads, axis=(1, 2)).max()
         if largest > 1e-12:
             grads = grads / largest
-        stepped = None
+        # every step-halving retry exponentiates from these eigenpairs
+        w, v = np.linalg.eigh(grads)
         while eps > 1e-8:
-            candidate = _stepped(model, grads, eps)
-            candidate_out = _forward(candidate.perceptrons, register)
+            candidate = _expm_i(w, v, eps) @ stack
+            candidate_out = _forward(candidate, n, register)
             new_cost = _score(candidate_out, targets, weights)
             if new_cost >= current - 1e-9:
-                stepped = (candidate, candidate_out, new_cost)
                 break
             eps /= 2
-        if stepped is None:
+        else:  # no step size down to 1e-8 keeps the cost
             converged = True
             break
-        model, out, new_cost = stepped
+        stack, out = candidate, candidate_out
         eps = min(eps * 1.05, step_size)
         iterations += 1
         history.append(new_cost)
@@ -299,7 +298,7 @@ def train(
         iterations=iterations,
         converged=converged,
     )
-    return model, report
+    return _model(architecture, stack), report
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +311,11 @@ def train(
 def save_model(model: QnnModel, path) -> None:
     n = model.architecture.input_width
     lines = ["qnnmodel 1", f"{n} {model.architecture.hidden_layers}"]
-    for layer in model.perceptrons:
-        for u in layer:
-            d = u.matrix.shape[0]
-            lines.append(f"dim {d}")
-            for row in u.matrix:
-                for z in row:
-                    lines.append(f"{z.real:.17e} {z.imag:.17e}")
+    for mat in _stack(model):
+        lines.append(f"dim {mat.shape[0]}")
+        for row in mat:
+            for z in row:
+                lines.append(f"{z.real:.17e} {z.imag:.17e}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -13,7 +13,7 @@ import pytest
 
 from ghzsdc import capacity, qcore, qnn
 from ghzsdc.harness import SweepConfig, emit_records, run_sweep
-from ghzsdc.noise import NoiseKind, NoiseStage, make_channel, sample_trajectory
+from ghzsdc.noise import NoiseKind, NoiseStage, make_channel, sample_trajectories
 from ghzsdc.purify import purify_round
 from ghzsdc.qcore import QuantumChannel, StateVector
 from ghzsdc.sdc import Codeword, encode_usdc, ideal_received_state, shared_state
@@ -39,7 +39,7 @@ def trajectory_pairs(n, kind, p, count, seed):
     psi = shared_state(n)
     ch = make_channel(kind, p)
     seeds = np.random.default_rng(seed).integers(0, 2 ** 31, size=count)
-    return [qnn.TrainingPair(sample_trajectory(psi, ch, [0], int(s)), psi) for s in seeds]
+    return [qnn.TrainingPair(x, psi) for x in sample_trajectories(psi, ch, [0], seeds)]
 
 
 def test_criterion_1_noiseless_capacity_anchor():

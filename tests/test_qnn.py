@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzsdc import qcore, qnn
-from ghzsdc.noise import NoiseKind, make_channel, sample_trajectory
+from ghzsdc.noise import NoiseKind, make_channel, sample_trajectories
 from ghzsdc.qcore import DensityOperator, StateVector, Unitary
 from ghzsdc.sdc import shared_state
 
@@ -43,11 +43,18 @@ def dense_feedforward(model, rho_in):
     return rho
 
 
+def stepped(model, bumps, eps):
+    """The model with each perceptron U_i replaced by exp(i eps H_i) U_i,
+    for the Hermitian bumps H_i stacked layer-major."""
+    w, v = np.linalg.eigh(np.asarray(bumps))
+    return qnn._model(model.architecture, qnn._expm_i(w, v, eps) @ qnn._stack(model))
+
+
 def trajectory_pairs(n, kind, p, count, seed):
     psi = shared_state(n)
     ch = make_channel(kind, p)
     seeds = np.random.default_rng(seed).integers(0, 2 ** 31, size=count)
-    return [qnn.TrainingPair(sample_trajectory(psi, ch, [0], int(s)), psi) for s in seeds]
+    return [qnn.TrainingPair(x, psi) for x in sample_trajectories(psi, ch, [0], seeds)]
 
 
 class TestFeedforward:
@@ -180,9 +187,10 @@ class TestTraining:
         assert np.all(np.diff(history) >= -1e-9)
         assert np.all((history >= 0) & (history <= 1 + 1e-12))
 
-    def test_unitarity_preserved_after_training(self):
-        pairs = trajectory_pairs(2, NoiseKind.DEPOLARIZING, 0.2, 40, 3)
-        model, _ = qnn.train(qnn.NetworkArchitecture(2, 1), pairs, max_iters=50, rng_seed=2)
+    @pytest.mark.parametrize("n, depth", [(2, 1), (3, 2)])
+    def test_unitarity_preserved_after_training(self, n, depth):
+        pairs = trajectory_pairs(n, NoiseKind.DEPOLARIZING, 0.2, 40, 3)
+        model, _ = qnn.train(qnn.NetworkArchitecture(n, depth), pairs, max_iters=50, rng_seed=2)
         for layer in model.perceptrons:
             for u in layer:
                 dev = np.max(np.abs(u.matrix @ u.matrix.conj().T - np.eye(u.matrix.shape[0])))
@@ -209,8 +217,8 @@ class TestTraining:
                             h = np.zeros((dim, dim), dtype=complex)
                             h[r, c] = basis[0]
                             h[c, r] = np.conj(basis[0])
-                            bumped = qnn._stepped(model, [h if i == idx else np.zeros_like(h)
-                                                          for i in range(len(grads))], eps)
+                            bumped = stepped(model, [h if i == idx else np.zeros_like(h)
+                                                     for i in range(len(grads))], eps)
                             d = (qnn.cost(bumped, pairs) - base) / eps
                             fd += d * h / (np.linalg.norm(h) ** 2)
                 inner = np.real(np.trace(grads[idx].conj().T @ fd))
@@ -233,8 +241,8 @@ class TestTraining:
                 raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
                 h = (raw + raw.conj().T) / 2
                 bump = [h if i == idx else np.zeros_like(h) for i in range(len(grads))]
-                up = qnn.cost(qnn._stepped(model, bump, eps), pairs)
-                down = qnn.cost(qnn._stepped(model, bump, -eps), pairs)
+                up = qnn.cost(stepped(model, bump, eps), pairs)
+                down = qnn.cost(stepped(model, bump, -eps), pairs)
                 analytic = np.real(np.trace(grads[idx] @ h))
                 assert (up - down) / (2 * eps) == pytest.approx(analytic, abs=1e-7)
 
@@ -275,11 +283,23 @@ class TestTraining:
         with pytest.raises(ValueError, match="width differs from the model width"):
             qnn.cost(identity_model(arch), pairs)
 
-    def test_bad_step_size_rejected(self):
+    @pytest.mark.parametrize("step_size", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_step_size_rejected(self, step_size):
         with pytest.raises(ValueError):
             qnn.train(qnn.NetworkArchitecture(1, 1),
                       [qnn.TrainingPair(basis_state(1, 0), basis_state(1, 0))],
-                      step_size=0.0)
+                      step_size=step_size)
+
+    @pytest.mark.parametrize("n, depth", [(1, 1), (2, 2), (3, 1)])
+    def test_final_cost_is_the_returned_models_cost(self, n, depth):
+        # the returned model is the last accepted stack, not an earlier one
+        rng = np.random.default_rng(16)
+        pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n)) for _ in range(4)]
+        model, report = qnn.train(qnn.NetworkArchitecture(n, depth), pairs,
+                                  max_iters=30, rng_seed=5)
+        # the last step moved the cost, so an earlier model would miss it
+        assert report.cost_history[-1] - report.cost_history[-2] > 1e-9
+        assert abs(report.final_cost - qnn.cost(model, pairs)) < 1e-12
 
 
 class TestCorrectState:
