@@ -62,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(args) -> None:
-    if args.train_at is not None and args.pipeline not in ("qnn", "purify-qnn"):
-        raise ValueError("--train-at applies only to the qnn and purify-qnn pipelines")
     cfg = SweepConfig(
         noise_kind=NoiseKind(args.noise),
         p_start=args.p_start, p_stop=args.p_stop, p_step=args.p_step,

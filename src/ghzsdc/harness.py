@@ -52,6 +52,8 @@ class SweepConfig:
             raise ValueError("a model applies only to the qnn and purify-qnn pipelines")
         if self.rounds > 1 and self.pipeline not in ("purify", "purify-qnn"):
             raise ValueError("rounds > 1 applies only to the purify and purify-qnn pipelines")
+        if self.train_at is not None and self.pipeline not in ("qnn", "purify-qnn"):
+            raise ValueError("train_at applies only to the qnn and purify-qnn pipelines")
         if self.train_at is not None and self.model_path is not None:
             raise ValueError("train_at sets inline training and cannot go with a model file")
 

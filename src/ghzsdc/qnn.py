@@ -38,22 +38,23 @@ class NetworkArchitecture:
 
 @dataclass(frozen=True)
 class QnnModel:
+    """A network as its perceptrons: `stack` is one read-only layer-major
+    (L*n, d, d) array, d = 2^(n+1), whose entry t*n + j is perceptron j of
+    transition t. The input is copied and each member checked as a `Unitary`."""
+
     architecture: NetworkArchitecture
-    perceptrons: tuple  # per transition, a tuple of n Unitary values
+    stack: np.ndarray
 
     def __post_init__(self):
         n = self.architecture.input_width
-        dim = 2 ** (n + 1)
-        layers = tuple(tuple(layer) for layer in self.perceptrons)
-        if len(layers) != self.architecture.hidden_layers:
-            raise ValueError("perceptron layers do not match the architecture depth")
-        for layer in layers:
-            if len(layer) != n:
-                raise ValueError(f"each layer needs {n} perceptrons")
-            for u in layer:
-                if not isinstance(u, Unitary) or u.matrix.shape[0] != dim:
-                    raise ValueError(f"perceptrons must be {n + 1}-qubit unitaries")
-        object.__setattr__(self, "perceptrons", layers)
+        shape = (self.architecture.hidden_layers * n, 2 ** (n + 1), 2 ** (n + 1))
+        stack = np.array(self.stack, dtype=complex)
+        if stack.shape != shape:
+            raise ValueError(f"perceptron stack has shape {stack.shape}, the architecture needs {shape}")
+        for u in stack:
+            Unitary(u)
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
 
 
 @dataclass(frozen=True)
@@ -65,29 +66,23 @@ class TrainingPair:
 @dataclass(frozen=True)
 class TrainingReport:
     cost_history: List[float]
-    final_cost: float
-    iterations: int
     converged: bool
+
+    @property
+    def final_cost(self) -> float:
+        return self.cost_history[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.cost_history) - 1
 
 
 # ---------------------------------------------------------------------------
 # One path for cost, training and `feedforward`: `qcore._apply_matrix` applies
-# each perceptron to the distinct training pairs, the columns of one (2^m, P)
-# full register; the trace over the non-output registers waits for the overlap.
-# Training works on the bare layer-major (L*n, d, d) perceptron stack, with one
-# eigendecomposition per ascent; the model is validated where `train` returns it.
-
-def _stack(model: QnnModel) -> np.ndarray:
-    """The perceptrons as one layer-major (L*n, d, d) stack."""
-    return np.array([u.matrix for layer in model.perceptrons for u in layer])
-
-
-def _model(architecture: NetworkArchitecture, stack: np.ndarray) -> QnnModel:
-    """The validated model of a layer-major perceptron stack."""
-    n = architecture.input_width
-    return QnnModel(architecture, tuple(tuple(Unitary(u) for u in stack[t:t + n])
-                                        for t in range(0, len(stack), n)))
-
+# each perceptron of `QnnModel.stack` to the distinct training pairs, the
+# columns of one (2^m, P) full register; the trace over the non-output
+# registers waits for the overlap. Training steps the bare stack, with one
+# eigendecomposition per ascent; the model is built where it returns.
 
 def _targets(n: int, t: int, j: int) -> list:
     """Qubits of perceptron j of transition t: t*n..(t+1)*n-1, then (t+1)*n + j."""
@@ -133,7 +128,7 @@ def feedforward(model: QnnModel, rho_in: DensityOperator) -> DensityOperator:
     d = 2 ** n
     basis = np.kron(np.eye(d), np.eye(d, 1))  # columns |i>|0...0>
     rho = rho_in.matrix
-    for layer in _stack(model).reshape(-1, n, 2 * d, 2 * d):
+    for layer in model.stack.reshape(-1, n, 2 * d, 2 * d):
         kraus = _forward(layer, n, basis).reshape(d, d, d)
         rho = np.tensordot(kraus @ rho, kraus.conj(), axes=([0, 2], [0, 2]))
     return DensityOperator(rho)
@@ -154,7 +149,7 @@ def cost(model: QnnModel, training_set: Sequence[TrainingPair]) -> float:
     """Mean target overlap (1/N) sum_x <target_x| rho_x^out |target_x>."""
     register, targets = _batch(model.architecture, training_set)
     weights = np.full(len(training_set), 1.0 / len(training_set))
-    return _score(_forward(_stack(model), model.architecture.input_width, register),
+    return _score(_forward(model.stack, model.architecture.input_width, register),
                   targets, weights)
 
 
@@ -207,7 +202,7 @@ def _gradients(model: QnnModel, training_set: Sequence[TrainingPair], weights=No
     register, targets = _batch(model.architecture, training_set)
     if weights is None:
         weights = np.full(len(training_set), 1.0 / len(training_set))
-    stack, n = _stack(model), model.architecture.input_width
+    stack, n = model.stack, model.architecture.input_width
     return _ascent(stack, n, _forward(stack, n, register), targets, np.asarray(weights))
 
 
@@ -224,7 +219,7 @@ def random_model(architecture: NetworkArchitecture, rng: np.random.Generator,
     raw = np.array([rng.uniform(-spread, spread, (dim, dim)) + 1j * rng.uniform(-spread, spread, (dim, dim))
                     for _ in range(architecture.hidden_layers * architecture.input_width)])
     h = (raw + np.swapaxes(raw.conj(), -1, -2)) / 2
-    return _model(architecture, _expm_i(*np.linalg.eigh(h), 1.0))
+    return QnnModel(architecture, _expm_i(*np.linalg.eigh(h), 1.0))
 
 
 def train(
@@ -254,7 +249,7 @@ def train(
         raise ValueError(
             f"training is limited to {MAX_TRAINABLE_WIDTH} input qubits; "
             f"wider networks fail to converge (runaway gradients)")
-    stack = _stack(random_model(architecture, np.random.default_rng(rng_seed)))
+    stack = random_model(architecture, np.random.default_rng(rng_seed)).stack
     pairs, weights = _dedupe(training_set)
     register, targets = _batch(architecture, pairs)
     eps = step_size
@@ -263,7 +258,6 @@ def train(
     current = _score(out, targets, weights)
     history = [current]
     converged = False
-    iterations = 0
     for _ in range(max_iters):
         grads = _ascent(stack, n, out, targets, weights)
         largest = np.linalg.norm(grads, axis=(1, 2)).max()
@@ -283,7 +277,6 @@ def train(
             break
         stack, out = candidate, candidate_out
         eps = min(eps * 1.05, step_size)
-        iterations += 1
         history.append(new_cost)
         current = new_cost
         # windowed stop: a single sub-tol step can sit mid-plateau, so
@@ -292,13 +285,7 @@ def train(
         if len(history) > window and history[-1] - history[-1 - window] < tol:
             converged = True
             break
-    report = TrainingReport(
-        cost_history=history,
-        final_cost=history[-1],
-        iterations=iterations,
-        converged=converged,
-    )
-    return _model(architecture, stack), report
+    return QnnModel(architecture, stack), TrainingReport(history, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +298,7 @@ def train(
 def save_model(model: QnnModel, path) -> None:
     n = model.architecture.input_width
     lines = ["qnnmodel 1", f"{n} {model.architecture.hidden_layers}"]
-    for mat in _stack(model):
+    for mat in model.stack:
         lines.append(f"dim {mat.shape[0]}")
         for row in mat:
             for z in row:
@@ -352,31 +339,28 @@ def load_model(path) -> QnnModel:
         raise ModelFormatError(path, 2, str(exc))
     if n > MAX_TRAINABLE_WIDTH:
         raise ModelFormatError(path, 2, f"width {n} exceeds MAX_TRAINABLE_WIDTH = {MAX_TRAINABLE_WIDTH}")
-    layers = []
-    for _ in range(depth):
-        layer = []
-        for _ in range(n):
-            dim_line = next_line("'dim d'").split()
-            if len(dim_line) != 2 or dim_line[0] != "dim" or not dim_line[1].isdecimal():
-                raise ModelFormatError(path, pos, f"expected 'dim d', got {lines[pos - 1]!r}")
-            d = int(dim_line[1])
-            if d != 2 ** (n + 1):
-                raise ModelFormatError(path, pos, f"perceptron dim {d} inconsistent with width {n}")
-            mat = np.empty((d, d), dtype=complex)
-            for r in range(d):
-                for col in range(d):
-                    parts = next_line("'re im'").split()
-                    if len(parts) != 2:
-                        raise ModelFormatError(path, pos, f"expected 're im', got {lines[pos - 1]!r}")
-                    try:
-                        mat[r, col] = complex(float(parts[0]), float(parts[1]))
-                    except ValueError:
-                        raise ModelFormatError(path, pos, f"non-numeric entry {lines[pos - 1]!r}")
-            try:
-                layer.append(Unitary(mat))
-            except ValueError as exc:
-                raise ModelFormatError(path, pos, str(exc))
-        layers.append(tuple(layer))
+    mats = []  # the stack is built only once every perceptron has been read
+    for _ in range(depth * n):
+        dim_line = next_line("'dim d'").split()
+        if len(dim_line) != 2 or dim_line[0] != "dim" or not dim_line[1].isdecimal():
+            raise ModelFormatError(path, pos, f"expected 'dim d', got {lines[pos - 1]!r}")
+        d = int(dim_line[1])
+        if d != 2 ** (n + 1):
+            raise ModelFormatError(path, pos, f"perceptron dim {d} inconsistent with width {n}")
+        mat = np.empty((d, d), dtype=complex)
+        for r in range(d):
+            for col in range(d):
+                parts = next_line("'re im'").split()
+                if len(parts) != 2:
+                    raise ModelFormatError(path, pos, f"expected 're im', got {lines[pos - 1]!r}")
+                try:
+                    mat[r, col] = complex(float(parts[0]), float(parts[1]))
+                except ValueError:
+                    raise ModelFormatError(path, pos, f"non-numeric entry {lines[pos - 1]!r}")
+        try:
+            mats.append(Unitary(mat).matrix)
+        except ValueError as exc:
+            raise ModelFormatError(path, pos, str(exc))
     if pos != len(lines) and any(line.strip() for line in lines[pos:]):
         raise ModelFormatError(path, pos + 1, "trailing content after model data")
-    return QnnModel(arch, tuple(layers))
+    return QnnModel(arch, np.array(mats))

@@ -146,10 +146,9 @@ def stinespring_environment_entropy(states: Sequence[DensityOperator], ch: Quant
 def identity_model(architecture: NetworkArchitecture) -> QnnModel:
     """The network whose every perceptron is the identity: it traces the input
     away and outputs the untouched fresh register |0...0>."""
-    n = architecture.input_width
-    eye = Unitary(np.eye(2 ** (n + 1), dtype=complex))
-    layers = tuple(tuple(eye for _ in range(n)) for _ in range(architecture.hidden_layers))
-    return QnnModel(architecture, layers)
+    d = 2 ** (architecture.input_width + 1)
+    count = architecture.hidden_layers * architecture.input_width
+    return QnnModel(architecture, np.broadcast_to(np.eye(d), (count, d, d)))
 
 
 def _pure_input(states: Sequence[DensityOperator], ch: QuantumChannel) -> np.ndarray:

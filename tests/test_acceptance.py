@@ -207,7 +207,8 @@ def test_criterion_8_superposition_of_improvements():
         for seed in (0, 1, 2):
             cfg = SweepConfig(noise_kind=NoiseKind.BIT_FLIP, p_start=0.2, p_stop=0.2,
                               p_step=0.1, n=3, pipeline=pipeline, rounds=1,
-                              train_at=0.2, train_iters=600, seed=seed)
+                              train_at=None if pipeline == "purify" else 0.2,
+                              train_iters=600, seed=seed)
             per_seed.append(run_sweep(cfg)[0].avg_fidelity)
         results[pipeline] = float(np.mean(per_seed))
     combined = results["purify-qnn"]

@@ -80,6 +80,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="purify and purify-qnn"):
             small_config(pipeline=pipeline, rounds=2)
 
+    @pytest.mark.parametrize("pipeline", ["raw", "purify"])
+    def test_train_at_rejected_outside_qnn_pipelines(self, pipeline):
+        with pytest.raises(ValueError, match="train_at applies only to the qnn and purify-qnn pipelines"):
+            small_config(pipeline=pipeline, train_at=0.3)
+
     @pytest.mark.parametrize("pipeline", ["qnn", "purify-qnn"])
     def test_train_at_rejected_with_model(self, pipeline):
         with pytest.raises(ValueError, match="train_at"):
@@ -533,8 +538,8 @@ class TestCli:
     @pytest.mark.parametrize("options, message", [
         (["--pipeline", "raw", "--rounds", "5"], "purify and purify-qnn"),
         (["--pipeline", "qnn", "--rounds", "2"], "purify and purify-qnn"),
-        (["--pipeline", "raw", "--train-at", "0.9"], "--train-at"),
-        (["--pipeline", "purify", "--train-at", "0.2"], "--train-at"),
+        (["--pipeline", "raw", "--train-at", "0.9"], "qnn and purify-qnn"),
+        (["--pipeline", "purify", "--train-at", "0.2"], "qnn and purify-qnn"),
         (["--pipeline", "qnn", "--model", "m.txt", "--train-at", "0.2"], "train_at"),
     ])
     def test_options_the_pipeline_ignores_exit_nonzero(self, options, message, tmp_path, capsys):

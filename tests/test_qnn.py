@@ -35,10 +35,10 @@ def dense_feedforward(model, rho_in):
     n = model.architecture.input_width
     zeros = basis_state(n, 0).density()
     rho = rho_in
-    for layer in model.perceptrons:
+    for layer in model.stack.reshape(-1, n, 2 ** (n + 1), 2 ** (n + 1)):
         joint = tensor_product(rho, zeros)
         for j, u in enumerate(layer):
-            joint = apply_unitary(joint, u, list(range(n)) + [n + j])
+            joint = apply_unitary(joint, Unitary(u), list(range(n)) + [n + j])
         rho = qcore.partial_trace(joint, range(n, 2 * n))
     return rho
 
@@ -47,7 +47,7 @@ def stepped(model, bumps, eps):
     """The model with each perceptron U_i replaced by exp(i eps H_i) U_i,
     for the Hermitian bumps H_i stacked layer-major."""
     w, v = np.linalg.eigh(np.asarray(bumps))
-    return qnn._model(model.architecture, qnn._expm_i(w, v, eps) @ qnn._stack(model))
+    return qnn.QnnModel(model.architecture, qnn._expm_i(w, v, eps) @ model.stack)
 
 
 def trajectory_pairs(n, kind, p, count, seed):
@@ -55,6 +55,37 @@ def trajectory_pairs(n, kind, p, count, seed):
     ch = make_channel(kind, p)
     seeds = np.random.default_rng(seed).integers(0, 2 ** 31, size=count)
     return [qnn.TrainingPair(x, psi) for x in sample_trajectories(psi, ch, [0], seeds)]
+
+
+class TestQnnModel:
+    @pytest.mark.parametrize("count, d", [(1, 8), (3, 8), (2, 4)],
+                             ids=["too-few", "too-many", "wrong-dimension"])
+    def test_wrong_shape_rejected(self, count, d):
+        with pytest.raises(ValueError, match="shape"):
+            qnn.QnnModel(qnn.NetworkArchitecture(2, 1), np.broadcast_to(np.eye(d), (count, d, d)))
+
+    def test_non_unitary_member_rejected(self):
+        stack = np.array([np.eye(8), 2 * np.eye(8)])
+        with pytest.raises(ValueError, match="not unitary"):
+            qnn.QnnModel(qnn.NetworkArchitecture(2, 1), stack)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_entry_rejected(self, entry):
+        stack = np.array([np.eye(4, dtype=complex)])
+        stack[0, 1, 2] = entry
+        with pytest.raises(ValueError, match="not unitary"):
+            qnn.QnnModel(qnn.NetworkArchitecture(1, 1), stack)
+
+    def test_stack_is_read_only(self):
+        model = identity_model(qnn.NetworkArchitecture(2, 2))
+        with pytest.raises(ValueError, match="read-only"):
+            model.stack[0, 0, 0] = 0
+
+    def test_caller_array_is_copied(self):
+        stack = np.array([SWAP.matrix])
+        model = qnn.QnnModel(qnn.NetworkArchitecture(1, 1), stack)
+        stack[0] = 0
+        assert np.array_equal(model.stack, [SWAP.matrix])
 
 
 class TestFeedforward:
@@ -72,7 +103,7 @@ class TestFeedforward:
         assert np.allclose(out.matrix, basis_state(2, 0).density().matrix, atol=1e-12)
 
     def test_swap_perceptron_is_identity_channel(self):
-        model = qnn.QnnModel(qnn.NetworkArchitecture(1, 1), ((SWAP,),))
+        model = qnn.QnnModel(qnn.NetworkArchitecture(1, 1), [SWAP.matrix])
         rng = np.random.default_rng(5)
         for _ in range(10):
             rho = random_state(rng, 1).density()
@@ -125,7 +156,7 @@ class TestFeedforward:
 
 class TestCost:
     def test_perfect_model_scores_one(self):
-        model = qnn.QnnModel(qnn.NetworkArchitecture(1, 1), ((SWAP,),))
+        model = qnn.QnnModel(qnn.NetworkArchitecture(1, 1), [SWAP.matrix])
         rng = np.random.default_rng(10)
         pairs = [qnn.TrainingPair(s, s) for s in (random_state(rng, 1) for _ in range(4))]
         assert abs(qnn.cost(model, pairs) - 1) < 1e-10
@@ -143,7 +174,7 @@ class TestCost:
              [0, 1, 0, 1],
              [0, 1, 0, -1],
              [1, 0, -1, 0]], dtype=complex) / np.sqrt(2))
-        model = qnn.QnnModel(qnn.NetworkArchitecture(1, 1), ((bell_maker,),))
+        model = qnn.QnnModel(qnn.NetworkArchitecture(1, 1), [bell_maker.matrix])
         out = qnn.feedforward(model, basis_state(1, 0).density())
         assert np.allclose(out.matrix, np.eye(2) / 2, atol=1e-10)
         pair = qnn.TrainingPair(basis_state(1, 0), basis_state(1, 1))
@@ -191,10 +222,8 @@ class TestTraining:
     def test_unitarity_preserved_after_training(self, n, depth):
         pairs = trajectory_pairs(n, NoiseKind.DEPOLARIZING, 0.2, 40, 3)
         model, _ = qnn.train(qnn.NetworkArchitecture(n, depth), pairs, max_iters=50, rng_seed=2)
-        for layer in model.perceptrons:
-            for u in layer:
-                dev = np.max(np.abs(u.matrix @ u.matrix.conj().T - np.eye(u.matrix.shape[0])))
-                assert dev < 1e-9
+        for u in model.stack:
+            assert np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) < 1e-9
 
     def test_ascent_direction_matches_finite_differences(self):
         # the analytic direction must have positive overlap with the
@@ -330,9 +359,7 @@ class TestModelFiles:
         qnn.save_model(model, path)
         loaded = qnn.load_model(path)
         assert loaded.architecture == model.architecture
-        for la, lb in zip(model.perceptrons, loaded.perceptrons):
-            for ua, ub in zip(la, lb):
-                assert np.array_equal(ua.matrix, ub.matrix)
+        assert np.array_equal(loaded.stack, model.stack)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -383,6 +410,23 @@ class TestModelFiles:
         path.write_text(f"qnnmodel 1\n{qnn.MAX_TRAINABLE_WIDTH + 1} 1\n")
         with pytest.raises(qnn.ModelFormatError,
                            match=r"model\.txt:2: width 7 exceeds MAX_TRAINABLE_WIDTH = 6"):
+            qnn.load_model(path)
+
+    def test_non_unitary_perceptron_reported_at_its_last_line(self, tmp_path):
+        # width 1, two transitions: perceptron 2 spans lines 20-36
+        path = tmp_path / "model.txt"
+        qnn.save_model(identity_model(qnn.NetworkArchitecture(1, 2)), path)
+        lines = path.read_text().splitlines()
+        lines[20] = "2.0 0.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(qnn.ModelFormatError, match=r"model\.txt:36: matrix is not unitary"):
+            qnn.load_model(path)
+
+    def test_header_counts_allocate_nothing(self, tmp_path):
+        # a billion announced transitions end at the first missing entry
+        path = tmp_path / "model.txt"
+        path.write_text("qnnmodel 1\n1 1000000000\ndim 4\n")
+        with pytest.raises(qnn.ModelFormatError, match=r"model\.txt:4: unexpected end of file"):
             qnn.load_model(path)
 
     @pytest.mark.parametrize("entry", ["nan nan", "nan 0.0", "0.0 inf", "-inf -inf"])
