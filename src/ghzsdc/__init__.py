@@ -4,7 +4,7 @@ entanglement purification, QNN correction, and channel-capacity analysis."""
 from .capacity import CapacityReport, holevo
 from .harness import CorrectionPipeline, SweepConfig, SweepRecord, emit_records, run_sweep
 from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel, sample_trajectories
-from .purify import PurificationResult, PurificationUnderflow, purify_iterated, purify_round
+from .purify import PurificationResult, PurificationUnderflow, purify_iterated
 from .qcore import (
     DensityOperator,
     QuantumChannel,
@@ -12,10 +12,9 @@ from .qcore import (
     Unitary,
     apply_channel,
     fidelity,
-    partial_trace,
     von_neumann_entropy,
 )
-from .qnn import NetworkArchitecture, QnnModel, TrainingPair, TrainingReport, cost, feedforward, load_model, save_model, train
+from .qnn import NetworkArchitecture, QnnModel, TrainingPair, TrainingReport, feedforward, load_model, save_model, train
 from .sdc import Codeword, SdcRunResult, decode_ghz, distribute, encode_usdc, run_protocol, shared_state, transmit
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,11 +1,12 @@
 """Dense multi-qubit linear algebra: states, density operators, gates,
-channels, partial trace, fidelity, entropy.
+channels, fidelity, entropy.
 
 Conventions
 -----------
 Qubit 0 is the most significant (leftmost) position of a basis label, so
 |q0 q1 ... q(m-1)> maps to the integer index with q0 as the high bit.
-All entropies are in bits (log base 2).
+All entropies are in bits (log base 2). The array-holding value types
+compare and hash by identity, as an array has no single truth value.
 
 `_apply_matrix`, the one kernel that maps qubits to array axes, applies the
 noise channels, trajectory branches and QNN perceptrons alike. A channel on
@@ -42,7 +43,7 @@ def _qubit_count_of(dim: int, what: str) -> int:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state on ``qubit_count`` qubits."""
 
@@ -67,14 +68,14 @@ class StateVector:
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite matrix on ``qubit_count``
     qubits; ``spectrum`` keeps the ascending eigenvalues of its PSD check."""
 
     matrix: np.ndarray
     qubit_count: int = field(init=False)
-    spectrum: np.ndarray = field(init=False, compare=False, repr=False)
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -103,7 +104,7 @@ class DensityOperator:
         object.__setattr__(self, "spectrum", evals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Unitary:
     """Unitary operator on ``qubit_count`` qubits."""
 
@@ -123,7 +124,7 @@ class Unitary:
         object.__setattr__(self, "qubit_count", k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """Completely positive trace-preserving map given by Kraus operators;
     `superoperator` is its matrix on flattened density matrices, built on
@@ -208,24 +209,6 @@ def apply_channel(rho: DensityOperator, ch: QuantumChannel, targets: Sequence[in
     """`ch` on the given target qubits of rho, by its superoperator."""
     targets = _check_targets(targets, ch.qubit_count, rho.qubit_count)
     return DensityOperator(_kraus_sum(ch, rho.matrix, targets, rho.qubit_count))
-
-
-def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:
-    """Trace out all qubits not in `keep`; kept qubits retain their order."""
-    m = rho.qubit_count
-    keep = sorted(set(keep))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if keep[0] < 0 or keep[-1] >= m:
-        raise ValueError(f"keep index out of range for {m} qubits")
-    t = rho.matrix.reshape((2,) * (2 * m))
-    keep_set = set(keep)
-    row = list(range(m))
-    col = [q if q not in keep_set else m + q for q in range(m)]
-    out_axes = keep + [m + q for q in keep]
-    reduced = np.einsum(t, row + col, out_axes)
-    d = 2 ** len(keep)
-    return DensityOperator(reduced.reshape(d, d))
 
 
 def fidelity(psi: StateVector, rho: DensityOperator) -> float:

@@ -36,7 +36,7 @@ class NetworkArchitecture:
             raise ValueError("at least one layer transition is required")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QnnModel:
     """A network as its perceptrons: `stack` is one read-only layer-major
     (L*n, d, d) array, d = 2^(n+1), whose entry t*n + j is perceptron j of
@@ -78,10 +78,10 @@ class TrainingReport:
 
 
 # ---------------------------------------------------------------------------
-# One path for cost, training and `feedforward`: `qcore._apply_matrix` applies
-# each perceptron of `QnnModel.stack` to the distinct training pairs, the
-# columns of one (2^m, P) full register; the trace over the non-output
-# registers waits for the overlap. Training steps the bare stack, with one
+# One path for training and `feedforward`: `qcore._apply_matrix` applies each
+# perceptron of `QnnModel.stack` to the distinct training pairs, the columns
+# of one (2^m, P) full register; the trace over the non-output registers
+# waits for the overlap. Training steps the bare stack, with one
 # eigendecomposition per ascent; the model is built where it returns.
 
 def _targets(n: int, t: int, j: int) -> list:
@@ -145,14 +145,6 @@ def _score(out: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> float:
     return float(weights @ np.sum(overlap.real ** 2 + overlap.imag ** 2, axis=0))
 
 
-def cost(model: QnnModel, training_set: Sequence[TrainingPair]) -> float:
-    """Mean target overlap (1/N) sum_x <target_x| rho_x^out |target_x>."""
-    register, targets = _batch(model.architecture, training_set)
-    weights = np.full(len(training_set), 1.0 / len(training_set))
-    return _score(_forward(model.stack, model.architecture.input_width, register),
-                  targets, weights)
-
-
 def _dedupe(training_set: Sequence[TrainingPair]):
     """Collapse repeated pairs into (pair, weight); trajectory-sampled sets
     typically contain only a handful of distinct states."""
@@ -194,16 +186,6 @@ def _ascent(stack: np.ndarray, n: int, out: np.ndarray, targets: np.ndarray,
             rows = _target_rows(_from_target_rows(stack[idx].conj().T @ rows, qubits[idx], m + 1),
                                 qubits[idx - 1], m + 1)
     return grads
-
-
-def _gradients(model: QnnModel, training_set: Sequence[TrainingPair], weights=None):
-    """Ascent directions K for every perceptron: the partial trace of
-    i[A, B] over non-target qubits, accumulated across training pairs."""
-    register, targets = _batch(model.architecture, training_set)
-    if weights is None:
-        weights = np.full(len(training_set), 1.0 / len(training_set))
-    stack, n = model.stack, model.architecture.input_width
-    return _ascent(stack, n, _forward(stack, n, register), targets, np.asarray(weights))
 
 
 def _expm_i(w: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:

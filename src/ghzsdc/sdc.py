@@ -36,7 +36,7 @@ class Codeword:
         return (self.value >> i) & 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SdcRunResult:
     codeword: Codeword
     received_state: DensityOperator

@@ -1,9 +1,10 @@
 """Test oracles on the full space: basis states, Kronecker composition, the
-dense GHZ basis, an operator embedded on chosen qubits, a product of
-single-qubit channels as one channel, the per-qubit factors of the protocol's
-noise, random channels cut from isometries, conjugation by one operator on
-chosen qubits and a channel as the sum of its Kraus conjugations, the
-identity network, and the entropy exchange and coherent information of a
+partial trace, the dense GHZ basis, an operator embedded on chosen qubits, a
+product of single-qubit channels as one channel, the per-qubit factors of the
+protocol's noise, random channels cut from isometries, conjugation by one
+operator on chosen qubits and a channel as the sum of its Kraus
+conjugations, the identity network, the network's cost and ascent directions
+on a training set, and the entropy exchange and coherent information of a
 channel on pure states, checked against a Stinespring dilation."""
 
 from typing import Sequence
@@ -24,7 +25,7 @@ from ghzsdc.qcore import (
     _qubit_count_of,
     von_neumann_entropy,
 )
-from ghzsdc.qnn import NetworkArchitecture, QnnModel
+from ghzsdc.qnn import NetworkArchitecture, QnnModel, TrainingPair, _ascent, _batch, _forward, _score
 
 # CNOT with the control on the high qubit.
 CNOT = np.array(
@@ -55,6 +56,21 @@ def tensor_product(a, b):
     if isinstance(a, Unitary) and isinstance(b, Unitary):
         return Unitary(np.kron(a.matrix, b.matrix))
     raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
+
+
+def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:
+    """Trace out all qubits not in `keep`; kept qubits retain their order."""
+    m = rho.qubit_count
+    keep = sorted(set(keep))
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    if keep[0] < 0 or keep[-1] >= m:
+        raise ValueError(f"keep index out of range for {m} qubits")
+    row = list(range(m))
+    col = [m + q if q in keep else q for q in range(m)]
+    reduced = np.einsum(rho.matrix.reshape((2,) * (2 * m)), row + col, keep + [m + q for q in keep])
+    d = 2 ** len(keep)
+    return DensityOperator(reduced.reshape(d, d))
 
 
 def ghz_basis(n: int) -> np.ndarray:
@@ -149,6 +165,22 @@ def identity_model(architecture: NetworkArchitecture) -> QnnModel:
     d = 2 ** (architecture.input_width + 1)
     count = architecture.hidden_layers * architecture.input_width
     return QnnModel(architecture, np.broadcast_to(np.eye(d), (count, d, d)))
+
+
+def cost(model: QnnModel, training_set: Sequence[TrainingPair]) -> float:
+    """Mean target overlap (1/N) sum_x <target_x| rho_x^out |target_x>, by
+    the training path."""
+    register, targets = _batch(model.architecture, training_set)
+    weights = np.full(len(training_set), 1.0 / len(training_set))
+    return _score(_forward(model.stack, model.architecture.input_width, register), targets, weights)
+
+
+def gradients(model: QnnModel, training_set: Sequence[TrainingPair], weights) -> np.ndarray:
+    """Training's ascent directions K for every perceptron, stacked like
+    `model.stack`, over the pairs with the given weights."""
+    register, targets = _batch(model.architecture, training_set)
+    stack, n = model.stack, model.architecture.input_width
+    return _ascent(stack, n, _forward(stack, n, register), targets, np.asarray(weights))
 
 
 def _pure_input(states: Sequence[DensityOperator], ch: QuantumChannel) -> np.ndarray:

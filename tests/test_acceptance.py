@@ -14,7 +14,7 @@ import pytest
 from ghzsdc import capacity, qcore, qnn
 from ghzsdc.harness import SweepConfig, emit_records, run_sweep
 from ghzsdc.noise import NoiseKind, NoiseStage, make_channel, sample_trajectories
-from ghzsdc.purify import purify_round
+from ghzsdc.purify import purify_iterated
 from ghzsdc.qcore import QuantumChannel, StateVector
 from ghzsdc.sdc import Codeword, encode_usdc, ideal_received_state, shared_state
 
@@ -97,7 +97,7 @@ def test_criterion_4_purification_gain():
         for q in (0.05, 0.15, 0.25, 0.35, 0.45):
             copy = qcore.apply_channel(shared_state(n).density(),
                                        make_channel(NoiseKind.BIT_FLIP, q), [0])
-            result = purify_round(full_space.tensor_product(copy, copy))
+            result = purify_iterated(copy, 1)
             assert result.fidelity_after > result.fidelity_before, f"no gain at n={n}, q={q}"
             # oracle: explicit embedded conjugation plus projector post-selection
             m = 2 * n

@@ -1,13 +1,15 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzsdc import qcore
-from ghzsdc.noise import NoiseKind, make_channel
-from ghzsdc.purify import PurificationUnderflow, purify_iterated, purify_round
+from ghzsdc.noise import NoiseKind, NoiseSpec, make_channel
+from ghzsdc.purify import PurificationUnderflow, purify_iterated
 from ghzsdc.qcore import DensityOperator
-from ghzsdc.sdc import shared_state
+from ghzsdc.sdc import distribute, shared_state
 
 from full_space import CNOT, embedded_matrix, tensor_product
 
@@ -17,15 +19,21 @@ def noisy_ghz(n, q, kind=NoiseKind.BIT_FLIP):
     return qcore.apply_channel(rho, make_channel(kind, q), [0])
 
 
+@lru_cache(maxsize=None)
+def cnot_layer(n):
+    """The CNOTs from qubit i to qubit n + i, i < n, as one 4^n x 4^n matrix."""
+    layer = np.eye(4 ** n, dtype=complex)
+    for i in range(n):
+        layer = embedded_matrix(CNOT, [i, n + i], 2 * n) @ layer
+    layer.flags.writeable = False  # shared by every call
+    return layer
+
+
 def brute_force_round(pair_matrix, n, accept=lambda bits: len(set(bits)) == 1):
     """Independent oracle: one explicit 4^(2n)-entry conjugation by the CNOT
     layer, then projector post-selection over all accepting B outcomes
     (default: all bits equal)."""
-    m = 2 * n
-    dim = 2 ** m
-    layer = np.eye(dim, dtype=complex)
-    for i in range(n):
-        layer = embedded_matrix(CNOT, [i, n + i], m) @ layer
+    layer = cnot_layer(n)
     rho = layer @ pair_matrix @ layer.conj().T
     kept = np.zeros((2 ** n, 2 ** n), dtype=complex)
     success = 0.0
@@ -44,18 +52,28 @@ def brute_force_round(pair_matrix, n, accept=lambda bits: len(set(bits)) == 1):
     return success, kept / success
 
 
-class TestPurifyRound:
+def repeated_brute_force(state, rounds):
+    """`rounds` oracle rounds, each on the pair of two copies of the last
+    kept state, and their compound success probability."""
+    compound = 1.0
+    for _ in range(rounds):
+        success, kept = brute_force_round(tensor_product(state, state).matrix, state.qubit_count)
+        state = DensityOperator(kept)
+        compound *= success
+    return state, compound
+
+
+class TestSingleRound:
     def test_perfect_pair_is_fixed(self):
         n = 3
-        pair = tensor_product(shared_state(n).density(), shared_state(n).density())
-        result = purify_round(pair)
+        result = purify_iterated(shared_state(n).density(), 1)
         assert abs(result.success_probability - 1) < 1e-9
         assert abs(result.fidelity_after - 1) < 1e-9
         assert qcore.fidelity(shared_state(n), result.kept_state) > 1 - 1e-9
 
     def test_bell_case_gain(self):
         copy = noisy_ghz(2, 0.25)
-        result = purify_round(tensor_product(copy, copy))
+        result = purify_iterated(copy, 1)
         assert result.fidelity_after > result.fidelity_before
         # 16x16 brute-force oracle
         success, kept = brute_force_round(tensor_product(copy, copy).matrix, 2)
@@ -66,80 +84,29 @@ class TestPurifyRound:
     @pytest.mark.parametrize("q", [0.05, 0.15, 0.25, 0.35, 0.45])
     def test_gain_against_oracle(self, n, q):
         copy = noisy_ghz(n, q)
-        pair = tensor_product(copy, copy)
-        result = purify_round(pair)
+        result = purify_iterated(copy, 1)
         assert result.fidelity_after > result.fidelity_before
-        success, kept = brute_force_round(pair.matrix, n)
+        success, kept = brute_force_round(tensor_product(copy, copy).matrix, n)
         assert abs(result.success_probability - success) < 1e-9
         assert np.max(np.abs(result.kept_state.matrix - kept)) < 1e-9
-
-    def test_asymmetric_flip_pattern_pair(self):
-        # A copy clean, B copy mostly bit-flipped: accepting outcomes are
-        # reweighted; verified against full enumeration over B outcomes
-        n = 2
-        clean = shared_state(n).density()
-        mostly_flipped = noisy_ghz(n, 0.7)
-        pair = tensor_product(clean, mostly_flipped)
-        result = purify_round(pair)
-        success, kept = brute_force_round(pair.matrix, n)
-        assert abs(result.success_probability - success) < 1e-9
-        assert np.max(np.abs(result.kept_state.matrix - kept)) < 1e-9
-
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.sampled_from([2, 3]),
-           rank=st.integers(1, 6),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_correlated_pair_against_oracle(self, n, rank, seed):
-        # a random rank-r density matrix on all 2n qubits is generically
-        # entangled across the two copies, unlike the i.i.d. pairs above
-        rng = np.random.default_rng(seed)
-        g = rng.normal(size=(4 ** n, rank)) + 1j * rng.normal(size=(4 ** n, rank))
-        pair = DensityOperator(g @ g.conj().T / np.linalg.norm(g) ** 2)
-        result = purify_round(pair)
-        success, kept = brute_force_round(pair.matrix, n)
-        assert abs(result.success_probability - success) < 1e-9
-        assert np.max(np.abs(result.kept_state.matrix - kept)) < 1e-9
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_yield_threshold_edge(self, n):
-        # clean control against a target flipped with probability q: only the
-        # unflipped 1 - q branch passes, straddling the 1e-12 yield floor
-        clean = shared_state(n).density()
-        near = purify_round(tensor_product(clean, noisy_ghz(n, 1 - 1e-11)))
-        assert abs(near.success_probability - 1e-11) < 1e-17
-        assert qcore.fidelity(shared_state(n), near.kept_state) > 1 - 1e-9
-        with pytest.raises(PurificationUnderflow):
-            purify_round(tensor_product(clean, noisy_ghz(n, 1 - 1e-12)))
-
-    def test_fully_orthogonal_pair_underflows(self):
-        # clean control against a fully flipped target never passes the
-        # all-equal check, which must surface as the distinct underflow signal
-        pair = tensor_product(shared_state(2).density(), noisy_ghz(2, 1.0))
-        with pytest.raises(PurificationUnderflow):
-            purify_round(pair)
 
     def test_success_and_rejection_sum_to_one(self):
         n = 2
         copy = noisy_ghz(n, 0.3)
-        pair = tensor_product(copy, copy)
-        accepted = purify_round(pair).success_probability
-        rejected, _ = brute_force_round(pair.matrix, n, accept=lambda bits: len(set(bits)) != 1)
+        accepted = purify_iterated(copy, 1).success_probability
+        rejected, _ = brute_force_round(tensor_product(copy, copy).matrix, n,
+                                        accept=lambda bits: len(set(bits)) != 1)
         assert abs(accepted + rejected - 1) < 1e-9
 
-    def test_odd_qubit_count_rejected(self):
-        with pytest.raises(ValueError, match="odd qubit count 3"):
-            purify_round(shared_state(3).density())
+    def test_single_round_matches_brute_force(self):
+        copy = noisy_ghz(2, 0.2)
+        result = purify_iterated(copy, 1)
+        state, success = repeated_brute_force(copy, 1)
+        assert np.max(np.abs(result.kept_state.matrix - state.matrix)) < 1e-12
+        assert abs(result.success_probability - success) < 1e-12
 
 
 class TestPurifyIterated:
-    def test_single_round_reduces_to_purify_round(self):
-        n = 2
-        copy = noisy_ghz(n, 0.2)
-        iterated = purify_iterated(copy, 1)
-        direct = purify_round(tensor_product(copy, copy))
-        assert np.max(np.abs(iterated.kept_state.matrix - direct.kept_state.matrix)) < 1e-12
-        assert abs(iterated.success_probability - direct.success_probability) < 1e-12
-
     def test_perfect_input_any_rounds(self):
         result = purify_iterated(shared_state(2).density(), 3)
         assert abs(result.fidelity_after - 1) < 1e-9
@@ -162,31 +129,29 @@ class TestPurifyIterated:
            rounds=st.integers(1, 3),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_equals_repeated_pair_rounds(self, n, rank, rounds, seed):
-        # the factored i.i.d. round must be bit-identical to purify_round on
-        # the built pair state, which is itself checked against the oracle
+        # the factored i.i.d. round against the oracle on the built pair
         rng = np.random.default_rng(seed)
         g = rng.normal(size=(2 ** n, rank)) + 1j * rng.normal(size=(2 ** n, rank))
         source = DensityOperator(g @ g.conj().T / np.linalg.norm(g) ** 2)
-
-        def repeated_pair_rounds():
-            state, compound = source, 1.0
-            for _ in range(rounds):
-                result = purify_round(tensor_product(state, state))
-                state = result.kept_state
-                compound *= result.success_probability
-                if compound < 1e-12:
-                    raise PurificationUnderflow("compound success probability below 1e-12")
-            return state, compound
-
-        try:
-            state, compound = repeated_pair_rounds()
-        except PurificationUnderflow:
-            with pytest.raises(PurificationUnderflow):
-                purify_iterated(source, rounds)
-            return
         result = purify_iterated(source, rounds)
-        assert np.array_equal(result.kept_state.matrix, state.matrix)
-        assert result.success_probability == compound
+        state, compound = repeated_brute_force(source, rounds)
+        assert np.max(np.abs(result.kept_state.matrix - state.matrix)) < 1e-12
+        assert abs(result.success_probability - compound) < 1e-12
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([2, 3, 4]),
+           p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           rounds=st.integers(1, 3))
+    def test_distributed_state_against_oracle(self, kind, n, p, rounds):
+        # every round succeeds with probability at least 2^-n, the bound that
+        # leaves the compound probability as the only underflow floor
+        source = distribute(n, NoiseSpec(kind, p))
+        result = purify_iterated(source, rounds)
+        state, compound = repeated_brute_force(source, rounds)
+        assert np.max(np.abs(result.kept_state.matrix - state.matrix)) < 1e-12
+        assert abs(result.success_probability - compound) < 1e-12
+        assert result.success_probability >= 2.0 ** (-n * rounds) - 1e-12
 
     @pytest.mark.parametrize("n", [6, 8, 10])
     def test_large_n_bit_flip_closed_form(self, n):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghzsdc.noise import NoiseKind, NoiseSpec
 from ghzsdc.qcore import (
     I2,
     SIGMA_X,
@@ -21,16 +22,19 @@ from ghzsdc.qcore import (
     _target_rows,
     apply_channel,
     fidelity,
-    partial_trace,
     von_neumann_entropy,
 )
+from ghzsdc.qnn import NetworkArchitecture
+from ghzsdc.sdc import Codeword, run_protocol
 
 from full_space import (
     CNOT,
     apply_unitary,
     basis_state,
     embedded_matrix,
+    identity_model,
     kraus_sum,
+    partial_trace,
     random_channel,
     tensor_product,
 )
@@ -129,6 +133,24 @@ class TestSpectrum:
         with pytest.raises(dataclasses.FrozenInstanceError):
             rho.spectrum = np.ones(d) / d
         assert "spectrum" not in repr(rho)
+
+
+@pytest.mark.parametrize("make", [
+    bell_state,
+    lambda: bell_state().density(),
+    lambda: Unitary(SIGMA_X),
+    lambda: QuantumChannel((I2,)),
+    lambda: identity_model(NetworkArchitecture(1, 1)),
+    lambda: run_protocol(Codeword(3, 5), NoiseSpec(NoiseKind.BIT_FLIP, 0.1)),
+], ids=["StateVector", "DensityOperator", "Unitary", "QuantumChannel", "QnnModel", "SdcRunResult"])
+def test_array_holders_compare_and_hash_by_identity(make):
+    # elementwise array equality has no single truth value, so two distinct
+    # equal-valued instances are unequal rather than raising
+    a, b = make(), make()
+    assert a == a
+    assert not a == b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
 
 
 class TestTensorProduct:

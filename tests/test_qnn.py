@@ -8,7 +8,7 @@ from ghzsdc.noise import NoiseKind, make_channel, sample_trajectories
 from ghzsdc.qcore import DensityOperator, StateVector, Unitary
 from ghzsdc.sdc import shared_state
 
-from full_space import apply_unitary, basis_state, identity_model, tensor_product
+from full_space import apply_unitary, basis_state, cost, gradients, identity_model, partial_trace, tensor_product
 
 SWAP = Unitary(np.array(
     [[1, 0, 0, 0],
@@ -39,7 +39,7 @@ def dense_feedforward(model, rho_in):
         joint = tensor_product(rho, zeros)
         for j, u in enumerate(layer):
             joint = apply_unitary(joint, Unitary(u), list(range(n)) + [n + j])
-        rho = qcore.partial_trace(joint, range(n, 2 * n))
+        rho = partial_trace(joint, range(n, 2 * n))
     return rho
 
 
@@ -133,7 +133,7 @@ class TestFeedforward:
             dense = float(np.real(target.amplitudes.conj()
                                   @ qnn.feedforward(model, psi.density()).matrix
                                   @ target.amplitudes))
-            pure = qnn.cost(model, [qnn.TrainingPair(psi, target)])
+            pure = cost(model, [qnn.TrainingPair(psi, target)])
             assert abs(dense - pure) < 1e-10
 
     @settings(max_examples=40, deadline=None)
@@ -159,12 +159,12 @@ class TestCost:
         model = qnn.QnnModel(qnn.NetworkArchitecture(1, 1), [SWAP.matrix])
         rng = np.random.default_rng(10)
         pairs = [qnn.TrainingPair(s, s) for s in (random_state(rng, 1) for _ in range(4))]
-        assert abs(qnn.cost(model, pairs) - 1) < 1e-10
+        assert abs(cost(model, pairs) - 1) < 1e-10
 
     def test_orthogonal_outputs_score_zero(self):
         model = identity_model(qnn.NetworkArchitecture(1, 1))  # always outputs |0>
         pairs = [qnn.TrainingPair(basis_state(1, 0), basis_state(1, 1))]
-        assert qnn.cost(model, pairs) < 1e-12
+        assert cost(model, pairs) < 1e-12
 
     def test_maximally_mixed_output_scores_half(self):
         # one perceptron turning |psi>|0> into a maximally entangled pair
@@ -178,12 +178,12 @@ class TestCost:
         out = qnn.feedforward(model, basis_state(1, 0).density())
         assert np.allclose(out.matrix, np.eye(2) / 2, atol=1e-10)
         pair = qnn.TrainingPair(basis_state(1, 0), basis_state(1, 1))
-        assert abs(qnn.cost(model, [pair]) - 0.5) < 1e-10
+        assert abs(cost(model, [pair]) - 0.5) < 1e-10
 
     def test_empty_set_rejected(self):
         model = identity_model(qnn.NetworkArchitecture(1, 1))
         with pytest.raises(ValueError):
-            qnn.cost(model, [])
+            cost(model, [])
 
     def test_cost_bounded(self):
         rng = np.random.default_rng(12)
@@ -191,7 +191,7 @@ class TestCost:
             model = qnn.random_model(qnn.NetworkArchitecture(2, 1), rng, spread=1.0)
             pairs = [qnn.TrainingPair(random_state(rng, 2), random_state(rng, 2))
                      for _ in range(3)]
-            c = qnn.cost(model, pairs)
+            c = cost(model, pairs)
             assert -1e-12 <= c <= 1 + 1e-12
 
 
@@ -234,12 +234,12 @@ class TestTraining:
             pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n))
                      for _ in range(3)]
             unique, weights = qnn._dedupe(pairs)
-            grads = qnn._gradients(model, unique, weights)
+            grads = gradients(model, unique, weights)
             dim = 2 ** (n + 1)
             eps = 1e-6
             for idx in range(len(grads)):
                 fd = np.zeros((dim, dim), dtype=complex)
-                base = qnn.cost(model, pairs)
+                base = cost(model, pairs)
                 for r in range(dim):
                     for c in range(r, dim):
                         for basis in ([1.0], [1j]) if r != c else ([1.0],):
@@ -248,7 +248,7 @@ class TestTraining:
                             h[c, r] = np.conj(basis[0])
                             bumped = stepped(model, [h if i == idx else np.zeros_like(h)
                                                      for i in range(len(grads))], eps)
-                            d = (qnn.cost(bumped, pairs) - base) / eps
+                            d = (cost(bumped, pairs) - base) / eps
                             fd += d * h / (np.linalg.norm(h) ** 2)
                 inner = np.real(np.trace(grads[idx].conj().T @ fd))
                 assert inner > 0
@@ -263,15 +263,15 @@ class TestTraining:
             pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n))
                      for _ in range(3)]
             unique, weights = qnn._dedupe(pairs)
-            grads = qnn._gradients(model, unique, weights)
+            grads = gradients(model, unique, weights)
             assert len(grads) == 2 * n
             dim = 2 ** (n + 1)
             for idx in range(len(grads)):
                 raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
                 h = (raw + raw.conj().T) / 2
                 bump = [h if i == idx else np.zeros_like(h) for i in range(len(grads))]
-                up = qnn.cost(stepped(model, bump, eps), pairs)
-                down = qnn.cost(stepped(model, bump, -eps), pairs)
+                up = cost(stepped(model, bump, eps), pairs)
+                down = cost(stepped(model, bump, -eps), pairs)
                 analytic = np.real(np.trace(grads[idx] @ h))
                 assert (up - down) / (2 * eps) == pytest.approx(analytic, abs=1e-7)
 
@@ -285,8 +285,8 @@ class TestTraining:
                  for _ in range(count)]
         weights = rng.uniform(0.1, 1.0, count)
         weights /= weights.sum()
-        batched = qnn._gradients(model, pairs, weights)
-        single = sum(w * np.asarray(qnn._gradients(model, [pair], [1.0]))
+        batched = gradients(model, pairs, weights)
+        single = sum(w * np.asarray(gradients(model, [pair], [1.0]))
                      for w, pair in zip(weights, pairs))
         assert np.max(np.abs(np.asarray(batched) - single)) < 1e-12
 
@@ -310,7 +310,7 @@ class TestTraining:
         with pytest.raises(ValueError, match="width differs from the model width"):
             qnn.train(arch, pairs)
         with pytest.raises(ValueError, match="width differs from the model width"):
-            qnn.cost(identity_model(arch), pairs)
+            cost(identity_model(arch), pairs)
 
     @pytest.mark.parametrize("step_size", [0.0, -1.0, np.nan, np.inf])
     def test_bad_step_size_rejected(self, step_size):
@@ -328,7 +328,7 @@ class TestTraining:
                                   max_iters=30, rng_seed=5)
         # the last step moved the cost, so an earlier model would miss it
         assert report.cost_history[-1] - report.cost_history[-2] > 1e-9
-        assert abs(report.final_cost - qnn.cost(model, pairs)) < 1e-12
+        assert abs(report.final_cost - cost(model, pairs)) < 1e-12
 
 
 class TestCorrectState:
