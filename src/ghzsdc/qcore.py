@@ -19,7 +19,7 @@ the target qubits (Wood, Biamonte and Cory, QIC 15, 759 (2015)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -173,21 +173,25 @@ def _check_targets(targets: Sequence[int], k: int, m: int) -> list:
     return targets
 
 
-def _target_order(targets, m: int) -> list:
-    """Axes of (2,)*m + (columns,): targets in order, other qubits, columns."""
-    return list(targets) + [q for q in range(m + 1) if q not in targets]
+@lru_cache(maxsize=512)
+def _axis_orders(targets: tuple, m: int) -> tuple:
+    """Axes of (2,)*m + (columns,) with the targets first, in order, then the
+    other qubits, then the columns; and its inverse. Computed once per target
+    set: the kernels below read it on every call."""
+    order = targets + tuple(q for q in range(m + 1) if q not in targets)
+    return order, tuple(sorted(range(m + 1), key=order.__getitem__))
 
 
 def _target_rows(arr: np.ndarray, targets, m: int) -> np.ndarray:
     """`arr` (2^m rows, any columns) as 2^k rows indexed by its k `targets`
     qubits, in order; columns run over the other qubits, then arr's columns."""
-    order = _target_order(targets, m)
+    order, _ = _axis_orders(tuple(targets), m)
     return arr.reshape((2,) * m + (-1,)).transpose(order).reshape(2 ** len(targets), -1)
 
 
 def _from_target_rows(rows: np.ndarray, targets, m: int) -> np.ndarray:
     """Inverse of `_target_rows`: the (2^m, columns) array."""
-    inverse = sorted(range(m + 1), key=_target_order(targets, m).__getitem__)
+    _, inverse = _axis_orders(tuple(targets), m)
     return rows.reshape((2,) * m + (-1,)).transpose(inverse).reshape(2 ** m, -1)
 
 

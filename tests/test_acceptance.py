@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from ghzsdc import capacity, qcore, qnn
+from ghzsdc import qcore, qnn
 from ghzsdc.harness import SweepConfig, emit_records, run_sweep
 from ghzsdc.noise import NoiseKind, NoiseStage, make_channel, sample_trajectories
 from ghzsdc.purify import purify_iterated

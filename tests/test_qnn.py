@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzsdc import qcore, qnn
@@ -329,6 +329,51 @@ class TestTraining:
         # the last step moved the cost, so an earlier model would miss it
         assert report.cost_history[-1] - report.cost_history[-2] > 1e-9
         assert abs(report.final_cost - cost(model, pairs)) < 1e-12
+
+    @pytest.mark.parametrize("max_iters", [1, 40])
+    def test_one_eigensolve_per_training(self, monkeypatch, max_iters):
+        # the only eigh is random_model's; every ascent steps by the polynomial
+        pairs = trajectory_pairs(2, NoiseKind.AMPLITUDE_DAMPING, 0.3, 20, 0)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        _, report = qnn.train(qnn.NetworkArchitecture(2, 1), pairs, max_iters=max_iters, rng_seed=1)
+        assert report.iterations == max_iters
+        assert calls == [(2, 8, 8)]
+
+    def test_long_steps_take_the_squaring_path(self):
+        # eps * |K| = 2 > 1/4, so the first candidate is scaled by 2^-3 and squared
+        pairs = trajectory_pairs(2, NoiseKind.AMPLITUDE_DAMPING, 0.3, 20, 0)
+        model, report = qnn.train(qnn.NetworkArchitecture(2, 1), pairs, step_size=2.0,
+                                  max_iters=30, rng_seed=1)
+        assert isinstance(model, qnn.QnnModel)
+        assert report.iterations >= 1
+        assert np.all(np.diff(report.cost_history) >= -1e-9)
+
+
+class TestStepExponential:
+    # train's step exp(i eps K) from the powers of K, against the eigh form
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([4, 16, 64]), count=st.integers(1, 3),
+           eps=st.one_of(st.floats(1e-8, 4.0), st.sampled_from([0.25, 3.0])),
+           zero=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(d=16, count=3, eps=3.0, zero=True, seed=0)
+    def test_matches_eigh_oracle(self, d, count, eps, zero, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+        k = np.zeros((count, d, d), dtype=complex) if zero else (raw + np.swapaxes(raw.conj(), -1, -2)) / 2
+        # normalised as train does: the largest Frobenius norm becomes 1
+        largest = np.linalg.norm(k, axis=(1, 2)).max()
+        if largest > 1e-12:
+            k, largest = k / largest, 1.0
+        step = qnn._expm_i_powers(qnn._powers(k), largest, eps)
+        assert np.max(np.abs(step - qnn._expm_i(*np.linalg.eigh(k), eps))) < 1e-13
+        assert np.max(np.abs(step @ np.swapaxes(step.conj(), -1, -2) - np.eye(d))) < 1e-13
 
 
 class TestCorrectState:
