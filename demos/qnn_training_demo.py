@@ -3,8 +3,9 @@
 The training set is built from pure-state trajectories of the shared
 state under amplitude damping, drawn by one `sample_trajectories` call
 that computes the Kraus branches once; the target is always the ideal
-state. Training makes one eigendecomposition per ascent and validates the
-model where it returns it. The trained network is then applied as a
+state. Training steps each perceptron by a matrix polynomial in its
+ascent direction, with no eigendecomposition after the initial model,
+and validates the model where it returns it. The trained network is then applied as a
 channel corrector and compared against the uncorrected fidelity.
 
 Run: python3 demos/qnn_training_demo.py

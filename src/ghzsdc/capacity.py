@@ -11,7 +11,6 @@ import numpy as np
 
 from .noise import NoiseSpec, NoiseStage, make_channel
 from .qcore import DensityOperator, QuantumChannel, _spectrum_entropy, von_neumann_entropy
-from .sdc import twirl
 
 
 @dataclass(frozen=True)
@@ -47,33 +46,16 @@ def holevo(states: Sequence[DensityOperator]) -> float:
     return max(mixed - conditional, 0.0)
 
 
-def orbit_holevo(state: DensityOperator) -> float:
-    """`holevo` of the 2^n encoded images of `state`, in bits.
-
-    The images share the spectrum of `state`, and their uniform mixture is
-    its twirl over the encoder frames (`sdc.twirl`), so the Holevo value is
-    S(twirl(state)) - S(state) (Bowen, PRA 63, 022302 (2001)): one
-    eigensolve, with no state built per codeword."""
-    return max(von_neumann_entropy(twirl(state)) - von_neumann_entropy(state), 0.0)
-
-
-def _environment_gram(mix: np.ndarray, ch: QuantumChannel) -> np.ndarray:
-    """conj(W) for W_kl = tr(K_k mix K_l^dag); conj(W) has the spectrum of W.
-
-    A separate function so the r x d x d temporaries are freed before the
-    caller's eigensolve, which keeps peak memory at the Gram matrix."""
+def _exchange(mix: np.ndarray, ch: QuantumChannel) -> float:
+    """Entropy generated in the environment by `ch` on the input state `mix`,
+    in bits, unchecked: S(W) for the environment Gram matrix
+    W_kl = tr(K_k mix K_l^dag) (Schumacher, PRA 54, 2614, 1996), whose
+    conjugate, with the same spectrum, is what gets built."""
     kraus = np.stack(ch.kraus_ops)
     images = kraus @ mix
     np.conjugate(images, out=images)
     r = len(kraus)
-    return images.reshape(r, -1) @ kraus.reshape(r, -1).T
-
-
-def _exchange(mix: np.ndarray, ch: QuantumChannel) -> float:
-    """Entropy generated in the environment by `ch` on the input state `mix`,
-    in bits, unchecked: S(W) for the environment Gram matrix
-    W_kl = tr(K_k mix K_l^dag) (Schumacher, PRA 54, 2614, 1996)."""
-    return _spectrum_entropy(np.linalg.eigvalsh(_environment_gram(mix, ch)))
+    return _spectrum_entropy(np.linalg.eigvalsh(images.reshape(r, -1) @ kraus.reshape(r, -1).T))
 
 
 def _channel_output(mix: np.ndarray, ch: QuantumChannel) -> DensityOperator:
@@ -83,9 +65,8 @@ def _channel_output(mix: np.ndarray, ch: QuantumChannel) -> DensityOperator:
 def report(chi: float, spec: NoiseSpec, n: int) -> CapacityReport:
     """Bundle every quantity for one protocol configuration.
 
-    `chi` is the Holevo value of the output states at uniform priors
-    (`holevo`, or `orbit_holevo` of one state when the outputs are one
-    orbit); it fills both the holevo and the classical capacity. The
+    `chi` is the Holevo value of the output states at uniform priors; it
+    fills both the holevo and the classical capacity. The
     channel side scores the noise of `spec` on the ideal encoded inputs of
     n qubits, as one term of the channel on I/2 per noisy qubit and 0 and 1 bit
     per untouched one: the ideal inputs mix to I/d, and the noise is a product."""

@@ -4,7 +4,7 @@ per-point capacity reports, and record emission."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -12,11 +12,9 @@ import numpy as np
 from . import capacity, purify, qcore, qnn
 from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel, sample_trajectories
 from .qcore import DensityOperator
-from .sdc import Codeword, distribute, ideal_received_state, shared_state, transmit
+from .sdc import Codeword, distribute, ideal_received_state, shared_state, transmit, twirl
 
 PIPELINES = ("raw", "purify", "qnn", "purify-qnn")
-
-CSV_HEADER = "noise,p,n,pipeline,avg_fidelity,holevo,classical_capacity,coherent_info,quantum_capacity,seed"
 
 
 @dataclass(frozen=True)
@@ -79,6 +77,11 @@ class SweepRecord:
                 raise ValueError(f"{name} is not finite")
 
 
+# the CSV columns are the record's fields, in order
+_COLUMNS = tuple(f.name for f in fields(SweepRecord))
+CSV_HEADER = ",".join(_COLUMNS)
+
+
 @dataclass(frozen=True)
 class CorrectionPipeline:
     """Corrections of the shared state between distribution and encoding,
@@ -139,19 +142,22 @@ def score_point(shared: DensityOperator, spec: NoiseSpec) -> Tuple[float, capaci
     """Average fidelity and capacity report of the 2^n codewords sent from
     the corrected shared state.
 
-    On an orbit point (`NoiseSpec.is_orbit`) every output is U_x sigma U_x^dag
-    for one state sigma: the shared state itself at stage dist, or with the
-    return noise applied once at stage both (codeword 0 encodes with the
-    identity). Every fidelity is then <GHZ|sigma|GHZ> and the Holevo value is
-    `capacity.orbit_holevo(sigma)`. Otherwise each codeword is transmitted and
-    scored on its own. `capacity.report` scores the noise channel."""
+    Distribution noise acts before the Pauli encoders U_x, and a Pauli
+    return channel commutes with them, so the outputs are one orbit
+    U_x sigma U_x^dag: sigma is the shared state, with the return noise
+    applied once at stage both (codeword 0 encodes with the identity).
+    Every fidelity is then <GHZ|sigma|GHZ>, and the Holevo value is
+    S(twirl(sigma)) - S(sigma) (Bowen, PRA 63, 022302 (2001)). Amplitude-
+    damping return noise breaks the orbit, and each codeword is then
+    transmitted and scored on its own. `capacity.report` scores the noise
+    channel."""
     n = shared.qubit_count
-    if spec.is_orbit:
+    if spec.stage is NoiseStage.DISTRIBUTION_ONLY or spec.kind is not NoiseKind.AMPLITUDE_DAMPING:
         sigma = shared
         if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN:
             sigma = transmit(shared, Codeword(n, 0), spec)
         fidelities = [qcore.fidelity(shared_state(n), sigma)] * 2 ** n
-        chi = capacity.orbit_holevo(sigma)
+        chi = max(qcore.von_neumann_entropy(twirl(sigma)) - qcore.von_neumann_entropy(sigma), 0.0)
     else:
         codes = [Codeword(n, x) for x in range(2 ** n)]
         outputs = [transmit(shared, code, spec) for code in codes]
@@ -197,11 +203,8 @@ def emit_records(records: Sequence[SweepRecord], path) -> None:
     ordered = sorted(records, key=lambda r: (r.pipeline, r.p))
     lines = [CSV_HEADER]
     for r in ordered:
-        lines.append(",".join([
-            r.noise, _fmt(r.p), str(r.n), r.pipeline, _fmt(r.avg_fidelity),
-            _fmt(r.holevo), _fmt(r.classical_capacity), _fmt(r.coherent_info),
-            _fmt(r.quantum_capacity), str(r.seed),
-        ]))
+        values = (getattr(r, name) for name in _COLUMNS)
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values))
     try:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")

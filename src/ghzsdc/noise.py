@@ -37,15 +37,6 @@ class NoiseSpec:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"noise probability {self.p} outside [0, 1]")
 
-    @property
-    def is_orbit(self) -> bool:
-        """Whether every transmitted state is U_x sigma U_x^dag for one state
-        sigma and the Pauli encoders U_x: the noise acts at distribution only,
-        before the encoder, or it is a Pauli channel, which commutes with the
-        Pauli encoders. Amplitude-damping return noise breaks the orbit."""
-        return (self.stage is NoiseStage.DISTRIBUTION_ONLY
-                or self.kind in (NoiseKind.BIT_FLIP, NoiseKind.PHASE_FLIP, NoiseKind.DEPOLARIZING))
-
 
 @lru_cache(maxsize=128)
 def make_channel(kind: NoiseKind, p: float) -> QuantumChannel:

@@ -45,14 +45,14 @@ def purify_iterated(source_state: DensityOperator, rounds: int) -> PurificationR
         raise ValueError("rounds must be >= 1")
     n = source_state.qubit_count
     ideal = shared_state(n)
-    a = np.arange(2 ** n)
     state = source_state
     compound = 1.0
     for _ in range(rounds):
         rho = state.matrix
-        kept = np.zeros((2 ** n, 2 ** n), dtype=complex)
-        for m in (0, 2 ** n - 1):
-            kept += rho * rho[np.ix_(a ^ m, a ^ m)]
+        # m = 0 gathers rho itself, and m = 2^n - 1 the index reversal,
+        # since a xor (2^n - 1) = 2^n - 1 - a
+        kept = rho * rho
+        kept += rho * rho[::-1, ::-1]
         # a round on i.i.d. copies succeeds with probability
         # sum_a rho_aa^2 + rho_aa rho_~a~a >= sum_a rho_aa^2 >= 2^-n (~a is a's
         # complement), so only the compound probability can reach the floor

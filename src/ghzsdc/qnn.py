@@ -42,7 +42,8 @@ class NetworkArchitecture:
 class QnnModel:
     """A network as its perceptrons: `stack` is one read-only layer-major
     (L*n, d, d) array, d = 2^(n+1), whose entry t*n + j is perceptron j of
-    transition t. The input is copied and each member checked as a `Unitary`."""
+    transition t. The input is copied and each member checked as a `Unitary`;
+    a member's error carries its index as `member`."""
 
     architecture: NetworkArchitecture
     stack: np.ndarray
@@ -53,8 +54,12 @@ class QnnModel:
         stack = np.array(self.stack, dtype=complex)
         if stack.shape != shape:
             raise ValueError(f"perceptron stack has shape {stack.shape}, the architecture needs {shape}")
-        for u in stack:
-            Unitary(u)
+        for i, u in enumerate(stack):
+            try:
+                Unitary(u)
+            except ValueError as exc:
+                exc.member = i
+                raise
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
 
@@ -147,9 +152,10 @@ def _overlaps(out: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.einsum("rop,op->rp", split, targets.conj())
 
 
-def _score(out: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> float:
+def _score(out: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Weighted mean target overlap of the forward state `out`, and its `_overlaps`."""
     overlap = _overlaps(out, targets)
-    return float(weights @ np.sum(overlap.real ** 2 + overlap.imag ** 2, axis=0))
+    return float(weights @ np.sum(overlap.real ** 2 + overlap.imag ** 2, axis=0)), overlap
 
 
 def _dedupe(training_set: Sequence[TrainingPair]):
@@ -170,17 +176,17 @@ def _dedupe(training_set: Sequence[TrainingPair]):
     return unique, w
 
 
-def _ascent(stack: np.ndarray, n: int, out: np.ndarray, targets: np.ndarray,
-            weights: np.ndarray) -> np.ndarray:
+def _ascent(stack: np.ndarray, n: int, out: np.ndarray, overlap: np.ndarray,
+            targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Ascent directions K, stacked like `stack`, from the forward state
-    `out` of the batch: K_i = i(T - T^dag) with T = sum_x w_x A_x C_x^dag
-    over the target-qubit rows of the state A_x and of its projection C_x
-    onto the target, both swept back to just after perceptron i."""
+    `out` of the batch and its `overlap`: K_i = i(T - T^dag) with
+    T = sum_x w_x A_x C_x^dag over the target-qubit rows of the state A_x
+    and of its projection C_x onto the target, both swept back to just
+    after perceptron i."""
     m = len(stack) + n
     # sweep the state and its weighted target projection as one register; an
     # extra leading qubit picks between them, so perceptron qubits shift by 1
     qubits = _stack_targets(n, len(stack), 1)
-    overlap = _overlaps(out, targets)
     chi = (overlap[:, None, :] * targets[None, :, :]).reshape(out.shape) * weights
     rows = _target_rows(np.concatenate([out, chi]), qubits[-1], m + 1)
     del chi  # hold at most three full registers at a time
@@ -278,13 +284,13 @@ def train(
     pairs, weights = _dedupe(training_set)
     register, targets = _batch(architecture, pairs)
     eps = step_size
-    # forward state of the current stack, reused by its gradient
+    # forward state of the current stack and its overlaps, reused by its gradient
     out = _forward(stack, n, register)
-    current = _score(out, targets, weights)
+    current, overlap = _score(out, targets, weights)
     history = [current]
     converged = False
     for _ in range(max_iters):
-        grads = _ascent(stack, n, out, targets, weights)
+        grads = _ascent(stack, n, out, overlap, targets, weights)
         largest = np.linalg.norm(grads, axis=(1, 2)).max()
         if largest > 1e-12:
             grads, largest = grads / largest, 1.0
@@ -294,14 +300,14 @@ def train(
         while eps > 1e-8:
             candidate = _expm_i_powers(powers, largest, eps) @ stack
             candidate_out = _forward(candidate, n, register)
-            new_cost = _score(candidate_out, targets, weights)
+            new_cost, candidate_overlap = _score(candidate_out, targets, weights)
             if new_cost >= current - 1e-9:
                 break
             eps /= 2
         else:  # no step size down to 1e-8 keeps the cost
             converged = True
             break
-        stack, out = candidate, candidate_out
+        stack, out, overlap = candidate, candidate_out, candidate_overlap
         eps = min(eps * 1.05, step_size)
         history.append(new_cost)
         current = new_cost
@@ -383,10 +389,10 @@ def load_model(path) -> QnnModel:
                     mat[r, col] = complex(float(parts[0]), float(parts[1]))
                 except ValueError:
                     raise ModelFormatError(path, pos, f"non-numeric entry {lines[pos - 1]!r}")
-        try:
-            mats.append(Unitary(mat).matrix)
-        except ValueError as exc:
-            raise ModelFormatError(path, pos, str(exc))
+        mats.append(mat)
     if pos != len(lines) and any(line.strip() for line in lines[pos:]):
         raise ModelFormatError(path, pos + 1, "trailing content after model data")
-    return QnnModel(arch, np.array(mats))
+    try:
+        return QnnModel(arch, np.array(mats))
+    except ValueError as exc:  # a perceptron is reported at its last line
+        raise ModelFormatError(path, 2 + (exc.member + 1) * (1 + d * d), str(exc))

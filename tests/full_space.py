@@ -25,7 +25,7 @@ from ghzsdc.qcore import (
     _qubit_count_of,
     von_neumann_entropy,
 )
-from ghzsdc.qnn import NetworkArchitecture, QnnModel, TrainingPair, _ascent, _batch, _forward, _score
+from ghzsdc.qnn import NetworkArchitecture, QnnModel, TrainingPair, _ascent, _batch, _forward, _overlaps, _score
 
 # CNOT with the control on the high qubit.
 CNOT = np.array(
@@ -172,7 +172,7 @@ def cost(model: QnnModel, training_set: Sequence[TrainingPair]) -> float:
     the training path."""
     register, targets = _batch(model.architecture, training_set)
     weights = np.full(len(training_set), 1.0 / len(training_set))
-    return _score(_forward(model.stack, model.architecture.input_width, register), targets, weights)
+    return _score(_forward(model.stack, model.architecture.input_width, register), targets, weights)[0]
 
 
 def gradients(model: QnnModel, training_set: Sequence[TrainingPair], weights) -> np.ndarray:
@@ -180,7 +180,8 @@ def gradients(model: QnnModel, training_set: Sequence[TrainingPair], weights) ->
     `model.stack`, over the pairs with the given weights."""
     register, targets = _batch(model.architecture, training_set)
     stack, n = model.stack, model.architecture.input_width
-    return _ascent(stack, n, _forward(stack, n, register), targets, np.asarray(weights))
+    out = _forward(stack, n, register)
+    return _ascent(stack, n, out, _overlaps(out, targets), targets, np.asarray(weights))
 
 
 def _pure_input(states: Sequence[DensityOperator], ch: QuantumChannel) -> np.ndarray:

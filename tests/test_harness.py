@@ -252,10 +252,27 @@ ORBIT_NOISE = ([(kind, NoiseStage.DISTRIBUTION_ONLY) for kind in NoiseKind]
 
 
 class TestOrbitScoring:
-    def test_orbit_predicate(self):
+    def test_orbit_predicate(self, monkeypatch):
+        # none at stage dist, one at an orbit point of stage both, and every
+        # codeword where amplitude-damping return noise breaks the orbit
+        n = 4
+        sent = []
+
+        def counted(shared, code, spec):
+            sent.append(code)
+            return transmit(shared, code, spec)
+
+        monkeypatch.setattr(harness, "transmit", counted)
         for kind in NoiseKind:
             for stage in NoiseStage:
-                assert NoiseSpec(kind, 0.3, stage).is_orbit == ((kind, stage) in ORBIT_NOISE)
+                spec = NoiseSpec(kind, 0.3, stage)
+                sent.clear()
+                score_point(distribute(n, spec), spec)
+                if (kind, stage) in ORBIT_NOISE:
+                    expected = 0 if stage is NoiseStage.DISTRIBUTION_ONLY else 1
+                else:
+                    expected = 2 ** n
+                assert len(sent) == expected, (kind, stage)
 
     @settings(max_examples=30, deadline=None)
     @example(n=3, noise_=ORBIT_NOISE[0], pipeline="raw", p=0.0)

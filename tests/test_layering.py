@@ -1,6 +1,6 @@
 """Layering guard: no module of the package imports one above it.
 
-The order is qcore < noise < sdc < {capacity, purify, qnn} < harness < cli;
+The order is qcore < noise < {sdc, capacity} < {purify, qnn} < harness < cli;
 modules on the same level may not import each other either. Imports inside
 functions count, so a cycle cannot hide behind a local import.
 """
@@ -18,7 +18,7 @@ LEVEL = {
     "qcore": 0,
     "noise": 1,
     "sdc": 2,
-    "capacity": 3,
+    "capacity": 2,
     "purify": 3,
     "qnn": 3,
     "harness": 4,

@@ -467,6 +467,16 @@ class TestModelFiles:
         with pytest.raises(qnn.ModelFormatError, match=r"model\.txt:36: matrix is not unitary"):
             qnn.load_model(path)
 
+    def test_first_perceptron_reported_at_its_last_line(self, tmp_path):
+        # width 1, one transition: perceptron 0 spans lines 3-19
+        path = tmp_path / "model.txt"
+        qnn.save_model(identity_model(qnn.NetworkArchitecture(1, 1)), path)
+        lines = path.read_text().splitlines()
+        lines[3] = "2.0 0.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(qnn.ModelFormatError, match=r"model\.txt:19: matrix is not unitary"):
+            qnn.load_model(path)
+
     def test_header_counts_allocate_nothing(self, tmp_path):
         # a billion announced transitions end at the first missing entry
         path = tmp_path / "model.txt"
