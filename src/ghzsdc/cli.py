@@ -75,12 +75,8 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    cfg = SweepConfig(
-        noise_kind=NoiseKind(args.noise), p_start=0.0, p_stop=0.0, p_step=1.0,
-        n=args.n, seed=args.seed, trajectories=args.trajectories,
-        train_iters=args.iters, hidden_layers=args.layers,
-    )
-    model, rep = train_inline_model(cfg, args.p)
+    model, rep = train_inline_model(NoiseKind(args.noise), args.n, args.p, args.seed,
+                                    args.trajectories, args.iters, args.layers)
     qnn.save_model(model, args.out)
     print(f"saved model to {args.out}")
     print(f"final cost: {rep.final_cost:.6f}")

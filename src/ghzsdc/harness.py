@@ -32,9 +32,10 @@ class SweepConfig:
     seed: int = 0
     trajectories: int = 100
     train_iters: int = 200
-    hidden_layers: int = 1
 
     def __post_init__(self):
+        if self.n < 3:
+            raise ValueError(f"the bitwise encoder requires n >= 3, got {self.n}")
         if not (0.0 <= self.p_start <= self.p_stop <= 1.0):
             raise ValueError("need 0 <= p_start <= p_stop <= 1")
         # written so that NaN, which fails every comparison, fails it too
@@ -108,15 +109,17 @@ def p_grid(cfg: SweepConfig) -> List[float]:
     return values
 
 
-def train_inline_model(cfg: SweepConfig, p_train: float) -> Tuple[qnn.QnnModel, qnn.TrainingReport]:
-    """Train a corrector on noisy-distribution trajectories of the shared
-    state, targeting the ideal shared state; returns it with its report."""
-    psi = shared_state(cfg.n)
-    single = make_channel(cfg.noise_kind, p_train)
-    seed_root = np.random.default_rng(cfg.seed).integers(0, 2 ** 31, size=cfg.trajectories)
-    pairs = [qnn.TrainingPair(x, psi) for x in sample_trajectories(psi, single, [0], seed_root)]
-    arch = qnn.NetworkArchitecture(cfg.n, cfg.hidden_layers)
-    return qnn.train(arch, pairs, max_iters=cfg.train_iters, rng_seed=cfg.seed)
+def train_inline_model(kind: NoiseKind, n: int, p: float, seed: int, trajectories: int,
+                       iters: int, layers: int) -> Tuple[qnn.QnnModel, qnn.TrainingReport]:
+    """Train a corrector of `layers` transitions on `trajectories` noisy-
+    distribution trajectories of the n-qubit shared state, targeting the
+    ideal shared state; returns it with its report."""
+    if trajectories < 1:
+        raise ValueError("trajectories must be >= 1")
+    psi = shared_state(n)
+    seed_root = np.random.default_rng(seed).integers(0, 2 ** 31, size=trajectories)
+    pairs = [qnn.TrainingPair(x, psi) for x in sample_trajectories(psi, make_channel(kind, p), [0], seed_root)]
+    return qnn.train(qnn.NetworkArchitecture(n, layers), pairs, max_iters=iters, rng_seed=seed)
 
 
 def _build_corrector(cfg: SweepConfig) -> CorrectionPipeline:
@@ -131,7 +134,8 @@ def _build_corrector(cfg: SweepConfig) -> CorrectionPipeline:
                     f"model width {model.architecture.input_width} differs from n={cfg.n}")
         else:
             p_train = cfg.train_at if cfg.train_at is not None else 0.3
-            model, _ = train_inline_model(cfg, p_train)
+            model, _ = train_inline_model(cfg.noise_kind, cfg.n, p_train, cfg.seed,
+                                          cfg.trajectories, cfg.train_iters, layers=1)
     return CorrectionPipeline(
         purify_rounds=cfg.rounds if wants_purify else 0,
         model=model,
@@ -171,8 +175,6 @@ def run_sweep(cfg: SweepConfig) -> List[SweepRecord]:
     """One record per grid point: the shared state is distributed and
     corrected once, then scored by `score_point`. Deterministic for a fixed
     seed."""
-    # raises for an n the encoder does not support, before any training
-    ideal_received_state(Codeword(cfg.n, 0))
     corrector = _build_corrector(cfg)
     records = []
     for p in p_grid(cfg):

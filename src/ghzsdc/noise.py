@@ -10,7 +10,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .qcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, QuantumChannel, StateVector, _apply_matrix, _check_targets
+from .qcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, QuantumChannel, StateVector, _apply_each, _check_targets
 
 
 class NoiseKind(enum.Enum):
@@ -75,8 +75,7 @@ def sample_trajectories(psi: StateVector, ch: QuantumChannel, targets: Sequence[
     converges to the channel output.
     """
     targets = _check_targets(targets, ch.qubit_count, psi.qubit_count)
-    branches = [_apply_matrix(k, psi.amplitudes, targets, psi.qubit_count)
-                for k in ch.kraus_ops]
+    branches = [_apply_each([k], [targets], psi.amplitudes, psi.qubit_count) for k in ch.kraus_ops]
     weights = np.array([np.linalg.norm(b) ** 2 for b in branches])
     weights = weights / weights.sum()
     picks = [np.random.default_rng(int(seed)).choice(len(branches), p=weights) for seed in seeds]

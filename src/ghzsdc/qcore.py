@@ -8,12 +8,14 @@ Qubit 0 is the most significant (leftmost) position of a basis label, so
 All entropies are in bits (log base 2). The array-holding value types
 compare and hash by identity, as an array has no single truth value.
 
-`_apply_matrix`, the one kernel that maps qubits to array axes, applies the
-noise channels, trajectory branches and QNN perceptrons alike. A channel on
-a density matrix is one matmul: flattened row-major, rho is a vector on 2m
-qubits (its row qubits, then its column qubits), and the channel's
-superoperator sum_k K_k (x) conj(K_k) acts on the row and column copies of
-the target qubits (Wood, Biamonte and Cory, QIC 15, 759 (2015)).
+`_retarget`, the one move of qubits between array axes, and `_apply_each`,
+the one walk of local matrices over it, apply the noise channels,
+trajectory branches and QNN perceptrons alike: each step costs one axis
+move and one matmul. A channel on a density matrix is one matmul:
+flattened row-major, rho is a vector on 2m qubits (its row qubits, then
+its column qubits), and the channel's superoperator sum_k K_k (x) conj(K_k)
+acts on the row and column copies of the target qubits (Wood, Biamonte and
+Cory, QIC 15, 759 (2015)).
 """
 
 from __future__ import annotations
@@ -174,45 +176,48 @@ def _check_targets(targets: Sequence[int], k: int, m: int) -> list:
 
 
 @lru_cache(maxsize=512)
-def _axis_orders(targets: tuple, m: int) -> tuple:
-    """Axes of (2,)*m + (columns,) with the targets first, in order, then the
-    other qubits, then the columns; and its inverse. Computed once per target
-    set: the kernels below read it on every call."""
-    order = targets + tuple(q for q in range(m + 1) if q not in targets)
-    return order, tuple(sorted(range(m + 1), key=order.__getitem__))
+def _permutation(src: tuple, dst: tuple, m: int) -> tuple:
+    """Axis order taking (2,)*m + (columns,) from the layout with the `src`
+    qubits first, in order, then the other qubits, then the columns, to the
+    layout with the `dst` qubits first. Computed once per pair of layouts."""
+    old = src + tuple(q for q in range(m) if q not in src)
+    new = dst + tuple(q for q in range(m) if q not in dst)
+    return tuple(old.index(q) for q in new) + (m,)
 
 
-def _target_rows(arr: np.ndarray, targets, m: int) -> np.ndarray:
-    """`arr` (2^m rows, any columns) as 2^k rows indexed by its k `targets`
-    qubits, in order; columns run over the other qubits, then arr's columns."""
-    order, _ = _axis_orders(tuple(targets), m)
-    return arr.reshape((2,) * m + (-1,)).transpose(order).reshape(2 ** len(targets), -1)
+def _retarget(arr: np.ndarray, src, dst, m: int) -> np.ndarray:
+    """`arr` (2^m entries per column, any columns), laid out with its `src`
+    qubits first, as 2^len(dst) rows laid out with its `dst` qubits first;
+    the natural order is the layout with no qubits first. One copy."""
+    order = _permutation(tuple(src), tuple(dst), m)
+    return arr.reshape((2,) * m + (-1,)).transpose(order).reshape(2 ** len(dst), -1)
 
 
-def _from_target_rows(rows: np.ndarray, targets, m: int) -> np.ndarray:
-    """Inverse of `_target_rows`: the (2^m, columns) array."""
-    _, inverse = _axis_orders(tuple(targets), m)
-    return rows.reshape((2,) * m + (-1,)).transpose(inverse).reshape(2 ** m, -1)
+def _apply_each(mats, target_sets, arr: np.ndarray, m: int) -> np.ndarray:
+    """Each matrix in turn on its ordered targets of `arr` (a state, a density
+    matrix's rows or a batch of column states): per step one move to the
+    targets' layout and one matmul, then one move back to the natural order;
+    the result has arr's shape."""
+    rows, src = arr, ()
+    for mat, targets in zip(mats, target_sets):
+        rows = mat @ _retarget(rows, src, targets, m)
+        src = targets
+    return _retarget(rows, src, (), m).reshape(arr.shape)
 
 
-def _apply_matrix(mat: np.ndarray, arr: np.ndarray, targets, m: int) -> np.ndarray:
-    """`mat` on the ordered `targets` of `arr` (a state, a density matrix's rows
-    or a batch of column states), by one matmul; the result has its shape."""
-    return _from_target_rows(mat @ _target_rows(arr, targets, m), targets, m).reshape(arr.shape)
-
-
-def _kraus_sum(ch: QuantumChannel, rho: np.ndarray, targets, m: int) -> np.ndarray:
-    """`ch` on `targets` of the bare matrix rho, as one matmul of its
-    superoperator on the row and column copies of the targets of rho
+def _kraus_sum(ch: QuantumChannel, rho: np.ndarray, target_sets, m: int) -> np.ndarray:
+    """`ch` on each target set of the bare matrix rho in turn, as one matmul
+    of its superoperator on the row and column copies of the targets of rho
     flattened to a 2m-qubit column; validates nothing."""
-    doubled = list(targets) + [m + q for q in targets]
-    return _apply_matrix(ch.superoperator, rho.reshape(-1, 1), doubled, 2 * m).reshape(rho.shape)
+    doubled = [tuple(t) + tuple(m + q for q in t) for t in target_sets]
+    sup = [ch.superoperator] * len(doubled)
+    return _apply_each(sup, doubled, rho.reshape(-1, 1), 2 * m).reshape(rho.shape)
 
 
 def apply_channel(rho: DensityOperator, ch: QuantumChannel, targets: Sequence[int]) -> DensityOperator:
     """`ch` on the given target qubits of rho, by its superoperator."""
     targets = _check_targets(targets, ch.qubit_count, rho.qubit_count)
-    return DensityOperator(_kraus_sum(ch, rho.matrix, targets, rho.qubit_count))
+    return DensityOperator(_kraus_sum(ch, rho.matrix, [targets], rho.qubit_count))
 
 
 def fidelity(psi: StateVector, rho: DensityOperator) -> float:

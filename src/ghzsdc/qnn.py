@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .qcore import DensityOperator, StateVector, Unitary, _apply_matrix, _from_target_rows, _target_rows
+from .qcore import DensityOperator, StateVector, Unitary, _apply_each, _retarget
 
 # Training refuses wider inputs: beyond this the loss fails to converge
 # (runaway gradients), so the cap is explicit rather than silent.
@@ -85,9 +85,10 @@ class TrainingReport:
 
 
 # ---------------------------------------------------------------------------
-# One path for training and `feedforward`: `qcore._apply_matrix` applies each
-# perceptron of `QnnModel.stack` to the distinct training pairs, the columns
-# of one (2^m, P) full register; the trace over the non-output registers
+# One path for training and `feedforward`: one `qcore._apply_each` walk applies
+# the perceptrons of `QnnModel.stack` in order to the distinct training pairs,
+# the columns of one (2^m, P) full register, and `_ascent` walks back with one
+# `qcore._retarget` per perceptron; the trace over the non-output registers
 # waits for the overlap. Training steps the bare stack by a matrix polynomial
 # in powers of the ascent directions taken once per ascent; the model is
 # built where it returns.
@@ -121,9 +122,7 @@ def _batch(architecture: NetworkArchitecture, pairs: Sequence[TrainingPair]):
 def _forward(stack: np.ndarray, n: int, arr: np.ndarray) -> np.ndarray:
     """The perceptrons of the layer-major `stack` (n per transition), in
     order, on the rows of `arr`, a register of len(stack) + n qubits."""
-    for u, qubits in zip(stack, _stack_targets(n, len(stack))):
-        arr = _apply_matrix(u, arr, qubits, len(stack) + n)
-    return arr
+    return _apply_each(stack, _stack_targets(n, len(stack)), arr, len(stack) + n)
 
 
 def feedforward(model: QnnModel, rho_in: DensityOperator) -> DensityOperator:
@@ -188,7 +187,7 @@ def _ascent(stack: np.ndarray, n: int, out: np.ndarray, overlap: np.ndarray,
     # extra leading qubit picks between them, so perceptron qubits shift by 1
     qubits = _stack_targets(n, len(stack), 1)
     chi = (overlap[:, None, :] * targets[None, :, :]).reshape(out.shape) * weights
-    rows = _target_rows(np.concatenate([out, chi]), qubits[-1], m + 1)
+    rows = _retarget(np.concatenate([out, chi]), (), qubits[-1], m + 1)
     del chi  # hold at most three full registers at a time
     half = rows.shape[1] // 2
     grads = np.empty_like(stack)
@@ -196,8 +195,7 @@ def _ascent(stack: np.ndarray, n: int, out: np.ndarray, overlap: np.ndarray,
         t_ac = rows[:, :half] @ rows[:, half:].conj().T
         grads[idx] = 1j * (t_ac - t_ac.conj().T)
         if idx:
-            rows = _target_rows(_from_target_rows(stack[idx].conj().T @ rows, qubits[idx], m + 1),
-                                qubits[idx - 1], m + 1)
+            rows = _retarget(stack[idx].conj().T @ rows, qubits[idx], qubits[idx - 1], m + 1)
     return grads
 
 

@@ -107,7 +107,7 @@ def distribute(n: int, noise: NoiseSpec) -> DensityOperator:
     the bare outer product, and only the distributed state is validated."""
     amps = shared_state(n).amplitudes
     rho = np.outer(amps, amps.conj())
-    return DensityOperator(qcore._kraus_sum(make_channel(noise.kind, noise.p), rho, [0], n))
+    return DensityOperator(qcore._kraus_sum(make_channel(noise.kind, noise.p), rho, [[0]], n))
 
 
 def transmit(shared: DensityOperator, code: Codeword, noise: NoiseSpec) -> DensityOperator:
@@ -115,16 +115,15 @@ def transmit(shared: DensityOperator, code: Codeword, noise: NoiseSpec) -> Densi
     with stage `both` the channel then hits each of qubits 1..n-1 in transit.
     Qubit 0 is untouched. The encoder is a signed permutation, so the encoded
     state is one gather, (rho o sign sign^T)[image, image]. The return steps
-    act on the bare matrix, and only the transmitted state is validated."""
+    are one walk on the bare matrix, and only the transmitted state is
+    validated."""
     n = code.n
     if shared.qubit_count != n:
         raise ValueError(f"shared state has {shared.qubit_count} qubits, codeword width is {n}")
     image, sign = _frame(code)
     rho = (shared.matrix * np.outer(sign, sign))[np.ix_(image, image)]
     if noise.stage is NoiseStage.DISTRIBUTION_AND_RETURN:
-        ch = make_channel(noise.kind, noise.p)
-        for q in range(1, n):
-            rho = qcore._kraus_sum(ch, rho, [q], n)
+        rho = qcore._kraus_sum(make_channel(noise.kind, noise.p), rho, [[q] for q in range(1, n)], n)
     return DensityOperator(rho)
 
 

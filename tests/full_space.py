@@ -20,7 +20,7 @@ from ghzsdc.qcore import (
     QuantumChannel,
     StateVector,
     Unitary,
-    _apply_matrix,
+    _apply_each,
     _check_targets,
     _qubit_count_of,
     von_neumann_entropy,
@@ -91,7 +91,7 @@ def ghz_basis(n: int) -> np.ndarray:
 def embedded_matrix(mat: np.ndarray, targets: Sequence[int], m: int) -> np.ndarray:
     """Expand an operator on `targets` (ordered) to the full 2^m space."""
     targets = _check_targets(targets, _qubit_count_of(mat.shape[0], "operator"), m)
-    return _apply_matrix(mat, np.eye(2 ** m, dtype=complex), targets, m)
+    return _apply_each([mat], [targets], np.eye(2 ** m, dtype=complex), m)
 
 
 def full_space_channel(factors):
@@ -124,8 +124,8 @@ def conjugate_matrix(mat: np.ndarray, rho: np.ndarray, targets, m: int) -> np.nd
     """mat rho mat^dag with mat on the ordered `targets` of the bare matrix rho,
     as mat on rho's rows, then conj(mat) on its columns."""
     # flattened to one column, rho is a 2m-qubit vector: rows, then columns
-    t = _apply_matrix(mat, rho, targets, m)
-    return _apply_matrix(mat.conj(), t.reshape(-1, 1), [m + q for q in targets], 2 * m).reshape(rho.shape)
+    t = _apply_each([mat], [targets], rho, m)
+    return _apply_each([mat.conj()], [[m + q for q in targets]], t.reshape(-1, 1), 2 * m).reshape(rho.shape)
 
 
 def kraus_sum(ch: QuantumChannel, rho: np.ndarray, targets, m: int) -> np.ndarray:

@@ -65,6 +65,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="rounds must be >= 1"):
             small_config(pipeline="purify", rounds=rounds)
 
+    # the bitwise encoder needs Bob's qubit and at least two of Alice's
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_width_below_three_rejected(self, n):
+        with pytest.raises(ValueError, match="n >= 3"):
+            small_config(n=n)
+
     @pytest.mark.parametrize("trajectories", [0, -1])
     def test_trajectories_below_one_rejected(self, trajectories):
         with pytest.raises(ValueError, match="trajectories must be >= 1"):
@@ -454,9 +460,8 @@ class TestCli:
         assert set(printed) == {"final cost", "iterations", "converged"}
         assert 1 <= int(printed["iterations"]) <= 3
         assert printed["converged"] in ("True", "False")
-        cfg = SweepConfig(noise_kind=NoiseKind.AMPLITUDE_DAMPING, p_start=0.0, p_stop=0.0,
-                          p_step=1.0, n=2, trajectories=20, train_iters=3)
-        _, report = harness.train_inline_model(cfg, 0.3)
+        _, report = harness.train_inline_model(NoiseKind.AMPLITUDE_DAMPING, 2, 0.3, seed=0,
+                                               trajectories=20, iters=3, layers=1)
         assert printed["final cost"] == f"{report.final_cost:.6f}"
         assert printed["iterations"] == str(report.iterations)
         assert printed["converged"] == str(report.converged)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzsdc.noise import NoiseKind, NoiseSpec
+from ghzsdc import qcore, qnn
+from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage
 from ghzsdc.qcore import (
     I2,
     SIGMA_X,
@@ -15,17 +16,16 @@ from ghzsdc.qcore import (
     QuantumChannel,
     StateVector,
     Unitary,
-    _apply_matrix,
-    _from_target_rows,
+    _apply_each,
     _kraus_sum,
+    _retarget,
     _spectrum_entropy,
-    _target_rows,
     apply_channel,
     fidelity,
     von_neumann_entropy,
 )
 from ghzsdc.qnn import NetworkArchitecture
-from ghzsdc.sdc import Codeword, run_protocol
+from ghzsdc.sdc import Codeword, distribute, run_protocol, transmit
 
 from full_space import (
     CNOT,
@@ -259,31 +259,111 @@ def kron_embedding(mat, targets, m):
     return full[np.ix_(relabel, relabel)]
 
 
-class TestApplyMatrix:
+def einsum_step(mat, arr, targets, m):
+    """Oracle for one step of `_apply_each` that never moves an axis: mat
+    contracted with the target axes of arr as a (2,)*m + (columns,) tensor."""
+    k = len(targets)
+    fresh = list(range(m + 1, m + 1 + k))
+    out_axes = [fresh[targets.index(q)] if q in targets else q for q in range(m + 1)]
+    tensor = arr.reshape((2,) * m + (-1,))
+    return np.einsum(mat.reshape((2,) * 2 * k), fresh + list(targets),
+                     tensor, list(range(m + 1)), out_axes).reshape(arr.shape)
+
+
+def random_matrix(rng, k):
+    return rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k))
+
+
+class TestApplyEach:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), m=st.integers(1, 8), columns=st.integers(1, 3),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_embedded_matrix(self, data, m, columns, seed):
         # ordered, possibly non-contiguous targets on rows of several columns
         k = data.draw(st.integers(1, min(m, 3)))
-        targets = data.draw(st.permutations(range(m)))[:k]
+        targets = tuple(data.draw(st.permutations(range(m)))[:k])
         rng = np.random.default_rng(seed)
-        mat = rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k))
+        mat = random_matrix(rng, k)
         arr = rng.normal(size=(2 ** m, columns)) + 1j * rng.normal(size=(2 ** m, columns))
         full = embedded_matrix(mat, targets, m)
         assert np.max(np.abs(full - kron_embedding(mat, targets, m))) < 1e-12
-        out = _apply_matrix(mat, arr, targets, m)
+        out = _apply_each([mat], [targets], arr, m)
         assert out.shape == arr.shape
         assert np.max(np.abs(out - full @ arr)) < 1e-12
-        rows = _target_rows(arr, targets, m)
+        rows = _retarget(arr, (), targets, m)
         assert rows.shape == (2 ** k, 2 ** (m - k) * columns)
-        assert np.array_equal(_from_target_rows(rows, targets, m), arr)
+        assert np.array_equal(_retarget(rows, targets, (), m).reshape(arr.shape), arr)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 7), steps=st.integers(1, 4),
+           columns=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_walk_matches_einsum_and_the_steps_through_natural_order(self, data, m, steps,
+                                                                     columns, seed):
+        target_sets = [tuple(data.draw(st.permutations(range(m)))[:data.draw(st.integers(1, min(m, 3)))])
+                       for _ in range(steps)]
+        rng = np.random.default_rng(seed)
+        # unit Frobenius norm keeps every entry of the walk near arr's scale
+        mats = [mat / np.linalg.norm(mat) for mat in (random_matrix(rng, len(t)) for t in target_sets)]
+        arr = rng.normal(size=(2 ** m, columns)) + 1j * rng.normal(size=(2 ** m, columns))
+        walked = _apply_each(mats, target_sets, arr, m)
+        assert walked.shape == arr.shape
+        oracle, stepped = arr, arr
+        for mat, targets in zip(mats, target_sets):
+            oracle = einsum_step(mat, oracle, targets, m)
+            stepped = _apply_each([mat], [targets], stepped, m)
+        assert np.max(np.abs(walked - oracle)) < 1e-12
+        # one move between layouts is the same copy as two through the natural order
+        assert np.array_equal(walked, stepped)
+        src, dst = target_sets[0], target_sets[-1]
+        assert np.array_equal(_retarget(arr, src, dst, m),
+                              _retarget(_retarget(arr, src, (), m), (), dst, m))
 
     def test_state_vector_keeps_its_shape(self):
         amps = bell_state().amplitudes
-        out = _apply_matrix(SIGMA_X, amps, [1], 2)
+        out = _apply_each([SIGMA_X], [(1,)], amps, 2)
         assert out.shape == (4,)
         assert np.array_equal(out, amps[[1, 0, 3, 2]])
+
+
+class TestMoveCount:
+    """Each local step costs one `_retarget`, and each walk one more to
+    return to the natural order; counted by wrapping the name each module
+    looks up."""
+
+    @pytest.fixture
+    def moves(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return _retarget(*args)
+
+        monkeypatch.setattr(qcore, "_retarget", counted)
+        monkeypatch.setattr(qnn, "_retarget", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", [NoiseKind.AMPLITUDE_DAMPING, NoiseKind.DEPOLARIZING])
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_transmit_at_stage_both_moves_n_times(self, moves, kind, n):
+        spec = NoiseSpec(kind, 0.3, NoiseStage.DISTRIBUTION_AND_RETURN)
+        shared = distribute(n, spec)
+        moves.clear()
+        transmit(shared, Codeword(n, 2 ** n - 1), spec)
+        assert len(moves) == n
+
+    @pytest.mark.parametrize("n, depth", [(1, 1), (2, 2), (3, 1), (3, 2)])
+    def test_forward_and_ascent(self, moves, n, depth):
+        architecture = NetworkArchitecture(n, depth)
+        stack = qnn.random_model(architecture, np.random.default_rng(n)).stack
+        psi = StateVector(np.full(2 ** n, 2 ** (-n / 2)))
+        register, targets = qnn._batch(architecture, [qnn.TrainingPair(psi, psi)])
+        weights = np.ones(1)
+        out = qnn._forward(stack, n, register)
+        assert len(moves) == depth * n + 1
+        moves.clear()
+        _, overlap = qnn._score(out, targets, weights)
+        qnn._ascent(stack, n, out, overlap, targets, weights)
+        assert len(moves) == depth * n
 
 
 class TestApplyChannel:
@@ -332,7 +412,7 @@ class TestSuperoperator:
         rng = np.random.default_rng(seed)
         ch = random_channel(rng, k, r)
         rho = random_density(rng, m).matrix
-        out = _kraus_sum(ch, rho, targets, m)
+        out = _kraus_sum(ch, rho, [targets], m)
         assert out.shape == rho.shape
         assert np.max(np.abs(out - kraus_sum(ch, rho, targets, m))) < 1e-14
 
