@@ -72,12 +72,16 @@ def sample_trajectories(psi: StateVector, ch: QuantumChannel, targets: Sequence[
     branch is validated once and shared by every seed that draws it.
 
     Deterministic per seed; averaging trajectory outer products over seeds
-    converges to the channel output.
+    converges to the channel output. A seed picks what
+    `np.random.default_rng(seed).choice(len(weights), p=weights)` picks, by
+    the same search of one uniform draw in the same cumulative sum, built
+    once instead of per draw; a zero-weight branch is never picked.
     """
     targets = _check_targets(targets, ch.qubit_count, psi.qubit_count)
     branches = [_apply_each([k], [targets], psi.amplitudes, psi.qubit_count) for k in ch.kraus_ops]
     weights = np.array([np.linalg.norm(b) ** 2 for b in branches])
-    weights = weights / weights.sum()
-    picks = [np.random.default_rng(int(seed)).choice(len(branches), p=weights) for seed in seeds]
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    picks = [int(cdf.searchsorted(np.random.default_rng(int(seed)).random(), side="right")) for seed in seeds]
     states = {i: StateVector(branches[i] / np.linalg.norm(branches[i])) for i in set(picks)}
     return [states[i] for i in picks]

@@ -10,7 +10,7 @@ dropped into the protocol as a noise corrector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import List, Sequence, Tuple
 
@@ -63,6 +63,21 @@ class QnnModel:
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
 
+    @cached_property
+    def kraus(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per transition t, K_r[o, i] = <r, o|U_t|i, 0...0> (r labels the
+        traced-out input register) as one read-only (L, d, d, d) array with
+        d = 2^n, and its complex conjugate. Built on first use, by one
+        `_forward` per transition."""
+        n = self.architecture.input_width
+        d = 2 ** n
+        basis = np.kron(np.eye(d), np.eye(d, 1))  # columns |i>|0...0>
+        kraus = np.array([_forward(layer, n, basis).reshape(d, d, d)
+                          for layer in self.stack.reshape(-1, n, 2 * d, 2 * d)])
+        bras = kraus.conj()
+        kraus.flags.writeable = bras.flags.writeable = False
+        return kraus, bras
+
 
 @dataclass(frozen=True)
 class TrainingPair:
@@ -88,9 +103,10 @@ class TrainingReport:
 # One path for training and `feedforward`: one `qcore._apply_each` walk applies
 # the perceptrons of `QnnModel.stack` in order to the distinct training pairs,
 # the columns of one (2^m, P) full register, and `_ascent` walks back with one
-# `qcore._retarget` per perceptron; the trace over the non-output registers
-# waits for the overlap. Training steps the bare stack by a matrix polynomial
-# in powers of the ascent directions taken once per ascent; the model is
+# `qcore._retarget` per perceptron, then forms every ascent direction at once;
+# the trace over the non-output registers waits for the overlap. Training
+# steps the bare stack by a matrix polynomial in powers of the ascent
+# directions, filled once per ascent into one workspace per run; the model is
 # built where it returns.
 
 @lru_cache(maxsize=64)
@@ -136,25 +152,24 @@ def feedforward(model: QnnModel, rho_in: DensityOperator) -> DensityOperator:
         raise ValueError(f"width {n} exceeds MAX_TRAINABLE_WIDTH = {MAX_TRAINABLE_WIDTH}")
     if rho_in.qubit_count != n:
         raise ValueError(f"input has {rho_in.qubit_count} qubits, model width is {n}")
-    d = 2 ** n
-    basis = np.kron(np.eye(d), np.eye(d, 1))  # columns |i>|0...0>
     rho = rho_in.matrix
-    for layer in model.stack.reshape(-1, n, 2 * d, 2 * d):
-        kraus = _forward(layer, n, basis).reshape(d, d, d)
-        rho = np.tensordot(kraus @ rho, kraus.conj(), axes=([0, 2], [0, 2]))
+    for kraus, bras in zip(*model.kraus):
+        rho = np.tensordot(kraus @ rho, bras, axes=([0, 2], [0, 2]))
     return DensityOperator(rho)
 
 
-def _overlaps(out: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """(<target| on the output register) per pair: shape (2^(m-n), P)."""
-    split = out.reshape(-1, targets.shape[0], targets.shape[1])
-    return np.einsum("rop,op->rp", split, targets.conj())
+def _overlaps(out: np.ndarray, bras: np.ndarray) -> np.ndarray:
+    """(<target| on the output register) per pair, from the conjugated
+    targets `bras`: shape (2^(m-n), P)."""
+    split = out.reshape(-1, bras.shape[0], bras.shape[1])
+    return np.einsum("rop,op->rp", split, bras)
 
 
-def _score(out: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Weighted mean target overlap of the forward state `out`, and its `_overlaps`."""
-    overlap = _overlaps(out, targets)
-    return float(weights @ np.sum(overlap.real ** 2 + overlap.imag ** 2, axis=0)), overlap
+def _score(out: np.ndarray, bras: np.ndarray, weights: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Weighted mean target overlap of the forward state `out`, and its
+    `_overlaps` with the conjugated targets `bras`."""
+    overlap = _overlaps(out, bras)
+    return float(weights @ (overlap.real ** 2 + overlap.imag ** 2).sum(axis=0)), overlap
 
 
 def _dedupe(training_set: Sequence[TrainingPair]):
@@ -164,8 +179,10 @@ def _dedupe(training_set: Sequence[TrainingPair]):
     weights: List[float] = []
     for pair in training_set:
         for i, seen in enumerate(unique):
-            if (np.array_equal(pair.input.amplitudes, seen.input.amplitudes)
-                    and np.array_equal(pair.target.amplitudes, seen.target.amplitudes)):
+            # sampled trajectories share one state per drawn branch
+            if ((pair.input is seen.input and pair.target is seen.target)
+                    or (np.array_equal(pair.input.amplitudes, seen.input.amplitudes)
+                        and np.array_equal(pair.target.amplitudes, seen.target.amplitudes))):
                 weights[i] += 1.0
                 break
         else:
@@ -175,6 +192,12 @@ def _dedupe(training_set: Sequence[TrainingPair]):
     return unique, w
 
 
+# Bytes of swept rows that `_ascent` buffers for one stacked T product: all
+# perceptrons up to n = 6 with one transition, one at a time for n = 6 with two,
+# where one doubled register of two pairs takes 16 MiB; never L*n registers.
+_SWEPT_BYTES = 2 ** 24
+
+
 def _ascent(stack: np.ndarray, n: int, out: np.ndarray, overlap: np.ndarray,
             targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Ascent directions K, stacked like `stack`, from the forward state
@@ -182,20 +205,36 @@ def _ascent(stack: np.ndarray, n: int, out: np.ndarray, overlap: np.ndarray,
     T = sum_x w_x A_x C_x^dag over the target-qubit rows of the state A_x
     and of its projection C_x onto the target, both swept back to just
     after perceptron i."""
-    m = len(stack) + n
+    count = len(stack)
+    m = count + n
     # sweep the state and its weighted target projection as one register; an
     # extra leading qubit picks between them, so perceptron qubits shift by 1
-    qubits = _stack_targets(n, len(stack), 1)
-    chi = (overlap[:, None, :] * targets[None, :, :]).reshape(out.shape) * weights
-    rows = _retarget(np.concatenate([out, chi]), (), qubits[-1], m + 1)
-    del chi  # hold at most three full registers at a time
+    qubits = _stack_targets(n, count, 1)
+    register = np.empty((2,) + out.shape, dtype=complex)
+    register[0] = out
+    chi = register[1].reshape(overlap.shape[0], targets.shape[0], -1)
+    np.multiply(overlap[:, None, :], targets[None, :, :], out=chi)
+    chi *= weights
+    rows = _retarget(register, (), qubits[-1], m + 1)
+    del register, chi  # the sweep needs only its moved copy
     half = rows.shape[1] // 2
-    grads = np.empty_like(stack)
-    for idx in range(len(stack) - 1, -1, -1):
-        t_ac = rows[:, :half] @ rows[:, half:].conj().T
-        grads[idx] = 1j * (t_ac - t_ac.conj().T)
+    adjoints = stack.conj().swapaxes(-1, -2)
+    # the swept rows of a block of perceptrons wait in one buffer, so that one
+    # matmul forms their T
+    block = max(1, min(count, _SWEPT_BYTES // rows.nbytes))
+    swept = np.empty((block,) + rows.shape, dtype=complex)
+    t_ac = np.empty_like(stack)
+    for idx in range(count - 1, -1, -1):
+        swept[idx % block] = rows
+        if idx % block == 0:
+            size = min(block, count - idx)
+            projections = swept[:size, :, half:]
+            np.conjugate(projections, out=projections)
+            np.matmul(swept[:size, :, :half], projections.swapaxes(-1, -2), out=t_ac[idx:idx + size])
         if idx:
-            rows = _retarget(stack[idx].conj().T @ rows, qubits[idx], qubits[idx - 1], m + 1)
+            rows = _retarget(adjoints[idx] @ rows, qubits[idx], qubits[idx - 1], m + 1)
+    grads = t_ac - t_ac.conj().swapaxes(-1, -2)
+    grads *= 1j
     return grads
 
 
@@ -205,15 +244,21 @@ def _expm_i(w: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
     return (v * np.exp(1j * eps * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def _powers(h: np.ndarray) -> np.ndarray:
-    """I, h, h^2, h^3 and h^4 of a stack of Hermitian h, as one (5, ...) array."""
-    powers = np.empty((5,) + h.shape, dtype=complex)
-    powers[0] = np.eye(h.shape[-1])
-    powers[1] = h
-    np.matmul(h, h, out=powers[2])
-    np.matmul(powers[2], h, out=powers[3])
-    np.matmul(powers[2], powers[2], out=powers[4])
-    return powers
+def _fill_powers(powers: np.ndarray, grads: np.ndarray) -> float:
+    """Fill slots 1-4 of the (5, ...) workspace `powers`, whose slot 0 holds
+    I, with K, K^2, K^3 and K^4 of the directions K: `grads` over their
+    largest Frobenius norm, or `grads` themselves when that is below 1e-12.
+    Returns that norm, 1.0 once normalised; it bounds the spectral norm of
+    every K."""
+    largest = np.linalg.norm(grads, axis=(1, 2)).max()
+    if largest > 1e-12:
+        np.divide(grads, largest, out=powers[1])
+        largest = 1.0
+    else:
+        powers[1] = grads
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1:3], out=powers[3:5])
+    return largest
 
 
 # The degree-12 Taylor series of exp(x h) as B0 + h^4 (B1 + h^4 B2): entry
@@ -225,17 +270,19 @@ _BLOCK_WEIGHTS[:2, 4] = 0
 
 
 def _expm_i_powers(powers: np.ndarray, norm: float, eps: float) -> np.ndarray:
-    """exp(i * eps * h) from `_powers(h)`, where `norm` bounds the spectral
-    norm of every h of the stack: the degree-12 Taylor polynomial in
-    Paterson-Stockmeyer form at x = i*eps/2^s, squared s times, s the least
-    with eps*norm/2^s <= 1/4 (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-    (2005)). The truncation error is below 1e-17."""
+    """exp(i * eps * h) from I, h, h^2, h^3 and h^4 (`_fill_powers`), where
+    `norm` bounds the spectral norm of every h of the stack: the degree-12
+    Taylor polynomial in Paterson-Stockmeyer form at x = i*eps/2^s, squared
+    s times, s the least with eps*norm/2^s <= 1/4 (Higham, SIAM J. Matrix
+    Anal. Appl. 26, 1179 (2005)). The truncation error is below 1e-17."""
     s = 0
     while eps * norm > 0.25 * 2 ** s:
         s += 1
     coefficients = (1j * eps / 2 ** s) ** _BLOCK_EXPONENTS * _BLOCK_WEIGHTS
     b0, b1, b2 = (coefficients @ powers.reshape(5, -1)).reshape((3,) + powers.shape[1:])
-    step = b0 + powers[4] @ (b1 + powers[4] @ b2)
+    b1 += powers[4] @ b2  # Horner in place: b0 + h^4 (b1 + h^4 b2)
+    b0 += powers[4] @ b1
+    step = b0
     for _ in range(s):
         step = step @ step
     return step
@@ -281,24 +328,23 @@ def train(
     stack = random_model(architecture, np.random.default_rng(rng_seed)).stack
     pairs, weights = _dedupe(training_set)
     register, targets = _batch(architecture, pairs)
+    bras = targets.conj()
+    # one workspace for the powers of every ascent's directions; slot 0 is I
+    powers = np.empty((5,) + stack.shape, dtype=complex)
+    powers[0] = np.eye(stack.shape[-1])
     eps = step_size
     # forward state of the current stack and its overlaps, reused by its gradient
     out = _forward(stack, n, register)
-    current, overlap = _score(out, targets, weights)
+    current, overlap = _score(out, bras, weights)
     history = [current]
     converged = False
     for _ in range(max_iters):
-        grads = _ascent(stack, n, out, overlap, targets, weights)
-        largest = np.linalg.norm(grads, axis=(1, 2)).max()
-        if largest > 1e-12:
-            grads, largest = grads / largest, 1.0
-        # every step-halving retry exponentiates from these powers; `largest`,
-        # a Frobenius norm, bounds the spectral norm of every direction
-        powers = _powers(grads)
+        # every step-halving retry exponentiates from these powers
+        largest = _fill_powers(powers, _ascent(stack, n, out, overlap, targets, weights))
         while eps > 1e-8:
             candidate = _expm_i_powers(powers, largest, eps) @ stack
             candidate_out = _forward(candidate, n, register)
-            new_cost, candidate_overlap = _score(candidate_out, targets, weights)
+            new_cost, candidate_overlap = _score(candidate_out, bras, weights)
             if new_cost >= current - 1e-9:
                 break
             eps /= 2

@@ -4,8 +4,10 @@ product of single-qubit channels as one channel, the per-qubit factors of the
 protocol's noise, random channels cut from isometries, conjugation by one
 operator on chosen qubits and a channel as the sum of its Kraus
 conjugations, the identity network, the network's cost and ascent directions
-on a training set, and the entropy exchange and coherent information of a
-channel on pure states, checked against a Stinespring dilation."""
+on a training set, the ascent directions one perceptron at a time and the
+network map rebuilt from its perceptrons at every call, and the entropy
+exchange and coherent information of a channel on pure states, checked
+against a Stinespring dilation."""
 
 from typing import Sequence
 
@@ -23,9 +25,20 @@ from ghzsdc.qcore import (
     _apply_each,
     _check_targets,
     _qubit_count_of,
+    _retarget,
     von_neumann_entropy,
 )
-from ghzsdc.qnn import NetworkArchitecture, QnnModel, TrainingPair, _ascent, _batch, _forward, _overlaps, _score
+from ghzsdc.qnn import (
+    NetworkArchitecture,
+    QnnModel,
+    TrainingPair,
+    _ascent,
+    _batch,
+    _forward,
+    _overlaps,
+    _score,
+    _stack_targets,
+)
 
 # CNOT with the control on the high qubit.
 CNOT = np.array(
@@ -172,7 +185,7 @@ def cost(model: QnnModel, training_set: Sequence[TrainingPair]) -> float:
     the training path."""
     register, targets = _batch(model.architecture, training_set)
     weights = np.full(len(training_set), 1.0 / len(training_set))
-    return _score(_forward(model.stack, model.architecture.input_width, register), targets, weights)[0]
+    return _score(_forward(model.stack, model.architecture.input_width, register), targets.conj(), weights)[0]
 
 
 def gradients(model: QnnModel, training_set: Sequence[TrainingPair], weights) -> np.ndarray:
@@ -181,7 +194,39 @@ def gradients(model: QnnModel, training_set: Sequence[TrainingPair], weights) ->
     register, targets = _batch(model.architecture, training_set)
     stack, n = model.stack, model.architecture.input_width
     out = _forward(stack, n, register)
-    return _ascent(stack, n, out, _overlaps(out, targets), targets, np.asarray(weights))
+    return _ascent(stack, n, out, _overlaps(out, targets.conj()), targets, np.asarray(weights))
+
+
+def ascent_per_perceptron(stack, n, out, overlap, targets, weights) -> np.ndarray:
+    """`qnn._ascent` one perceptron at a time: T = A C^dag from the target-qubit
+    rows of the state and of its weighted target projection, swept back to just
+    after perceptron i, and K_i = i(T - T^dag), formed before the sweep moves
+    on."""
+    m = len(stack) + n
+    qubits = _stack_targets(n, len(stack), 1)
+    chi = (overlap[:, None, :] * targets[None, :, :]).reshape(out.shape) * weights
+    rows = _retarget(np.concatenate([out, chi]), (), qubits[-1], m + 1)
+    half = rows.shape[1] // 2
+    grads = np.empty_like(stack)
+    for idx in range(len(stack) - 1, -1, -1):
+        t_ac = rows[:, :half] @ rows[:, half:].conj().T
+        grads[idx] = 1j * (t_ac - t_ac.conj().T)
+        if idx:
+            rows = _retarget(stack[idx].conj().T @ rows, qubits[idx], qubits[idx - 1], m + 1)
+    return grads
+
+
+def feedforward_rebuilt(model: QnnModel, rho: np.ndarray) -> np.ndarray:
+    """The network map on the bare matrix rho, with each transition's Kraus
+    operators K_r[o, i] = <r, o|U|i, 0...0> rebuilt by `qnn._forward` on the
+    basis inputs |i>|0...0> at every call."""
+    n = model.architecture.input_width
+    d = 2 ** n
+    basis = np.kron(np.eye(d), np.eye(d, 1))
+    for layer in model.stack.reshape(-1, n, 2 * d, 2 * d):
+        kraus = _forward(layer, n, basis).reshape(d, d, d)
+        rho = np.tensordot(kraus @ rho, kraus.conj(), axes=([0, 2], [0, 2]))
+    return rho
 
 
 def _pure_input(states: Sequence[DensityOperator], ch: QuantumChannel) -> np.ndarray:

@@ -9,7 +9,7 @@ from ghzsdc.noise import (
     make_channel,
     sample_trajectories,
 )
-from ghzsdc.qcore import DensityOperator, StateVector, apply_channel
+from ghzsdc.qcore import DensityOperator, StateVector, _apply_each, apply_channel
 
 from full_space import basis_state
 
@@ -105,6 +105,25 @@ class TestTrajectories:
         mean /= n
         direct = apply_channel(psi.density(), ch, [0]).matrix
         assert np.max(np.abs(mean - direct)) < 0.02
+
+    @pytest.mark.parametrize("kind, psi", [
+        (NoiseKind.DEPOLARIZING, StateVector(np.array([0.6, 0.48j, 0.0, 0.64]))),
+        (NoiseKind.AMPLITUDE_DAMPING, basis_state(3, 0)),
+    ], ids=["depolarizing", "damping-on-zeros"])
+    def test_picks_match_generator_choice(self, kind, psi):
+        # each seed picks what Generator.choice picks from the Born weights;
+        # damping |0...0> has a zero-weight branch that is never picked
+        ch = make_channel(kind, 0.6)
+        branches = [_apply_each([k], [[0]], psi.amplitudes, psi.qubit_count) for k in ch.kraus_ops]
+        weights = np.array([np.linalg.norm(b) ** 2 for b in branches])
+        weights = weights / weights.sum()
+        seeds = range(2500)
+        picks = [int(np.random.default_rng(seed).choice(len(weights), p=weights)) for seed in seeds]
+        drawn = sample_trajectories(psi, ch, [0], seeds)
+        for pick, out in zip(picks, drawn):
+            assert np.array_equal(out.amplitudes, branches[pick] / np.linalg.norm(branches[pick]))
+        assert set(picks) == {i for i, w in enumerate(weights) if w > 0}
+        assert len({id(s) for s in drawn}) == len(set(picks))
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(ALL_KINDS), p=st.floats(0.0, 1.0), m=st.integers(1, 3),

@@ -361,7 +361,7 @@ class TestMoveCount:
         out = qnn._forward(stack, n, register)
         assert len(moves) == depth * n + 1
         moves.clear()
-        _, overlap = qnn._score(out, targets, weights)
+        _, overlap = qnn._score(out, targets.conj(), weights)
         qnn._ascent(stack, n, out, overlap, targets, weights)
         assert len(moves) == depth * n
 

@@ -8,7 +8,17 @@ from ghzsdc.noise import NoiseKind, make_channel, sample_trajectories
 from ghzsdc.qcore import DensityOperator, StateVector, Unitary
 from ghzsdc.sdc import shared_state
 
-from full_space import apply_unitary, basis_state, cost, gradients, identity_model, partial_trace, tensor_product
+from full_space import (
+    apply_unitary,
+    ascent_per_perceptron,
+    basis_state,
+    cost,
+    feedforward_rebuilt,
+    gradients,
+    identity_model,
+    partial_trace,
+    tensor_product,
+)
 
 SWAP = Unitary(np.array(
     [[1, 0, 0, 0],
@@ -146,6 +156,26 @@ class TestFeedforward:
         got = qnn.feedforward(model, rho).matrix
         want = dense_feedforward(model, rho).matrix
         assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_kraus_built_once_per_model(self, monkeypatch):
+        # two calls on one 2-transition model make two _forward calls in all,
+        # and give what rebuilding the Kraus operators at every call gives
+        rng = np.random.default_rng(12)
+        model = qnn.random_model(qnn.NetworkArchitecture(2, 2), rng, spread=0.5)
+        rhos = [random_mixed_state(rng, 2, rank) for rank in (1, 3)]
+        want = [feedforward_rebuilt(model, rho.matrix) for rho in rhos]
+        calls = []
+        forward = qnn._forward
+
+        def counted(*args):
+            calls.append(None)
+            return forward(*args)
+
+        monkeypatch.setattr(qnn, "_forward", counted)
+        got = [qnn.feedforward(model, rho).matrix for rho in rhos]
+        assert len(calls) == 2
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert not any(a.flags.writeable for a in model.kraus)
 
     def test_width_above_training_cap_rejected(self):
         # only a model file can carry such a width; training refuses it
@@ -290,6 +320,58 @@ class TestTraining:
                      for w, pair in zip(weights, pairs))
         assert np.max(np.abs(np.asarray(batched) - single)) < 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), depth=st.integers(1, 2), count=st.integers(1, 4),
+           block=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=4, depth=2, count=2, block=3, seed=0)
+    def test_stacked_kernels_match_per_perceptron_products(self, n, depth, count, block, seed):
+        # the T products of `block` perceptrons at a time (all of them when
+        # block >= n * depth), and the powers filled in place, bit for bit
+        rng = np.random.default_rng(seed)
+        architecture = qnn.NetworkArchitecture(n, depth)
+        stack = qnn.random_model(architecture, rng, spread=0.5).stack
+        pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n)) for _ in range(count)]
+        weights = rng.uniform(0.1, 1.0, count)
+        weights /= weights.sum()
+        register, targets = qnn._batch(architecture, pairs)
+        out = qnn._forward(stack, n, register)
+        _, overlap = qnn._score(out, targets.conj(), weights)
+        with pytest.MonkeyPatch.context() as patch:
+            # a doubled register's swept rows take 2 * out.nbytes
+            patch.setattr(qnn, "_SWEPT_BYTES", block * 2 * out.nbytes)
+            grads = qnn._ascent(stack, n, out, overlap, targets, weights)
+        assert np.array_equal(grads, ascent_per_perceptron(stack, n, out, overlap, targets, weights))
+        powers = np.empty((5,) + stack.shape, dtype=complex)
+        powers[0] = np.eye(stack.shape[-1])
+        assert qnn._fill_powers(powers, grads) == 1.0
+        k = powers[1]
+        assert np.array_equal(k, grads / np.linalg.norm(grads, axis=(1, 2)).max())
+        assert np.array_equal(powers[2], k @ k)
+        assert np.array_equal(powers[3], powers[2] @ k)
+        assert np.array_equal(powers[4], powers[2] @ powers[2])
+
+    def test_dedupe_of_shared_states_matches_dedupe_by_value(self, monkeypatch):
+        # sampled pairs share one state per branch; copies of them dedupe alike
+        # but need more value comparisons
+        shared = trajectory_pairs(3, NoiseKind.DEPOLARIZING, 0.5, 200, 0)
+        copied = [qnn.TrainingPair(StateVector(p.input.amplitudes.copy()),
+                                   StateVector(p.target.amplitudes.copy())) for p in shared]
+        calls = []
+        array_equal = np.array_equal
+
+        def counted(*args):
+            calls.append(None)
+            return array_equal(*args)
+
+        monkeypatch.setattr(np, "array_equal", counted)
+        unique, weights = qnn._dedupe(shared)
+        by_identity = len(calls)
+        unique_copied, weights_copied = qnn._dedupe(copied)
+        assert len(unique) == 4
+        assert [shared.index(u) for u in unique] == [copied.index(u) for u in unique_copied]
+        assert array_equal(weights, weights_copied)
+        assert by_identity < len(calls) - by_identity
+
     def test_gradient_explosion_regime_refused(self):
         psi = shared_state(2)
         pairs = [qnn.TrainingPair(psi, psi)]
@@ -367,12 +449,12 @@ class TestStepExponential:
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
         k = np.zeros((count, d, d), dtype=complex) if zero else (raw + np.swapaxes(raw.conj(), -1, -2)) / 2
+        powers = np.empty((5, count, d, d), dtype=complex)
+        powers[0] = np.eye(d)
         # normalised as train does: the largest Frobenius norm becomes 1
-        largest = np.linalg.norm(k, axis=(1, 2)).max()
-        if largest > 1e-12:
-            k, largest = k / largest, 1.0
-        step = qnn._expm_i_powers(qnn._powers(k), largest, eps)
-        assert np.max(np.abs(step - qnn._expm_i(*np.linalg.eigh(k), eps))) < 1e-13
+        largest = qnn._fill_powers(powers, k)
+        step = qnn._expm_i_powers(powers, largest, eps)
+        assert np.max(np.abs(step - qnn._expm_i(*np.linalg.eigh(powers[1]), eps))) < 1e-13
         assert np.max(np.abs(step @ np.swapaxes(step.conj(), -1, -2) - np.eye(d))) < 1e-13
 
 
