@@ -1,4 +1,8 @@
-"""Command-line entry point: sweep, train, purify-demo, capacity."""
+"""Command-line entry point: sweep, train, purify-demo, capacity.
+
+One command table, `_COMMANDS`, drives both parsing and dispatch, so a call
+builds only its own command's parser.
+"""
 
 from __future__ import annotations
 
@@ -22,43 +26,41 @@ def _add_stage_arg(p: argparse.ArgumentParser) -> None:
                    default=NoiseStage.DISTRIBUTION_ONLY.value)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ghzsdc")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_sweep_args(p: argparse.ArgumentParser) -> None:
+    _add_noise_args(p)
+    _add_stage_arg(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--p-start", type=float, default=0.0)
+    p.add_argument("--p-stop", type=float, default=1.0)
+    p.add_argument("--p-step", type=float, default=0.05)
+    p.add_argument("--pipeline", choices=harness.PIPELINES, default="raw")
+    p.add_argument("--rounds", type=int, default=1)
+    p.add_argument("--model", default=None, help="path to a saved QNN model")
+    p.add_argument("--train-at", type=float, default=None,
+                   help="noise strength for inline model training")
+    p.add_argument("--out", required=True)
 
-    sweep = sub.add_parser("sweep", help="sweep noise strength and emit records")
-    _add_noise_args(sweep)
-    _add_stage_arg(sweep)
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--p-start", type=float, default=0.0)
-    sweep.add_argument("--p-stop", type=float, default=1.0)
-    sweep.add_argument("--p-step", type=float, default=0.05)
-    sweep.add_argument("--pipeline", choices=harness.PIPELINES, default="raw")
-    sweep.add_argument("--rounds", type=int, default=1)
-    sweep.add_argument("--model", default=None, help="path to a saved QNN model")
-    sweep.add_argument("--train-at", type=float, default=None,
-                       help="noise strength for inline model training")
-    sweep.add_argument("--out", required=True)
 
-    train = sub.add_parser("train", help="train a QNN corrector and save it")
-    _add_noise_args(train)
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--p", type=float, required=True)
-    train.add_argument("--layers", type=int, default=1)
-    train.add_argument("--iters", type=int, default=200)
-    train.add_argument("--trajectories", type=int, default=100)
-    train.add_argument("--out", required=True)
+def _add_train_args(p: argparse.ArgumentParser) -> None:
+    _add_noise_args(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--layers", type=int, default=1)
+    p.add_argument("--iters", type=int, default=200)
+    p.add_argument("--trajectories", type=int, default=100)
+    p.add_argument("--out", required=True)
 
-    demo = sub.add_parser("purify-demo", help="report one iterated purification")
-    _add_noise_args(demo)
-    demo.add_argument("--p", type=float, required=True)
-    demo.add_argument("--rounds", type=int, default=1)
 
-    cap = sub.add_parser("capacity", help="capacity report at a single noise point")
-    _add_noise_args(cap)
-    _add_stage_arg(cap)
-    cap.add_argument("--p", type=float, required=True)
-    return parser
+def _add_purify_demo_args(p: argparse.ArgumentParser) -> None:
+    _add_noise_args(p)
+    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--rounds", type=int, default=1)
+
+
+def _add_capacity_args(p: argparse.ArgumentParser) -> None:
+    _add_noise_args(p)
+    _add_stage_arg(p)
+    p.add_argument("--p", type=float, required=True)
 
 
 def _cmd_sweep(args) -> None:
@@ -102,16 +104,39 @@ def _cmd_capacity(args) -> None:
     print(f"quantum capacity: {rep.quantum_capacity:.6f} bits")
 
 
+# command name -> (help text, adds its arguments, handler)
+_COMMANDS = {
+    "sweep": ("sweep noise strength and emit records", _add_sweep_args, _cmd_sweep),
+    "train": ("train a QNN corrector and save it", _add_train_args, _cmd_train),
+    "purify-demo": ("report one iterated purification", _add_purify_demo_args,
+                    _cmd_purify_demo),
+    "capacity": ("capacity report at a single noise point", _add_capacity_args,
+                 _cmd_capacity),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with only `command`'s.
+
+    A one-command parser names every command in its usage line, which an
+    "unrecognized arguments" error prints; the full parser leaves the metavar
+    unset, so an invalid choice is still reported against `command`."""
+    parser = argparse.ArgumentParser(prog="ghzsdc")
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        help_text, add_args, _ = _COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_text))
+    return parser
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "sweep": _cmd_sweep,
-        "train": _cmd_train,
-        "purify-demo": _cmd_purify_demo,
-        "capacity": _cmd_capacity,
-    }
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    _, _, handler = _COMMANDS[args.command]
     try:
-        handlers[args.command](args)
+        handler(args)
     except Exception as exc:  # one-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1

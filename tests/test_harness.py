@@ -1,3 +1,4 @@
+import argparse
 import pathlib
 
 import numpy as np
@@ -329,6 +330,46 @@ class TestOrbitScoring:
         assert abs(wide.coherent_info - narrow.coherent_info - (n - 3)) < 1e-12
 
 
+def _h(*probs):
+    """Shannon entropy in bits, 0 log 0 = 0."""
+    return -sum(q * np.log2(q) for q in probs if q > 0)
+
+
+class TestDistributionClosedForms:
+    # Distribution noise touches only Bob's qubit of the shared state, so the
+    # received states are a two-qubit state on Bob's qubit and Alice's
+    # logical qubit plus n - 2 noiseless bits, and chi = (n - 1) + S(tau) -
+    # S(sigma) (Bowen 2001) has a closed form per kind; `holevo` is clamped at
+    # 0, which no n >= 3 point reaches.
+    @staticmethod
+    def closed_form(kind, n, p):
+        if kind is NoiseKind.AMPLITUDE_DAMPING:
+            return n - 1 + _h((1 - p) / 2, (1 + p) / 2) - _h(p / 2, 1 - p / 2), (1 + np.sqrt(1 - p)) / 2
+        if kind is NoiseKind.DEPOLARIZING:
+            return n - _h(1 - p, p / 3, p / 3, p / 3), np.sqrt(1 - p)
+        return n - _h(1 - p, p), np.sqrt(1 - p)
+
+    @settings(max_examples=60, deadline=None)
+    @example(n=3, kind=NoiseKind.DEPOLARIZING, p=0.0)
+    @example(n=8, kind=NoiseKind.DEPOLARIZING, p=0.75)
+    @example(n=5, kind=NoiseKind.DEPOLARIZING, p=1.0)
+    @example(n=8, kind=NoiseKind.AMPLITUDE_DAMPING, p=1.0)
+    @example(n=6, kind=NoiseKind.BIT_FLIP, p=0.75)
+    @example(n=4, kind=NoiseKind.PHASE_FLIP, p=1.0)
+    @example(n=3, kind=NoiseKind.PHASE_FLIP, p=1 - 2 ** -52)
+    @given(n=st.integers(3, 8), kind=st.sampled_from(NoiseKind), p=st.floats(0.0, 1.0))
+    def test_raw_point_matches_closed_form(self, n, kind, p):
+        (record,) = run_sweep(small_config(noise_kind=kind, n=n, p_start=p, p_stop=p))
+        chi, fidelity = self.closed_form(kind, n, p)
+        assert abs(record.holevo - max(chi, 0.0)) < 1e-12
+        # the overlap under the square root is formed to about 1e-16, which
+        # the root inflates up to 1e-10 as it nears 0 (p -> 1 for the Pauli
+        # kinds), so the fidelity is held through its square there
+        assert abs(record.avg_fidelity ** 2 - fidelity ** 2) < 1e-12
+        if fidelity > 1e-4:
+            assert abs(record.avg_fidelity - fidelity) < 1e-12
+
+
 class TestEmitRecords:
     def test_header_only_for_empty_list(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -391,6 +432,21 @@ class TestEmitRecords:
         path = tmp_path / "out.csv"
         emit_records(run_sweep(cfg), path)
         assert path.read_bytes() == (DATA_DIR / golden).read_bytes()
+
+
+class TestInlineTraining:
+    def test_training_set_follows_p(self, monkeypatch):
+        # bit flip keeps the shared state or flips qubit 0, so the number of
+        # unflipped training inputs counts one Kraus branch
+        captured = []
+        monkeypatch.setattr(qnn, "train", lambda arch, pairs, **kw: captured.append(pairs))
+        for p in (0.1, 0.5):
+            harness.train_inline_model(NoiseKind.BIT_FLIP, 3, p, seed=0, trajectories=100,
+                                       iters=1, layers=1)
+        psi = shared_state(3).amplitudes
+        kept = [sum(np.allclose(pair.input.amplitudes, psi) for pair in pairs)
+                for pairs in captured]
+        assert kept[0] > kept[1]
 
 
 QNN_SWEEP_ARGS = ["sweep", "--noise", "amplitude-damping", "--n", "3", "--pipeline", "qnn",
@@ -557,6 +613,16 @@ class TestCli:
         assert "purify-qnn" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_train_at_changes_the_qnn_sweep(self, tmp_path, capsys):
+        csvs = []
+        for train_at in ("0.1", "0.5"):
+            out = tmp_path / f"qnn-{train_at}.csv"
+            assert cli.main(["sweep", "--noise", "amplitude-damping", "--pipeline", "qnn",
+                             "--p-start", "0.2", "--p-stop", "0.2", "--train-at", train_at,
+                             "--out", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] != csvs[1]
+
     @pytest.mark.parametrize("options, message", [
         (["--pipeline", "raw", "--rounds", "5"], "purify and purify-qnn"),
         (["--pipeline", "qnn", "--rounds", "2"], "purify and purify-qnn"),
@@ -587,3 +653,47 @@ class TestCli:
             cli.main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Each command's --help, a missing required option and an unrecognized
+# option, then the calls that name no command.
+_REQUIRED = {
+    "sweep": ["--noise", "bit-flip", "--out", "x.csv"],
+    "train": ["--noise", "bit-flip", "--p", "0.2", "--out", "m.txt"],
+    "purify-demo": ["--noise", "bit-flip", "--p", "0.2"],
+    "capacity": ["--noise", "bit-flip", "--p", "0.2"],
+}
+PARSER_EXITS = [argv for cmd, req in _REQUIRED.items()
+                for argv in ([cmd, "--help"], [cmd, *req[:-2]], [cmd, *req, "--bogus"])]
+PARSER_EXITS += [[], ["--help"], ["bogus"], ["--n", "3"]]
+
+
+class TestCliParser:
+    @pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+    def test_text_matches_the_full_parser(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+        seen = []
+        for parse in (cli.main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(list(argv))
+            out, err = capsys.readouterr()
+            seen.append((exc.value.code, out, err))
+        assert seen[0] == seen[1]
+        assert not list(tmp_path.iterdir())
+
+    def test_sweep_builds_one_subparser(self, tmp_path, monkeypatch, capsys):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        assert cli.main(["sweep", "--noise", "bit-flip", "--p-start", "0", "--p-stop", "0",
+                         "--out", str(tmp_path / "x.csv")]) == 0
+        assert built == ["sweep"]
+        built.clear()
+        cli.build_parser()
+        assert built == ["sweep", "train", "purify-demo", "capacity"]

@@ -164,6 +164,22 @@ class TestPurifyIterated:
         assert abs(result.success_probability - success) < 1e-12
         assert abs(result.fidelity_after ** 2 - (1 - q) ** 2 / success) < 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 8), p=st.sampled_from([0.0, 0.75, 1.0]) | st.floats(0.0, 1.0),
+           rounds=st.integers(1, 3))
+    def test_bit_flip_recurrence(self, n, p, rounds):
+        # (1-q)|G><G| + q X_0|G><G|X_0 keeps its form through a round, with
+        # GHZ weight w -> w^2 / (w^2 + (1-w)^2) kept with probability
+        # w^2 + (1-w)^2 (Bennett et al. 1996)
+        result = purify_iterated(distribute(n, NoiseSpec(NoiseKind.BIT_FLIP, p)), rounds)
+        weight, compound = 1 - p, 1.0
+        for _ in range(rounds):
+            success = weight ** 2 + (1 - weight) ** 2
+            weight, compound = weight ** 2 / success, compound * success
+        assert abs(result.fidelity_before - np.sqrt(1 - p)) < 1e-12
+        assert abs(result.fidelity_after - np.sqrt(weight)) < 1e-12
+        assert abs(result.success_probability - compound) < 1e-12
+
     def test_iterated_near_zero_yield(self):
         # the maximally mixed state is a fixed point with success 2/256 per
         # round at n = 8: 5 rounds give 2^-35, the 6th crosses the 1e-12 floor

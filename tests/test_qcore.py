@@ -77,6 +77,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="negative"):
             DensityOperator(np.array([[1.5, 0.0], [0.0, -0.5]]))
 
+    def test_negative_eigenvalue_floor_is_atol(self):
+        with pytest.raises(ValueError, match="negative"):
+            DensityOperator(np.diag([1 + 1e-8, -1e-8]))
+        assert DensityOperator(np.diag([1 + 1e-11, -1e-11])).spectrum[0] == -1e-11
+
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             Unitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
