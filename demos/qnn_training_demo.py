@@ -14,7 +14,6 @@ Run: python3 demos/qnn_training_demo.py
 import numpy as np
 
 from ghzsdc import (
-    NetworkArchitecture,
     NoiseKind,
     TrainingPair,
     apply_channel,
@@ -40,8 +39,7 @@ def main():
     distinct = {tuple(np.round(t.input.amplitudes, 12)) for t in pairs}
     print(f"training set: 100 trajectories, {len(distinct)} distinct states")
 
-    model, report = train(NetworkArchitecture(n, 1), pairs,
-                          max_iters=400, rng_seed=0)
+    model, report = train(pairs, max_iters=400, rng_seed=0)
     history = report.cost_history
     print(f"trained for {report.iterations} iterations, converged={report.converged}")
     print("cost trace: " + " -> ".join(

@@ -119,7 +119,7 @@ def train_inline_model(kind: NoiseKind, n: int, p: float, seed: int, trajectorie
     psi = shared_state(n)
     seed_root = np.random.default_rng(seed).integers(0, 2 ** 31, size=trajectories)
     pairs = [qnn.TrainingPair(x, psi) for x in sample_trajectories(psi, make_channel(kind, p), [0], seed_root)]
-    return qnn.train(qnn.NetworkArchitecture(n, layers), pairs, max_iters=iters, rng_seed=seed)
+    return qnn.train(pairs, layers, max_iters=iters, rng_seed=seed)
 
 
 def _build_corrector(cfg: SweepConfig) -> CorrectionPipeline:
@@ -129,9 +129,8 @@ def _build_corrector(cfg: SweepConfig) -> CorrectionPipeline:
     if wants_qnn:
         if cfg.model_path is not None:
             model = qnn.load_model(cfg.model_path)
-            if model.architecture.input_width != cfg.n:
-                raise ValueError(
-                    f"model width {model.architecture.input_width} differs from n={cfg.n}")
+            if model.width != cfg.n:
+                raise ValueError(f"model width {model.width} differs from n={cfg.n}")
         else:
             p_train = cfg.train_at if cfg.train_at is not None else 0.3
             model, _ = train_inline_model(cfg.noise_kind, cfg.n, p_train, cfg.seed,

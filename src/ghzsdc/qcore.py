@@ -157,8 +157,8 @@ class QuantumChannel:
     @cached_property
     def superoperator(self) -> np.ndarray:
         """sum_k K_k (x) conj(K_k), read-only: the channel on a density matrix
-        flattened row-major. Lazy, because a full-space channel of 4^n Kraus
-        operators that is only scored through its Kraus form never needs it."""
+        flattened row-major. Lazy, because a channel used only to sample
+        trajectories or to score capacity never needs it."""
         sup = sum(np.kron(op, op.conj()) for op in self.kraus_ops)
         sup.flags.writeable = False
         return sup

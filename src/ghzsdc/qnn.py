@@ -23,37 +23,21 @@ from .qcore import DensityOperator, StateVector, Unitary, _apply_each, _retarget
 MAX_TRAINABLE_WIDTH = 6
 
 
-@dataclass(frozen=True)
-class NetworkArchitecture:
-    """All layers share the input width; hidden_layers counts the layer
-    transitions (1 means the input register feeds the output directly)."""
-
-    input_width: int
-    hidden_layers: int = 1
-
-    def __post_init__(self):
-        if self.input_width < 1:
-            raise ValueError("input width must be >= 1")
-        if self.hidden_layers < 1:
-            raise ValueError("at least one layer transition is required")
-
-
 @dataclass(frozen=True, eq=False)
 class QnnModel:
     """A network as its perceptrons: `stack` is one read-only layer-major
     (L*n, d, d) array, d = 2^(n+1), whose entry t*n + j is perceptron j of
-    transition t. The input is copied and each member checked as a `Unitary`;
-    a member's error carries its index as `member`."""
+    transition t; its shape alone gives the width n >= 1 and the number of
+    layer transitions L >= 1. The input is copied and each member checked as
+    a `Unitary`; a member's error carries its index as `member`."""
 
-    architecture: NetworkArchitecture
     stack: np.ndarray
 
     def __post_init__(self):
-        n = self.architecture.input_width
-        shape = (self.architecture.hidden_layers * n, 2 ** (n + 1), 2 ** (n + 1))
         stack = np.array(self.stack, dtype=complex)
-        if stack.shape != shape:
-            raise ValueError(f"perceptron stack has shape {stack.shape}, the architecture needs {shape}")
+        n = stack.shape[-1].bit_length() - 2 if stack.ndim == 3 else 0
+        if n < 1 or stack.shape[1:] != (2 ** (n + 1),) * 2 or not len(stack) or len(stack) % n:
+            raise ValueError(f"perceptron stack has shape {stack.shape}, not (L*n, 2^(n+1), 2^(n+1)) with n, L >= 1")
         for i, u in enumerate(stack):
             try:
                 Unitary(u)
@@ -63,13 +47,23 @@ class QnnModel:
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
 
+    @property
+    def width(self) -> int:
+        """n, the qubits of every register."""
+        return self.stack.shape[-1].bit_length() - 2
+
+    @property
+    def layers(self) -> int:
+        """L, the number of layer transitions."""
+        return len(self.stack) // self.width
+
     @cached_property
     def kraus(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per transition t, K_r[o, i] = <r, o|U_t|i, 0...0> (r labels the
         traced-out input register) as one read-only (L, d, d, d) array with
         d = 2^n, and its complex conjugate. Built on first use, by one
         `_forward` per transition."""
-        n = self.architecture.input_width
+        n = self.width
         d = 2 ** n
         basis = np.kron(np.eye(d), np.eye(d, 1))  # columns |i>|0...0>
         kraus = np.array([_forward(layer, n, basis).reshape(d, d, d)
@@ -118,16 +112,15 @@ def _stack_targets(n: int, count: int, shift: int = 0) -> tuple:
                  for t, j in (divmod(i, n) for i in range(count)))
 
 
-def _batch(architecture: NetworkArchitecture, pairs: Sequence[TrainingPair]):
-    """Full-register inputs |x>|0...0> as columns (2^m, P), and the
-    targets as columns (2^n, P)."""
+def _batch(pairs: Sequence[TrainingPair], n: int, layers: int):
+    """Full-register inputs |x>|0...0> of a width-n network of `layers`
+    transitions as columns (2^m, P), and the targets as columns (2^n, P)."""
     if not pairs:
         raise ValueError("training set must be nonempty")
-    n = architecture.input_width
     for pair in pairs:
         if pair.input.qubit_count != n or pair.target.qubit_count != n:
             raise ValueError("training pair width differs from the model width")
-    extra = architecture.hidden_layers * n
+    extra = layers * n
     inputs = np.array([p.input.amplitudes for p in pairs]).T
     register = np.zeros((inputs.shape[0] * 2 ** extra, len(pairs)), dtype=complex)
     register[::2 ** extra] = inputs
@@ -147,7 +140,7 @@ def feedforward(model: QnnModel, rho_in: DensityOperator) -> DensityOperator:
     basis inputs |i>|0...0> to K_r[o, i] = <r, o|U|i, 0...0> (r labels the
     traced-out input register), and rho becomes sum_r K_r rho K_r^dag. The
     qnn pipelines thus run up to n = MAX_TRAINABLE_WIDTH (6)."""
-    n = model.architecture.input_width
+    n = model.width
     if n > MAX_TRAINABLE_WIDTH:
         raise ValueError(f"width {n} exceeds MAX_TRAINABLE_WIDTH = {MAX_TRAINABLE_WIDTH}")
     if rho_in.qubit_count != n:
@@ -288,25 +281,26 @@ def _expm_i_powers(powers: np.ndarray, norm: float, eps: float) -> np.ndarray:
     return step
 
 
-def random_model(architecture: NetworkArchitecture, rng: np.random.Generator,
-                 spread: float = 0.1) -> QnnModel:
-    """Perceptrons exp(iH) with H Hermitian, entries uniform in +/- spread."""
-    dim = 2 ** (architecture.input_width + 1)
+def random_model(n: int, layers: int, rng: np.random.Generator, spread: float = 0.1) -> QnnModel:
+    """Perceptrons exp(iH) of a width-n network of `layers` transitions, with
+    H Hermitian, entries uniform in +/- spread."""
+    dim = 2 ** (n + 1)
     raw = np.array([rng.uniform(-spread, spread, (dim, dim)) + 1j * rng.uniform(-spread, spread, (dim, dim))
-                    for _ in range(architecture.hidden_layers * architecture.input_width)])
+                    for _ in range(layers * n)])
     h = (raw + np.swapaxes(raw.conj(), -1, -2)) / 2
-    return QnnModel(architecture, _expm_i(*np.linalg.eigh(h), 1.0))
+    return QnnModel(_expm_i(*np.linalg.eigh(h), 1.0))
 
 
 def train(
-    architecture: NetworkArchitecture,
     training_set: Sequence[TrainingPair],
+    layers: int = 1,
     step_size: float = 0.1,
     max_iters: int = 200,
     tol: float = 1e-6,
     rng_seed: int = 0,
 ) -> Tuple[QnnModel, TrainingReport]:
-    """Gradient-ascent training of the perceptron unitaries.
+    """Gradient-ascent training of the perceptron unitaries of a network of
+    `layers` transitions, as wide as the training pairs.
 
     Each perceptron is updated as U <- exp(i*eps*K) U along the analytic
     ascent direction K of the mean target overlap, jointly rescaled by the
@@ -320,14 +314,18 @@ def train(
         raise ValueError("step size must be finite and positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    n = architecture.input_width
+    if layers < 1:
+        raise ValueError("at least one layer transition is required")
+    if not training_set:
+        raise ValueError("training set must be nonempty")
+    n = training_set[0].input.qubit_count
     if n > MAX_TRAINABLE_WIDTH:
         raise ValueError(
             f"training is limited to {MAX_TRAINABLE_WIDTH} input qubits; "
             f"wider networks fail to converge (runaway gradients)")
-    stack = random_model(architecture, np.random.default_rng(rng_seed)).stack
+    stack = random_model(n, layers, np.random.default_rng(rng_seed)).stack
     pairs, weights = _dedupe(training_set)
-    register, targets = _batch(architecture, pairs)
+    register, targets = _batch(pairs, n, layers)
     bras = targets.conj()
     # one workspace for the powers of every ascent's directions; slot 0 is I
     powers = np.empty((5,) + stack.shape, dtype=complex)
@@ -361,7 +359,7 @@ def train(
         if len(history) > window and history[-1] - history[-1 - window] < tol:
             converged = True
             break
-    return QnnModel(architecture, stack), TrainingReport(history, converged)
+    return QnnModel(stack), TrainingReport(history, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +370,7 @@ def train(
 #   re im            (d*d lines, row-major, >=17 significant digits)
 
 def save_model(model: QnnModel, path) -> None:
-    n = model.architecture.input_width
-    lines = ["qnnmodel 1", f"{n} {model.architecture.hidden_layers}"]
+    lines = ["qnnmodel 1", f"{model.width} {model.layers}"]
     for mat in model.stack:
         lines.append(f"dim {mat.shape[0]}")
         for row in mat:
@@ -409,10 +406,10 @@ def load_model(path) -> QnnModel:
         n, depth = (int(v) for v in shape)
     except ValueError:
         raise ModelFormatError(path, 2, "architecture line must be two integers 'n L'")
-    try:
-        arch = NetworkArchitecture(n, depth)
-    except ValueError as exc:
-        raise ModelFormatError(path, 2, str(exc))
+    if n < 1:
+        raise ModelFormatError(path, 2, "input width must be >= 1")
+    if depth < 1:
+        raise ModelFormatError(path, 2, "at least one layer transition is required")
     if n > MAX_TRAINABLE_WIDTH:
         raise ModelFormatError(path, 2, f"width {n} exceeds MAX_TRAINABLE_WIDTH = {MAX_TRAINABLE_WIDTH}")
     mats = []  # the stack is built only once every perceptron has been read
@@ -437,6 +434,6 @@ def load_model(path) -> QnnModel:
     if pos != len(lines) and any(line.strip() for line in lines[pos:]):
         raise ModelFormatError(path, pos + 1, "trailing content after model data")
     try:
-        return QnnModel(arch, np.array(mats))
+        return QnnModel(np.array(mats))
     except ValueError as exc:  # a perceptron is reported at its last line
         raise ModelFormatError(path, 2 + (exc.member + 1) * (1 + d * d), str(exc))

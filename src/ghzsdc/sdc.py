@@ -26,8 +26,8 @@ class Codeword:
     value: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("codeword needs at least 2 bits")
+        if self.n < 3:
+            raise ValueError("the bitwise encoder requires n >= 3")
         if not 0 <= self.value < 2 ** self.n:
             raise ValueError(f"codeword value {self.value} out of range for {self.n} bits")
 
@@ -50,8 +50,6 @@ def _frame(code: Codeword) -> tuple:
     when x_{n-q} is set, never qubit 0; sign[a] = -1 when x_0 = 1 and qubit 1 of
     a is 1, as sigma_z acts before sigma_x there (sigma_x sigma_z = -i sigma_y)."""
     n = code.n
-    if n < 3:
-        raise ValueError("the bitwise encoder requires n >= 3")
     a = np.arange(2 ** n)
     sign = np.where(code.x(0) & (a >> (n - 2)), -1.0, 1.0)
     return a ^ (code.value >> 1), sign

@@ -29,7 +29,6 @@ from ghzsdc.qcore import (
     von_neumann_entropy,
 )
 from ghzsdc.qnn import (
-    NetworkArchitecture,
     QnnModel,
     TrainingPair,
     _ascent,
@@ -172,27 +171,27 @@ def stinespring_environment_entropy(states: Sequence[DensityOperator], ch: Quant
     return float(-np.sum(env * np.log2(env)))
 
 
-def identity_model(architecture: NetworkArchitecture) -> QnnModel:
-    """The network whose every perceptron is the identity: it traces the input
-    away and outputs the untouched fresh register |0...0>."""
-    d = 2 ** (architecture.input_width + 1)
-    count = architecture.hidden_layers * architecture.input_width
-    return QnnModel(architecture, np.broadcast_to(np.eye(d), (count, d, d)))
+def identity_model(n: int, layers: int) -> QnnModel:
+    """The width-n network of `layers` transitions whose every perceptron is
+    the identity: it traces the input away and outputs the untouched fresh
+    register |0...0>."""
+    d = 2 ** (n + 1)
+    return QnnModel(np.broadcast_to(np.eye(d), (layers * n, d, d)))
 
 
 def cost(model: QnnModel, training_set: Sequence[TrainingPair]) -> float:
     """Mean target overlap (1/N) sum_x <target_x| rho_x^out |target_x>, by
     the training path."""
-    register, targets = _batch(model.architecture, training_set)
+    register, targets = _batch(training_set, model.width, model.layers)
     weights = np.full(len(training_set), 1.0 / len(training_set))
-    return _score(_forward(model.stack, model.architecture.input_width, register), targets.conj(), weights)[0]
+    return _score(_forward(model.stack, model.width, register), targets.conj(), weights)[0]
 
 
 def gradients(model: QnnModel, training_set: Sequence[TrainingPair], weights) -> np.ndarray:
     """Training's ascent directions K for every perceptron, stacked like
     `model.stack`, over the pairs with the given weights."""
-    register, targets = _batch(model.architecture, training_set)
-    stack, n = model.stack, model.architecture.input_width
+    register, targets = _batch(training_set, model.width, model.layers)
+    stack, n = model.stack, model.width
     out = _forward(stack, n, register)
     return _ascent(stack, n, out, _overlaps(out, targets.conj()), targets, np.asarray(weights))
 
@@ -220,7 +219,7 @@ def feedforward_rebuilt(model: QnnModel, rho: np.ndarray) -> np.ndarray:
     """The network map on the bare matrix rho, with each transition's Kraus
     operators K_r[o, i] = <r, o|U|i, 0...0> rebuilt by `qnn._forward` on the
     basis inputs |i>|0...0> at every call."""
-    n = model.architecture.input_width
+    n = model.width
     d = 2 ** n
     basis = np.kron(np.eye(d), np.eye(d, 1))
     for layer in model.stack.reshape(-1, n, 2 * d, 2 * d):

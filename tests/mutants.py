@@ -1,0 +1,171 @@
+"""Mutation check of the test suite: every mutant below changes one source
+line of the package, and the suite must fail on each of them.
+
+Run from anywhere, with numpy, pytest and hypothesis installed:
+
+    python tests/mutants.py
+
+The check copies src/, tests/ and pyproject.toml into a temporary directory
+and runs `python -m pytest -x -q` there, first unmutated (it must pass, or
+no kill would mean anything), then once per mutant on a fresh copy. A mutant
+is killed when a test fails (pytest exit status 1) and survives when the run
+passes. The exit status is non-zero when a mutant survives, when a run ends
+any other way, when the unmutated run fails, or when a mutant's source line
+does not occur exactly once in its file, which means the list has gone stale.
+pytest does not collect this file.
+
+Mutation analysis: DeMillo, Lipton and Sayward, IEEE Computer 11(4), 34
+(1978); Jia and Harman, IEEE TSE 37, 649 (2011).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # from the repository root
+    line: str  # a source line, without its indentation, that occurs once in the file
+    replacement: str  # put in its place at the same indentation
+    why: str  # why the mutant is not equivalent
+
+
+MUTANTS = (
+    Mutant("encoder-sign-qubit", "src/ghzsdc/sdc.py",
+           "sign = np.where(code.x(0) & (a >> (n - 2)), -1.0, 1.0)",
+           "sign = np.where(code.x(0) & (a >> (n - 3)), -1.0, 1.0)",
+           "the sigma_z of x_0 lands on Alice's second qubit, so Table 1 changes"),
+    Mutant("twirl-mask-removed", "src/ghzsdc/sdc.py",
+           "table[:, (a >> (n - 2)) & 1 == 1] = 0",
+           "pass",
+           "the coherences that the sign pairs cancel survive in the twirl"),
+    Mutant("return-noise-on-bob", "src/ghzsdc/sdc.py",
+           "rho = qcore._kraus_sum(make_channel(noise.kind, noise.p), rho, [[q] for q in range(1, n)], n)",
+           "rho = qcore._kraus_sum(make_channel(noise.kind, noise.p), rho, [[q] for q in range(0, n)], n)",
+           "Bob's qubit, which stays with Bob, takes the return noise a second time"),
+    Mutant("decode-signs-swapped", "src/ghzsdc/sdc.py",
+           "return np.clip(np.stack([mean + cross, mean - cross], axis=1).reshape(-1), 0.0, None)",
+           "return np.clip(np.stack([mean - cross, mean + cross], axis=1).reshape(-1), 0.0, None)",
+           "every codeword decodes to its +/- partner outcome"),
+    Mutant("noisy-qubit-count", "src/ghzsdc/capacity.py",
+           "noisy = n if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN else 1",
+           "noisy = n - 1 if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN else 1",
+           "one noisy qubit of a both-stage point is scored as noiseless"),
+    Mutant("depolarizing-y-as-z", "src/ghzsdc/noise.py",
+           "np.sqrt(p / 3) * SIGMA_Y,",
+           "np.sqrt(p / 3) * SIGMA_Z,",
+           "the channel loses its Y branch and is no longer depolarizing"),
+    Mutant("ascent-sign-flipped", "src/ghzsdc/qnn.py",
+           "grads *= 1j",
+           "grads *= -1j",
+           "training descends the cost, so no step is accepted"),
+    Mutant("acceptance-slack-1e-3", "src/ghzsdc/qnn.py",
+           "if new_cost >= current - 1e-9:",
+           "if new_cost >= current - 1e-3:",
+           "steps that lower the cost by up to 1e-3 are kept"),
+    Mutant("feedforward-conjugate-dropped", "src/ghzsdc/qnn.py",
+           "rho = np.tensordot(kraus @ rho, bras, axes=([0, 2], [0, 2]))",
+           "rho = np.tensordot(kraus @ rho, kraus, axes=([0, 2], [0, 2]))",
+           "K rho K^T replaces K rho K^dag, which differs for complex perceptrons"),
+    Mutant("orbit-chi-offset-from-n-7", "src/ghzsdc/harness.py",
+           "chi = max(qcore.von_neumann_entropy(twirl(sigma)) - qcore.von_neumann_entropy(sigma), 0.0)",
+           "chi = max(qcore.von_neumann_entropy(twirl(sigma)) - qcore.von_neumann_entropy(sigma), 0.0)"
+           " + (1e-9 if n >= 7 else 0.0)",
+           "the Holevo value of every orbit point at n >= 7 is 1e-9 too high"),
+    Mutant("fidelity-before-from-kept", "src/ghzsdc/purify.py",
+           "fidelity_before=qcore.fidelity(ideal, source_state),",
+           "fidelity_before=qcore.fidelity(ideal, state),",
+           "the fidelity before purification reports the purified state"),
+    Mutant("entropy-floor-1e-9", "src/ghzsdc/qcore.py",
+           "evals = evals[evals > 0]",
+           "evals = evals[evals > 1e-9]",
+           "eigenvalues in (0, 1e-9] no longer add their -x log2 x"),
+    Mutant("underflow-floor-1e-30", "src/ghzsdc/purify.py",
+           "if compound < 1e-12:",
+           "if compound < 1e-30:",
+           "success probabilities between 1e-30 and 1e-12 no longer underflow"),
+    Mutant("stop-window-5", "src/ghzsdc/qnn.py",
+           "window = 25",
+           "window = 5",
+           "training stops on a flat stretch of 5 steps, mid-plateau"),
+    Mutant("inline-training-at-p-0.3", "src/ghzsdc/harness.py",
+           "pairs = [qnn.TrainingPair(x, psi) for x in sample_trajectories("
+           "psi, make_channel(kind, p), [0], seed_root)]",
+           "pairs = [qnn.TrainingPair(x, psi) for x in sample_trajectories("
+           "psi, make_channel(kind, 0.3), [0], seed_root)]",
+           "the training trajectories ignore the p they are asked for"),
+    Mutant("train-at-ignored", "src/ghzsdc/harness.py",
+           "p_train = cfg.train_at if cfg.train_at is not None else 0.3",
+           "p_train = 0.3",
+           "sweep --train-at changes nothing"),
+    Mutant("psd-floor-1e-6", "src/ghzsdc/qcore.py",
+           "if not evals[0] >= -ATOL:",
+           "if not evals[0] >= -1e-6:",
+           "density operators with an eigenvalue in [-1e-6, -1e-10) are accepted"),
+)
+
+
+def mutated(text: str, mutant: Mutant) -> str:
+    """`text` with the mutant's line replaced; refuses a line that does not
+    occur exactly once, or a replacement that does not compile."""
+    lines = text.splitlines(keepends=True)
+    hits = [i for i, line in enumerate(lines) if line.strip() == mutant.line]
+    if len(hits) != 1:
+        raise ValueError(f"{mutant.name}: {len(hits)} lines of {mutant.path} read {mutant.line!r}, not 1")
+    line = lines[hits[0]]
+    lines[hits[0]] = line[:len(line) - len(line.lstrip())] + mutant.replacement + "\n"
+    out = "".join(lines)
+    compile(out, mutant.path, "exec")
+    return out
+
+
+def suite_status(mutant: Mutant | None) -> int:
+    """The exit status of `pytest -x -q` on a temporary copy of the
+    repository, with the mutant applied when one is given."""
+    with tempfile.TemporaryDirectory(prefix="ghzsdc-mutant-") as tmp:
+        skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, Path(tmp) / part, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        if mutant is not None:
+            target = Path(tmp) / mutant.path
+            target.write_text(mutated(target.read_text(), mutant))
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"))
+        run = subprocess.run(PYTEST, cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        return run.returncode
+
+
+def main() -> int:
+    for mutant in MUTANTS:  # a stale line fails before any suite runs
+        mutated((ROOT / mutant.path).read_text(), mutant)
+    if suite_status(None) != 0:
+        print("the unmutated suite fails; no mutant can be judged", file=sys.stderr)
+        return 1
+    unkilled = []
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        status = suite_status(mutant)
+        verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"ERROR {status}")
+        print(f"{verdict:8} {mutant.name} ({time.perf_counter() - start:.1f} s)", flush=True)
+        if status != 1:
+            unkilled.append(mutant)
+    for mutant in unkilled:
+        print(f"not killed: {mutant.name}: {mutant.path}: {mutant.line!r} -> {mutant.replacement!r}"
+              f" ({mutant.why})")
+    print(f"{len(MUTANTS) - len(unkilled)} of {len(MUTANTS)} mutants killed")
+    return 1 if unkilled else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

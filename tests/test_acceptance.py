@@ -133,13 +133,11 @@ def test_criterion_5_training_sanity():
     pairs = [qnn.TrainingPair(StateVector(a.astype(complex)), StateVector(target_u @ a))
              for a in inputs]
     for seed in (0, 1, 2):
-        _, report = qnn.train(qnn.NetworkArchitecture(1, 1), pairs,
-                              max_iters=1000, tol=1e-9, rng_seed=seed)
+        _, report = qnn.train(pairs, max_iters=1000, tol=1e-9, rng_seed=seed)
         assert report.final_cost >= 0.98, f"seed {seed} stalled at {report.final_cost:.4f}"
 
     damping_pairs = trajectory_pairs(2, NoiseKind.AMPLITUDE_DAMPING, 0.3, 100, 0)
-    _, report = qnn.train(qnn.NetworkArchitecture(2, 1), damping_pairs,
-                          max_iters=400, rng_seed=0)
+    _, report = qnn.train(damping_pairs, max_iters=400, rng_seed=0)
     assert 0.84 <= report.final_cost <= 1.0, f"n=2 damping cost {report.final_cost:.4f}"
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"training sanity took {elapsed:.2f} s"
@@ -153,8 +151,7 @@ def test_criterion_6_dimension_five_degradation():
     finals = {}
     for n in (2, 3, 4, 5):
         pairs = trajectory_pairs(n, NoiseKind.AMPLITUDE_DAMPING, 0.3, 100, 0)
-        _, report = qnn.train(qnn.NetworkArchitecture(n, 1), pairs,
-                              max_iters=2000, rng_seed=0)
+        _, report = qnn.train(pairs, max_iters=2000, rng_seed=0)
         finals[n] = report.final_cost
     elapsed = time.perf_counter() - start
     small = min(finals[n] for n in (2, 3, 4))

@@ -243,7 +243,7 @@ class TestRunSweep:
         assert len(built) == 1
 
     def test_model_width_mismatch_rejected(self, tmp_path):
-        model = identity_model(qnn.NetworkArchitecture(2, 1))
+        model = identity_model(2, 1)
         path = tmp_path / "model.txt"
         qnn.save_model(model, path)
         cfg = small_config(pipeline="qnn", model_path=str(path))
@@ -357,7 +357,9 @@ class TestDistributionClosedForms:
     @example(n=6, kind=NoiseKind.BIT_FLIP, p=0.75)
     @example(n=4, kind=NoiseKind.PHASE_FLIP, p=1.0)
     @example(n=3, kind=NoiseKind.PHASE_FLIP, p=1 - 2 ** -52)
-    @given(n=st.integers(3, 8), kind=st.sampled_from(NoiseKind), p=st.floats(0.0, 1.0))
+    @example(n=10, kind=NoiseKind.AMPLITUDE_DAMPING, p=0.2)
+    @example(n=10, kind=NoiseKind.DEPOLARIZING, p=0.75)
+    @given(n=st.integers(3, 9), kind=st.sampled_from(NoiseKind), p=st.floats(0.0, 1.0))
     def test_raw_point_matches_closed_form(self, n, kind, p):
         (record,) = run_sweep(small_config(noise_kind=kind, n=n, p_start=p, p_stop=p))
         chi, fidelity = self.closed_form(kind, n, p)
@@ -439,7 +441,7 @@ class TestInlineTraining:
         # bit flip keeps the shared state or flips qubit 0, so the number of
         # unflipped training inputs counts one Kraus branch
         captured = []
-        monkeypatch.setattr(qnn, "train", lambda arch, pairs, **kw: captured.append(pairs))
+        monkeypatch.setattr(qnn, "train", lambda pairs, layers, **kw: captured.append(pairs))
         for p in (0.1, 0.5):
             harness.train_inline_model(NoiseKind.BIT_FLIP, 3, p, seed=0, trajectories=100,
                                        iters=1, layers=1)
@@ -502,7 +504,7 @@ class TestCli:
         assert rc == 0
         assert model_path.exists()
         model = qnn.load_model(model_path)
-        assert model.architecture.input_width == 2
+        assert model.width == 2
 
     def test_train_reports_training(self, tmp_path, capsys):
         model_path = tmp_path / "model.txt"
@@ -572,7 +574,7 @@ class TestCli:
 
     def test_model_with_non_finite_entry_exits_nonzero(self, tmp_path, capsys):
         model_path = tmp_path / "model.txt"
-        qnn.save_model(qnn.random_model(qnn.NetworkArchitecture(3, 1), np.random.default_rng(0)),
+        qnn.save_model(qnn.random_model(3, 1, np.random.default_rng(0)),
                        model_path)
         lines = model_path.read_text().splitlines()
         lines[4] = "nan nan"
@@ -597,7 +599,7 @@ class TestCli:
 
     def test_model_config_mismatch_via_cli(self, tmp_path, capsys):
         model_path = tmp_path / "model.txt"
-        qnn.save_model(identity_model(qnn.NetworkArchitecture(2, 1)), model_path)
+        qnn.save_model(identity_model(2, 1), model_path)
         rc = cli.main(["sweep", "--noise", "bit-flip", "--p-start", "0",
                        "--p-stop", "0", "--p-step", "0.1", "--pipeline", "qnn",
                        "--model", str(model_path), "--out", str(tmp_path / "x.csv")])

@@ -24,7 +24,6 @@ from ghzsdc.qcore import (
     fidelity,
     von_neumann_entropy,
 )
-from ghzsdc.qnn import NetworkArchitecture
 from ghzsdc.sdc import Codeword, distribute, run_protocol, transmit
 
 from full_space import (
@@ -145,7 +144,7 @@ class TestSpectrum:
     lambda: bell_state().density(),
     lambda: Unitary(SIGMA_X),
     lambda: QuantumChannel((I2,)),
-    lambda: identity_model(NetworkArchitecture(1, 1)),
+    lambda: identity_model(1, 1),
     lambda: run_protocol(Codeword(3, 5), NoiseSpec(NoiseKind.BIT_FLIP, 0.1)),
 ], ids=["StateVector", "DensityOperator", "Unitary", "QuantumChannel", "QnnModel", "SdcRunResult"])
 def test_array_holders_compare_and_hash_by_identity(make):
@@ -358,10 +357,9 @@ class TestMoveCount:
 
     @pytest.mark.parametrize("n, depth", [(1, 1), (2, 2), (3, 1), (3, 2)])
     def test_forward_and_ascent(self, moves, n, depth):
-        architecture = NetworkArchitecture(n, depth)
-        stack = qnn.random_model(architecture, np.random.default_rng(n)).stack
+        stack = qnn.random_model(n, depth, np.random.default_rng(n)).stack
         psi = StateVector(np.full(2 ** n, 2 ** (-n / 2)))
-        register, targets = qnn._batch(architecture, [qnn.TrainingPair(psi, psi)])
+        register, targets = qnn._batch([qnn.TrainingPair(psi, psi)], n, depth)
         weights = np.ones(1)
         out = qnn._forward(stack, n, register)
         assert len(moves) == depth * n + 1

@@ -42,7 +42,7 @@ def dense_feedforward(model, rho_in):
     """Reference network map on the dense 2n-qubit state of each transition:
     adjoin |0...0> on n fresh qubits, apply the perceptrons in order, trace
     out the previous register."""
-    n = model.architecture.input_width
+    n = model.width
     zeros = basis_state(n, 0).density()
     rho = rho_in
     for layer in model.stack.reshape(-1, n, 2 ** (n + 1), 2 ** (n + 1)):
@@ -57,7 +57,7 @@ def stepped(model, bumps, eps):
     """The model with each perceptron U_i replaced by exp(i eps H_i) U_i,
     for the Hermitian bumps H_i stacked layer-major."""
     w, v = np.linalg.eigh(np.asarray(bumps))
-    return qnn.QnnModel(model.architecture, qnn._expm_i(w, v, eps) @ model.stack)
+    return qnn.QnnModel(qnn._expm_i(w, v, eps) @ model.stack)
 
 
 def trajectory_pairs(n, kind, p, count, seed):
@@ -68,39 +68,58 @@ def trajectory_pairs(n, kind, p, count, seed):
 
 
 class TestQnnModel:
-    @pytest.mark.parametrize("count, d", [(1, 8), (3, 8), (2, 4)],
-                             ids=["too-few", "too-many", "wrong-dimension"])
-    def test_wrong_shape_rejected(self, count, d):
-        with pytest.raises(ValueError, match="shape"):
-            qnn.QnnModel(qnn.NetworkArchitecture(2, 1), np.broadcast_to(np.eye(d), (count, d, d)))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_width_and_layers_read_from_the_stack(self, tmp_path, n, layers):
+        model = qnn.random_model(n, layers, np.random.default_rng(10 * n + layers))
+        assert model.stack.shape == (layers * n, 2 ** (n + 1), 2 ** (n + 1))
+        assert (model.width, model.layers) == (n, layers)
+        path = tmp_path / "model.txt"
+        qnn.save_model(model, path)
+        assert path.read_text().splitlines()[1] == f"{n} {layers}"
+        loaded = qnn.load_model(path)
+        assert (loaded.width, loaded.layers) == (n, layers)
+        assert np.array_equal(loaded.stack, model.stack)
+
+    @pytest.mark.parametrize("stack", [
+        np.broadcast_to(np.eye(8), (1, 8, 8)),
+        np.broadcast_to(np.eye(8), (3, 8, 8)),
+        np.eye(2)[None],
+        np.eye(6)[None],
+        np.empty((0, 4, 4)),
+        np.eye(4),
+    ], ids=["too-few", "too-many", "d-2", "d-6", "empty", "two-dimensional"])
+    def test_wrong_shape_rejected(self, stack):
+        with pytest.raises(ValueError, match=r"shape .* with n, L >= 1"):
+            qnn.QnnModel(stack)
 
     def test_non_unitary_member_rejected(self):
         stack = np.array([np.eye(8), 2 * np.eye(8)])
         with pytest.raises(ValueError, match="not unitary"):
-            qnn.QnnModel(qnn.NetworkArchitecture(2, 1), stack)
+            qnn.QnnModel(stack)
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, -np.inf)])
     def test_non_finite_entry_rejected(self, entry):
         stack = np.array([np.eye(4, dtype=complex)])
         stack[0, 1, 2] = entry
         with pytest.raises(ValueError, match="not unitary"):
-            qnn.QnnModel(qnn.NetworkArchitecture(1, 1), stack)
+            qnn.QnnModel(stack)
 
     def test_stack_is_read_only(self):
-        model = identity_model(qnn.NetworkArchitecture(2, 2))
+        model = identity_model(2, 2)
         with pytest.raises(ValueError, match="read-only"):
             model.stack[0, 0, 0] = 0
 
     def test_caller_array_is_copied(self):
         stack = np.array([SWAP.matrix])
-        model = qnn.QnnModel(qnn.NetworkArchitecture(1, 1), stack)
+        model = qnn.QnnModel(stack)
         stack[0] = 0
         assert np.array_equal(model.stack, [SWAP.matrix])
 
 
 class TestFeedforward:
     def test_identity_network_on_zero_state(self):
-        model = identity_model(qnn.NetworkArchitecture(2, 1))
+        model = identity_model(2, 1)
         out = qnn.feedforward(model, basis_state(2, 0).density())
         assert np.allclose(out.matrix, basis_state(2, 0).density().matrix, atol=1e-12)
 
@@ -108,12 +127,12 @@ class TestFeedforward:
         # with U = I the input is traced away and the untouched fresh
         # register comes back as |0...0>
         rng = np.random.default_rng(4)
-        model = identity_model(qnn.NetworkArchitecture(2, 1))
+        model = identity_model(2, 1)
         out = qnn.feedforward(model, random_state(rng, 2).density())
         assert np.allclose(out.matrix, basis_state(2, 0).density().matrix, atol=1e-12)
 
     def test_swap_perceptron_is_identity_channel(self):
-        model = qnn.QnnModel(qnn.NetworkArchitecture(1, 1), [SWAP.matrix])
+        model = qnn.QnnModel([SWAP.matrix])
         rng = np.random.default_rng(5)
         for _ in range(10):
             rho = random_state(rng, 1).density()
@@ -124,20 +143,20 @@ class TestFeedforward:
         rng = np.random.default_rng(6)
         for _ in range(500):
             n = int(rng.integers(1, 3))
-            model = qnn.random_model(qnn.NetworkArchitecture(n, 1), rng, spread=0.6)
+            model = qnn.random_model(n, 1, rng, spread=0.6)
             out = qnn.feedforward(model, random_state(rng, n).density())
             assert abs(np.trace(out.matrix).real - 1) < 1e-10
             assert np.linalg.eigvalsh(out.matrix).min() > -1e-10
 
     def test_width_mismatch_rejected(self):
-        model = identity_model(qnn.NetworkArchitecture(2, 1))
+        model = identity_model(2, 1)
         with pytest.raises(ValueError):
             qnn.feedforward(model, basis_state(1, 0).density())
 
     def test_matches_pure_state_cost_path(self):
         rng = np.random.default_rng(9)
         for depth in (1, 2):
-            model = qnn.random_model(qnn.NetworkArchitecture(2, depth), rng, spread=0.5)
+            model = qnn.random_model(2, depth, rng, spread=0.5)
             psi = random_state(rng, 2)
             target = random_state(rng, 2)
             dense = float(np.real(target.amplitudes.conj()
@@ -151,7 +170,7 @@ class TestFeedforward:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_dense_oracle(self, n, depth, rank_draw, seed):
         rng = np.random.default_rng(seed)
-        model = qnn.random_model(qnn.NetworkArchitecture(n, depth), rng, spread=0.5)
+        model = qnn.random_model(n, depth, rng, spread=0.5)
         rho = random_mixed_state(rng, n, 1 + (rank_draw - 1) % 2 ** n)
         got = qnn.feedforward(model, rho).matrix
         want = dense_feedforward(model, rho).matrix
@@ -161,7 +180,7 @@ class TestFeedforward:
         # two calls on one 2-transition model make two _forward calls in all,
         # and give what rebuilding the Kraus operators at every call gives
         rng = np.random.default_rng(12)
-        model = qnn.random_model(qnn.NetworkArchitecture(2, 2), rng, spread=0.5)
+        model = qnn.random_model(2, 2, rng, spread=0.5)
         rhos = [random_mixed_state(rng, 2, rank) for rank in (1, 3)]
         want = [feedforward_rebuilt(model, rho.matrix) for rho in rhos]
         calls = []
@@ -179,20 +198,20 @@ class TestFeedforward:
 
     def test_width_above_training_cap_rejected(self):
         # only a model file can carry such a width; training refuses it
-        model = identity_model(qnn.NetworkArchitecture(qnn.MAX_TRAINABLE_WIDTH + 1, 1))
+        model = identity_model(qnn.MAX_TRAINABLE_WIDTH + 1, 1)
         with pytest.raises(ValueError, match="MAX_TRAINABLE_WIDTH"):
             qnn.feedforward(model, basis_state(qnn.MAX_TRAINABLE_WIDTH + 1, 0).density())
 
 
 class TestCost:
     def test_perfect_model_scores_one(self):
-        model = qnn.QnnModel(qnn.NetworkArchitecture(1, 1), [SWAP.matrix])
+        model = qnn.QnnModel([SWAP.matrix])
         rng = np.random.default_rng(10)
         pairs = [qnn.TrainingPair(s, s) for s in (random_state(rng, 1) for _ in range(4))]
         assert abs(cost(model, pairs) - 1) < 1e-10
 
     def test_orthogonal_outputs_score_zero(self):
-        model = identity_model(qnn.NetworkArchitecture(1, 1))  # always outputs |0>
+        model = identity_model(1, 1)  # always outputs |0>
         pairs = [qnn.TrainingPair(basis_state(1, 0), basis_state(1, 1))]
         assert cost(model, pairs) < 1e-12
 
@@ -204,21 +223,21 @@ class TestCost:
              [0, 1, 0, 1],
              [0, 1, 0, -1],
              [1, 0, -1, 0]], dtype=complex) / np.sqrt(2))
-        model = qnn.QnnModel(qnn.NetworkArchitecture(1, 1), [bell_maker.matrix])
+        model = qnn.QnnModel([bell_maker.matrix])
         out = qnn.feedforward(model, basis_state(1, 0).density())
         assert np.allclose(out.matrix, np.eye(2) / 2, atol=1e-10)
         pair = qnn.TrainingPair(basis_state(1, 0), basis_state(1, 1))
         assert abs(cost(model, [pair]) - 0.5) < 1e-10
 
     def test_empty_set_rejected(self):
-        model = identity_model(qnn.NetworkArchitecture(1, 1))
+        model = identity_model(1, 1)
         with pytest.raises(ValueError):
             cost(model, [])
 
     def test_cost_bounded(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
-            model = qnn.random_model(qnn.NetworkArchitecture(2, 1), rng, spread=1.0)
+            model = qnn.random_model(2, 1, rng, spread=1.0)
             pairs = [qnn.TrainingPair(random_state(rng, 2), random_state(rng, 2))
                      for _ in range(3)]
             c = cost(model, pairs)
@@ -237,13 +256,12 @@ class TestTraining:
                   np.array([1, 1]) / np.sqrt(2), np.array([1, 1j]) / np.sqrt(2)]
         pairs = [qnn.TrainingPair(StateVector(a.astype(complex)), StateVector(target_u @ a))
                  for a in inputs]
-        model, report = qnn.train(qnn.NetworkArchitecture(1, 1), pairs,
-                                  max_iters=1000, tol=1e-9, rng_seed=0)
+        model, report = qnn.train(pairs, max_iters=1000, tol=1e-9, rng_seed=0)
         assert report.final_cost >= 0.98
 
     def test_monotone_cost_history(self):
         pairs = trajectory_pairs(2, NoiseKind.AMPLITUDE_DAMPING, 0.3, 50, 0)
-        _, report = qnn.train(qnn.NetworkArchitecture(2, 1), pairs, max_iters=60, rng_seed=1)
+        _, report = qnn.train(pairs, max_iters=60, rng_seed=1)
         history = np.array(report.cost_history)
         assert np.all(np.diff(history) >= -1e-9)
         assert np.all((history >= 0) & (history <= 1 + 1e-12))
@@ -251,7 +269,7 @@ class TestTraining:
     @pytest.mark.parametrize("n, depth", [(2, 1), (3, 2)])
     def test_unitarity_preserved_after_training(self, n, depth):
         pairs = trajectory_pairs(n, NoiseKind.DEPOLARIZING, 0.2, 40, 3)
-        model, _ = qnn.train(qnn.NetworkArchitecture(n, depth), pairs, max_iters=50, rng_seed=2)
+        model, _ = qnn.train(pairs, depth, max_iters=50, rng_seed=2)
         for u in model.stack:
             assert np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) < 1e-9
 
@@ -260,7 +278,7 @@ class TestTraining:
         # finite-difference gradient over a Hermitian perturbation basis
         rng = np.random.default_rng(13)
         for n in (1, 2):
-            model = qnn.random_model(qnn.NetworkArchitecture(n, 1), rng, spread=0.4)
+            model = qnn.random_model(n, 1, rng, spread=0.4)
             pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n))
                      for _ in range(3)]
             unique, weights = qnn._dedupe(pairs)
@@ -289,7 +307,7 @@ class TestTraining:
         rng = np.random.default_rng(14)
         eps = 1e-5
         for n in (1, 2, 3):
-            model = qnn.random_model(qnn.NetworkArchitecture(n, 2), rng, spread=0.4)
+            model = qnn.random_model(n, 2, rng, spread=0.4)
             pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n))
                      for _ in range(3)]
             unique, weights = qnn._dedupe(pairs)
@@ -310,7 +328,7 @@ class TestTraining:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_batched_gradients_sum_single_pair_gradients(self, n, depth, count, seed):
         rng = np.random.default_rng(seed)
-        model = qnn.random_model(qnn.NetworkArchitecture(n, depth), rng, spread=0.5)
+        model = qnn.random_model(n, depth, rng, spread=0.5)
         pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n))
                  for _ in range(count)]
         weights = rng.uniform(0.1, 1.0, count)
@@ -328,12 +346,11 @@ class TestTraining:
         # the T products of `block` perceptrons at a time (all of them when
         # block >= n * depth), and the powers filled in place, bit for bit
         rng = np.random.default_rng(seed)
-        architecture = qnn.NetworkArchitecture(n, depth)
-        stack = qnn.random_model(architecture, rng, spread=0.5).stack
+        stack = qnn.random_model(n, depth, rng, spread=0.5).stack
         pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n)) for _ in range(count)]
         weights = rng.uniform(0.1, 1.0, count)
         weights /= weights.sum()
-        register, targets = qnn._batch(architecture, pairs)
+        register, targets = qnn._batch(pairs, n, depth)
         out = qnn._forward(stack, n, register)
         _, overlap = qnn._score(out, targets.conj(), weights)
         with pytest.MonkeyPatch.context() as patch:
@@ -373,14 +390,19 @@ class TestTraining:
         assert by_identity < len(calls) - by_identity
 
     def test_gradient_explosion_regime_refused(self):
-        psi = shared_state(2)
+        psi = shared_state(7)
         pairs = [qnn.TrainingPair(psi, psi)]
         with pytest.raises(ValueError, match="limited"):
-            qnn.train(qnn.NetworkArchitecture(7, 1), pairs)
+            qnn.train(pairs)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            qnn.train(qnn.NetworkArchitecture(2, 1), [])
+            qnn.train([])
+
+    def test_no_transition_refused(self):
+        psi = shared_state(3)
+        with pytest.raises(ValueError, match="at least one layer transition"):
+            qnn.train([qnn.TrainingPair(psi, psi)], 0)
 
     @pytest.mark.parametrize("widths", [((3, 3),), ((2, 2), (3, 3)), ((2, 2), (2, 1))],
                              ids=["all-wide", "mixed", "narrow-target"])
@@ -388,17 +410,29 @@ class TestTraining:
         rng = np.random.default_rng(15)
         pairs = [qnn.TrainingPair(random_state(rng, a), random_state(rng, b))
                  for a, b in widths]
-        arch = qnn.NetworkArchitecture(2, 1)
         with pytest.raises(ValueError, match="width differs from the model width"):
-            qnn.train(arch, pairs)
+            cost(identity_model(2, 1), pairs)
+
+    @pytest.mark.parametrize("widths", [((2, 2), (3, 3)), ((2, 2), (2, 1))],
+                             ids=["mixed", "narrow-target"])
+    def test_training_pairs_of_two_widths_rejected(self, widths):
+        # training takes its width from the first pair
+        rng = np.random.default_rng(15)
+        pairs = [qnn.TrainingPair(random_state(rng, a), random_state(rng, b))
+                 for a, b in widths]
         with pytest.raises(ValueError, match="width differs from the model width"):
-            cost(identity_model(arch), pairs)
+            qnn.train(pairs)
+
+    def test_training_width_is_the_pairs_width(self):
+        rng = np.random.default_rng(15)
+        pairs = [qnn.TrainingPair(random_state(rng, 3), random_state(rng, 3))]
+        model, _ = qnn.train(pairs, max_iters=1)
+        assert (model.width, model.layers) == (3, 1)
 
     @pytest.mark.parametrize("step_size", [0.0, -1.0, np.nan, np.inf])
     def test_bad_step_size_rejected(self, step_size):
         with pytest.raises(ValueError):
-            qnn.train(qnn.NetworkArchitecture(1, 1),
-                      [qnn.TrainingPair(basis_state(1, 0), basis_state(1, 0))],
+            qnn.train([qnn.TrainingPair(basis_state(1, 0), basis_state(1, 0))],
                       step_size=step_size)
 
     @pytest.mark.parametrize("n, depth", [(1, 1), (2, 2), (3, 1)])
@@ -406,8 +440,7 @@ class TestTraining:
         # the returned model is the last accepted stack, not an earlier one
         rng = np.random.default_rng(16)
         pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n)) for _ in range(4)]
-        model, report = qnn.train(qnn.NetworkArchitecture(n, depth), pairs,
-                                  max_iters=30, rng_seed=5)
+        model, report = qnn.train(pairs, depth, max_iters=30, rng_seed=5)
         # the last step moved the cost, so an earlier model would miss it
         assert report.cost_history[-1] - report.cost_history[-2] > 1e-9
         assert abs(report.final_cost - cost(model, pairs)) < 1e-12
@@ -424,14 +457,14 @@ class TestTraining:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        _, report = qnn.train(qnn.NetworkArchitecture(2, 1), pairs, max_iters=max_iters, rng_seed=1)
+        _, report = qnn.train(pairs, max_iters=max_iters, rng_seed=1)
         assert report.iterations == max_iters
         assert calls == [(2, 8, 8)]
 
     def test_long_steps_take_the_squaring_path(self):
         # eps * |K| = 2 > 1/4, so the first candidate is scaled by 2^-3 and squared
         pairs = trajectory_pairs(2, NoiseKind.AMPLITUDE_DAMPING, 0.3, 20, 0)
-        model, report = qnn.train(qnn.NetworkArchitecture(2, 1), pairs, step_size=2.0,
+        model, report = qnn.train(pairs, step_size=2.0,
                                   max_iters=30, rng_seed=1)
         assert isinstance(model, qnn.QnnModel)
         assert report.iterations >= 1
@@ -463,7 +496,7 @@ class TestCorrectState:
         n = 2
         p = 0.3
         pairs = trajectory_pairs(n, NoiseKind.AMPLITUDE_DAMPING, p, 100, 0)
-        model, _ = qnn.train(qnn.NetworkArchitecture(n, 1), pairs, max_iters=400, rng_seed=0)
+        model, _ = qnn.train(pairs, max_iters=400, rng_seed=0)
         noisy = qcore.apply_channel(shared_state(n).density(),
                                     make_channel(NoiseKind.AMPLITUDE_DAMPING, p), [0])
         before = qcore.fidelity(shared_state(n), noisy)
@@ -473,7 +506,7 @@ class TestCorrectState:
     def test_trained_model_keeps_clean_states(self):
         n = 2
         pairs = trajectory_pairs(n, NoiseKind.AMPLITUDE_DAMPING, 0.3, 100, 0)
-        model, _ = qnn.train(qnn.NetworkArchitecture(n, 1), pairs, max_iters=400, rng_seed=0)
+        model, _ = qnn.train(pairs, max_iters=400, rng_seed=0)
         clean = shared_state(n).density()
         assert qcore.fidelity(shared_state(n), qnn.feedforward(model, clean)) >= 0.9
 
@@ -481,11 +514,11 @@ class TestCorrectState:
 class TestModelFiles:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(21)
-        model = qnn.random_model(qnn.NetworkArchitecture(2, 2), rng)
+        model = qnn.random_model(2, 2, rng)
         path = tmp_path / "model.txt"
         qnn.save_model(model, path)
         loaded = qnn.load_model(path)
-        assert loaded.architecture == model.architecture
+        assert (loaded.width, loaded.layers) == (2, 2)
         assert np.array_equal(loaded.stack, model.stack)
 
     def test_bad_header(self, tmp_path):
@@ -496,7 +529,7 @@ class TestModelFiles:
 
     def test_truncated_file_reports_position(self, tmp_path):
         rng = np.random.default_rng(22)
-        model = qnn.random_model(qnn.NetworkArchitecture(1, 1), rng)
+        model = qnn.random_model(1, 1, rng)
         path = tmp_path / "model.txt"
         qnn.save_model(model, path)
         lines = path.read_text().splitlines()
@@ -506,7 +539,7 @@ class TestModelFiles:
 
     def test_non_numeric_entry(self, tmp_path):
         rng = np.random.default_rng(23)
-        model = qnn.random_model(qnn.NetworkArchitecture(1, 1), rng)
+        model = qnn.random_model(1, 1, rng)
         path = tmp_path / "model.txt"
         qnn.save_model(model, path)
         lines = path.read_text().splitlines()
@@ -542,7 +575,7 @@ class TestModelFiles:
     def test_non_unitary_perceptron_reported_at_its_last_line(self, tmp_path):
         # width 1, two transitions: perceptron 2 spans lines 20-36
         path = tmp_path / "model.txt"
-        qnn.save_model(identity_model(qnn.NetworkArchitecture(1, 2)), path)
+        qnn.save_model(identity_model(1, 2), path)
         lines = path.read_text().splitlines()
         lines[20] = "2.0 0.0"
         path.write_text("\n".join(lines) + "\n")
@@ -552,7 +585,7 @@ class TestModelFiles:
     def test_first_perceptron_reported_at_its_last_line(self, tmp_path):
         # width 1, one transition: perceptron 0 spans lines 3-19
         path = tmp_path / "model.txt"
-        qnn.save_model(identity_model(qnn.NetworkArchitecture(1, 1)), path)
+        qnn.save_model(identity_model(1, 1), path)
         lines = path.read_text().splitlines()
         lines[3] = "2.0 0.0"
         path.write_text("\n".join(lines) + "\n")
@@ -571,7 +604,7 @@ class TestModelFiles:
         # the unitarity bound fails on a non-finite entry, so the file is
         # refused at load time with its name and line
         rng = np.random.default_rng(24)
-        model = qnn.random_model(qnn.NetworkArchitecture(3, 1), rng)
+        model = qnn.random_model(3, 1, rng)
         path = tmp_path / "model.txt"
         qnn.save_model(model, path)
         lines = path.read_text().splitlines()

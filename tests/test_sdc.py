@@ -115,6 +115,11 @@ class TestCodeword:
         with pytest.raises(ValueError):
             Codeword(3, 8)
 
+    def test_below_three_bits_rejected(self):
+        # no stage accepts n = 2, so the codeword is refused where it is built
+        with pytest.raises(ValueError, match="n >= 3"):
+            Codeword(2, 1)
+
 
 class TestEncoder:
     def test_table1_all_rows(self):
