@@ -22,6 +22,11 @@ from .qcore import DensityOperator, StateVector, Unitary, _apply_each, _retarget
 # (runaway gradients), so the cap is explicit rather than silent.
 MAX_TRAINABLE_WIDTH = 6
 
+# The largest training step eps; with the directions normalised to a largest
+# Frobenius norm of 1, every step has eps*|K| <= 0.1, so `_expm_i_powers`
+# needs no scaling and squaring.
+STEP_SIZE = 0.1
+
 
 @dataclass(frozen=True, eq=False)
 class QnnModel:
@@ -97,8 +102,9 @@ class TrainingReport:
 # One path for training and `feedforward`: one `qcore._apply_each` walk applies
 # the perceptrons of `QnnModel.stack` in order to the distinct training pairs,
 # the columns of one (2^m, P) full register, and `_ascent` walks back with one
-# `qcore._retarget` per perceptron, then forms every ascent direction at once;
-# the trace over the non-output registers waits for the overlap. Training
+# `qcore._retarget` per perceptron, taking each perceptron's T on the way, then
+# forms every ascent direction at once; the trace over the non-output
+# registers waits for the overlap. Training
 # steps the bare stack by a matrix polynomial in powers of the ascent
 # directions, filled once per ascent into one workspace per run; the model is
 # built where it returns.
@@ -185,19 +191,13 @@ def _dedupe(training_set: Sequence[TrainingPair]):
     return unique, w
 
 
-# Bytes of swept rows that `_ascent` buffers for one stacked T product: all
-# perceptrons up to n = 6 with one transition, one at a time for n = 6 with two,
-# where one doubled register of two pairs takes 16 MiB; never L*n registers.
-_SWEPT_BYTES = 2 ** 24
-
-
 def _ascent(stack: np.ndarray, n: int, out: np.ndarray, overlap: np.ndarray,
             targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Ascent directions K, stacked like `stack`, from the forward state
     `out` of the batch and its `overlap`: K_i = i(T - T^dag) with
     T = sum_x w_x A_x C_x^dag over the target-qubit rows of the state A_x
     and of its projection C_x onto the target, both swept back to just
-    after perceptron i."""
+    after perceptron i, where T is formed before the sweep moves on."""
     count = len(stack)
     m = count + n
     # sweep the state and its weighted target projection as one register; an
@@ -212,18 +212,9 @@ def _ascent(stack: np.ndarray, n: int, out: np.ndarray, overlap: np.ndarray,
     del register, chi  # the sweep needs only its moved copy
     half = rows.shape[1] // 2
     adjoints = stack.conj().swapaxes(-1, -2)
-    # the swept rows of a block of perceptrons wait in one buffer, so that one
-    # matmul forms their T
-    block = max(1, min(count, _SWEPT_BYTES // rows.nbytes))
-    swept = np.empty((block,) + rows.shape, dtype=complex)
     t_ac = np.empty_like(stack)
     for idx in range(count - 1, -1, -1):
-        swept[idx % block] = rows
-        if idx % block == 0:
-            size = min(block, count - idx)
-            projections = swept[:size, :, half:]
-            np.conjugate(projections, out=projections)
-            np.matmul(swept[:size, :, :half], projections.swapaxes(-1, -2), out=t_ac[idx:idx + size])
+        np.matmul(rows[:, :half], rows[:, half:].conj().T, out=t_ac[idx])
         if idx:
             rows = _retarget(adjoints[idx] @ rows, qubits[idx], qubits[idx - 1], m + 1)
     grads = t_ac - t_ac.conj().swapaxes(-1, -2)
@@ -237,21 +228,18 @@ def _expm_i(w: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
     return (v * np.exp(1j * eps * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def _fill_powers(powers: np.ndarray, grads: np.ndarray) -> float:
+def _fill_powers(powers: np.ndarray, grads: np.ndarray) -> None:
     """Fill slots 1-4 of the (5, ...) workspace `powers`, whose slot 0 holds
     I, with K, K^2, K^3 and K^4 of the directions K: `grads` over their
     largest Frobenius norm, or `grads` themselves when that is below 1e-12.
-    Returns that norm, 1.0 once normalised; it bounds the spectral norm of
-    every K."""
+    Either way the spectral norm of every K is at most 1."""
     largest = np.linalg.norm(grads, axis=(1, 2)).max()
     if largest > 1e-12:
         np.divide(grads, largest, out=powers[1])
-        largest = 1.0
     else:
         powers[1] = grads
     np.matmul(powers[1], powers[1], out=powers[2])
     np.matmul(powers[2], powers[1:3], out=powers[3:5])
-    return largest
 
 
 # The degree-12 Taylor series of exp(x h) as B0 + h^4 (B1 + h^4 B2): entry
@@ -262,28 +250,28 @@ _BLOCK_WEIGHTS = np.array([[1 / factorial(e) for e in row] for row in _BLOCK_EXP
 _BLOCK_WEIGHTS[:2, 4] = 0
 
 
-def _expm_i_powers(powers: np.ndarray, norm: float, eps: float) -> np.ndarray:
-    """exp(i * eps * h) from I, h, h^2, h^3 and h^4 (`_fill_powers`), where
-    `norm` bounds the spectral norm of every h of the stack: the degree-12
-    Taylor polynomial in Paterson-Stockmeyer form at x = i*eps/2^s, squared
-    s times, s the least with eps*norm/2^s <= 1/4 (Higham, SIAM J. Matrix
-    Anal. Appl. 26, 1179 (2005)). The truncation error is below 1e-17."""
-    s = 0
-    while eps * norm > 0.25 * 2 ** s:
-        s += 1
-    coefficients = (1j * eps / 2 ** s) ** _BLOCK_EXPONENTS * _BLOCK_WEIGHTS
+def _expm_i_powers(powers: np.ndarray, eps: float) -> np.ndarray:
+    """exp(i * eps * h) from I, h, h^2, h^3 and h^4 (`_fill_powers`) as the
+    degree-12 Taylor polynomial in Paterson-Stockmeyer form at x = i*eps.
+    For eps <= STEP_SIZE and a spectral norm of h of at most 1, eps*|h| is
+    inside 1/4, where no scaling and squaring is needed (Higham, SIAM J.
+    Matrix Anal. Appl. 26, 1179 (2005)); the truncation error is below
+    0.1^13/13! ~ 1.6e-23."""
+    coefficients = (1j * eps) ** _BLOCK_EXPONENTS * _BLOCK_WEIGHTS
     b0, b1, b2 = (coefficients @ powers.reshape(5, -1)).reshape((3,) + powers.shape[1:])
     b1 += powers[4] @ b2  # Horner in place: b0 + h^4 (b1 + h^4 b2)
     b0 += powers[4] @ b1
-    step = b0
-    for _ in range(s):
-        step = step @ step
-    return step
+    return b0
 
 
 def random_model(n: int, layers: int, rng: np.random.Generator, spread: float = 0.1) -> QnnModel:
     """Perceptrons exp(iH) of a width-n network of `layers` transitions, with
-    H Hermitian, entries uniform in +/- spread."""
+    H Hermitian, entries uniform in +/- spread. Refuses n < 1 and layers < 1
+    before any draw."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if layers < 1:  # no perceptrons: the draws below would fail with an AxisError
+        raise ValueError(f"layers must be >= 1, got {layers}")
     dim = 2 ** (n + 1)
     raw = np.array([rng.uniform(-spread, spread, (dim, dim)) + 1j * rng.uniform(-spread, spread, (dim, dim))
                     for _ in range(layers * n)])
@@ -294,7 +282,6 @@ def random_model(n: int, layers: int, rng: np.random.Generator, spread: float = 
 def train(
     training_set: Sequence[TrainingPair],
     layers: int = 1,
-    step_size: float = 0.1,
     max_iters: int = 200,
     tol: float = 1e-6,
     rng_seed: int = 0,
@@ -305,13 +292,10 @@ def train(
     Each perceptron is updated as U <- exp(i*eps*K) U along the analytic
     ascent direction K of the mean target overlap, jointly rescaled by the
     largest per-perceptron gradient norm so plateaus are crossed at full
-    step length. eps halves whenever a step would decrease the cost and
-    recovers multiplicatively after accepted steps, so the history is
-    non-decreasing.
+    step length. eps starts at STEP_SIZE, halves whenever a step would
+    decrease the cost and recovers multiplicatively after accepted steps, up
+    to STEP_SIZE, so the history is non-decreasing.
     """
-    # written so that NaN, which fails every comparison, fails it too
-    if not 0 < step_size < np.inf:
-        raise ValueError("step size must be finite and positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if layers < 1:
@@ -330,7 +314,7 @@ def train(
     # one workspace for the powers of every ascent's directions; slot 0 is I
     powers = np.empty((5,) + stack.shape, dtype=complex)
     powers[0] = np.eye(stack.shape[-1])
-    eps = step_size
+    eps = STEP_SIZE
     # forward state of the current stack and its overlaps, reused by its gradient
     out = _forward(stack, n, register)
     current, overlap = _score(out, bras, weights)
@@ -338,9 +322,9 @@ def train(
     converged = False
     for _ in range(max_iters):
         # every step-halving retry exponentiates from these powers
-        largest = _fill_powers(powers, _ascent(stack, n, out, overlap, targets, weights))
+        _fill_powers(powers, _ascent(stack, n, out, overlap, targets, weights))
         while eps > 1e-8:
-            candidate = _expm_i_powers(powers, largest, eps) @ stack
+            candidate = _expm_i_powers(powers, eps) @ stack
             candidate_out = _forward(candidate, n, register)
             new_cost, candidate_overlap = _score(candidate_out, bras, weights)
             if new_cost >= current - 1e-9:
@@ -350,7 +334,7 @@ def train(
             converged = True
             break
         stack, out, overlap = candidate, candidate_out, candidate_overlap
-        eps = min(eps * 1.05, step_size)
+        eps = min(eps * 1.05, STEP_SIZE)
         history.append(new_cost)
         current = new_cost
         # windowed stop: a single sub-tol step can sit mid-plateau, so

@@ -74,6 +74,14 @@ MUTANTS = (
            "if new_cost >= current - 1e-9:",
            "if new_cost >= current - 1e-3:",
            "steps that lower the cost by up to 1e-3 are kept"),
+    Mutant("step-size-1", "src/ghzsdc/qnn.py",
+           "STEP_SIZE = 0.1",
+           "STEP_SIZE = 1.0",
+           "steps up to eps*|K| = 1 leave the Taylor polynomial's range; its error reaches 1e-11"),
+    Mutant("random-model-zero-layers", "src/ghzsdc/qnn.py",
+           "if layers < 1:  # no perceptrons: the draws below would fail with an AxisError",
+           "if layers < 0:  # no perceptrons: the draws below would fail with an AxisError",
+           "random_model(n, 0, rng) reaches numpy's AxisError instead of naming `layers`"),
     Mutant("feedforward-conjugate-dropped", "src/ghzsdc/qnn.py",
            "rho = np.tensordot(kraus @ rho, bras, axes=([0, 2], [0, 2]))",
            "rho = np.tensordot(kraus @ rho, kraus, axes=([0, 2], [0, 2]))",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -109,6 +111,14 @@ class TestQnnModel:
         model = identity_model(2, 2)
         with pytest.raises(ValueError, match="read-only"):
             model.stack[0, 0, 0] = 0
+
+    @pytest.mark.parametrize("n, layers, name", [(0, 1, "n"), (-1, 1, "n"), (3, 0, "layers"), (3, -2, "layers")])
+    def test_random_model_refuses_an_empty_network(self, n, layers, name):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            qnn.random_model(n, layers, rng)
+        assert rng.bit_generator.state == state  # refused before any draw
 
     def test_caller_array_is_copied(self):
         stack = np.array([SWAP.matrix])
@@ -340,11 +350,11 @@ class TestTraining:
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 4), depth=st.integers(1, 2), count=st.integers(1, 4),
-           block=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
-    @example(n=4, depth=2, count=2, block=3, seed=0)
-    def test_stacked_kernels_match_per_perceptron_products(self, n, depth, count, block, seed):
-        # the T products of `block` perceptrons at a time (all of them when
-        # block >= n * depth), and the powers filled in place, bit for bit
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=4, depth=2, count=2, seed=0)
+    def test_stacked_kernels_match_per_perceptron_products(self, n, depth, count, seed):
+        # the T products formed during the sweep, and the powers filled in
+        # place, bit for bit
         rng = np.random.default_rng(seed)
         stack = qnn.random_model(n, depth, rng, spread=0.5).stack
         pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n)) for _ in range(count)]
@@ -353,19 +363,35 @@ class TestTraining:
         register, targets = qnn._batch(pairs, n, depth)
         out = qnn._forward(stack, n, register)
         _, overlap = qnn._score(out, targets.conj(), weights)
-        with pytest.MonkeyPatch.context() as patch:
-            # a doubled register's swept rows take 2 * out.nbytes
-            patch.setattr(qnn, "_SWEPT_BYTES", block * 2 * out.nbytes)
-            grads = qnn._ascent(stack, n, out, overlap, targets, weights)
+        grads = qnn._ascent(stack, n, out, overlap, targets, weights)
         assert np.array_equal(grads, ascent_per_perceptron(stack, n, out, overlap, targets, weights))
         powers = np.empty((5,) + stack.shape, dtype=complex)
         powers[0] = np.eye(stack.shape[-1])
-        assert qnn._fill_powers(powers, grads) == 1.0
+        qnn._fill_powers(powers, grads)
         k = powers[1]
         assert np.array_equal(k, grads / np.linalg.norm(grads, axis=(1, 2)).max())
         assert np.array_equal(powers[2], k @ k)
         assert np.array_equal(powers[3], powers[2] @ k)
         assert np.array_equal(powers[4], powers[2] @ powers[2])
+
+    def test_ascent_holds_no_per_perceptron_buffer(self):
+        # the sweep keeps one doubled register alive, and a few copies of it
+        # during a move; one per perceptron would take 20 * out.nbytes here
+        rng = np.random.default_rng(0)
+        n, depth = 5, 2
+        stack = qnn.random_model(n, depth, rng, spread=0.5).stack
+        pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n)) for _ in range(2)]
+        weights = np.full(2, 0.5)
+        register, targets = qnn._batch(pairs, n, depth)
+        out = qnn._forward(stack, n, register)
+        _, overlap = qnn._score(out, targets.conj(), weights)
+        tracemalloc.start()
+        try:
+            qnn._ascent(stack, n, out, overlap, targets, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * out.nbytes
 
     def test_dedupe_of_shared_states_matches_dedupe_by_value(self, monkeypatch):
         # sampled pairs share one state per branch; copies of them dedupe alike
@@ -429,12 +455,6 @@ class TestTraining:
         model, _ = qnn.train(pairs, max_iters=1)
         assert (model.width, model.layers) == (3, 1)
 
-    @pytest.mark.parametrize("step_size", [0.0, -1.0, np.nan, np.inf])
-    def test_bad_step_size_rejected(self, step_size):
-        with pytest.raises(ValueError):
-            qnn.train([qnn.TrainingPair(basis_state(1, 0), basis_state(1, 0))],
-                      step_size=step_size)
-
     @pytest.mark.parametrize("n, depth", [(1, 1), (2, 2), (3, 1)])
     def test_final_cost_is_the_returned_models_cost(self, n, depth):
         # the returned model is the last accepted stack, not an earlier one
@@ -461,23 +481,14 @@ class TestTraining:
         assert report.iterations == max_iters
         assert calls == [(2, 8, 8)]
 
-    def test_long_steps_take_the_squaring_path(self):
-        # eps * |K| = 2 > 1/4, so the first candidate is scaled by 2^-3 and squared
-        pairs = trajectory_pairs(2, NoiseKind.AMPLITUDE_DAMPING, 0.3, 20, 0)
-        model, report = qnn.train(pairs, step_size=2.0,
-                                  max_iters=30, rng_seed=1)
-        assert isinstance(model, qnn.QnnModel)
-        assert report.iterations >= 1
-        assert np.all(np.diff(report.cost_history) >= -1e-9)
-
 
 class TestStepExponential:
     # train's step exp(i eps K) from the powers of K, against the eigh form
     @settings(max_examples=60, deadline=None)
     @given(d=st.sampled_from([4, 16, 64]), count=st.integers(1, 3),
-           eps=st.one_of(st.floats(1e-8, 4.0), st.sampled_from([0.25, 3.0])),
-           zero=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    @example(d=16, count=3, eps=3.0, zero=True, seed=0)
+           eps=st.floats(1e-8, qnn.STEP_SIZE), zero=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(d=16, count=3, eps=qnn.STEP_SIZE, zero=True, seed=0)
+    @example(d=4, count=3, eps=qnn.STEP_SIZE, zero=False, seed=0)
     def test_matches_eigh_oracle(self, d, count, eps, zero, seed):
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
@@ -485,8 +496,8 @@ class TestStepExponential:
         powers = np.empty((5, count, d, d), dtype=complex)
         powers[0] = np.eye(d)
         # normalised as train does: the largest Frobenius norm becomes 1
-        largest = qnn._fill_powers(powers, k)
-        step = qnn._expm_i_powers(powers, largest, eps)
+        qnn._fill_powers(powers, k)
+        step = qnn._expm_i_powers(powers, eps)
         assert np.max(np.abs(step - qnn._expm_i(*np.linalg.eigh(powers[1]), eps))) < 1e-13
         assert np.max(np.abs(step @ np.swapaxes(step.conj(), -1, -2) - np.eye(d))) < 1e-13
 
