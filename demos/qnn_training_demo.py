@@ -1,9 +1,10 @@
 """Train a dissipative network corrector on noisy trajectories.
 
-The training set is built from pure-state trajectories of the shared
-state under amplitude damping, drawn by one `sample_trajectories` call
-that computes the Kraus branches once; the target is always the ideal
-state. Training steps each perceptron by a matrix polynomial in its
+The training set is built by `harness.trajectory_pairs`, the builder
+that inline training in a sweep uses: pure-state trajectories of the
+shared state under amplitude damping, drawn by one `sample_trajectories`
+call that computes the Kraus branches once; the target is always the
+ideal state. Training steps each perceptron by a matrix polynomial in its
 ascent direction, with no eigendecomposition after the initial model,
 and validates the model where it returns it. The trained network is then applied as a
 channel corrector and compared against the uncorrected fidelity.
@@ -15,27 +16,20 @@ import numpy as np
 
 from ghzsdc import (
     NoiseKind,
-    TrainingPair,
     apply_channel,
     feedforward,
     fidelity,
     make_channel,
-    sample_trajectories,
     shared_state,
     train,
 )
+from ghzsdc.harness import trajectory_pairs
 
-
-def build_training_set(n, p, count, seed):
-    psi = shared_state(n)
-    ch = make_channel(NoiseKind.AMPLITUDE_DAMPING, p)
-    seeds = np.random.default_rng(seed).integers(0, 2 ** 31, size=count)
-    return [TrainingPair(x, psi) for x in sample_trajectories(psi, ch, [0], seeds)]
 
 def main():
     n = 2
     p = 0.3
-    pairs = build_training_set(n, p, count=100, seed=0)
+    pairs = trajectory_pairs(NoiseKind.AMPLITUDE_DAMPING, n, p, seed=0, trajectories=100)
     distinct = {tuple(np.round(t.input.amplitudes, 12)) for t in pairs}
     print(f"training set: 100 trajectories, {len(distinct)} distinct states")
 

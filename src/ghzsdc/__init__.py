@@ -1,7 +1,7 @@
 """GHZ-state superdense coding under noise: density-matrix simulation,
 entanglement purification, QNN correction, and channel-capacity analysis."""
 
-from .capacity import CapacityReport, holevo
+from .capacity import CapacityReport
 from .harness import CorrectionPipeline, SweepConfig, SweepRecord, emit_records, run_sweep
 from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel, sample_trajectories
 from .purify import PurificationResult, PurificationUnderflow, purify_iterated

@@ -98,7 +98,7 @@ def _cmd_capacity(args) -> None:
     spec = NoiseSpec(NoiseKind(args.noise), args.p, NoiseStage(args.noise_stage))
     _, rep = score_point(distribute(args.n, spec), spec)
     print(f"holevo: {rep.holevo:.6f} bits")
-    print(f"classical capacity: {rep.classical_capacity:.6f} bits")
+    print(f"classical capacity: {rep.holevo:.6f} bits")
     print(f"entropy exchange: {rep.entropy_exchange:.6f} bits")
     print(f"coherent information: {rep.coherent_information:.6f} bits")
     print(f"quantum capacity: {rep.quantum_capacity:.6f} bits")

@@ -109,17 +109,24 @@ def p_grid(cfg: SweepConfig) -> List[float]:
     return values
 
 
-def train_inline_model(kind: NoiseKind, n: int, p: float, seed: int, trajectories: int,
-                       iters: int, layers: int) -> Tuple[qnn.QnnModel, qnn.TrainingReport]:
-    """Train a corrector of `layers` transitions on `trajectories` noisy-
-    distribution trajectories of the n-qubit shared state, targeting the
-    ideal shared state; returns it with its report."""
+def trajectory_pairs(kind: NoiseKind, n: int, p: float, seed: int,
+                     trajectories: int) -> List[qnn.TrainingPair]:
+    """`trajectories` noisy-distribution trajectories of the n-qubit shared
+    state, each paired with the ideal shared state as its target; trajectory
+    k is drawn from the k-th of `trajectories` seeds that `seed` draws."""
     if trajectories < 1:
         raise ValueError("trajectories must be >= 1")
     psi = shared_state(n)
     seed_root = np.random.default_rng(seed).integers(0, 2 ** 31, size=trajectories)
-    pairs = [qnn.TrainingPair(x, psi) for x in sample_trajectories(psi, make_channel(kind, p), [0], seed_root)]
-    return qnn.train(pairs, layers, max_iters=iters, rng_seed=seed)
+    return [qnn.TrainingPair(x, psi) for x in sample_trajectories(psi, make_channel(kind, p), [0], seed_root)]
+
+
+def train_inline_model(kind: NoiseKind, n: int, p: float, seed: int, trajectories: int,
+                       iters: int, layers: int) -> Tuple[qnn.QnnModel, qnn.TrainingReport]:
+    """Train a corrector of `layers` transitions on the `trajectory_pairs`
+    of these arguments; returns it with its report."""
+    return qnn.train(trajectory_pairs(kind, n, p, seed, trajectories), layers,
+                     max_iters=iters, rng_seed=seed)
 
 
 def _build_corrector(cfg: SweepConfig) -> CorrectionPipeline:
@@ -145,28 +152,34 @@ def score_point(shared: DensityOperator, spec: NoiseSpec) -> Tuple[float, capaci
     """Average fidelity and capacity report of the 2^n codewords sent from
     the corrected shared state.
 
+    The Holevo value is S(mixture) - mean S(output) of the outputs at
+    uniform priors, the optimum over priors when they are one orbit
+    U_x sigma U_x^dag of one state (Hiroshima, J. Phys. A 34, 6907 (2001)).
     Distribution noise acts before the Pauli encoders U_x, and a Pauli
-    return channel commutes with them, so the outputs are one orbit
-    U_x sigma U_x^dag: sigma is the shared state, with the return noise
-    applied once at stage both (codeword 0 encodes with the identity).
-    Every fidelity is then <GHZ|sigma|GHZ>, and the Holevo value is
-    S(twirl(sigma)) - S(sigma) (Bowen, PRA 63, 022302 (2001)). Amplitude-
-    damping return noise breaks the orbit, and each codeword is then
-    transmitted and scored on its own. `capacity.report` scores the noise
-    channel."""
+    return channel commutes with them, so there the outputs are one orbit:
+    sigma is the shared state, with the return noise applied once at stage
+    both (codeword 0 encodes with the identity). Every fidelity is then
+    <GHZ|sigma|GHZ>, every output entropy S(sigma), and the mixture the
+    twirl of sigma (Bowen, PRA 63, 022302 (2001)). Amplitude-damping return noise breaks the orbit, and
+    each codeword is then transmitted and scored on its own; the return
+    channel is linear, so the mixture is the returned twirl of the shared
+    state. `capacity.report` scores the noise channel."""
     n = shared.qubit_count
     if spec.stage is NoiseStage.DISTRIBUTION_ONLY or spec.kind is not NoiseKind.AMPLITUDE_DAMPING:
         sigma = shared
         if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN:
             sigma = transmit(shared, Codeword(n, 0), spec)
         fidelities = [qcore.fidelity(shared_state(n), sigma)] * 2 ** n
-        chi = max(qcore.von_neumann_entropy(twirl(sigma)) - qcore.von_neumann_entropy(sigma), 0.0)
+        outputs, mixture = [sigma], twirl(sigma)
     else:
         codes = [Codeword(n, x) for x in range(2 ** n)]
         outputs = [transmit(shared, code, spec) for code in codes]
         fidelities = [qcore.fidelity(ideal_received_state(code), rho)
                       for code, rho in zip(codes, outputs)]
-        chi = capacity.holevo(outputs)
+        mixture = transmit(twirl(shared), Codeword(n, 0), spec)
+    prior = 1.0 / len(outputs)
+    conditional = sum(prior * qcore.von_neumann_entropy(rho) for rho in outputs)
+    chi = max(qcore.von_neumann_entropy(mixture) - conditional, 0.0)
     return float(np.mean(fidelities)), capacity.report(chi, spec, n)
 
 
@@ -186,7 +199,7 @@ def run_sweep(cfg: SweepConfig) -> List[SweepRecord]:
             pipeline=cfg.pipeline,
             avg_fidelity=avg_fidelity,
             holevo=rep.holevo,
-            classical_capacity=rep.classical_capacity,
+            classical_capacity=rep.holevo,
             coherent_info=rep.coherent_information,
             quantum_capacity=rep.quantum_capacity,
             seed=cfg.seed,

@@ -34,7 +34,6 @@ class PurificationResult:
     success_probability: float
     fidelity_before: float
     fidelity_after: float
-    rounds: int
 
 
 def purify_iterated(source_state: DensityOperator, rounds: int) -> PurificationResult:
@@ -66,5 +65,4 @@ def purify_iterated(source_state: DensityOperator, rounds: int) -> PurificationR
         success_probability=compound,
         fidelity_before=qcore.fidelity(ideal, source_state),
         fidelity_after=qcore.fidelity(ideal, state),
-        rounds=rounds,
     )

@@ -38,7 +38,6 @@ class Codeword:
 
 @dataclass(frozen=True, eq=False)
 class SdcRunResult:
-    codeword: Codeword
     received_state: DensityOperator
     decode_distribution: np.ndarray
     post_fidelity: float
@@ -157,4 +156,4 @@ def run_protocol(
         rho = corrector(rho)
     rho = transmit(rho, code, noise)
     target = ideal_received_state(code)
-    return SdcRunResult(code, rho, decode_ghz(rho), qcore.fidelity(target, rho))
+    return SdcRunResult(rho, decode_ghz(rho), qcore.fidelity(target, rho))

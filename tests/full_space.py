@@ -5,15 +5,16 @@ protocol's noise, random channels cut from isometries, conjugation by one
 operator on chosen qubits and a channel as the sum of its Kraus
 conjugations, the identity network, the network's cost and ascent directions
 on a training set, the ascent directions one perceptron at a time and the
-network map rebuilt from its perceptrons at every call, and the entropy
-exchange and coherent information of a channel on pure states, checked
-against a Stinespring dilation."""
+network map rebuilt from its perceptrons at every call, the uniform
+mixture of a sequence of states and its Holevo value as explicit sums, and
+the entropy exchange and coherent information of a channel on pure states,
+checked against a Stinespring dilation."""
 
 from typing import Sequence
 
 import numpy as np
 
-from ghzsdc.capacity import _channel_output, _exchange, _mixture
+from ghzsdc.capacity import _channel_output, _exchange
 from ghzsdc.noise import NoiseSpec, NoiseStage, make_channel
 from ghzsdc.qcore import (
     I2,
@@ -228,13 +229,33 @@ def feedforward_rebuilt(model: QnnModel, rho: np.ndarray) -> np.ndarray:
     return rho
 
 
+def mixture(states: Sequence[DensityOperator]) -> np.ndarray:
+    """The uniform mixture of a non-empty sequence of states of one width,
+    as the explicit sum."""
+    if not states:
+        raise ValueError("need at least one state")
+    if len({s.matrix.shape[0] for s in states}) != 1:
+        raise ValueError("states must share one dimension")
+    p = 1.0 / len(states)
+    return sum(p * s.matrix for s in states)
+
+
+def holevo(states: Sequence[DensityOperator]) -> float:
+    """S(mixture) - mean S(rho_i) of the states at uniform priors, in bits,
+    with the mixture summed explicitly."""
+    mixed = von_neumann_entropy(DensityOperator(mixture(states)))
+    p = 1.0 / len(states)
+    conditional = sum(p * von_neumann_entropy(s) for s in states)
+    return max(mixed - conditional, 0.0)
+
+
 def _pure_input(states: Sequence[DensityOperator], ch: QuantumChannel) -> np.ndarray:
     """The uniform mixture of pure `states` on which `ch` acts."""
     for s in states:
         purity = float(np.real(np.trace(s.matrix @ s.matrix)))
         if abs(purity - 1.0) > 1e-9:
             raise ValueError("entropy exchange requires pure input states")
-    mix = _mixture(states)
+    mix = mixture(states)
     if ch.kraus_ops[0].shape[0] != mix.shape[0]:
         raise ValueError("channel dimension does not match the input states")
     return mix

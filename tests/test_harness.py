@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzsdc import cli, harness, purify, qcore, qnn
-from ghzsdc.capacity import holevo
 from ghzsdc.harness import (
     CSV_HEADER,
     CorrectionPipeline,
@@ -30,7 +29,7 @@ from ghzsdc.sdc import (
     twirl,
 )
 
-from full_space import full_space_channel, identity_model, noise_factors
+from full_space import full_space_channel, holevo, identity_model, mixture, noise_factors
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -261,7 +260,8 @@ ORBIT_NOISE = ([(kind, NoiseStage.DISTRIBUTION_ONLY) for kind in NoiseKind]
 class TestOrbitScoring:
     def test_orbit_predicate(self, monkeypatch):
         # none at stage dist, one at an orbit point of stage both, and every
-        # codeword where amplitude-damping return noise breaks the orbit
+        # codeword where amplitude-damping return noise breaks the orbit,
+        # plus the returned twirl that mixes them
         n = 4
         sent = []
 
@@ -278,7 +278,7 @@ class TestOrbitScoring:
                 if (kind, stage) in ORBIT_NOISE:
                     expected = 0 if stage is NoiseStage.DISTRIBUTION_ONLY else 1
                 else:
-                    expected = 2 ** n
+                    expected = 2 ** n + 1
                 assert len(sent) == expected, (kind, stage)
 
     @settings(max_examples=30, deadline=None)
@@ -328,6 +328,37 @@ class TestOrbitScoring:
         assert abs(wide.holevo - (n - 3) - narrow.holevo) < 1e-12
         assert abs(wide.avg_fidelity - narrow.avg_fidelity) < 1e-15
         assert abs(wide.coherent_info - narrow.coherent_info - (n - 3)) < 1e-12
+
+
+class TestReturnScoring:
+    # A fixed random corrector per width, whose outputs are no block state
+    # and have no symmetry among Alice's qubits.
+    RANDOM_MODELS = {n: qnn.random_model(n, 1, np.random.default_rng(n)) for n in range(3, 7)}
+
+    @settings(max_examples=30, deadline=None)
+    @example(n=3, pipeline="raw", p=0.0)
+    @example(n=6, pipeline="raw", p=1.0)
+    @example(n=4, pipeline="purify", p=1.0)
+    @example(n=5, pipeline="qnn", p=0.0)
+    @example(n=6, pipeline="qnn", p=1.0)
+    @given(n=st.integers(3, 6), pipeline=st.sampled_from(["raw", "purify", "qnn"]),
+           p=st.floats(0.0, 1.0))
+    def test_amplitude_damping_return_matches_per_codeword_oracle(self, n, pipeline, p):
+        # off the orbit the outputs mix to the returned twirl of the shared
+        # state, by linearity of the return channel
+        spec = NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, p, NoiseStage.DISTRIBUTION_AND_RETURN)
+        corrector = CorrectionPipeline(purify_rounds=1 if pipeline == "purify" else 0,
+                                       model=self.RANDOM_MODELS[n] if pipeline == "qnn" else None)
+        shared = corrector(distribute(n, spec))
+        avg_fidelity, rep = score_point(shared, spec)
+        codes = [Codeword(n, x) for x in range(2 ** n)]
+        outputs = [transmit(shared, code, spec) for code in codes]
+        fidelities = [qcore.fidelity(ideal_received_state(code), rho)
+                      for code, rho in zip(codes, outputs)]
+        assert avg_fidelity == np.mean(fidelities)
+        assert abs(rep.holevo - holevo(outputs)) < 1e-12
+        returned = transmit(twirl(shared), codes[0], spec)
+        assert np.max(np.abs(returned.matrix - mixture(outputs))) < 1e-13
 
 
 def _h(*probs):

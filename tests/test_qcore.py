@@ -121,6 +121,57 @@ class TestValidation:
             QuantumChannel((0.5 * I2,))
 
 
+# Every refusal of the value types and kernels, by its exact type and
+# message. Oversized inputs are zero-stride views, so the size checks are
+# reached without allocating the state.
+REFUSALS = {
+    "state-above-cap": (
+        lambda: StateVector(np.broadcast_to(np.complex128(1), (2 ** (qcore.MAX_STATE_QUBITS + 1),))),
+        "state vectors support at most 12 qubits, got 13"),
+    "density-not-square": (
+        lambda: DensityOperator(np.eye(2, 4)), "density operator must be a square matrix"),
+    "density-one-dimensional": (
+        lambda: DensityOperator(np.full(4, 0.25)), "density operator must be a square matrix"),
+    "density-above-cap": (
+        lambda: DensityOperator(np.broadcast_to(np.complex128(0), (2 ** (qcore.MAX_DENSITY_QUBITS + 1),) * 2)),
+        "density operators support at most 10 qubits, got 11"),
+    "trace-two": (lambda: DensityOperator(np.eye(2)), "density operator trace 2.0 is not 1"),
+    # twice ATOL past a unit trace
+    "trace-past-atol": (
+        lambda: DensityOperator(np.diag([0.5 + 1e-10, 0.5 + 1e-10])),
+        "density operator trace 1.0000000002 is not 1"),
+    # orthonormal rows pass the unitarity bound, so only the shape refuses it
+    "unitary-not-square": (lambda: Unitary(np.eye(2, 4)), "unitary must be a square matrix"),
+    "channel-empty": (lambda: QuantumChannel(()), "channel needs at least one Kraus operator"),
+    "kraus-not-square": (
+        lambda: QuantumChannel((np.eye(2, 4),)), "Kraus operators must share one square shape"),
+    "kraus-two-widths": (
+        lambda: QuantumChannel((np.eye(2) / np.sqrt(2), np.eye(4) / np.sqrt(2))),
+        "Kraus operators must share one square shape"),
+    "target-past-last": (
+        lambda: apply_channel(DensityOperator(np.eye(4) / 4), QuantumChannel((I2,)), [2]),
+        "target out of range for 2 qubits"),
+    "target-negative": (
+        lambda: apply_channel(DensityOperator(np.eye(4) / 4), QuantumChannel((I2,)), [-1]),
+        "target out of range for 2 qubits"),
+    # state and operator each pass validation 0.9 ATOL out, and their
+    # overlap lands 2.7 ATOL above 1
+    "overlap-above-one": (
+        lambda: fidelity(StateVector(np.array([1 + 0.9e-10, 0])),
+                         DensityOperator(np.diag([1 + 0.9e-10, -0.9e-10]))),
+        "overlap 1.00000000027 outside [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal_type_and_message(case):
+    build, message = REFUSALS[case]
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert refused.type is ValueError
+    assert str(refused.value) == message
+
+
 class TestSpectrum:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 6), rank=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzsdc import qcore, qnn
-from ghzsdc.noise import NoiseKind, make_channel, sample_trajectories
+from ghzsdc.harness import trajectory_pairs
+from ghzsdc.noise import NoiseKind, make_channel
 from ghzsdc.qcore import DensityOperator, StateVector, Unitary
 from ghzsdc.sdc import shared_state
 
@@ -60,13 +61,6 @@ def stepped(model, bumps, eps):
     for the Hermitian bumps H_i stacked layer-major."""
     w, v = np.linalg.eigh(np.asarray(bumps))
     return qnn.QnnModel(qnn._expm_i(w, v, eps) @ model.stack)
-
-
-def trajectory_pairs(n, kind, p, count, seed):
-    psi = shared_state(n)
-    ch = make_channel(kind, p)
-    seeds = np.random.default_rng(seed).integers(0, 2 ** 31, size=count)
-    return [qnn.TrainingPair(x, psi) for x in sample_trajectories(psi, ch, [0], seeds)]
 
 
 class TestQnnModel:
@@ -270,7 +264,7 @@ class TestTraining:
         assert report.final_cost >= 0.98
 
     def test_monotone_cost_history(self):
-        pairs = trajectory_pairs(2, NoiseKind.AMPLITUDE_DAMPING, 0.3, 50, 0)
+        pairs = trajectory_pairs(NoiseKind.AMPLITUDE_DAMPING, 2, 0.3, 0, 50)
         _, report = qnn.train(pairs, max_iters=60, rng_seed=1)
         history = np.array(report.cost_history)
         assert np.all(np.diff(history) >= -1e-9)
@@ -278,7 +272,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("n, depth", [(2, 1), (3, 2)])
     def test_unitarity_preserved_after_training(self, n, depth):
-        pairs = trajectory_pairs(n, NoiseKind.DEPOLARIZING, 0.2, 40, 3)
+        pairs = trajectory_pairs(NoiseKind.DEPOLARIZING, n, 0.2, 3, 40)
         model, _ = qnn.train(pairs, depth, max_iters=50, rng_seed=2)
         for u in model.stack:
             assert np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) < 1e-9
@@ -396,7 +390,7 @@ class TestTraining:
     def test_dedupe_of_shared_states_matches_dedupe_by_value(self, monkeypatch):
         # sampled pairs share one state per branch; copies of them dedupe alike
         # but need more value comparisons
-        shared = trajectory_pairs(3, NoiseKind.DEPOLARIZING, 0.5, 200, 0)
+        shared = trajectory_pairs(NoiseKind.DEPOLARIZING, 3, 0.5, 0, 200)
         copied = [qnn.TrainingPair(StateVector(p.input.amplitudes.copy()),
                                    StateVector(p.target.amplitudes.copy())) for p in shared]
         calls = []
@@ -424,6 +418,14 @@ class TestTraining:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             qnn.train([])
+
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_no_iteration_refused(self, max_iters):
+        psi = shared_state(3)
+        with pytest.raises(ValueError) as refused:
+            qnn.train([qnn.TrainingPair(psi, psi)], max_iters=max_iters)
+        assert refused.type is ValueError
+        assert str(refused.value) == "max_iters must be >= 1"
 
     def test_no_transition_refused(self):
         psi = shared_state(3)
@@ -468,7 +470,7 @@ class TestTraining:
     @pytest.mark.parametrize("max_iters", [1, 40])
     def test_one_eigensolve_per_training(self, monkeypatch, max_iters):
         # the only eigh is random_model's; every ascent steps by the polynomial
-        pairs = trajectory_pairs(2, NoiseKind.AMPLITUDE_DAMPING, 0.3, 20, 0)
+        pairs = trajectory_pairs(NoiseKind.AMPLITUDE_DAMPING, 2, 0.3, 0, 20)
         calls = []
         eigh = np.linalg.eigh
 
@@ -506,7 +508,7 @@ class TestCorrectState:
     def test_trained_model_improves_noisy_fidelity(self):
         n = 2
         p = 0.3
-        pairs = trajectory_pairs(n, NoiseKind.AMPLITUDE_DAMPING, p, 100, 0)
+        pairs = trajectory_pairs(NoiseKind.AMPLITUDE_DAMPING, n, p, 0, 100)
         model, _ = qnn.train(pairs, max_iters=400, rng_seed=0)
         noisy = qcore.apply_channel(shared_state(n).density(),
                                     make_channel(NoiseKind.AMPLITUDE_DAMPING, p), [0])
@@ -516,7 +518,7 @@ class TestCorrectState:
 
     def test_trained_model_keeps_clean_states(self):
         n = 2
-        pairs = trajectory_pairs(n, NoiseKind.AMPLITUDE_DAMPING, 0.3, 100, 0)
+        pairs = trajectory_pairs(NoiseKind.AMPLITUDE_DAMPING, n, 0.3, 0, 100)
         model, _ = qnn.train(pairs, max_iters=400, rng_seed=0)
         clean = shared_state(n).density()
         assert qcore.fidelity(shared_state(n), qnn.feedforward(model, clean)) >= 0.9
@@ -602,6 +604,24 @@ class TestModelFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(qnn.ModelFormatError, match=r"model\.txt:19: matrix is not unitary"):
             qnn.load_model(path)
+
+    # Format refusals, each with the line it names: a perceptron of the wrong
+    # dimension either way (the first is the file that CI feeds to the
+    # console script), an entry of three numbers, and one trailing line.
+    @pytest.mark.parametrize("body, lineno, message", [
+        ("1 1\ndim 8\n", 3, "perceptron dim 8 inconsistent with width 1"),
+        ("1 1\ndim 2\n", 3, "perceptron dim 2 inconsistent with width 1"),
+        ("1 1\ndim 4\n1.0 0.0\n0.0 0.0 0.0\n", 5, "expected 're im', got '0.0 0.0 0.0'"),
+        ("1 1\ndim 4\n" + "".join(f"{float(r == c)} 0.0\n" for r in range(4) for c in range(4))
+         + "extra\n", 20, "trailing content after model data"),
+    ], ids=["dim-above", "dim-below", "three-numbers", "trailing-line"])
+    def test_format_refusal_names_its_line(self, tmp_path, body, lineno, message):
+        path = tmp_path / "model.txt"
+        path.write_text("qnnmodel 1\n" + body)
+        with pytest.raises(qnn.ModelFormatError) as refused:
+            qnn.load_model(path)
+        assert refused.type is qnn.ModelFormatError
+        assert str(refused.value) == f"{path}:{lineno}: {message}"
 
     def test_header_counts_allocate_nothing(self, tmp_path):
         # a billion announced transitions end at the first missing entry

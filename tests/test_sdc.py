@@ -16,6 +16,7 @@ from ghzsdc.sdc import (
     run_protocol,
     shared_state,
     transmit,
+    twirl,
 )
 
 from full_space import apply_unitary, ghz_basis
@@ -136,10 +137,6 @@ class TestEncoder:
         want = np.kron(np.kron(-1j * SIGMA_Y, I2), SIGMA_X)
         assert np.max(np.abs(encode_usdc(Codeword(4, 0b1011)).matrix - want)) < 1e-12
 
-    def test_n_below_three_rejected(self):
-        with pytest.raises(ValueError):
-            encode_usdc(Codeword(2, 1))
-
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_matches_pauli_product_rule(self, n):
         for value in range(2 ** n):
@@ -240,6 +237,13 @@ class TestStages:
         spec = NoiseSpec(NoiseKind.BIT_FLIP, 0.1)
         with pytest.raises(ValueError, match=f"{shared_n} qubits, codeword width is {code_n}"):
             transmit(distribute(shared_n, spec), Codeword(code_n, 5), spec)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_twirl_refuses_fewer_than_three_qubits(self, n):
+        with pytest.raises(ValueError) as refused:
+            twirl(DensityOperator(np.eye(2 ** n) / 2 ** n))
+        assert refused.type is ValueError
+        assert str(refused.value) == "the bitwise encoder requires n >= 3"
 
 
 class TestDecode:
