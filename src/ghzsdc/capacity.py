@@ -1,6 +1,6 @@
-"""The capacity report of one protocol configuration: the Holevo value of
-its outputs, and the entropy exchange and coherent information that score
-the noise channel."""
+"""The score of one grid point: the average fidelity and Holevo value of the
+2^n codewords sent from the corrected shared state, and the entropy exchange
+and coherent information that score the noise channel."""
 
 from __future__ import annotations
 
@@ -8,12 +8,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseSpec, NoiseStage, make_channel
-from .qcore import DensityOperator, QuantumChannel, _spectrum_entropy, von_neumann_entropy
+from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
+from .qcore import DensityOperator, QuantumChannel, _spectrum_entropy, fidelity, von_neumann_entropy
+from .sdc import Codeword, ideal_received_state, shared_state, transmit, twirl
 
 
 @dataclass(frozen=True)
 class CapacityReport:
+    """Every score of one grid point: `avg_fidelity`, the mean fidelity in
+    [0, 1] of the 2^n received states with their noise-free images;
+    `holevo`, their Holevo value at uniform priors, in bits (the CSV's
+    classical capacity); `entropy_exchange` and `coherent_information` of
+    the noise on the ideal encoded inputs, in bits; `quantum_capacity`, the
+    coherent information floored at 0, in qubits."""
+
+    avg_fidelity: float
     holevo: float
     entropy_exchange: float
     coherent_information: float
@@ -36,14 +45,38 @@ def _channel_output(mix: np.ndarray, ch: QuantumChannel) -> DensityOperator:
     return DensityOperator(sum(k @ mix @ k.conj().T for k in ch.kraus_ops))
 
 
-def report(chi: float, spec: NoiseSpec, n: int) -> CapacityReport:
-    """Bundle every quantity for one protocol configuration.
+def report(shared: DensityOperator, spec: NoiseSpec) -> CapacityReport:
+    """Score one grid point from its corrected shared state and its noise.
 
-    `chi` is the Holevo value of the output states at uniform priors, which
-    the CSV also reports as the classical capacity. The
-    channel side scores the noise of `spec` on the ideal encoded inputs of
-    n qubits, as one term of the channel on I/2 per noisy qubit and 0 and 1 bit
-    per untouched one: the ideal inputs mix to I/d, and the noise is a product."""
+    The Holevo value is S(mixture) - mean S(output) of the outputs at
+    uniform priors, the optimum over priors when they are one orbit
+    U_x sigma U_x^dag of one state (Hiroshima, J. Phys. A 34, 6907 (2001)).
+    Distribution noise acts before the Pauli encoders U_x, and a Pauli
+    return channel commutes with them, so there the outputs are one orbit:
+    sigma is the shared state, with the return noise applied once at stage
+    both (codeword 0 encodes with the identity). Every fidelity is then
+    <GHZ|sigma|GHZ>, every output entropy S(sigma), and the mixture the
+    twirl of sigma (Bowen, PRA 63, 022302 (2001)). Amplitude-damping return
+    noise breaks the orbit, so each codeword is sent and scored on its own,
+    and by linearity the outputs mix to the returned twirl of the shared state.
+
+    The channel side scores the noise on the ideal encoded inputs, as one
+    term of the channel on I/2 per noisy qubit and 0 and 1 bit per untouched
+    one: the ideal inputs mix to I/d, and the noise is a product."""
+    n = shared.qubit_count
+    if spec.stage is NoiseStage.DISTRIBUTION_ONLY or spec.kind is not NoiseKind.AMPLITUDE_DAMPING:
+        sigma = shared
+        if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN:
+            sigma = transmit(shared, Codeword(n, 0), spec)
+        fidelities = [fidelity(shared_state(n), sigma)] * 2 ** n
+        outputs, mixture = [sigma], twirl(sigma)
+    else:
+        codes = [Codeword(n, x) for x in range(2 ** n)]
+        outputs = [transmit(shared, code, spec) for code in codes]
+        fidelities = [fidelity(ideal_received_state(code), rho) for code, rho in zip(codes, outputs)]
+        mixture = transmit(twirl(shared), Codeword(n, 0), spec)
+    prior = 1.0 / len(outputs)
+    conditional = sum(prior * von_neumann_entropy(rho) for rho in outputs)
     noisy = n if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN else 1
     ch = make_channel(spec.kind, spec.p)
     half = np.eye(2, dtype=complex) / 2
@@ -51,7 +84,8 @@ def report(chi: float, spec: NoiseSpec, n: int) -> CapacityReport:
     term = von_neumann_entropy(_channel_output(half, ch)) - s_e
     icoh = sum([term] * noisy + [1.0] * (n - noisy))
     return CapacityReport(
-        holevo=chi,
+        avg_fidelity=float(np.mean(fidelities)),
+        holevo=max(von_neumann_entropy(mixture) - conditional, 0.0),
         entropy_exchange=sum([s_e] * noisy),
         coherent_information=icoh,
         quantum_capacity=max(icoh, 0.0),

@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import harness, purify, qnn
-from .harness import SweepConfig, score_point, train_inline_model
+from . import capacity, harness, purify, qnn
+from .harness import SweepConfig, train_inline_model
 from .noise import NoiseKind, NoiseSpec, NoiseStage
 from .sdc import distribute
 
@@ -96,7 +96,7 @@ def _cmd_purify_demo(args) -> None:
 
 def _cmd_capacity(args) -> None:
     spec = NoiseSpec(NoiseKind(args.noise), args.p, NoiseStage(args.noise_stage))
-    _, rep = score_point(distribute(args.n, spec), spec)
+    rep = capacity.report(distribute(args.n, spec), spec)
     print(f"holevo: {rep.holevo:.6f} bits")
     print(f"classical capacity: {rep.holevo:.6f} bits")
     print(f"entropy exchange: {rep.entropy_exchange:.6f} bits")

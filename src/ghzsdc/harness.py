@@ -1,5 +1,5 @@
 """Pipeline orchestration: seeded parameter sweeps over noise strength,
-per-point capacity reports, and record emission."""
+corrected and scored point by point, and record emission."""
 
 from __future__ import annotations
 
@@ -9,10 +9,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import capacity, purify, qcore, qnn
+from . import capacity, purify, qnn
 from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel, sample_trajectories
 from .qcore import DensityOperator
-from .sdc import Codeword, distribute, ideal_received_state, shared_state, transmit, twirl
+from .sdc import distribute, shared_state
 
 PIPELINES = ("raw", "purify", "qnn", "purify-qnn")
 
@@ -148,56 +148,20 @@ def _build_corrector(cfg: SweepConfig) -> CorrectionPipeline:
     )
 
 
-def score_point(shared: DensityOperator, spec: NoiseSpec) -> Tuple[float, capacity.CapacityReport]:
-    """Average fidelity and capacity report of the 2^n codewords sent from
-    the corrected shared state.
-
-    The Holevo value is S(mixture) - mean S(output) of the outputs at
-    uniform priors, the optimum over priors when they are one orbit
-    U_x sigma U_x^dag of one state (Hiroshima, J. Phys. A 34, 6907 (2001)).
-    Distribution noise acts before the Pauli encoders U_x, and a Pauli
-    return channel commutes with them, so there the outputs are one orbit:
-    sigma is the shared state, with the return noise applied once at stage
-    both (codeword 0 encodes with the identity). Every fidelity is then
-    <GHZ|sigma|GHZ>, every output entropy S(sigma), and the mixture the
-    twirl of sigma (Bowen, PRA 63, 022302 (2001)). Amplitude-damping return noise breaks the orbit, and
-    each codeword is then transmitted and scored on its own; the return
-    channel is linear, so the mixture is the returned twirl of the shared
-    state. `capacity.report` scores the noise channel."""
-    n = shared.qubit_count
-    if spec.stage is NoiseStage.DISTRIBUTION_ONLY or spec.kind is not NoiseKind.AMPLITUDE_DAMPING:
-        sigma = shared
-        if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN:
-            sigma = transmit(shared, Codeword(n, 0), spec)
-        fidelities = [qcore.fidelity(shared_state(n), sigma)] * 2 ** n
-        outputs, mixture = [sigma], twirl(sigma)
-    else:
-        codes = [Codeword(n, x) for x in range(2 ** n)]
-        outputs = [transmit(shared, code, spec) for code in codes]
-        fidelities = [qcore.fidelity(ideal_received_state(code), rho)
-                      for code, rho in zip(codes, outputs)]
-        mixture = transmit(twirl(shared), Codeword(n, 0), spec)
-    prior = 1.0 / len(outputs)
-    conditional = sum(prior * qcore.von_neumann_entropy(rho) for rho in outputs)
-    chi = max(qcore.von_neumann_entropy(mixture) - conditional, 0.0)
-    return float(np.mean(fidelities)), capacity.report(chi, spec, n)
-
-
 def run_sweep(cfg: SweepConfig) -> List[SweepRecord]:
-    """One record per grid point: the shared state is distributed and
-    corrected once, then scored by `score_point`. Deterministic for a fixed
-    seed."""
+    """One record per grid point, whose shared state is distributed, corrected
+    and scored by `capacity.report` once. Deterministic for a fixed seed."""
     corrector = _build_corrector(cfg)
     records = []
     for p in p_grid(cfg):
         spec = NoiseSpec(cfg.noise_kind, p, cfg.noise_stage)
-        avg_fidelity, rep = score_point(corrector(distribute(cfg.n, spec)), spec)
+        rep = capacity.report(corrector(distribute(cfg.n, spec)), spec)
         records.append(SweepRecord(
             noise=cfg.noise_kind.value,
             p=p,
             n=cfg.n,
             pipeline=cfg.pipeline,
-            avg_fidelity=avg_fidelity,
+            avg_fidelity=rep.avg_fidelity,
             holevo=rep.holevo,
             classical_capacity=rep.holevo,
             coherent_info=rep.coherent_information,

@@ -232,13 +232,14 @@ def fidelity(psi: StateVector, rho: DensityOperator) -> float:
 
 def _spectrum_entropy(evals: np.ndarray) -> float:
     """-sum(lambda log2 lambda) over the positive eigenvalues, in bits (x log x
-    is continuous at 0); eigenvalues down to -ATOL, as validation admits, are 0."""
+    is continuous at 0), subtracted from +0 so that a pure spectrum gives +0,
+    not -0; eigenvalues down to -ATOL, as validation admits, are 0."""
     if not np.isfinite(evals).all():
         raise ValueError("matrix spectrum has a non-finite eigenvalue")
     if evals.min() < -ATOL:
         raise ValueError(f"matrix eigenvalue {evals.min()} below the clamp floor")
     evals = evals[evals > 0]
-    return float(-np.sum(evals * np.log2(evals)))
+    return float(0.0 - np.sum(evals * np.log2(evals)))
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

@@ -1,4 +1,5 @@
-"""Test oracles on the full space: basis states, Kronecker composition, the
+"""Test oracles on the full space: basis states, random mixed states of a
+given rank, the Shannon entropy of a distribution, Kronecker composition, the
 partial trace, the dense GHZ basis, an operator embedded on chosen qubits, a
 product of single-qubit channels as one channel, the per-qubit factors of the
 protocol's noise, random channels cut from isometries, conjugation by one
@@ -55,6 +56,19 @@ def basis_state(qubit_count: int, index: int) -> StateVector:
     amps = np.zeros(2 ** qubit_count, dtype=complex)
     amps[index] = 1.0
     return StateVector(amps)
+
+
+def random_mixed_state(rng, m: int, rank: int) -> DensityOperator:
+    """An m-qubit state of the given rank, A A^dag / tr for a complex
+    Gaussian 2^m x rank matrix A drawn from `rng`."""
+    vecs = rng.normal(size=(2 ** m, rank)) + 1j * rng.normal(size=(2 ** m, rank))
+    mat = vecs @ vecs.conj().T
+    return DensityOperator(mat / np.trace(mat).real)
+
+
+def shannon_entropy(*probs: float) -> float:
+    """Shannon entropy of the probabilities in bits, 0 log 0 = 0."""
+    return -sum(q * np.log2(q) for q in probs if q > 0)
 
 
 def tensor_product(a, b):

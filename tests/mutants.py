@@ -86,18 +86,27 @@ MUTANTS = (
            "rho = np.tensordot(kraus @ rho, bras, axes=([0, 2], [0, 2]))",
            "rho = np.tensordot(kraus @ rho, kraus, axes=([0, 2], [0, 2]))",
            "K rho K^T replaces K rho K^dag, which differs for complex perceptrons"),
-    Mutant("chi-offset-from-n-7", "src/ghzsdc/harness.py",
-           "chi = max(qcore.von_neumann_entropy(mixture) - conditional, 0.0)",
-           "chi = max(qcore.von_neumann_entropy(mixture) - conditional, 0.0) + (1e-9 if n >= 7 else 0.0)",
+    Mutant("chi-offset-from-n-7", "src/ghzsdc/capacity.py",
+           "holevo=max(von_neumann_entropy(mixture) - conditional, 0.0),",
+           "holevo=max(von_neumann_entropy(mixture) - conditional, 0.0) + (1e-9 if n >= 7 else 0.0),",
            "the Holevo value of every point at n >= 7 is 1e-9 too high"),
-    Mutant("return-mixture-before-return", "src/ghzsdc/harness.py",
+    Mutant("return-mixture-before-return", "src/ghzsdc/capacity.py",
            "mixture = transmit(twirl(shared), Codeword(n, 0), spec)",
            "mixture = twirl(shared)",
            "amplitude-damping return points mix the outputs as if the return were noiseless"),
+    Mutant("orbit-includes-ad-return", "src/ghzsdc/capacity.py",
+           "if spec.stage is NoiseStage.DISTRIBUTION_ONLY or spec.kind is not NoiseKind.AMPLITUDE_DAMPING:",
+           "if spec.stage is NoiseStage.DISTRIBUTION_ONLY or spec.kind is not NoiseKind.AMPLITUDE_DAMPING"
+           " or True:",
+           "amplitude-damping return points are scored as one orbit, which that noise breaks"),
     Mutant("fidelity-before-from-kept", "src/ghzsdc/purify.py",
            "fidelity_before=qcore.fidelity(ideal, source_state),",
            "fidelity_before=qcore.fidelity(ideal, state),",
            "the fidelity before purification reports the purified state"),
+    Mutant("pure-entropy-negative-zero", "src/ghzsdc/qcore.py",
+           "return float(0.0 - np.sum(evals * np.log2(evals)))",
+           "return float(-np.sum(evals * np.log2(evals)))",
+           "a pure spectrum has entropy -0.0, which a CSV writes as \"-0\""),
     Mutant("entropy-floor-1e-9", "src/ghzsdc/qcore.py",
            "evals = evals[evals > 0]",
            "evals = evals[evals > 1e-9]",

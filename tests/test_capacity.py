@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzsdc import capacity, qcore
-from ghzsdc.harness import SweepConfig, run_sweep, score_point
+from ghzsdc.harness import SweepConfig, run_sweep
 from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from ghzsdc.qcore import DensityOperator, QuantumChannel, StateVector
-from ghzsdc.sdc import Codeword, distribute, ideal_received_state, transmit
+from ghzsdc.sdc import Codeword, distribute, ideal_received_state, shared_state, transmit
 
 from full_space import (
     basis_state,
@@ -18,13 +20,9 @@ from full_space import (
     holevo,
     noise_factors,
     random_channel,
+    shannon_entropy,
     stinespring_environment_entropy,
 )
-
-
-def binary_entropy(x):
-    terms = [q * np.log2(q) for q in (x, 1 - x) if q > 0]
-    return -sum(terms)
 
 
 def random_pure_states(rng, m, count):
@@ -205,7 +203,8 @@ class TestCoherentInformation:
         # H((1-gamma)/2) and the environment entropy is H(gamma/2)
         ch = make_channel(NoiseKind.AMPLITUDE_DAMPING, gamma)
         states = [basis_state(1, 0).density(), basis_state(1, 1).density()]
-        expected = binary_entropy((1 - gamma) / 2) - binary_entropy(gamma / 2)
+        expected = (shannon_entropy((1 - gamma) / 2, (1 + gamma) / 2)
+                    - shannon_entropy(gamma / 2, 1 - gamma / 2))
         assert abs(coherent_information(states, ch) - expected) < 1e-10
 
     def test_damping_crossover_at_half(self):
@@ -215,25 +214,14 @@ class TestCoherentInformation:
 
 
 class TestReport:
-    def test_fields_consistent_with_components(self):
-        spec = NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, 0.3)
-        ch = make_channel(spec.kind, spec.p)
-        outputs = [qcore.apply_channel(StateVector(bell).density(), ch, [0]) for bell in ghz_basis(2)]
-        inputs = [StateVector(bell).density() for bell in ghz_basis(2)]
-        embedded = full_space_channel(noise_factors(spec, 2))
-        rep = capacity.report(holevo(outputs), spec, 2)
-        assert abs(rep.entropy_exchange - entropy_exchange(inputs, embedded)) < 1e-12
-        assert abs(rep.coherent_information
-                   - coherent_information(inputs, embedded)) < 1e-12
-        assert rep.quantum_capacity == max(rep.coherent_information, 0.0)
-
     def test_scoring_leaves_the_superoperator_unbuilt(self):
         # capacity works from the Kraus form: a full-space channel of 4^n
-        # operators must never pay for its 16^n-entry superoperator
+        # operators must never pay for its 16^n-entry superoperator; a
+        # dist-stage point transmits nothing, so only the score could build it
         make_channel.cache_clear()
+        capacity.report(shared_state(3).density(), NoiseSpec(NoiseKind.DEPOLARIZING, 0.3))
+        assert "superoperator" not in make_channel(NoiseKind.DEPOLARIZING, 0.3).__dict__
         spec = NoiseSpec(NoiseKind.DEPOLARIZING, 0.3, NoiseStage.DISTRIBUTION_AND_RETURN)
-        capacity.report(1.0, spec, 3)
-        assert "superoperator" not in make_channel(spec.kind, spec.p).__dict__
         embedded = full_space_channel(noise_factors(spec, 3))
         inputs = [ideal_received_state(Codeword(3, v)).density() for v in range(8)]
         entropy_exchange(inputs, embedded)
@@ -248,6 +236,17 @@ class TestReport:
                               p_step=0.5, n=3, noise_stage=stage)
             for record in run_sweep(cfg):
                 assert record.classical_capacity == record.holevo
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_fully_damped_purified_point_scores_positive_zero(self, n):
+        # at p = 1 the outputs and their mixture are one pure state, whose
+        # entropy is +0; a -0 would be written to the CSV as "-0"
+        cfg = SweepConfig(noise_kind=NoiseKind.AMPLITUDE_DAMPING, p_start=1.0, p_stop=1.0,
+                          p_step=1.0, n=n, pipeline="purify",
+                          noise_stage=NoiseStage.DISTRIBUTION_AND_RETURN)
+        (record,) = run_sweep(cfg)
+        assert record.holevo == 0.0
+        assert math.copysign(1.0, record.holevo) == 1.0
 
     def test_one_eigensolve_for_the_output_mixture(self, monkeypatch):
         # every output carries the spectrum its validation computed, so at
@@ -265,7 +264,7 @@ class TestReport:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        _, rep = score_point(shared, spec)
+        rep = capacity.report(shared, spec)
         assert sizes.count((16, 16)) == 18
         assert max(sizes) == (16, 16)
         assert abs(rep.holevo - expected) < 1e-12
@@ -290,7 +289,7 @@ class TestReport:
             return original(mix, ch)
 
         monkeypatch.setattr(capacity, "_exchange", counted)
-        rep = capacity.report(1.5, spec, n)
+        rep = capacity.report(shared_state(n).density(), spec)
         assert len(seen) == 1
         assert np.array_equal(seen[0][0], np.eye(2) / 2)
         assert seen[0][1] is make_channel(kind, p)
@@ -312,7 +311,7 @@ class TestReport:
         spec = NoiseSpec(kind, p, stage)
         ideal = [ideal_received_state(Codeword(n, v)).density() for v in range(2 ** n)]
         oracle = full_space_channel(noise_factors(spec, n))
-        rep = capacity.report(holevo(ideal), spec, n)
+        rep = capacity.report(shared_state(n).density(), spec)
         # the entropy kernel drops no positive eigenvalue, so the products of
         # small per-qubit eigenvalues (p near 0 or 1) count on the full space too
         assert abs(rep.entropy_exchange - entropy_exchange(ideal, oracle)) < 1e-12

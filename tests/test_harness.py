@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ghzsdc import cli, harness, purify, qcore, qnn
+from ghzsdc import capacity, cli, harness, purify, qcore, qnn
 from ghzsdc.harness import (
     CSV_HEADER,
     CorrectionPipeline,
@@ -15,7 +15,6 @@ from ghzsdc.harness import (
     emit_records,
     p_grid,
     run_sweep,
-    score_point,
 )
 from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from ghzsdc.sdc import (
@@ -29,7 +28,7 @@ from ghzsdc.sdc import (
     twirl,
 )
 
-from full_space import full_space_channel, holevo, identity_model, mixture, noise_factors
+from full_space import full_space_channel, holevo, identity_model, mixture, noise_factors, shannon_entropy
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -269,12 +268,12 @@ class TestOrbitScoring:
             sent.append(code)
             return transmit(shared, code, spec)
 
-        monkeypatch.setattr(harness, "transmit", counted)
+        monkeypatch.setattr(capacity, "transmit", counted)
         for kind in NoiseKind:
             for stage in NoiseStage:
                 spec = NoiseSpec(kind, 0.3, stage)
                 sent.clear()
-                score_point(distribute(n, spec), spec)
+                capacity.report(distribute(n, spec), spec)
                 if (kind, stage) in ORBIT_NOISE:
                     expected = 0 if stage is NoiseStage.DISTRIBUTION_ONLY else 1
                 else:
@@ -295,12 +294,12 @@ class TestOrbitScoring:
         spec = NoiseSpec(noise_[0], p, noise_[1])
         corrector = CorrectionPipeline(purify_rounds=1 if pipeline == "purify" else 0)
         shared = corrector(distribute(n, spec))
-        avg_fidelity, rep = score_point(shared, spec)
+        rep = capacity.report(shared, spec)
         codes = [Codeword(n, x) for x in range(2 ** n)]
         outputs = [transmit(shared, code, spec) for code in codes]
         fidelities = [qcore.fidelity(ideal_received_state(code), rho)
                       for code, rho in zip(codes, outputs)]
-        assert avg_fidelity == np.mean(fidelities)
+        assert rep.avg_fidelity == np.mean(fidelities)
         assert abs(rep.holevo - holevo(outputs)) < 1e-13
         # the closed-form twirl against the mean of the encoder gathers;
         # codeword 0 encodes with the identity, so output 0 is sigma
@@ -350,20 +349,15 @@ class TestReturnScoring:
         corrector = CorrectionPipeline(purify_rounds=1 if pipeline == "purify" else 0,
                                        model=self.RANDOM_MODELS[n] if pipeline == "qnn" else None)
         shared = corrector(distribute(n, spec))
-        avg_fidelity, rep = score_point(shared, spec)
+        rep = capacity.report(shared, spec)
         codes = [Codeword(n, x) for x in range(2 ** n)]
         outputs = [transmit(shared, code, spec) for code in codes]
         fidelities = [qcore.fidelity(ideal_received_state(code), rho)
                       for code, rho in zip(codes, outputs)]
-        assert avg_fidelity == np.mean(fidelities)
+        assert rep.avg_fidelity == np.mean(fidelities)
         assert abs(rep.holevo - holevo(outputs)) < 1e-12
         returned = transmit(twirl(shared), codes[0], spec)
         assert np.max(np.abs(returned.matrix - mixture(outputs))) < 1e-13
-
-
-def _h(*probs):
-    """Shannon entropy in bits, 0 log 0 = 0."""
-    return -sum(q * np.log2(q) for q in probs if q > 0)
 
 
 class TestDistributionClosedForms:
@@ -375,10 +369,11 @@ class TestDistributionClosedForms:
     @staticmethod
     def closed_form(kind, n, p):
         if kind is NoiseKind.AMPLITUDE_DAMPING:
-            return n - 1 + _h((1 - p) / 2, (1 + p) / 2) - _h(p / 2, 1 - p / 2), (1 + np.sqrt(1 - p)) / 2
+            return (n - 1 + shannon_entropy((1 - p) / 2, (1 + p) / 2) - shannon_entropy(p / 2, 1 - p / 2),
+                    (1 + np.sqrt(1 - p)) / 2)
         if kind is NoiseKind.DEPOLARIZING:
-            return n - _h(1 - p, p / 3, p / 3, p / 3), np.sqrt(1 - p)
-        return n - _h(1 - p, p), np.sqrt(1 - p)
+            return n - shannon_entropy(1 - p, p / 3, p / 3, p / 3), np.sqrt(1 - p)
+        return n - shannon_entropy(1 - p, p), np.sqrt(1 - p)
 
     @settings(max_examples=60, deadline=None)
     @example(n=3, kind=NoiseKind.DEPOLARIZING, p=0.0)

@@ -1,8 +1,9 @@
 """Layering guard: no module of the package imports one above it.
 
-The order is qcore < noise < {sdc, capacity} < {purify, qnn} < harness < cli;
+The order is qcore < noise < sdc < {capacity, purify, qnn} < harness < cli;
 modules on the same level may not import each other either. Imports inside
-functions count, so a cycle cannot hide behind a local import.
+functions count, so a cycle cannot hide behind a local import. Every name a
+module imports is used there, so a move leaves no stale import behind.
 """
 
 import ast
@@ -18,7 +19,7 @@ LEVEL = {
     "qcore": 0,
     "noise": 1,
     "sdc": 2,
-    "capacity": 2,
+    "capacity": 3,
     "purify": 3,
     "qnn": 3,
     "harness": 4,
@@ -65,3 +66,20 @@ def test_no_function_local_imports():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 local = [n for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
                 assert not local, f"{path.name}:{local[0].lineno} imports inside {fn.name}"
+
+
+def test_no_unused_imports():
+    # __init__ imports only to re-export
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted((line, name) for name, line in bound.items() if name not in used)
+        assert not unused, f"{path.name} imports but never uses {unused}"

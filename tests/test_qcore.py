@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -530,3 +531,8 @@ class TestFidelityAndEntropy:
         expected = -(1e-13 * np.log2(1e-13) + (1 - 1e-13) * np.log2(1 - 1e-13))
         assert abs(_spectrum_entropy(evals) - expected) < 1e-20
         assert _spectrum_entropy(np.array([0.0, 1.0])) == 0.0
+
+    @pytest.mark.parametrize("evals", [[1.0], [0.0, 1.0], [0.0, 0.0, 0.0, 1.0]])
+    def test_pure_spectrum_entropy_is_positive_zero(self, evals):
+        # -sum of x log2 x over the lone eigenvalue 1 is -0.0, which a CSV writes as "-0"
+        assert math.copysign(1.0, _spectrum_entropy(np.array(evals))) == 1.0

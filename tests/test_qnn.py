@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ghzsdc import qcore, qnn
 from ghzsdc.harness import trajectory_pairs
 from ghzsdc.noise import NoiseKind, make_channel
-from ghzsdc.qcore import DensityOperator, StateVector, Unitary
+from ghzsdc.qcore import StateVector, Unitary
 from ghzsdc.sdc import shared_state
 
 from full_space import (
@@ -20,6 +20,7 @@ from full_space import (
     gradients,
     identity_model,
     partial_trace,
+    random_mixed_state,
     tensor_product,
 )
 
@@ -33,12 +34,6 @@ SWAP = Unitary(np.array(
 def random_state(rng, m):
     amps = rng.normal(size=2 ** m) + 1j * rng.normal(size=2 ** m)
     return StateVector(amps / np.linalg.norm(amps))
-
-
-def random_mixed_state(rng, m, rank):
-    vecs = rng.normal(size=(2 ** m, rank)) + 1j * rng.normal(size=(2 ** m, rank))
-    mat = vecs @ vecs.conj().T
-    return DensityOperator(mat / np.trace(mat).real)
 
 
 def dense_feedforward(model, rho_in):

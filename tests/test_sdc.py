@@ -19,7 +19,7 @@ from ghzsdc.sdc import (
     twirl,
 )
 
-from full_space import apply_unitary, ghz_basis
+from full_space import apply_unitary, ghz_basis, random_mixed_state
 
 # Table-1 operators for n=3, codeword-indexed: the first factor acts on
 # Alice's first qubit, the second on her last.
@@ -55,12 +55,6 @@ def assert_decode_matches_dense_basis(rho):
     got = decode_ghz(rho)
     assert np.max(np.abs(got - np.clip(want, 0.0, None))) < 1e-13
     assert abs(got.sum() - 1) < 1e-12
-
-
-def random_mixed_state(rng, n, rank):
-    a = rng.normal(size=(2 ** n, rank)) + 1j * rng.normal(size=(2 ** n, rank))
-    rho = a @ a.conj().T
-    return DensityOperator(rho / np.trace(rho).real)
 
 
 class TestGhzBasis:
