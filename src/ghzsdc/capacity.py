@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
-from .qcore import DensityOperator, QuantumChannel, _spectrum_entropy, fidelity, von_neumann_entropy
-from .sdc import Codeword, ideal_received_state, shared_state, transmit, twirl
+from .qcore import DensityOperator, QuantumChannel, _spectrum_entropy, von_neumann_entropy
+from .sdc import Codeword, ghz_fidelity, transmit, twirl
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,11 @@ def report(shared: DensityOperator, spec: NoiseSpec) -> CapacityReport:
     return channel commutes with them, so there the outputs are one orbit:
     sigma is the shared state, with the return noise applied once at stage
     both (codeword 0 encodes with the identity). Every fidelity is then
-    <GHZ|sigma|GHZ>, every output entropy S(sigma), and the mixture the
-    twirl of sigma (Bowen, PRA 63, 022302 (2001)). Amplitude-damping return
+    sigma's with the GHZ state, every output entropy S(sigma), and the mixture
+    the twirl of sigma (Bowen, PRA 63, 022302 (2001)). Amplitude-damping return
     noise breaks the orbit, so each codeword is sent and scored on its own,
     and by linearity the outputs mix to the returned twirl of the shared state.
+    Codeword X's fidelity is read off outcome X of the GHZ decoder.
 
     The channel side scores the noise on the ideal encoded inputs, as one
     term of the channel on I/2 per noisy qubit and 0 and 1 bit per untouched
@@ -68,12 +69,11 @@ def report(shared: DensityOperator, spec: NoiseSpec) -> CapacityReport:
         sigma = shared
         if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN:
             sigma = transmit(shared, Codeword(n, 0), spec)
-        fidelities = [fidelity(shared_state(n), sigma)] * 2 ** n
+        fidelities = [ghz_fidelity(sigma)] * 2 ** n
         outputs, mixture = [sigma], twirl(sigma)
     else:
-        codes = [Codeword(n, x) for x in range(2 ** n)]
-        outputs = [transmit(shared, code, spec) for code in codes]
-        fidelities = [fidelity(ideal_received_state(code), rho) for code, rho in zip(codes, outputs)]
+        outputs = [transmit(shared, Codeword(n, x), spec) for x in range(2 ** n)]
+        fidelities = [ghz_fidelity(rho, x) for x, rho in enumerate(outputs)]
         mixture = transmit(twirl(shared), Codeword(n, 0), spec)
     prior = 1.0 / len(outputs)
     conditional = sum(prior * von_neumann_entropy(rho) for rho in outputs)

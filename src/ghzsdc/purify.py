@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qcore
 from .qcore import DensityOperator
-from .sdc import shared_state
+from .sdc import ghz_fidelity
 
 
 class PurificationUnderflow(RuntimeError):
@@ -42,8 +41,6 @@ def purify_iterated(source_state: DensityOperator, rounds: int) -> PurificationR
     raises PurificationUnderflow once it falls below 1e-12."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    n = source_state.qubit_count
-    ideal = shared_state(n)
     state = source_state
     compound = 1.0
     for _ in range(rounds):
@@ -63,6 +60,6 @@ def purify_iterated(source_state: DensityOperator, rounds: int) -> PurificationR
     return PurificationResult(
         kept_state=state,
         success_probability=compound,
-        fidelity_before=qcore.fidelity(ideal, source_state),
-        fidelity_after=qcore.fidelity(ideal, state),
+        fidelity_before=ghz_fidelity(source_state),
+        fidelity_after=ghz_fidelity(state),
     )

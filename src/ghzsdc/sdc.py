@@ -1,5 +1,6 @@
-"""The bitwise superdense-coding encoder, closed-form GHZ-basis decoding, and
-the protocol stages `distribute` and `transmit`.
+"""The bitwise superdense-coding encoder, closed-form GHZ-basis decoding and
+the fidelities read off it, and the protocol stages `distribute` and
+`transmit`.
 
 Qubit 0 of the shared state is Bob's (distributed through the noisy channel);
 qubits 1..n-1 are Alice's and carry the encoding.
@@ -82,6 +83,13 @@ def decode_ghz(rho: DensityOperator) -> np.ndarray:
     return np.clip(np.stack([mean + cross, mean - cross], axis=1).reshape(-1), 0.0, None)
 
 
+def ghz_fidelity(rho: DensityOperator, x: int = 0) -> float:
+    """Fidelity of rho with GHZ-basis state x, sqrt(decode_ghz(rho)[x]).
+    Outcome X is the noise-free image of codeword X, so this is the fidelity
+    of codeword X's received state, and x = 0 that of the shared state."""
+    return float(np.sqrt(min(decode_ghz(rho)[x], 1.0)))
+
+
 @lru_cache(maxsize=None)
 def shared_state(n: int) -> StateVector:
     """The pre-shared n-qubit GHZ state (|0...0> + |1...1>)/sqrt(2)."""
@@ -90,12 +98,6 @@ def shared_state(n: int) -> StateVector:
     amps = np.zeros(2 ** n, dtype=complex)
     amps[[0, -1]] = 1 / np.sqrt(2)
     return StateVector(amps)
-
-
-def ideal_received_state(code: Codeword) -> StateVector:
-    """Noise-free image of the shared state: (sign o psi_GHZ)[image]."""
-    image, sign = _frame(code)
-    return StateVector((sign * shared_state(code.n).amplitudes)[image])
 
 
 def distribute(n: int, noise: NoiseSpec) -> DensityOperator:
@@ -150,10 +152,9 @@ def run_protocol(
     """One end-to-end superdense-coding run for a single codeword of n bits:
     `distribute` on n qubits, then the optional `corrector` on the shared
     state, then `transmit`, then GHZ-basis decoding and the fidelity with the
-    noise-free received state."""
+    noise-free received state, read off the decoding."""
     rho = distribute(code.n, noise)
     if corrector is not None:
         rho = corrector(rho)
     rho = transmit(rho, code, noise)
-    target = ideal_received_state(code)
-    return SdcRunResult(rho, decode_ghz(rho), qcore.fidelity(target, rho))
+    return SdcRunResult(rho, decode_ghz(rho), ghz_fidelity(rho, code.value))

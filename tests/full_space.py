@@ -1,6 +1,7 @@
 """Test oracles on the full space: basis states, random mixed states of a
 given rank, the Shannon entropy of a distribution, Kronecker composition, the
-partial trace, the dense GHZ basis, an operator embedded on chosen qubits, a
+partial trace, the dense GHZ basis, the noise-free image of the shared state
+under a codeword, an operator embedded on chosen qubits, a
 product of single-qubit channels as one channel, the per-qubit factors of the
 protocol's noise, random channels cut from isometries, conjugation by one
 operator on chosen qubits and a channel as the sum of its Kraus
@@ -40,6 +41,7 @@ from ghzsdc.qnn import (
     _score,
     _stack_targets,
 )
+from ghzsdc.sdc import Codeword, _frame, shared_state
 
 # CNOT with the control on the high qubit.
 CNOT = np.array(
@@ -113,6 +115,14 @@ def ghz_basis(n: int) -> np.ndarray:
             rows[2 * k + i, k] = 1 / np.sqrt(2)
             rows[2 * k + i, (dim - 1) ^ k] = sign / np.sqrt(2)
     return rows
+
+
+def ideal_received_state(code: Codeword) -> StateVector:
+    """Noise-free image of the shared state under codeword `code`, as the
+    dense vector (sign o psi_GHZ)[image]: the oracle for the fidelities that
+    `sdc.ghz_fidelity` reads off the decoder."""
+    image, sign = _frame(code)
+    return StateVector((sign * shared_state(code.n).amplitudes)[image])
 
 
 def embedded_matrix(mat: np.ndarray, targets: Sequence[int], m: int) -> np.ndarray:

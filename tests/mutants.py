@@ -58,6 +58,10 @@ MUTANTS = (
            "return np.clip(np.stack([mean + cross, mean - cross], axis=1).reshape(-1), 0.0, None)",
            "return np.clip(np.stack([mean - cross, mean + cross], axis=1).reshape(-1), 0.0, None)",
            "every codeword decodes to its +/- partner outcome"),
+    Mutant("ghz-fidelity-partner-outcome", "src/ghzsdc/sdc.py",
+           "return float(np.sqrt(min(decode_ghz(rho)[x], 1.0)))",
+           "return float(np.sqrt(min(decode_ghz(rho)[x ^ 1], 1.0)))",
+           "every fidelity is read off the +/- partner of the sent codeword's outcome"),
     Mutant("noisy-qubit-count", "src/ghzsdc/capacity.py",
            "noisy = n if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN else 1",
            "noisy = n - 1 if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN else 1",
@@ -100,8 +104,8 @@ MUTANTS = (
            " or True:",
            "amplitude-damping return points are scored as one orbit, which that noise breaks"),
     Mutant("fidelity-before-from-kept", "src/ghzsdc/purify.py",
-           "fidelity_before=qcore.fidelity(ideal, source_state),",
-           "fidelity_before=qcore.fidelity(ideal, state),",
+           "fidelity_before=ghz_fidelity(source_state),",
+           "fidelity_before=ghz_fidelity(state),",
            "the fidelity before purification reports the purified state"),
     Mutant("pure-entropy-negative-zero", "src/ghzsdc/qcore.py",
            "return float(0.0 - np.sum(evals * np.log2(evals)))",

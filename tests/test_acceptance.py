@@ -16,10 +16,10 @@ from ghzsdc.harness import SweepConfig, emit_records, run_sweep, trajectory_pair
 from ghzsdc.noise import NoiseKind, NoiseStage, make_channel
 from ghzsdc.purify import purify_iterated
 from ghzsdc.qcore import QuantumChannel, StateVector
-from ghzsdc.sdc import Codeword, encode_usdc, ideal_received_state, shared_state
+from ghzsdc.sdc import Codeword, encode_usdc, shared_state
 
 import full_space
-from full_space import entropy_exchange
+from full_space import entropy_exchange, ideal_received_state
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 

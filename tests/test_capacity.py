@@ -9,7 +9,7 @@ from ghzsdc import capacity, qcore
 from ghzsdc.harness import SweepConfig, run_sweep
 from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from ghzsdc.qcore import DensityOperator, QuantumChannel, StateVector
-from ghzsdc.sdc import Codeword, distribute, ideal_received_state, shared_state, transmit
+from ghzsdc.sdc import Codeword, distribute, shared_state, transmit
 
 from full_space import (
     basis_state,
@@ -18,6 +18,7 @@ from full_space import (
     full_space_channel,
     ghz_basis,
     holevo,
+    ideal_received_state,
     noise_factors,
     random_channel,
     shannon_entropy,

@@ -12,14 +12,14 @@ from ghzsdc.sdc import (
     decode_ghz,
     distribute,
     encode_usdc,
-    ideal_received_state,
+    ghz_fidelity,
     run_protocol,
     shared_state,
     transmit,
     twirl,
 )
 
-from full_space import apply_unitary, ghz_basis, random_mixed_state
+from full_space import apply_unitary, ghz_basis, ideal_received_state, random_mixed_state
 
 # Table-1 operators for n=3, codeword-indexed: the first factor acts on
 # Alice's first qubit, the second on her last.
@@ -283,6 +283,30 @@ class TestDecode:
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_distributed_states_match_dense_basis(self, n, kind, p):
         assert_decode_matches_dense_basis(distribute(n, NoiseSpec(kind, p)))
+
+    # codeword X's fidelity read off decoder outcome X, against the dense
+    # overlap with the noise-free image of X
+    @settings(max_examples=40, deadline=None)
+    @example(n=3, source="random", kind=NoiseKind.BIT_FLIP, stage=NoiseStage.DISTRIBUTION_ONLY, p=0.0, seed=0)
+    @example(n=7, source="random", kind=NoiseKind.BIT_FLIP, stage=NoiseStage.DISTRIBUTION_ONLY, p=0.0, seed=1)
+    @example(n=7, source="transmit", kind=NoiseKind.PHASE_FLIP, stage=NoiseStage.DISTRIBUTION_AND_RETURN,
+             p=1.0, seed=2)
+    @example(n=5, source="transmit", kind=NoiseKind.AMPLITUDE_DAMPING,
+             stage=NoiseStage.DISTRIBUTION_AND_RETURN, p=0.3, seed=3)
+    @given(n=st.integers(3, 7), source=st.sampled_from(["random", "transmit"]),
+           kind=st.sampled_from(NoiseKind), stage=st.sampled_from(NoiseStage), p=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_fidelity_matches_dense_overlap(self, n, source, kind, stage, p, seed):
+        rng = np.random.default_rng(seed)
+        if source == "random":
+            rho = random_mixed_state(rng, n, int(rng.integers(1, 2 ** n + 1)))
+        else:
+            spec = NoiseSpec(kind, p, stage)
+            rho = transmit(distribute(n, spec), Codeword(n, int(rng.integers(2 ** n))), spec)
+        for x in range(2 ** n):
+            psi = ideal_received_state(Codeword(n, x)).amplitudes
+            dense = np.real(psi.conj() @ rho.matrix @ psi)
+            assert abs(ghz_fidelity(rho, x) ** 2 - dense) <= 1e-15, x
 
 
 class TestRunProtocol:
