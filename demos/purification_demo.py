@@ -8,7 +8,7 @@ tells you how many raw pairs one good pair consumes.
 Run: python3 demos/purification_demo.py
 """
 
-from ghzsdc import NoiseKind, NoiseSpec, distribute, purify_iterated
+from ghzsdc import NoiseKind, NoiseSpec, distribute, ghz_fidelity, purify_iterated
 
 
 def main():
@@ -20,8 +20,8 @@ def main():
         rho = distribute(n, NoiseSpec(NoiseKind.BIT_FLIP, p))
         for rounds in (1, 2, 3):
             result = purify_iterated(rho, rounds)
-            print(f"  {rounds}      {p:.1f}      {result.fidelity_before:.6f}      "
-                  f"  {result.fidelity_after:.6f}      {result.success_probability:.6f}")
+            print(f"  {rounds}      {p:.1f}      {ghz_fidelity(rho):.6f}      "
+                  f"  {ghz_fidelity(result.kept_state):.6f}      {result.success_probability:.6f}")
         print()
 
     print("note: each extra round squares the copy requirement; the yield")

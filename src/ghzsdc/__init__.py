@@ -15,6 +15,7 @@ from .qcore import (
     von_neumann_entropy,
 )
 from .qnn import QnnModel, TrainingPair, TrainingReport, feedforward, load_model, save_model, train
-from .sdc import Codeword, SdcRunResult, decode_ghz, distribute, encode_usdc, run_protocol, shared_state, transmit
+from .sdc import (Codeword, SdcRunResult, decode_ghz, distribute, encode_usdc, ghz_fidelity, run_protocol,
+                  shared_state, transmit)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

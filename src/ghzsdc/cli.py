@@ -12,7 +12,7 @@ import sys
 from . import capacity, harness, purify, qnn
 from .harness import SweepConfig, train_inline_model
 from .noise import NoiseKind, NoiseSpec, NoiseStage
-from .sdc import distribute
+from .sdc import distribute, ghz_fidelity
 
 
 def _add_noise_args(p: argparse.ArgumentParser) -> None:
@@ -89,8 +89,8 @@ def _cmd_train(args) -> None:
 def _cmd_purify_demo(args) -> None:
     rho = distribute(args.n, NoiseSpec(NoiseKind(args.noise), args.p))
     result = purify.purify_iterated(rho, args.rounds)
-    print(f"fidelity before: {result.fidelity_before:.6f}")
-    print(f"fidelity after {args.rounds} round(s): {result.fidelity_after:.6f}")
+    print(f"fidelity before: {ghz_fidelity(rho):.6f}")
+    print(f"fidelity after {args.rounds} round(s): {ghz_fidelity(result.kept_state):.6f}")
     print(f"compound success probability: {result.success_probability:.6f}")
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import DensityOperator
-from .sdc import ghz_fidelity
 
 
 class PurificationUnderflow(RuntimeError):
@@ -31,8 +30,6 @@ class PurificationUnderflow(RuntimeError):
 class PurificationResult:
     kept_state: DensityOperator
     success_probability: float
-    fidelity_before: float
-    fidelity_after: float
 
 
 def purify_iterated(source_state: DensityOperator, rounds: int) -> PurificationResult:
@@ -57,9 +54,4 @@ def purify_iterated(source_state: DensityOperator, rounds: int) -> PurificationR
         compound *= min(success, 1.0)
         if compound < 1e-12:
             raise PurificationUnderflow("compound success probability below 1e-12")
-    return PurificationResult(
-        kept_state=state,
-        success_probability=compound,
-        fidelity_before=ghz_fidelity(source_state),
-        fidelity_after=ghz_fidelity(state),
-    )
+    return PurificationResult(kept_state=state, success_probability=compound)

@@ -86,8 +86,12 @@ def decode_ghz(rho: DensityOperator) -> np.ndarray:
 def ghz_fidelity(rho: DensityOperator, x: int = 0) -> float:
     """Fidelity of rho with GHZ-basis state x, sqrt(decode_ghz(rho)[x]).
     Outcome X is the noise-free image of codeword X, so this is the fidelity
-    of codeword X's received state, and x = 0 that of the shared state."""
-    return float(np.sqrt(min(decode_ghz(rho)[x], 1.0)))
+    of codeword X's received state, and x = 0 that of the shared state; x must
+    lie in [0, 2^n)."""
+    probs = decode_ghz(rho)
+    if not 0 <= x < len(probs):
+        raise ValueError(f"GHZ-basis index {x} out of range [0, {len(probs)})")
+    return float(np.sqrt(min(probs[x], 1.0)))
 
 
 @lru_cache(maxsize=None)

@@ -7,12 +7,17 @@ Run from anywhere, with numpy, pytest and hypothesis installed:
 
 The check copies src/, tests/ and pyproject.toml into a temporary directory
 and runs `python -m pytest -x -q` there, first unmutated (it must pass, or
-no kill would mean anything), then once per mutant on a fresh copy. A mutant
-is killed when a test fails (pytest exit status 1) and survives when the run
-passes. The exit status is non-zero when a mutant survives, when a run ends
-any other way, when the unmutated run fails, or when a mutant's source line
-does not occur exactly once in its file, which means the list has gone stale.
-pytest does not collect this file.
+no kill would mean anything), then once per mutant on a fresh copy. Each
+mutant first runs only the test module of the file it changes,
+tests/test_<module>.py (tests/test_harness.py for harness and cli), and only
+a mutant that survives that module runs the whole suite; the kill verdicts
+are those of the whole suite, since a failing test fails it too. Every such
+module must pass unmutated as well. A mutant is killed when a test fails
+(pytest exit status 1) and survives when the whole suite passes. The exit
+status is non-zero when a mutant survives, when a run ends any other way,
+when an unmutated run fails, or when a mutant's source line does not occur
+exactly once in its file, which means the list has gone stale. pytest does
+not collect this file.
 
 Mutation analysis: DeMillo, Lipton and Sayward, IEEE Computer 11(4), 34
 (1978); Jia and Harman, IEEE TSE 37, 649 (2011).
@@ -59,8 +64,8 @@ MUTANTS = (
            "return np.clip(np.stack([mean - cross, mean + cross], axis=1).reshape(-1), 0.0, None)",
            "every codeword decodes to its +/- partner outcome"),
     Mutant("ghz-fidelity-partner-outcome", "src/ghzsdc/sdc.py",
-           "return float(np.sqrt(min(decode_ghz(rho)[x], 1.0)))",
-           "return float(np.sqrt(min(decode_ghz(rho)[x ^ 1], 1.0)))",
+           "return float(np.sqrt(min(probs[x], 1.0)))",
+           "return float(np.sqrt(min(probs[x ^ 1], 1.0)))",
            "every fidelity is read off the +/- partner of the sent codeword's outcome"),
     Mutant("noisy-qubit-count", "src/ghzsdc/capacity.py",
            "noisy = n if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN else 1",
@@ -103,10 +108,10 @@ MUTANTS = (
            "if spec.stage is NoiseStage.DISTRIBUTION_ONLY or spec.kind is not NoiseKind.AMPLITUDE_DAMPING"
            " or True:",
            "amplitude-damping return points are scored as one orbit, which that noise breaks"),
-    Mutant("fidelity-before-from-kept", "src/ghzsdc/purify.py",
-           "fidelity_before=ghz_fidelity(source_state),",
-           "fidelity_before=ghz_fidelity(state),",
-           "the fidelity before purification reports the purified state"),
+    Mutant("fidelity-before-from-kept", "src/ghzsdc/cli.py",
+           'print(f"fidelity before: {ghz_fidelity(rho):.6f}")',
+           'print(f"fidelity before: {ghz_fidelity(result.kept_state):.6f}")',
+           "purify-demo's fidelity before purification reports the purified state"),
     Mutant("pure-entropy-negative-zero", "src/ghzsdc/qcore.py",
            "return float(0.0 - np.sum(evals * np.log2(evals)))",
            "return float(-np.sum(evals * np.log2(evals)))",
@@ -190,6 +195,10 @@ MUTANTS = (
            "if pos != len(lines) and any(line.strip() for line in lines[pos:]):",
            "if pos + 1 < len(lines) and any(line.strip() for line in lines[pos:]):",
            "one trailing line after the model data is ignored"),
+    Mutant("ghz-fidelity-negative-index", "src/ghzsdc/sdc.py",
+           "if not 0 <= x < len(probs):",
+           "if x >= len(probs):",
+           "ghz_fidelity(rho, -1) reads outcome 2^n - 1 through numpy's negative indexing"),
     Mutant("twirl-two-qubits", "src/ghzsdc/sdc.py",
            "if n < 3:",
            "if n < 2:",
@@ -211,9 +220,16 @@ def mutated(text: str, mutant: Mutant) -> str:
     return out
 
 
-def suite_status(mutant: Mutant | None) -> int:
+def module_tests(mutant: Mutant) -> str:
+    """The test module of the file the mutant changes."""
+    stem = Path(mutant.path).stem
+    return f"tests/test_{'harness' if stem in ('harness', 'cli') else stem}.py"
+
+
+def suite_status(mutant: Mutant | None, tests: str | None = None) -> int:
     """The exit status of `pytest -x -q` on a temporary copy of the
-    repository, with the mutant applied when one is given."""
+    repository, with the mutant applied when one is given, over the test
+    module `tests` or, when it is None, the whole suite."""
     with tempfile.TemporaryDirectory(prefix="ghzsdc-mutant-") as tmp:
         skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
         for part in ("src", "tests"):
@@ -223,28 +239,36 @@ def suite_status(mutant: Mutant | None) -> int:
             target = Path(tmp) / mutant.path
             target.write_text(mutated(target.read_text(), mutant))
         env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"))
-        run = subprocess.run(PYTEST, cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        run = subprocess.run(PYTEST + ([tests] if tests else []), cwd=tmp, env=env,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         return run.returncode
 
 
 def main() -> int:
+    total = time.perf_counter()
     for mutant in MUTANTS:  # a stale line fails before any suite runs
         mutated((ROOT / mutant.path).read_text(), mutant)
-    if suite_status(None) != 0:
-        print("the unmutated suite fails; no mutant can be judged", file=sys.stderr)
-        return 1
+    for tests in [None, *sorted({module_tests(m) for m in MUTANTS})]:
+        if suite_status(None, tests) != 0:
+            print(f"the unmutated {tests or 'suite'} fails; no mutant can be judged", file=sys.stderr)
+            return 1
     unkilled = []
     for mutant in MUTANTS:
         start = time.perf_counter()
-        status = suite_status(mutant)
+        ran = module_tests(mutant)
+        status = suite_status(mutant, ran)
+        if status == 0:  # it survived its module: the whole suite decides
+            ran = "the whole suite"
+            status = suite_status(mutant)
         verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"ERROR {status}")
-        print(f"{verdict:8} {mutant.name} ({time.perf_counter() - start:.1f} s)", flush=True)
+        print(f"{verdict:8} {mutant.name} by {ran} ({time.perf_counter() - start:.1f} s)", flush=True)
         if status != 1:
             unkilled.append(mutant)
     for mutant in unkilled:
         print(f"not killed: {mutant.name}: {mutant.path}: {mutant.line!r} -> {mutant.replacement!r}"
               f" ({mutant.why})")
-    print(f"{len(MUTANTS) - len(unkilled)} of {len(MUTANTS)} mutants killed")
+    print(f"{len(MUTANTS) - len(unkilled)} of {len(MUTANTS)} mutants killed"
+          f" ({time.perf_counter() - total:.1f} s)")
     return 1 if unkilled else 0
 
 

@@ -16,7 +16,7 @@ from ghzsdc.harness import SweepConfig, emit_records, run_sweep, trajectory_pair
 from ghzsdc.noise import NoiseKind, NoiseStage, make_channel
 from ghzsdc.purify import purify_iterated
 from ghzsdc.qcore import QuantumChannel, StateVector
-from ghzsdc.sdc import Codeword, encode_usdc, shared_state
+from ghzsdc.sdc import Codeword, encode_usdc, ghz_fidelity, shared_state
 
 import full_space
 from full_space import entropy_exchange, ideal_received_state
@@ -91,7 +91,7 @@ def test_criterion_4_purification_gain():
             copy = qcore.apply_channel(shared_state(n).density(),
                                        make_channel(NoiseKind.BIT_FLIP, q), [0])
             result = purify_iterated(copy, 1)
-            assert result.fidelity_after > result.fidelity_before, f"no gain at n={n}, q={q}"
+            assert ghz_fidelity(result.kept_state) > ghz_fidelity(copy), f"no gain at n={n}, q={q}"
             # oracle: explicit embedded conjugation plus projector post-selection
             m = 2 * n
             layer = np.eye(2 ** m, dtype=complex)

@@ -556,9 +556,13 @@ class TestCli:
         rc = cli.main(["purify-demo", "--noise", "bit-flip", "--p", "0.2",
                        "--rounds", "1"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "fidelity before" in out
-        assert "success probability" in out
+        # bit-flip recurrence at n = 3, q = 0.2: GHZ weight 0.8 before, and
+        # 0.8^2 / 0.68 after a round kept with probability 0.8^2 + 0.2^2
+        assert capsys.readouterr().out.splitlines() == [
+            f"fidelity before: {np.sqrt(0.8):.6f}",
+            f"fidelity after 1 round(s): {np.sqrt(0.64 / 0.68):.6f}",
+            f"compound success probability: {0.68:.6f}",
+        ]
 
     def test_capacity_subcommand(self, capsys):
         rc = cli.main(["capacity", "--noise", "depolarizing", "--p", "0.1"])

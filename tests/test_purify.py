@@ -9,7 +9,7 @@ from ghzsdc import qcore
 from ghzsdc.noise import NoiseKind, NoiseSpec, make_channel
 from ghzsdc.purify import PurificationUnderflow, purify_iterated
 from ghzsdc.qcore import DensityOperator
-from ghzsdc.sdc import distribute, shared_state
+from ghzsdc.sdc import distribute, ghz_fidelity, shared_state
 
 from full_space import CNOT, embedded_matrix, tensor_product
 
@@ -68,13 +68,13 @@ class TestSingleRound:
         n = 3
         result = purify_iterated(shared_state(n).density(), 1)
         assert abs(result.success_probability - 1) < 1e-9
-        assert abs(result.fidelity_after - 1) < 1e-9
+        assert abs(ghz_fidelity(result.kept_state) - 1) < 1e-9
         assert qcore.fidelity(shared_state(n), result.kept_state) > 1 - 1e-9
 
     def test_bell_case_gain(self):
         copy = noisy_ghz(2, 0.25)
         result = purify_iterated(copy, 1)
-        assert result.fidelity_after > result.fidelity_before
+        assert ghz_fidelity(result.kept_state) > ghz_fidelity(copy)
         # 16x16 brute-force oracle
         success, kept = brute_force_round(tensor_product(copy, copy).matrix, 2)
         assert abs(result.success_probability - success) < 1e-9
@@ -85,7 +85,7 @@ class TestSingleRound:
     def test_gain_against_oracle(self, n, q):
         copy = noisy_ghz(n, q)
         result = purify_iterated(copy, 1)
-        assert result.fidelity_after > result.fidelity_before
+        assert ghz_fidelity(result.kept_state) > ghz_fidelity(copy)
         success, kept = brute_force_round(tensor_product(copy, copy).matrix, n)
         assert abs(result.success_probability - success) < 1e-9
         assert np.max(np.abs(result.kept_state.matrix - kept)) < 1e-9
@@ -109,14 +109,14 @@ class TestSingleRound:
 class TestPurifyIterated:
     def test_perfect_input_any_rounds(self):
         result = purify_iterated(shared_state(2).density(), 3)
-        assert abs(result.fidelity_after - 1) < 1e-9
+        assert abs(ghz_fidelity(result.kept_state) - 1) < 1e-9
         assert abs(result.success_probability - 1) < 1e-9
 
     def test_second_round_does_not_hurt(self):
         copy = noisy_ghz(3, 0.2)
         one = purify_iterated(copy, 1)
         two = purify_iterated(copy, 2)
-        assert two.fidelity_after >= one.fidelity_after
+        assert ghz_fidelity(two.kept_state) >= ghz_fidelity(one.kept_state)
         assert two.success_probability <= one.success_probability
 
     def test_rounds_must_be_positive(self):
@@ -162,7 +162,7 @@ class TestPurifyIterated:
         result = purify_iterated(noisy_ghz(n, q), 1)
         success = (1 - q) ** 2 + q ** 2
         assert abs(result.success_probability - success) < 1e-12
-        assert abs(result.fidelity_after ** 2 - (1 - q) ** 2 / success) < 1e-12
+        assert abs(ghz_fidelity(result.kept_state) ** 2 - (1 - q) ** 2 / success) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(3, 8), p=st.sampled_from([0.0, 0.75, 1.0]) | st.floats(0.0, 1.0),
@@ -171,13 +171,14 @@ class TestPurifyIterated:
         # (1-q)|G><G| + q X_0|G><G|X_0 keeps its form through a round, with
         # GHZ weight w -> w^2 / (w^2 + (1-w)^2) kept with probability
         # w^2 + (1-w)^2 (Bennett et al. 1996)
-        result = purify_iterated(distribute(n, NoiseSpec(NoiseKind.BIT_FLIP, p)), rounds)
+        source = distribute(n, NoiseSpec(NoiseKind.BIT_FLIP, p))
+        result = purify_iterated(source, rounds)
         weight, compound = 1 - p, 1.0
         for _ in range(rounds):
             success = weight ** 2 + (1 - weight) ** 2
             weight, compound = weight ** 2 / success, compound * success
-        assert abs(result.fidelity_before - np.sqrt(1 - p)) < 1e-12
-        assert abs(result.fidelity_after - np.sqrt(weight)) < 1e-12
+        assert abs(ghz_fidelity(source) - np.sqrt(1 - p)) < 1e-12
+        assert abs(ghz_fidelity(result.kept_state) - np.sqrt(weight)) < 1e-12
         assert abs(result.success_probability - compound) < 1e-12
 
     def test_iterated_near_zero_yield(self):

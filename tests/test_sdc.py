@@ -308,6 +308,13 @@ class TestDecode:
             dense = np.real(psi.conj() @ rho.matrix @ psi)
             assert abs(ghz_fidelity(rho, x) ** 2 - dense) <= 1e-15, x
 
+    @pytest.mark.parametrize("x", [-1, 8])
+    def test_fidelity_index_out_of_range(self, x):
+        # -1 would read outcome 7 through numpy's negative indexing
+        rho = distribute(3, NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, 0.3))
+        with pytest.raises(ValueError, match=rf"GHZ-basis index {x} out of range \[0, 8\)"):
+            ghz_fidelity(rho, x)
+
 
 class TestRunProtocol:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
