@@ -9,13 +9,13 @@ All entropies are in bits (log base 2). The array-holding value types
 compare and hash by identity, as an array has no single truth value.
 
 `_retarget`, the one move of qubits between array axes, and `_apply_each`,
-the one walk of local matrices over it, apply the noise channels,
-trajectory branches and QNN perceptrons alike: each step costs one axis
-move and one matmul. A channel on a density matrix is one matmul:
-flattened row-major, rho is a vector on 2m qubits (its row qubits, then
-its column qubits), and the channel's superoperator sum_k K_k (x) conj(K_k)
-acts on the row and column copies of the target qubits (Wood, Biamonte and
-Cory, QIC 15, 759 (2015)).
+the one walk of local matrices over it, apply the noise channels and
+trajectory branches, and the QNN walks its growing register by `_retarget`
+too: each step costs one axis move and one matmul. A channel on a density
+matrix is one matmul: flattened row-major, rho is a vector on 2m qubits
+(its row qubits, then its column qubits), and the channel's superoperator
+sum_k K_k (x) conj(K_k) acts on the row and column copies of the target
+qubits (Wood, Biamonte and Cory, QIC 15, 759 (2015)).
 """
 
 from __future__ import annotations

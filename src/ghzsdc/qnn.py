@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .qcore import DensityOperator, StateVector, Unitary, _apply_each, _retarget
+from .qcore import DensityOperator, StateVector, Unitary, _retarget
 
 # Training refuses wider inputs: beyond this the loss fails to converge
 # (runaway gradients), so the cap is explicit rather than silent.
@@ -67,11 +67,10 @@ class QnnModel:
         """Per transition t, K_r[o, i] = <r, o|U_t|i, 0...0> (r labels the
         traced-out input register) as one read-only (L, d, d, d) array with
         d = 2^n, and its complex conjugate. Built on first use, by one
-        `_forward` per transition."""
+        `_forward` walk per transition on the basis inputs |i>."""
         n = self.width
         d = 2 ** n
-        basis = np.kron(np.eye(d), np.eye(d, 1))  # columns |i>|0...0>
-        kraus = np.array([_forward(layer, n, basis).reshape(d, d, d)
+        kraus = np.array([_forward(layer, n, np.eye(d, dtype=complex))[0].reshape(d, d, d)
                           for layer in self.stack.reshape(-1, n, 2 * d, 2 * d)])
         bras = kraus.conj()
         kraus.flags.writeable = bras.flags.writeable = False
@@ -99,45 +98,56 @@ class TrainingReport:
 
 
 # ---------------------------------------------------------------------------
-# One path for training and `feedforward`: one `qcore._apply_each` walk applies
-# the perceptrons of `QnnModel.stack` in order to the distinct training pairs,
-# the columns of one (2^m, P) full register, and `_ascent` walks back with one
-# `qcore._retarget` per perceptron, taking each perceptron's T on the way, then
-# forms every ascent direction at once; the trace over the non-output
-# registers waits for the overlap. Training
-# steps the bare stack by a matrix polynomial in powers of the ascent
-# directions, filled once per ascent into one workspace per run; the model is
-# built where it returns.
+# One path for training and `feedforward`: the `_forward` walk applies the
+# perceptrons of `QnnModel.stack` in order to the distinct training inputs,
+# the columns of one (2^n, P) register that grows by one qubit per
+# perceptron: perceptron i takes one `qcore._retarget` of the n + i live
+# qubits and one matmul by its isometry U_i[:, ::2], which adjoins its fresh
+# qubit n + i in |0>, the qubit no earlier perceptron touched. The walk keeps
+# every perceptron's output, together less than twice the final register.
+# `_ascent` takes those outputs as the states A_i and walks back only the
+# conjugated weighted target projection, by the transposed isometries, so the
+# swept array loses one qubit per perceptron; it forms each perceptron's T as
+# it reaches it, then every ascent direction at once. Training steps the bare
+# stack by a matrix polynomial in powers of the ascent directions, filled
+# once per ascent into one workspace per run; the model is built where it
+# returns.
 
 @lru_cache(maxsize=64)
-def _stack_targets(n: int, count: int, shift: int = 0) -> tuple:
-    """Qubits of each of the first `count` perceptrons, layer-major, moved up
-    by `shift`: perceptron j of transition t acts on t*n..(t+1)*n-1, then
+def _stack_targets(n: int, count: int) -> tuple:
+    """Qubits of each of the first `count` perceptrons, layer-major:
+    perceptron j of transition t acts on t*n..(t+1)*n-1, then its fresh qubit
     (t+1)*n + j. Built once per shape."""
-    return tuple(tuple(range(t * n + shift, (t + 1) * n + shift)) + ((t + 1) * n + j + shift,)
+    return tuple(tuple(range(t * n, (t + 1) * n)) + ((t + 1) * n + j,)
                  for t, j in (divmod(i, n) for i in range(count)))
 
 
-def _batch(pairs: Sequence[TrainingPair], n: int, layers: int):
-    """Full-register inputs |x>|0...0> of a width-n network of `layers`
-    transitions as columns (2^m, P), and the targets as columns (2^n, P)."""
+def _batch(pairs: Sequence[TrainingPair], n: int):
+    """The inputs and the targets of width-n training pairs, each as columns
+    (2^n, P)."""
     if not pairs:
         raise ValueError("training set must be nonempty")
     for pair in pairs:
         if pair.input.qubit_count != n or pair.target.qubit_count != n:
             raise ValueError("training pair width differs from the model width")
-    extra = layers * n
     inputs = np.array([p.input.amplitudes for p in pairs]).T
-    register = np.zeros((inputs.shape[0] * 2 ** extra, len(pairs)), dtype=complex)
-    register[::2 ** extra] = inputs
     targets = np.array([p.target.amplitudes for p in pairs]).T
-    return register, targets
+    return inputs, targets
 
 
-def _forward(stack: np.ndarray, n: int, arr: np.ndarray) -> np.ndarray:
+def _forward(stack: np.ndarray, n: int, inputs: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
     """The perceptrons of the layer-major `stack` (n per transition), in
-    order, on the rows of `arr`, a register of len(stack) + n qubits."""
-    return _apply_each(stack, _stack_targets(n, len(stack)), arr, len(stack) + n)
+    order, on the n-qubit columns `inputs`: perceptron i adjoins its fresh
+    qubit n + i in |0> by acting as U_i[:, ::2] on the n + i live qubits.
+    Returns the final register of len(stack) + n qubits in the natural order,
+    as columns, and each perceptron's output rows, laid out with its targets
+    first."""
+    rows, src, outputs = inputs, (), []
+    for i, (u, qubits) in enumerate(zip(stack, _stack_targets(n, len(stack)))):
+        rows = u[:, ::2] @ _retarget(rows, src, qubits[:-1], n + i)
+        outputs.append(rows)
+        src = qubits
+    return _retarget(rows, src, (), len(stack) + n).reshape(-1, inputs.shape[1]), outputs
 
 
 def feedforward(model: QnnModel, rho_in: DensityOperator) -> DensityOperator:
@@ -171,6 +181,14 @@ def _score(out: np.ndarray, bras: np.ndarray, weights: np.ndarray) -> Tuple[floa
     return float(weights @ (overlap.real ** 2 + overlap.imag ** 2).sum(axis=0)), overlap
 
 
+def _scored_walk(stack: np.ndarray, n: int, inputs: np.ndarray, bras: np.ndarray,
+                 weights: np.ndarray) -> Tuple[float, np.ndarray, List[np.ndarray]]:
+    """`_score` of the `_forward` walk of `stack` on the inputs, and the
+    walk's perceptron outputs; the final register goes once scored."""
+    out, outputs = _forward(stack, n, inputs)
+    return (*_score(out, bras, weights), outputs)
+
+
 def _dedupe(training_set: Sequence[TrainingPair]):
     """Collapse repeated pairs into (pair, weight); trajectory-sampled sets
     typically contain only a handful of distinct states."""
@@ -191,32 +209,27 @@ def _dedupe(training_set: Sequence[TrainingPair]):
     return unique, w
 
 
-def _ascent(stack: np.ndarray, n: int, out: np.ndarray, overlap: np.ndarray,
-            targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Ascent directions K, stacked like `stack`, from the forward state
-    `out` of the batch and its `overlap`: K_i = i(T - T^dag) with
-    T = sum_x w_x A_x C_x^dag over the target-qubit rows of the state A_x
-    and of its projection C_x onto the target, both swept back to just
-    after perceptron i, where T is formed before the sweep moves on."""
+def _ascent(stack: np.ndarray, n: int, outputs: List[np.ndarray], overlap: np.ndarray,
+            bras: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Ascent directions K, stacked like `stack`, from the perceptron
+    `outputs` of the batch's forward walk, which it consumes, and the
+    `overlap` of its final register with the targets, conjugated as `bras`:
+    K_i = i(T - T^dag) with T = sum_x w_x A_x C_x^dag over the target-qubit
+    rows of the output A_x of perceptron i and of the projection C_x onto
+    the target, swept back to just after perceptron i. The sweep carries
+    D = conj(C) through the transposed isometries U[:, ::2].T, as A has the
+    later fresh qubits in |0>, and T = A D^T is formed before it moves on."""
     count = len(stack)
-    m = count + n
-    # sweep the state and its weighted target projection as one register; an
-    # extra leading qubit picks between them, so perceptron qubits shift by 1
-    qubits = _stack_targets(n, count, 1)
-    register = np.empty((2,) + out.shape, dtype=complex)
-    register[0] = out
-    chi = register[1].reshape(overlap.shape[0], targets.shape[0], -1)
-    np.multiply(overlap[:, None, :], targets[None, :, :], out=chi)
-    chi *= weights
-    rows = _retarget(register, (), qubits[-1], m + 1)
-    del register, chi  # the sweep needs only its moved copy
-    half = rows.shape[1] // 2
-    adjoints = stack.conj().swapaxes(-1, -2)
+    qubits = _stack_targets(n, count)
+    swept = overlap.conj()[:, None, :] * bras
+    swept *= weights
+    rows = _retarget(swept, (), qubits[-1], count + n)
+    del swept  # the sweep needs only its moved copy
     t_ac = np.empty_like(stack)
     for idx in range(count - 1, -1, -1):
-        np.matmul(rows[:, :half], rows[:, half:].conj().T, out=t_ac[idx])
+        np.matmul(outputs.pop(), rows.T, out=t_ac[idx])
         if idx:
-            rows = _retarget(adjoints[idx] @ rows, qubits[idx], qubits[idx - 1], m + 1)
+            rows = _retarget(stack[idx][:, ::2].T @ rows, qubits[idx][:-1], qubits[idx - 1], n + idx)
     grads = t_ac - t_ac.conj().swapaxes(-1, -2)
     grads *= 1j
     return grads
@@ -309,31 +322,31 @@ def train(
             f"wider networks fail to converge (runaway gradients)")
     stack = random_model(n, layers, np.random.default_rng(rng_seed)).stack
     pairs, weights = _dedupe(training_set)
-    register, targets = _batch(pairs, n, layers)
+    inputs, targets = _batch(pairs, n)
     bras = targets.conj()
     # one workspace for the powers of every ascent's directions; slot 0 is I
     powers = np.empty((5,) + stack.shape, dtype=complex)
     powers[0] = np.eye(stack.shape[-1])
     eps = STEP_SIZE
-    # forward state of the current stack and its overlaps, reused by its gradient
-    out = _forward(stack, n, register)
-    current, overlap = _score(out, bras, weights)
+    # the current stack's cost, and the overlaps and outputs its gradient reads
+    current, overlap, outputs = _scored_walk(stack, n, inputs, bras, weights)
     history = [current]
     converged = False
     for _ in range(max_iters):
-        # every step-halving retry exponentiates from these powers
-        _fill_powers(powers, _ascent(stack, n, out, overlap, targets, weights))
+        # the ascent consumes the outputs; every step-halving retry
+        # exponentiates from these powers
+        _fill_powers(powers, _ascent(stack, n, outputs, overlap, bras, weights))
         while eps > 1e-8:
+            outputs = None  # a rejected candidate's walk is released before the next one
             candidate = _expm_i_powers(powers, eps) @ stack
-            candidate_out = _forward(candidate, n, register)
-            new_cost, candidate_overlap = _score(candidate_out, bras, weights)
+            new_cost, candidate_overlap, outputs = _scored_walk(candidate, n, inputs, bras, weights)
             if new_cost >= current - 1e-9:
                 break
             eps /= 2
         else:  # no step size down to 1e-8 keeps the cost
             converged = True
             break
-        stack, out, overlap = candidate, candidate_out, candidate_overlap
+        stack, overlap = candidate, candidate_overlap
         eps = min(eps * 1.05, STEP_SIZE)
         history.append(new_cost)
         current = new_cost

@@ -6,7 +6,7 @@ product of single-qubit channels as one channel, the per-qubit factors of the
 protocol's noise, random channels cut from isometries, conjugation by one
 operator on chosen qubits and a channel as the sum of its Kraus
 conjugations, the identity network, the network's cost and ascent directions
-on a training set, the ascent directions one perceptron at a time and the
+on a training set, the ascent directions swept back on the full register and the
 network map rebuilt from its perceptrons at every call, the uniform
 mixture of a sequence of states and its Holevo value as explicit sums, and
 the entropy exchange and coherent information of a channel on pure states,
@@ -207,32 +207,37 @@ def identity_model(n: int, layers: int) -> QnnModel:
 def cost(model: QnnModel, training_set: Sequence[TrainingPair]) -> float:
     """Mean target overlap (1/N) sum_x <target_x| rho_x^out |target_x>, by
     the training path."""
-    register, targets = _batch(training_set, model.width, model.layers)
+    inputs, targets = _batch(training_set, model.width)
     weights = np.full(len(training_set), 1.0 / len(training_set))
-    return _score(_forward(model.stack, model.width, register), targets.conj(), weights)[0]
+    return _score(_forward(model.stack, model.width, inputs)[0], targets.conj(), weights)[0]
 
 
 def gradients(model: QnnModel, training_set: Sequence[TrainingPair], weights) -> np.ndarray:
     """Training's ascent directions K for every perceptron, stacked like
     `model.stack`, over the pairs with the given weights."""
-    register, targets = _batch(training_set, model.width, model.layers)
+    inputs, targets = _batch(training_set, model.width)
     stack, n = model.stack, model.width
-    out = _forward(stack, n, register)
-    return _ascent(stack, n, out, _overlaps(out, targets.conj()), targets, np.asarray(weights))
+    out, outputs = _forward(stack, n, inputs)
+    bras = targets.conj()
+    return _ascent(stack, n, outputs, _overlaps(out, bras), bras, np.asarray(weights))
 
 
-def ascent_per_perceptron(stack, n, out, overlap, targets, weights) -> np.ndarray:
-    """`qnn._ascent` one perceptron at a time: T = A C^dag from the target-qubit
-    rows of the state and of its weighted target projection, swept back to just
-    after perceptron i, and K_i = i(T - T^dag), formed before the sweep moves
-    on."""
-    m = len(stack) + n
-    qubits = _stack_targets(n, len(stack), 1)
+def ascent_full_register(stack, n, out, overlap, targets, weights) -> np.ndarray:
+    """`qnn._ascent` on the full register: the final state `out` of all
+    len(stack) + n qubits and its weighted target projection, stacked as one
+    register behind an extra leading qubit, are swept back together through
+    the adjoint perceptrons, and at perceptron i T = A C^dag is taken from
+    the target-qubit rows of the state A and of the projection C, then
+    K_i = i(T - T^dag)."""
+    count = len(stack)
+    m = count + n
+    # the leading qubit moves every perceptron qubit up by one
+    qubits = [tuple(q + 1 for q in targets_i) for targets_i in _stack_targets(n, count)]
     chi = (overlap[:, None, :] * targets[None, :, :]).reshape(out.shape) * weights
     rows = _retarget(np.concatenate([out, chi]), (), qubits[-1], m + 1)
     half = rows.shape[1] // 2
     grads = np.empty_like(stack)
-    for idx in range(len(stack) - 1, -1, -1):
+    for idx in range(count - 1, -1, -1):
         t_ac = rows[:, :half] @ rows[:, half:].conj().T
         grads[idx] = 1j * (t_ac - t_ac.conj().T)
         if idx:
@@ -242,13 +247,12 @@ def ascent_per_perceptron(stack, n, out, overlap, targets, weights) -> np.ndarra
 
 def feedforward_rebuilt(model: QnnModel, rho: np.ndarray) -> np.ndarray:
     """The network map on the bare matrix rho, with each transition's Kraus
-    operators K_r[o, i] = <r, o|U|i, 0...0> rebuilt by `qnn._forward` on the
-    basis inputs |i>|0...0> at every call."""
+    operators K_r[o, i] = <r, o|U|i, 0...0> rebuilt by the `qnn._forward`
+    walk on the basis inputs |i> at every call."""
     n = model.width
     d = 2 ** n
-    basis = np.kron(np.eye(d), np.eye(d, 1))
     for layer in model.stack.reshape(-1, n, 2 * d, 2 * d):
-        kraus = _forward(layer, n, basis).reshape(d, d, d)
+        kraus = _forward(layer, n, np.eye(d, dtype=complex))[0].reshape(d, d, d)
         rho = np.tensordot(kraus @ rho, kraus.conj(), axes=([0, 2], [0, 2]))
     return rho
 

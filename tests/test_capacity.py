@@ -249,6 +249,13 @@ class TestReport:
         assert record.holevo == 0.0
         assert math.copysign(1.0, record.holevo) == 1.0
 
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_noiseless_wide_point_carries_n_bits(self, n):
+        # at p = 0 the 2^n outputs are the orthogonal GHZ basis, so the
+        # Holevo value is n bits at every width, not only the narrow ones
+        spec = NoiseSpec(NoiseKind.DEPOLARIZING, 0.0)
+        assert abs(capacity.report(distribute(n, spec), spec).holevo - n) < 1e-12
+
     def test_one_eigensolve_for_the_output_mixture(self, monkeypatch):
         # every output carries the spectrum its validation computed, so at
         # n = 4 the 16 x 16 eigensolves are the 16 outputs, the twirl of the

@@ -411,13 +411,13 @@ class TestMoveCount:
     def test_forward_and_ascent(self, moves, n, depth):
         stack = qnn.random_model(n, depth, np.random.default_rng(n)).stack
         psi = StateVector(np.full(2 ** n, 2 ** (-n / 2)))
-        register, targets = qnn._batch([qnn.TrainingPair(psi, psi)], n, depth)
+        inputs, targets = qnn._batch([qnn.TrainingPair(psi, psi)], n)
         weights = np.ones(1)
-        out = qnn._forward(stack, n, register)
+        out, outputs = qnn._forward(stack, n, inputs)
         assert len(moves) == depth * n + 1
         moves.clear()
         _, overlap = qnn._score(out, targets.conj(), weights)
-        qnn._ascent(stack, n, out, overlap, targets, weights)
+        qnn._ascent(stack, n, outputs, overlap, targets.conj(), weights)
         assert len(moves) == depth * n
 
 

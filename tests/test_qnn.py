@@ -13,7 +13,7 @@ from ghzsdc.sdc import shared_state
 
 from full_space import (
     apply_unitary,
-    ascent_per_perceptron,
+    ascent_full_register,
     basis_state,
     cost,
     feedforward_rebuilt,
@@ -265,6 +265,17 @@ class TestTraining:
         assert np.all(np.diff(history) >= -1e-9)
         assert np.all((history >= 0) & (history <= 1 + 1e-12))
 
+    def test_stops_at_the_first_flat_window(self):
+        # this run converges through the 25-step window well before
+        # max_iters: its last 25 accepted steps gained less than tol, and no
+        # earlier 25 did
+        pairs = trajectory_pairs(NoiseKind.AMPLITUDE_DAMPING, 3, 0.3, 3, 100)
+        _, report = qnn.train(pairs, max_iters=200, tol=1e-6, rng_seed=3)
+        history = np.array(report.cost_history)
+        assert report.converged and report.iterations < 200
+        assert history[-1] - history[-26] < 1e-6
+        assert np.all(history[25:-1] - history[:-26] >= 1e-6)
+
     @pytest.mark.parametrize("n, depth", [(2, 1), (3, 2)])
     def test_unitarity_preserved_after_training(self, n, depth):
         pairs = trajectory_pairs(NoiseKind.DEPOLARIZING, n, 0.2, 3, 40)
@@ -342,18 +353,21 @@ class TestTraining:
            seed=st.integers(0, 2 ** 32 - 1))
     @example(n=4, depth=2, count=2, seed=0)
     def test_stacked_kernels_match_per_perceptron_products(self, n, depth, count, seed):
-        # the T products formed during the sweep, and the powers filled in
-        # place, bit for bit
+        # the T products formed on the growing register, against the sweep
+        # of the state and its projection on the full register; the powers
+        # filled in place, bit for bit
         rng = np.random.default_rng(seed)
         stack = qnn.random_model(n, depth, rng, spread=0.5).stack
         pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n)) for _ in range(count)]
         weights = rng.uniform(0.1, 1.0, count)
         weights /= weights.sum()
-        register, targets = qnn._batch(pairs, n, depth)
-        out = qnn._forward(stack, n, register)
+        inputs, targets = qnn._batch(pairs, n)
+        out, outputs = qnn._forward(stack, n, inputs)
         _, overlap = qnn._score(out, targets.conj(), weights)
-        grads = qnn._ascent(stack, n, out, overlap, targets, weights)
-        assert np.array_equal(grads, ascent_per_perceptron(stack, n, out, overlap, targets, weights))
+        grads = qnn._ascent(stack, n, outputs, overlap, targets.conj(), weights)
+        assert not outputs  # consumed
+        want = ascent_full_register(stack, n, out, overlap, targets, weights)
+        assert np.max(np.abs(grads - want)) < 1e-14
         powers = np.empty((5,) + stack.shape, dtype=complex)
         powers[0] = np.eye(stack.shape[-1])
         qnn._fill_powers(powers, grads)
@@ -363,20 +377,37 @@ class TestTraining:
         assert np.array_equal(powers[3], powers[2] @ k)
         assert np.array_equal(powers[4], powers[2] @ powers[2])
 
+    @pytest.mark.parametrize("n, depth", [(1, 1), (2, 3), (3, 2), (5, 2)])
+    def test_walk_keeps_less_than_twice_the_final_register(self, n, depth):
+        # perceptron i's output holds n + i + 1 qubits, so the outputs sum
+        # to 2^(n+1) (2^(L n) - 1) amplitudes per column, the last one being
+        # as large as the final register
+        rng = np.random.default_rng(n)
+        stack = qnn.random_model(n, depth, rng, spread=0.5).stack
+        pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n)) for _ in range(3)]
+        out, outputs = qnn._forward(stack, n, qnn._batch(pairs, n)[0])
+        assert out.shape == (2 ** (n + len(stack)), 3)
+        assert [a.shape for a in outputs] == [(2 ** (n + 1), 3 * 2 ** i) for i in range(len(stack))]
+        kept = sum(a.nbytes for a in outputs)
+        assert kept == 2 * out.nbytes - 2 ** (n + 1) * 3 * out.itemsize
+        assert kept < 2 * out.nbytes
+
     def test_ascent_holds_no_per_perceptron_buffer(self):
-        # the sweep keeps one doubled register alive, and a few copies of it
-        # during a move; one per perceptron would take 20 * out.nbytes here
+        # a forward walk and its ascent keep the outputs, under twice the
+        # final register, the swept projection and a few copies of it during
+        # a move; one full register per perceptron would take 10 * out.nbytes
         rng = np.random.default_rng(0)
         n, depth = 5, 2
         stack = qnn.random_model(n, depth, rng, spread=0.5).stack
         pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n)) for _ in range(2)]
         weights = np.full(2, 0.5)
-        register, targets = qnn._batch(pairs, n, depth)
-        out = qnn._forward(stack, n, register)
-        _, overlap = qnn._score(out, targets.conj(), weights)
+        inputs, targets = qnn._batch(pairs, n)
+        bras = targets.conj()
         tracemalloc.start()
         try:
-            qnn._ascent(stack, n, out, overlap, targets, weights)
+            out, outputs = qnn._forward(stack, n, inputs)
+            _, overlap = qnn._score(out, bras, weights)
+            qnn._ascent(stack, n, outputs, overlap, bras, weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

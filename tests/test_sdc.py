@@ -232,6 +232,16 @@ class TestStages:
         with pytest.raises(ValueError, match=f"{shared_n} qubits, codeword width is {code_n}"):
             transmit(distribute(shared_n, spec), Codeword(code_n, 5), spec)
 
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(3, 5), rank=st.integers(1, 32), seed=st.integers(0, 2 ** 32 - 1))
+    def test_twirl_is_the_mean_of_the_encoded_images(self, n, rank, seed):
+        # the closed form against the explicit mean of the 2^n noiseless
+        # images, each conjugated by the published Pauli-product encoder
+        sigma = random_mixed_state(np.random.default_rng(seed), n, 1 + (rank - 1) % 2 ** n).matrix
+        images = [np.kron(I2, pauli_product_encoder(Codeword(n, x))) for x in range(2 ** n)]
+        mean = sum(u @ sigma @ u.conj().T for u in images) / 2 ** n
+        assert np.max(np.abs(twirl(DensityOperator(sigma)).matrix - mean)) < 1e-14
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_twirl_refuses_fewer_than_three_qubits(self, n):
         with pytest.raises(ValueError) as refused:
