@@ -99,19 +99,21 @@ class TrainingReport:
 
 # ---------------------------------------------------------------------------
 # One path for training and `feedforward`: the `_forward` walk applies the
-# perceptrons of `QnnModel.stack` in order to the distinct training inputs,
-# the columns of one (2^n, P) register that grows by one qubit per
-# perceptron: perceptron i takes one `qcore._retarget` of the n + i live
-# qubits and one matmul by its isometry U_i[:, ::2], which adjoins its fresh
-# qubit n + i in |0>, the qubit no earlier perceptron touched. The walk keeps
-# every perceptron's output, together less than twice the final register.
-# `_ascent` takes those outputs as the states A_i and walks back only the
-# conjugated weighted target projection, by the transposed isometries, so the
-# swept array loses one qubit per perceptron; it forms each perceptron's T as
-# it reaches it, then every ascent direction at once. Training steps the bare
-# stack by a matrix polynomial in powers of the ascent directions, filled
-# once per ascent into one workspace per run; the model is built where it
-# returns.
+# perceptrons of `QnnModel.stack` in order to the columns of one (2^n, P)
+# register that grows by one qubit per perceptron: perceptron i takes one
+# `qcore._retarget` of the n + i live qubits and one matmul by its isometry
+# U_i[:, ::2], which adjoins its fresh qubit n + i in |0>, the qubit no earlier
+# perceptron touched. The walk keeps every perceptron's output, together less
+# than twice the final register. Training takes its P columns, the conjugated
+# targets and the weights from `_batch`, which collapses repeated pairs, and
+# scores each walk by `_scored_walk`, which keeps the overlaps and outputs
+# for the next ascent. `_ascent` takes those outputs as the states A_i and
+# walks back only the conjugated weighted target projection, by the
+# transposed isometries, so the swept array loses one qubit per perceptron; it
+# forms each perceptron's T as it reaches it, then every ascent direction at
+# once. Training steps the bare stack by a matrix polynomial in powers of the
+# ascent directions, filled once per ascent into one workspace per run; the
+# model is built where it returns.
 
 @lru_cache(maxsize=64)
 def _stack_targets(n: int, count: int) -> tuple:
@@ -122,17 +124,28 @@ def _stack_targets(n: int, count: int) -> tuple:
                  for t, j in (divmod(i, n) for i in range(count)))
 
 
-def _batch(pairs: Sequence[TrainingPair], n: int):
-    """The inputs and the targets of width-n training pairs, each as columns
-    (2^n, P)."""
-    if not pairs:
-        raise ValueError("training set must be nonempty")
-    for pair in pairs:
-        if pair.input.qubit_count != n or pair.target.qubit_count != n:
-            raise ValueError("training pair width differs from the model width")
-    inputs = np.array([p.input.amplitudes for p in pairs]).T
-    targets = np.array([p.target.amplitudes for p in pairs]).T
-    return inputs, targets
+def _batch(training_set: Sequence[TrainingPair], n: int):
+    """The distinct pairs of a width-n training set as columns (2^n, P): the
+    inputs, the conjugated targets and each pair's weight, its count over
+    len(training_set). Each distinct pair's width is checked once."""
+    unique: List[TrainingPair] = []
+    counts: List[float] = []
+    for pair in training_set:
+        for i, seen in enumerate(unique):
+            # sampled trajectories share one state per drawn branch
+            if ((pair.input is seen.input and pair.target is seen.target)
+                    or (np.array_equal(pair.input.amplitudes, seen.input.amplitudes)
+                        and np.array_equal(pair.target.amplitudes, seen.target.amplitudes))):
+                counts[i] += 1.0
+                break
+        else:
+            if pair.input.qubit_count != n or pair.target.qubit_count != n:
+                raise ValueError("training pair width differs from the model width")
+            unique.append(pair)
+            counts.append(1.0)
+    inputs = np.array([p.input.amplitudes for p in unique]).T
+    bras = np.array([p.target.amplitudes for p in unique]).T.conj()
+    return inputs, bras, np.array(counts) / len(training_set)
 
 
 def _forward(stack: np.ndarray, n: int, inputs: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
@@ -167,46 +180,15 @@ def feedforward(model: QnnModel, rho_in: DensityOperator) -> DensityOperator:
     return DensityOperator(rho)
 
 
-def _overlaps(out: np.ndarray, bras: np.ndarray) -> np.ndarray:
-    """(<target| on the output register) per pair, from the conjugated
-    targets `bras`: shape (2^(m-n), P)."""
-    split = out.reshape(-1, bras.shape[0], bras.shape[1])
-    return np.einsum("rop,op->rp", split, bras)
-
-
-def _score(out: np.ndarray, bras: np.ndarray, weights: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Weighted mean target overlap of the forward state `out`, and its
-    `_overlaps` with the conjugated targets `bras`."""
-    overlap = _overlaps(out, bras)
-    return float(weights @ (overlap.real ** 2 + overlap.imag ** 2).sum(axis=0)), overlap
-
-
 def _scored_walk(stack: np.ndarray, n: int, inputs: np.ndarray, bras: np.ndarray,
                  weights: np.ndarray) -> Tuple[float, np.ndarray, List[np.ndarray]]:
-    """`_score` of the `_forward` walk of `stack` on the inputs, and the
-    walk's perceptron outputs; the final register goes once scored."""
+    """The weighted mean target overlap of the `_forward` walk of `stack` on
+    the inputs; the overlaps of its m-qubit final register with the
+    conjugated targets `bras`, (2^(m-n), P); and the walk's perceptron
+    outputs. The final register goes once scored."""
     out, outputs = _forward(stack, n, inputs)
-    return (*_score(out, bras, weights), outputs)
-
-
-def _dedupe(training_set: Sequence[TrainingPair]):
-    """Collapse repeated pairs into (pair, weight); trajectory-sampled sets
-    typically contain only a handful of distinct states."""
-    unique: List[TrainingPair] = []
-    weights: List[float] = []
-    for pair in training_set:
-        for i, seen in enumerate(unique):
-            # sampled trajectories share one state per drawn branch
-            if ((pair.input is seen.input and pair.target is seen.target)
-                    or (np.array_equal(pair.input.amplitudes, seen.input.amplitudes)
-                        and np.array_equal(pair.target.amplitudes, seen.target.amplitudes))):
-                weights[i] += 1.0
-                break
-        else:
-            unique.append(pair)
-            weights.append(1.0)
-    w = np.array(weights) / len(training_set)
-    return unique, w
+    overlap = np.einsum("rop,op->rp", out.reshape(-1, *bras.shape), bras)
+    return float(weights @ (overlap.real ** 2 + overlap.imag ** 2).sum(axis=0)), overlap, outputs
 
 
 def _ascent(stack: np.ndarray, n: int, outputs: List[np.ndarray], overlap: np.ndarray,
@@ -321,9 +303,7 @@ def train(
             f"training is limited to {MAX_TRAINABLE_WIDTH} input qubits; "
             f"wider networks fail to converge (runaway gradients)")
     stack = random_model(n, layers, np.random.default_rng(rng_seed)).stack
-    pairs, weights = _dedupe(training_set)
-    inputs, targets = _batch(pairs, n)
-    bras = targets.conj()
+    inputs, bras, weights = _batch(training_set, n)
     # one workspace for the powers of every ascent's directions; slot 0 is I
     powers = np.empty((5,) + stack.shape, dtype=complex)
     powers[0] = np.eye(stack.shape[-1])

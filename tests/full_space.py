@@ -6,7 +6,8 @@ product of single-qubit channels as one channel, the per-qubit factors of the
 protocol's noise, random channels cut from isometries, conjugation by one
 operator on chosen qubits and a channel as the sum of its Kraus
 conjugations, the identity network, the network's cost and ascent directions
-on a training set, the ascent directions swept back on the full register and the
+on a training set by training's own `_batch` and `_scored_walk`, the ascent
+directions swept back on the full register and the
 network map rebuilt from its perceptrons at every call, the uniform
 mixture of a sequence of states and its Holevo value as explicit sums, and
 the entropy exchange and coherent information of a channel on pure states,
@@ -37,8 +38,7 @@ from ghzsdc.qnn import (
     _ascent,
     _batch,
     _forward,
-    _overlaps,
-    _score,
+    _scored_walk,
     _stack_targets,
 )
 from ghzsdc.sdc import Codeword, _frame, shared_state
@@ -206,20 +206,19 @@ def identity_model(n: int, layers: int) -> QnnModel:
 
 def cost(model: QnnModel, training_set: Sequence[TrainingPair]) -> float:
     """Mean target overlap (1/N) sum_x <target_x| rho_x^out |target_x>, by
-    the training path."""
-    inputs, targets = _batch(training_set, model.width)
-    weights = np.full(len(training_set), 1.0 / len(training_set))
-    return _score(_forward(model.stack, model.width, inputs)[0], targets.conj(), weights)[0]
+    the training path: `_batch`, then `_scored_walk`."""
+    return _scored_walk(model.stack, model.width, *_batch(training_set, model.width))[0]
 
 
-def gradients(model: QnnModel, training_set: Sequence[TrainingPair], weights) -> np.ndarray:
+def gradients(model: QnnModel, training_set: Sequence[TrainingPair], weights=None) -> np.ndarray:
     """Training's ascent directions K for every perceptron, stacked like
-    `model.stack`, over the pairs with the given weights."""
-    inputs, targets = _batch(training_set, model.width)
+    `model.stack`, over the distinct pairs of the training set with
+    `_batch`'s weights, or with the given ones, one per distinct pair."""
     stack, n = model.stack, model.width
-    out, outputs = _forward(stack, n, inputs)
-    bras = targets.conj()
-    return _ascent(stack, n, outputs, _overlaps(out, bras), bras, np.asarray(weights))
+    inputs, bras, counted = _batch(training_set, n)
+    weights = counted if weights is None else np.asarray(weights)
+    _, overlap, outputs = _scored_walk(stack, n, inputs, bras, weights)
+    return _ascent(stack, n, outputs, overlap, bras, weights)
 
 
 def ascent_full_register(stack, n, out, overlap, targets, weights) -> np.ndarray:

@@ -132,6 +132,10 @@ MUTANTS = (
            "if compound < 1e-12:",
            "if compound < 1e-30:",
            "success probabilities between 1e-30 and 1e-12 no longer underflow"),
+    Mutant("batch-weights-over-distinct-pairs", "src/ghzsdc/qnn.py",
+           "return inputs, bras, np.array(counts) / len(training_set)",
+           "return inputs, bras, np.array(counts) / len(unique)",
+           "a pair's weight is its count over the number of distinct pairs, so the weights sum to more than 1"),
     Mutant("stop-window-5", "src/ghzsdc/qnn.py",
            "window = 25",
            "window = 5",

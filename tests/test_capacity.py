@@ -83,7 +83,7 @@ class TestHolevo:
             assert holevo(random_pure_states(rng, 1, 3)) >= 0
 
 
-class TestClassicalCapacity:
+class TestOrbitSpectra:
     # Uniform priors are optimal when the outputs are one unitary orbit, since
     # the mixture entropy is concave and invariant under the group's
     # relabelling of the priors; equal spectra for every codeword is the

@@ -117,7 +117,7 @@ class TestPGrid:
         assert grid == [0.4]
 
 
-class TestEmbeddedNoiseChannel:
+class TestNoiseFactorOracles:
     def test_distribution_only_touches_qubit_zero(self):
         spec = NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, 0.3, NoiseStage.DISTRIBUTION_ONLY)
         ch = full_space_channel(noise_factors(spec, 3))

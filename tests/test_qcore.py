@@ -411,13 +411,11 @@ class TestMoveCount:
     def test_forward_and_ascent(self, moves, n, depth):
         stack = qnn.random_model(n, depth, np.random.default_rng(n)).stack
         psi = StateVector(np.full(2 ** n, 2 ** (-n / 2)))
-        inputs, targets = qnn._batch([qnn.TrainingPair(psi, psi)], n)
-        weights = np.ones(1)
-        out, outputs = qnn._forward(stack, n, inputs)
+        inputs, bras, weights = qnn._batch([qnn.TrainingPair(psi, psi)], n)
+        _, overlap, outputs = qnn._scored_walk(stack, n, inputs, bras, weights)
         assert len(moves) == depth * n + 1
         moves.clear()
-        _, overlap = qnn._score(out, targets.conj(), weights)
-        qnn._ascent(stack, n, outputs, overlap, targets.conj(), weights)
+        qnn._ascent(stack, n, outputs, overlap, bras, weights)
         assert len(moves) == depth * n
 
 

@@ -228,11 +228,6 @@ class TestCost:
         pair = qnn.TrainingPair(basis_state(1, 0), basis_state(1, 1))
         assert abs(cost(model, [pair]) - 0.5) < 1e-10
 
-    def test_empty_set_rejected(self):
-        model = identity_model(1, 1)
-        with pytest.raises(ValueError):
-            cost(model, [])
-
     def test_cost_bounded(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
@@ -291,8 +286,7 @@ class TestTraining:
             model = qnn.random_model(n, 1, rng, spread=0.4)
             pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n))
                      for _ in range(3)]
-            unique, weights = qnn._dedupe(pairs)
-            grads = gradients(model, unique, weights)
+            grads = gradients(model, pairs)
             dim = 2 ** (n + 1)
             eps = 1e-6
             for idx in range(len(grads)):
@@ -320,8 +314,7 @@ class TestTraining:
             model = qnn.random_model(n, 2, rng, spread=0.4)
             pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n))
                      for _ in range(3)]
-            unique, weights = qnn._dedupe(pairs)
-            grads = gradients(model, unique, weights)
+            grads = gradients(model, pairs)
             assert len(grads) == 2 * n
             dim = 2 ** (n + 1)
             for idx in range(len(grads)):
@@ -361,12 +354,12 @@ class TestTraining:
         pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n)) for _ in range(count)]
         weights = rng.uniform(0.1, 1.0, count)
         weights /= weights.sum()
-        inputs, targets = qnn._batch(pairs, n)
+        inputs, bras, _ = qnn._batch(pairs, n)
         out, outputs = qnn._forward(stack, n, inputs)
-        _, overlap = qnn._score(out, targets.conj(), weights)
-        grads = qnn._ascent(stack, n, outputs, overlap, targets.conj(), weights)
+        overlap = (out.reshape(-1, 2 ** n, count) * bras).sum(axis=1)
+        grads = qnn._ascent(stack, n, outputs, overlap, bras, weights)
         assert not outputs  # consumed
-        want = ascent_full_register(stack, n, out, overlap, targets, weights)
+        want = ascent_full_register(stack, n, out, overlap, bras.conj(), weights)
         assert np.max(np.abs(grads - want)) < 1e-14
         powers = np.empty((5,) + stack.shape, dtype=complex)
         powers[0] = np.eye(stack.shape[-1])
@@ -400,22 +393,20 @@ class TestTraining:
         n, depth = 5, 2
         stack = qnn.random_model(n, depth, rng, spread=0.5).stack
         pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n)) for _ in range(2)]
-        weights = np.full(2, 0.5)
-        inputs, targets = qnn._batch(pairs, n)
-        bras = targets.conj()
+        inputs, bras, weights = qnn._batch(pairs, n)
         tracemalloc.start()
         try:
-            out, outputs = qnn._forward(stack, n, inputs)
-            _, overlap = qnn._score(out, bras, weights)
+            _, overlap, outputs = qnn._scored_walk(stack, n, inputs, bras, weights)
+            final = outputs[-1].nbytes  # the last output is as large as the final register
             qnn._ascent(stack, n, outputs, overlap, bras, weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * out.nbytes
+        assert peak <= 10 * final
 
-    def test_dedupe_of_shared_states_matches_dedupe_by_value(self, monkeypatch):
-        # sampled pairs share one state per branch; copies of them dedupe alike
-        # but need more value comparisons
+    def test_batch_of_shared_states_matches_batch_by_value(self, monkeypatch):
+        # sampled pairs share one state per branch; copies of them collapse
+        # alike but need more value comparisons
         shared = trajectory_pairs(NoiseKind.DEPOLARIZING, 3, 0.5, 0, 200)
         copied = [qnn.TrainingPair(StateVector(p.input.amplitudes.copy()),
                                    StateVector(p.target.amplitudes.copy())) for p in shared]
@@ -427,13 +418,20 @@ class TestTraining:
             return array_equal(*args)
 
         monkeypatch.setattr(np, "array_equal", counted)
-        unique, weights = qnn._dedupe(shared)
+        batch = qnn._batch(shared, 3)
         by_identity = len(calls)
-        unique_copied, weights_copied = qnn._dedupe(copied)
-        assert len(unique) == 4
-        assert [shared.index(u) for u in unique] == [copied.index(u) for u in unique_copied]
-        assert array_equal(weights, weights_copied)
+        batch_copied = qnn._batch(copied, 3)
+        assert batch[0].shape == (8, 4)
+        assert all(array_equal(a, b) for a, b in zip(batch, batch_copied))
         assert by_identity < len(calls) - by_identity
+
+    def test_batch_weights_are_branch_counts_over_the_set_size(self):
+        pairs = trajectory_pairs(NoiseKind.DEPOLARIZING, 3, 0.5, 0, 200)
+        inputs, bras, weights = qnn._batch(pairs, 3)
+        assert inputs.shape == bras.shape == (8, 4)
+        counts = [sum(np.array_equal(p.input.amplitudes, column) for p in pairs) for column in inputs.T]
+        assert weights.tolist() == [c / 200 for c in counts]
+        assert weights.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_gradient_explosion_regime_refused(self):
         psi = shared_state(7)
@@ -530,7 +528,7 @@ class TestStepExponential:
         assert np.max(np.abs(step @ np.swapaxes(step.conj(), -1, -2) - np.eye(d))) < 1e-13
 
 
-class TestCorrectState:
+class TestTrainedCorrector:
     def test_trained_model_improves_noisy_fidelity(self):
         n = 2
         p = 0.3
