@@ -6,8 +6,10 @@ shared state under amplitude damping, drawn by one `sample_trajectories`
 call that computes the Kraus branches once; the target is always the
 ideal state. Training steps each perceptron by a matrix polynomial in its
 ascent direction, with no eigendecomposition after the initial model,
-and validates the model where it returns it. The trained network is then applied as a
-channel corrector and compared against the uncorrected fidelity.
+and validates the model where it returns it. The trained network is then
+applied as a channel corrector to the protocol's own distributed states,
+`distribute` at the training p and at p = 0, and every fidelity is read
+off the GHZ decoder by `ghz_fidelity`.
 
 Run: python3 demos/qnn_training_demo.py
 """
@@ -16,11 +18,10 @@ import numpy as np
 
 from ghzsdc import (
     NoiseKind,
-    apply_channel,
+    NoiseSpec,
+    distribute,
     feedforward,
-    fidelity,
-    make_channel,
-    shared_state,
+    ghz_fidelity,
     train,
 )
 from ghzsdc.harness import trajectory_pairs
@@ -39,13 +40,12 @@ def main():
     print("cost trace: " + " -> ".join(
         f"{history[i]:.4f}" for i in np.linspace(0, len(history) - 1, 6, dtype=int)))
 
-    psi = shared_state(n)
-    noisy = apply_channel(psi.density(), make_channel(NoiseKind.AMPLITUDE_DAMPING, p), [0])
-    corrected = feedforward(model, noisy)
+    noisy = distribute(n, NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, p))
+    clean = distribute(n, NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, 0.0))
     print()
-    print(f"fidelity without corrector: {fidelity(psi, noisy):.6f}")
-    print(f"fidelity with corrector:    {fidelity(psi, corrected):.6f}")
-    print(f"clean state passthrough:    {fidelity(psi, feedforward(model, psi.density())):.6f}")
+    print(f"fidelity without corrector: {ghz_fidelity(noisy):.6f}")
+    print(f"fidelity with corrector:    {ghz_fidelity(feedforward(model, noisy)):.6f}")
+    print(f"clean state passthrough:    {ghz_fidelity(feedforward(model, clean)):.6f}")
 
 
 if __name__ == "__main__":

@@ -10,8 +10,6 @@ from .qcore import (
     QuantumChannel,
     StateVector,
     Unitary,
-    apply_channel,
-    fidelity,
     von_neumann_entropy,
 )
 from .qnn import QnnModel, TrainingPair, TrainingReport, feedforward, load_model, save_model, train

@@ -1,5 +1,5 @@
 """Dense multi-qubit linear algebra: states, density operators, gates,
-channels, fidelity, entropy.
+channels, entropy.
 
 Conventions
 -----------
@@ -212,22 +212,6 @@ def _kraus_sum(ch: QuantumChannel, rho: np.ndarray, target_sets, m: int) -> np.n
     doubled = [tuple(t) + tuple(m + q for q in t) for t in target_sets]
     sup = [ch.superoperator] * len(doubled)
     return _apply_each(sup, doubled, rho.reshape(-1, 1), 2 * m).reshape(rho.shape)
-
-
-def apply_channel(rho: DensityOperator, ch: QuantumChannel, targets: Sequence[int]) -> DensityOperator:
-    """`ch` on the given target qubits of rho, by its superoperator."""
-    targets = _check_targets(targets, ch.qubit_count, rho.qubit_count)
-    return DensityOperator(_kraus_sum(ch, rho.matrix, [targets], rho.qubit_count))
-
-
-def fidelity(psi: StateVector, rho: DensityOperator) -> float:
-    """sqrt(<psi|rho|psi>), clamped to [0, 1]."""
-    if psi.qubit_count != rho.qubit_count:
-        raise ValueError("state and operator dimensions differ")
-    overlap = float(np.real(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes))
-    if overlap < -ATOL or overlap > 1.0 + ATOL:
-        raise ValueError(f"overlap {overlap} outside [0, 1]")
-    return float(np.sqrt(min(max(overlap, 0.0), 1.0)))
 
 
 def _spectrum_entropy(evals: np.ndarray) -> float:

@@ -63,18 +63,17 @@ class QnnModel:
         return len(self.stack) // self.width
 
     @cached_property
-    def kraus(self) -> Tuple[np.ndarray, np.ndarray]:
+    def kraus(self) -> np.ndarray:
         """Per transition t, K_r[o, i] = <r, o|U_t|i, 0...0> (r labels the
         traced-out input register) as one read-only (L, d, d, d) array with
-        d = 2^n, and its complex conjugate. Built on first use, by one
-        `_forward` walk per transition on the basis inputs |i>."""
+        d = 2^n. Built on first use, by one `_forward` walk per transition on
+        the basis inputs |i>."""
         n = self.width
         d = 2 ** n
         kraus = np.array([_forward(layer, n, np.eye(d, dtype=complex))[0].reshape(d, d, d)
                           for layer in self.stack.reshape(-1, n, 2 * d, 2 * d)])
-        bras = kraus.conj()
-        kraus.flags.writeable = bras.flags.writeable = False
-        return kraus, bras
+        kraus.flags.writeable = False
+        return kraus
 
 
 @dataclass(frozen=True)
@@ -175,8 +174,8 @@ def feedforward(model: QnnModel, rho_in: DensityOperator) -> DensityOperator:
     if rho_in.qubit_count != n:
         raise ValueError(f"input has {rho_in.qubit_count} qubits, model width is {n}")
     rho = rho_in.matrix
-    for kraus, bras in zip(*model.kraus):
-        rho = np.tensordot(kraus @ rho, bras, axes=([0, 2], [0, 2]))
+    for kraus in model.kraus:
+        rho = np.tensordot(kraus @ rho, kraus.conj(), axes=([0, 2], [0, 2]))
     return DensityOperator(rho)
 
 

@@ -4,10 +4,11 @@ partial trace, the dense GHZ basis, the noise-free image of the shared state
 under a codeword, an operator embedded on chosen qubits, a
 product of single-qubit channels as one channel, the per-qubit factors of the
 protocol's noise, random channels cut from isometries, conjugation by one
-operator on chosen qubits and a channel as the sum of its Kraus
-conjugations, the identity network, the network's cost and ascent directions
-on a training set by training's own `_batch` and `_scored_walk`, the ascent
-directions swept back on the full register and the
+operator on chosen qubits, a channel as the sum of its Kraus conjugations
+and a channel on chosen qubits of a validated state, the dense fidelity of a
+pure state with a density operator, the identity network, the network's cost
+and ascent directions on a training set by training's own `_batch` and
+`_scored_walk`, the ascent directions swept back on the full register and the
 network map rebuilt from its perceptrons at every call, the uniform
 mixture of a sequence of states and its Holevo value as explicit sums, and
 the entropy exchange and coherent information of a channel on pure states,
@@ -28,6 +29,7 @@ from ghzsdc.qcore import (
     Unitary,
     _apply_each,
     _check_targets,
+    _kraus_sum,
     _qubit_count_of,
     _retarget,
     von_neumann_entropy,
@@ -178,6 +180,18 @@ def apply_unitary(rho: DensityOperator, u: Unitary, targets: Sequence[int]) -> D
     """Conjugate rho by u embedded on the given (ordered) target qubits."""
     targets = _check_targets(targets, u.qubit_count, rho.qubit_count)
     return DensityOperator(conjugate_matrix(u.matrix, rho.matrix, targets, rho.qubit_count))
+
+
+def apply_channel(rho: DensityOperator, ch: QuantumChannel, targets: Sequence[int]) -> DensityOperator:
+    """`ch` on the given target qubits of rho, by its superoperator."""
+    targets = _check_targets(targets, ch.qubit_count, rho.qubit_count)
+    return DensityOperator(_kraus_sum(ch, rho.matrix, [targets], rho.qubit_count))
+
+
+def fidelity(psi: StateVector, rho: DensityOperator) -> float:
+    """sqrt(<psi|rho|psi>), the dense overlap: the oracle for the fidelities
+    that `sdc.ghz_fidelity` reads off the decoder."""
+    return float(np.sqrt(np.real(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes)))
 
 
 def stinespring_environment_entropy(states: Sequence[DensityOperator], ch: QuantumChannel) -> float:

@@ -5,7 +5,8 @@ Run from anywhere, with numpy, pytest and hypothesis installed:
 
     python tests/mutants.py
 
-The check copies src/, tests/ and pyproject.toml into a temporary directory
+The check copies src/, tests/, demos/ (which the export guard of
+tests/test_layering.py reads) and pyproject.toml into a temporary directory
 and runs `python -m pytest -x -q` there, first unmutated (it must pass, or
 no kill would mean anything), then once per mutant on a fresh copy. Each
 mutant first runs only the test module of the file it changes,
@@ -100,7 +101,7 @@ MUTANTS = (
            "if layers < 0:  # no perceptrons: the draws below would fail with an AxisError",
            "random_model(n, 0, rng) reaches numpy's AxisError instead of naming `layers`"),
     Mutant("feedforward-conjugate-dropped", "src/ghzsdc/qnn.py",
-           "rho = np.tensordot(kraus @ rho, bras, axes=([0, 2], [0, 2]))",
+           "rho = np.tensordot(kraus @ rho, kraus.conj(), axes=([0, 2], [0, 2]))",
            "rho = np.tensordot(kraus @ rho, kraus, axes=([0, 2], [0, 2]))",
            "K rho K^T replaces K rho K^dag, which differs for complex perceptrons"),
     Mutant("chi-offset-from-n-7", "src/ghzsdc/capacity.py",
@@ -187,10 +188,6 @@ MUTANTS = (
            "if any(t < 0 or t >= m for t in targets):",
            "if any(t < 0 or t > m for t in targets):",
            "a target one past the last qubit fails later, in the layout move"),
-    Mutant("overlap-slack-1e-9", "src/ghzsdc/qcore.py",
-           "if overlap < -ATOL or overlap > 1.0 + ATOL:",
-           "if overlap < -ATOL or overlap > 1.0 + 1e-9:",
-           "overlaps in (1 + 1e-10, 1 + 1e-9] are clamped to a fidelity of 1"),
     Mutant("train-zero-iterations", "src/ghzsdc/qnn.py",
            "if max_iters < 1:",
            "if max_iters < 0:",
@@ -244,7 +241,7 @@ def suite_status(mutant: Mutant | None, tests: str | None = None) -> int:
     module `tests` or, when it is None, the whole suite."""
     with tempfile.TemporaryDirectory(prefix="ghzsdc-mutant-") as tmp:
         skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "demos"):
             shutil.copytree(ROOT / part, Path(tmp) / part, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", tmp)
         if mutant is not None:

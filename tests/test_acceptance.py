@@ -19,7 +19,7 @@ from ghzsdc.qcore import QuantumChannel, StateVector
 from ghzsdc.sdc import Codeword, encode_usdc, ghz_fidelity, shared_state
 
 import full_space
-from full_space import entropy_exchange, ideal_received_state
+from full_space import apply_channel, entropy_exchange, ideal_received_state
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -88,8 +88,8 @@ def test_criterion_4_purification_gain():
     start = time.perf_counter()
     for n in (2, 3):
         for q in (0.05, 0.15, 0.25, 0.35, 0.45):
-            copy = qcore.apply_channel(shared_state(n).density(),
-                                       make_channel(NoiseKind.BIT_FLIP, q), [0])
+            copy = apply_channel(shared_state(n).density(),
+                                 make_channel(NoiseKind.BIT_FLIP, q), [0])
             result = purify_iterated(copy, 1)
             assert ghz_fidelity(result.kept_state) > ghz_fidelity(copy), f"no gain at n={n}, q={q}"
             # oracle: explicit embedded conjugation plus projector post-selection

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ghzsdc import capacity, qcore
+from ghzsdc import capacity
 from ghzsdc.harness import SweepConfig, run_sweep
 from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from ghzsdc.qcore import DensityOperator, QuantumChannel, StateVector
 from ghzsdc.sdc import Codeword, distribute, shared_state, transmit
 
 from full_space import (
+    apply_channel,
     basis_state,
     coherent_information,
     entropy_exchange,
@@ -72,7 +73,7 @@ class TestHolevo:
         # eigenvalues {1 - p, p/3, p/3, p/3} while the average stays I/4
         p = 0.3
         ch = make_channel(NoiseKind.DEPOLARIZING, p)
-        states = [qcore.apply_channel(StateVector(bell).density(), ch, [0]) for bell in ghz_basis(2)]
+        states = [apply_channel(StateVector(bell).density(), ch, [0]) for bell in ghz_basis(2)]
         member_entropy = -( (1 - p) * np.log2(1 - p) + p * np.log2(p / 3) )
         expected = 2.0 - member_entropy
         assert abs(holevo(states) - expected) < 1e-10

@@ -28,7 +28,8 @@ from ghzsdc.sdc import (
     twirl,
 )
 
-from full_space import full_space_channel, holevo, identity_model, mixture, noise_factors, shannon_entropy
+from full_space import (apply_channel, full_space_channel, holevo, identity_model, mixture, noise_factors,
+                        shannon_entropy)
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -121,18 +122,18 @@ class TestNoiseFactorOracles:
     def test_distribution_only_touches_qubit_zero(self):
         spec = NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, 0.3, NoiseStage.DISTRIBUTION_ONLY)
         ch = full_space_channel(noise_factors(spec, 3))
-        direct = qcore.apply_channel(shared_state(3).density(),
-                                     make_channel(spec.kind, spec.p), [0])
-        via = qcore.apply_channel(shared_state(3).density(), ch, [0, 1, 2])
+        direct = apply_channel(shared_state(3).density(),
+                               make_channel(spec.kind, spec.p), [0])
+        via = apply_channel(shared_state(3).density(), ch, [0, 1, 2])
         assert np.max(np.abs(direct.matrix - via.matrix)) < 1e-12
 
     def test_both_stage_composes_per_qubit(self):
         spec = NoiseSpec(NoiseKind.DEPOLARIZING, 0.2, NoiseStage.DISTRIBUTION_AND_RETURN)
         ch = full_space_channel(noise_factors(spec, 2))
         single = make_channel(spec.kind, spec.p)
-        direct = qcore.apply_channel(shared_state(2).density(), single, [0])
-        direct = qcore.apply_channel(direct, single, [1])
-        via = qcore.apply_channel(shared_state(2).density(), ch, [0, 1])
+        direct = apply_channel(shared_state(2).density(), single, [0])
+        direct = apply_channel(direct, single, [1])
+        via = apply_channel(shared_state(2).density(), ch, [0, 1])
         assert np.max(np.abs(direct.matrix - via.matrix)) < 1e-12
 
     def test_completeness(self):

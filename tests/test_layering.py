@@ -3,17 +3,21 @@
 The order is qcore < {noise, purify, qnn} < sdc < capacity < harness < cli;
 modules on the same level may not import each other either. Imports inside
 functions count, so a cycle cannot hide behind a local import. Every name a
-module imports is used there, so a move leaves no stale import behind.
+module imports is used there, so a move leaves no stale import behind, and
+every name the package exports is used by a module or a demo, so the public
+API holds nothing that only the tests call.
 """
 
 import ast
 import pathlib
+import types
 
 import pytest
 
 import ghzsdc
 
 PACKAGE_DIR = pathlib.Path(ghzsdc.__file__).parent
+DEMOS_DIR = pathlib.Path(__file__).resolve().parents[1] / "demos"
 
 LEVEL = {
     "qcore": 0,
@@ -83,3 +87,18 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted((line, name) for name, line in bound.items() if name not in used)
         assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+def test_every_export_is_used_by_the_package_or_a_demo():
+    # __init__ only re-exports; the submodules in __all__ are modules, not API
+    paths = [p for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__"] + sorted(DEMOS_DIR.glob("*.py"))
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    exported = [name for name in ghzsdc.__all__ if not isinstance(getattr(ghzsdc, name), types.ModuleType)]
+    unused = sorted(name for name in exported if name not in used)
+    assert not unused, f"ghzsdc exports {unused}, which no module or demo uses"

@@ -9,9 +9,9 @@ from ghzsdc.noise import (
     make_channel,
     sample_trajectories,
 )
-from ghzsdc.qcore import DensityOperator, StateVector, _apply_each, apply_channel
+from ghzsdc.qcore import DensityOperator, StateVector, _apply_each
 
-from full_space import basis_state
+from full_space import apply_channel, basis_state
 
 ALL_KINDS = list(NoiseKind)
 

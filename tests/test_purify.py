@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzsdc import qcore
 from ghzsdc.noise import NoiseKind, NoiseSpec, make_channel
 from ghzsdc.purify import PurificationUnderflow, purify_iterated
 from ghzsdc.qcore import DensityOperator
 from ghzsdc.sdc import distribute, ghz_fidelity, shared_state
 
-from full_space import CNOT, embedded_matrix, tensor_product
+from full_space import CNOT, apply_channel, embedded_matrix, fidelity, tensor_product
 
 
 def noisy_ghz(n, q, kind=NoiseKind.BIT_FLIP):
     rho = shared_state(n).density()
-    return qcore.apply_channel(rho, make_channel(kind, q), [0])
+    return apply_channel(rho, make_channel(kind, q), [0])
 
 
 @lru_cache(maxsize=None)
@@ -69,7 +68,7 @@ class TestSingleRound:
         result = purify_iterated(shared_state(n).density(), 1)
         assert abs(result.success_probability - 1) < 1e-9
         assert abs(ghz_fidelity(result.kept_state) - 1) < 1e-9
-        assert qcore.fidelity(shared_state(n), result.kept_state) > 1 - 1e-9
+        assert fidelity(shared_state(n), result.kept_state) > 1 - 1e-9
 
     def test_bell_case_gain(self):
         copy = noisy_ghz(2, 0.25)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzsdc import qcore, qnn
-from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage
+from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, sample_trajectories
 from ghzsdc.qcore import (
     I2,
     SIGMA_X,
@@ -21,17 +21,17 @@ from ghzsdc.qcore import (
     _kraus_sum,
     _retarget,
     _spectrum_entropy,
-    apply_channel,
-    fidelity,
     von_neumann_entropy,
 )
-from ghzsdc.sdc import Codeword, distribute, run_protocol, transmit
+from ghzsdc.sdc import Codeword, distribute, ghz_fidelity, run_protocol, transmit
 
 from full_space import (
     CNOT,
+    apply_channel,
     apply_unitary,
     basis_state,
     embedded_matrix,
+    fidelity,
     identity_model,
     kraus_sum,
     partial_trace,
@@ -122,9 +122,10 @@ class TestValidation:
             QuantumChannel((0.5 * I2,))
 
 
-# Every refusal of the value types and kernels, by its exact type and
-# message. Oversized inputs are zero-stride views, so the size checks are
-# reached without allocating the state.
+# Every refusal of the value types and of the target check, by its exact
+# type and message; the package reaches the target check through
+# `sample_trajectories`. Oversized inputs are zero-stride views, so the size
+# checks are reached without allocating the state.
 REFUSALS = {
     "state-above-cap": (
         lambda: StateVector(np.broadcast_to(np.complex128(1), (2 ** (qcore.MAX_STATE_QUBITS + 1),))),
@@ -150,17 +151,16 @@ REFUSALS = {
         lambda: QuantumChannel((np.eye(2) / np.sqrt(2), np.eye(4) / np.sqrt(2))),
         "Kraus operators must share one square shape"),
     "target-past-last": (
-        lambda: apply_channel(DensityOperator(np.eye(4) / 4), QuantumChannel((I2,)), [2]),
+        lambda: sample_trajectories(basis_state(2, 0), QuantumChannel((I2,)), [2], [0]),
         "target out of range for 2 qubits"),
     "target-negative": (
-        lambda: apply_channel(DensityOperator(np.eye(4) / 4), QuantumChannel((I2,)), [-1]),
+        lambda: sample_trajectories(basis_state(2, 0), QuantumChannel((I2,)), [-1], [0]),
         "target out of range for 2 qubits"),
-    # state and operator each pass validation 0.9 ATOL out, and their
-    # overlap lands 2.7 ATOL above 1
+    # a trace-one Hermitian matrix whose overlap with |0> is 2 ATOL above 1
+    # carries an eigenvalue 2 ATOL below 0, so no fidelity ever reads it
     "overlap-above-one": (
-        lambda: fidelity(StateVector(np.array([1 + 0.9e-10, 0])),
-                         DensityOperator(np.diag([1 + 0.9e-10, -0.9e-10]))),
-        "overlap 1.00000000027 outside [0, 1]"),
+        lambda: DensityOperator(np.diag([1 + 2e-10, -2e-10])),
+        "density operator has a negative eigenvalue"),
 }
 
 
@@ -507,8 +507,9 @@ class TestFidelityAndEntropy:
         assert round(expected, 4) == 0.8113
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            fidelity(basis_state(2, 0), DensityOperator(np.eye(2) / 2))
+        # the GHZ basis the package's fidelity reads needs two qubits
+        with pytest.raises(ValueError, match="GHZ decoding needs at least 2 qubits, got 1"):
+            ghz_fidelity(DensityOperator(np.eye(2) / 2))
 
     def test_entropy_admits_what_validation_admits(self):
         # validation accepts eigenvalues down to -ATOL, so the entropy must too
@@ -518,10 +519,12 @@ class TestFidelityAndEntropy:
             _spectrum_entropy(np.array([1 + 2e-10, -2e-10]))
 
     def test_fidelity_admits_what_validation_admits(self):
-        # an eigenvalue ATOL / 2 past 0 or 1 still validates, and is clamped
-        rho = DensityOperator(np.diag([1 + 5e-11, -5e-11]))
-        assert fidelity(basis_state(1, 0), rho) == 1.0
-        assert fidelity(basis_state(1, 1), rho) == 0.0
+        # GHZ-basis weights 1 + ATOL / 2 and -ATOL / 2 still validate, and
+        # ghz_fidelity clamps them to exactly 1 and 0
+        c = 0.5 + 5e-11
+        rho = DensityOperator(np.array([[0.5, 0, 0, c], [0, 0, 0, 0], [0, 0, 0, 0], [c, 0, 0, 0.5]]))
+        assert ghz_fidelity(rho, 0) == 1.0
+        assert ghz_fidelity(rho, 1) == 0.0
 
     def test_entropy_counts_tiny_eigenvalues(self):
         # x log x is continuous at 0: an eigenvalue of 1e-13 carries 4.3e-12 bits

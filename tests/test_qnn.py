@@ -5,18 +5,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ghzsdc import qcore, qnn
+from ghzsdc import qnn
 from ghzsdc.harness import trajectory_pairs
 from ghzsdc.noise import NoiseKind, make_channel
 from ghzsdc.qcore import StateVector, Unitary
 from ghzsdc.sdc import shared_state
 
 from full_space import (
+    apply_channel,
     apply_unitary,
     ascent_full_register,
     basis_state,
     cost,
     feedforward_rebuilt,
+    fidelity,
     gradients,
     identity_model,
     partial_trace,
@@ -193,7 +195,8 @@ class TestFeedforward:
         got = [qnn.feedforward(model, rho).matrix for rho in rhos]
         assert len(calls) == 2
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert not any(a.flags.writeable for a in model.kraus)
+        assert model.kraus.shape == (2, 4, 4, 4)
+        assert not model.kraus.flags.writeable
 
     def test_width_above_training_cap_rejected(self):
         # only a model file can carry such a width; training refuses it
@@ -534,10 +537,10 @@ class TestTrainedCorrector:
         p = 0.3
         pairs = trajectory_pairs(NoiseKind.AMPLITUDE_DAMPING, n, p, 0, 100)
         model, _ = qnn.train(pairs, max_iters=400, rng_seed=0)
-        noisy = qcore.apply_channel(shared_state(n).density(),
-                                    make_channel(NoiseKind.AMPLITUDE_DAMPING, p), [0])
-        before = qcore.fidelity(shared_state(n), noisy)
-        after = qcore.fidelity(shared_state(n), qnn.feedforward(model, noisy))
+        noisy = apply_channel(shared_state(n).density(),
+                              make_channel(NoiseKind.AMPLITUDE_DAMPING, p), [0])
+        before = fidelity(shared_state(n), noisy)
+        after = fidelity(shared_state(n), qnn.feedforward(model, noisy))
         assert after > before
 
     def test_trained_model_keeps_clean_states(self):
@@ -545,7 +548,7 @@ class TestTrainedCorrector:
         pairs = trajectory_pairs(NoiseKind.AMPLITUDE_DAMPING, n, 0.3, 0, 100)
         model, _ = qnn.train(pairs, max_iters=400, rng_seed=0)
         clean = shared_state(n).density()
-        assert qcore.fidelity(shared_state(n), qnn.feedforward(model, clean)) >= 0.9
+        assert fidelity(shared_state(n), qnn.feedforward(model, clean)) >= 0.9
 
 
 class TestModelFiles:

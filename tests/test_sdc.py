@@ -19,7 +19,7 @@ from ghzsdc.sdc import (
     twirl,
 )
 
-from full_space import apply_unitary, ghz_basis, ideal_received_state, random_mixed_state
+from full_space import apply_channel, apply_unitary, fidelity, ghz_basis, ideal_received_state, random_mixed_state
 
 # Table-1 operators for n=3, codeword-indexed: the first factor acts on
 # Alice's first qubit, the second on her last.
@@ -186,7 +186,7 @@ class TestStages:
             want = apply_unitary(shared, u, range(1, n))
             if stage is NoiseStage.DISTRIBUTION_AND_RETURN:
                 for q in range(1, n):
-                    want = qcore.apply_channel(want, ch, [q])
+                    want = apply_channel(want, ch, [q])
             assert np.array_equal(transmit(shared, code, spec).matrix, want.matrix)
             psi = np.kron(I2, u.matrix) @ shared_state(n).amplitudes
             assert np.array_equal(ideal_received_state(code).amplitudes, psi)
@@ -206,7 +206,7 @@ class TestStages:
         want = transmit(shared, code, NoiseSpec(kind, p, NoiseStage.DISTRIBUTION_ONLY))
         ch = make_channel(kind, p)
         for q in range(1, n):
-            want = qcore.apply_channel(want, ch, [q])
+            want = apply_channel(want, ch, [q])
         got = transmit(shared, code, both)
         assert np.array_equal(got.matrix, want.matrix)
         assert abs(np.trace(got.matrix).real - 1) < qcore.ATOL
@@ -263,8 +263,8 @@ class TestDecode:
     def test_bit_flip_weights(self):
         # Kraus expansion: weight 0.9 stays on the shared state, 0.1 moves to
         # its qubit-0-flipped partner (|100>+|011>)/sqrt2, basis index 6.
-        rho = qcore.apply_channel(shared_state(3).density(),
-                                  make_channel(NoiseKind.BIT_FLIP, 0.1), [0])
+        rho = apply_channel(shared_state(3).density(),
+                            make_channel(NoiseKind.BIT_FLIP, 0.1), [0])
         dist = decode_ghz(rho)
         assert abs(dist[0] - 0.9) < 1e-12
         assert abs(dist[6] - 0.1) < 1e-12
@@ -347,7 +347,7 @@ class TestRunProtocol:
         for value, op in TABLE1_OPERATORS.items():
             result = run_protocol(Codeword(3, value), spec)
             want = ideal_received_state(Codeword(3, value))
-            assert qcore.fidelity(want, result.received_state) > 1 - 1e-9
+            assert fidelity(want, result.received_state) > 1 - 1e-9
 
     def test_full_damping_fidelity(self):
         # oracle: amplitude damping p=1 leaves (|000><000| + |011><011|)/2,
