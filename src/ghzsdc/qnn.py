@@ -18,8 +18,8 @@ import numpy as np
 
 from .qcore import DensityOperator, StateVector, Unitary, _retarget
 
-# Training refuses wider inputs: beyond this the loss fails to converge
-# (runaway gradients), so the cap is explicit rather than silent.
+# The widest input that training supports, and so the widest network that
+# feedforward and model files accept; a wider one is refused, not run.
 MAX_TRAINABLE_WIDTH = 6
 
 # The largest training step eps; with the directions normalised to a largest
@@ -299,8 +299,8 @@ def train(
     n = training_set[0].input.qubit_count
     if n > MAX_TRAINABLE_WIDTH:
         raise ValueError(
-            f"training is limited to {MAX_TRAINABLE_WIDTH} input qubits; "
-            f"wider networks fail to converge (runaway gradients)")
+            f"training is limited to MAX_TRAINABLE_WIDTH = {MAX_TRAINABLE_WIDTH} "
+            f"input qubits, the supported width; got {n}")
     stack = random_model(n, layers, np.random.default_rng(rng_seed)).stack
     inputs, bras, weights = _batch(training_set, n)
     # one workspace for the powers of every ascent's directions; slot 0 is I

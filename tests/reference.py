@@ -63,8 +63,9 @@ def encoder(n: int, x: int) -> np.ndarray:
     return kron(I2, first, *(np.linalg.matrix_power(X, bit[n - q]) for q in range(2, n)))
 
 
-def purify(rho: np.ndarray, n: int) -> np.ndarray:
-    """One round on rho (x) rho: CNOTs from copy A's qubit i to copy B's, measure B, keep 0...0 and 1...1."""
+def purify(rho: np.ndarray, n: int) -> tuple:
+    """One round on rho (x) rho: CNOTs from copy A's qubit i to copy B's, measure B, keep 0...0 and 1...1.
+    Returns the kept copy A and the probability of keeping it."""
     layer = np.eye(4 ** n)
     for i in range(n):
         flip = [I2] * (2 * n)
@@ -75,7 +76,7 @@ def purify(rho: np.ndarray, n: int) -> np.ndarray:
     d = 2 ** n
     pair = (layer @ np.kron(rho, rho) @ layer.conj().T).reshape(d, d, d, d)
     kept = pair[:, 0, :, 0] + pair[:, -1, :, -1]
-    return kept / np.trace(kept)
+    return kept / np.trace(kept), np.trace(kept).real
 
 
 def score(kind: str, p: float, n: int, both: bool, rounds: int = 0) -> dict:
@@ -87,7 +88,7 @@ def score(kind: str, p: float, n: int, both: bool, rounds: int = 0) -> dict:
     ch = kraus(kind, p)
     rho = apply(products([ch] + [[I2]] * (n - 1)), np.outer(ghz, ghz.conj()))
     for _ in range(rounds):
-        rho = purify(rho, n)
+        rho, _ = purify(rho, n)
     ret = products([[I2]] + [ch if both else [I2]] * (n - 1))
     outputs, overlaps = [], []
     for x in range(2 ** n):

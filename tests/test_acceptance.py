@@ -19,20 +19,10 @@ from ghzsdc.qcore import QuantumChannel, StateVector
 from ghzsdc.sdc import Codeword, encode_usdc, ghz_fidelity, shared_state
 
 import full_space
-from full_space import apply_channel, entropy_exchange, ideal_received_state
+import reference
+from full_space import apply_channel, entropy_exchange, ideal_received_state, stinespring_environment_entropy
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
-
-TABLE_OPERATORS = {
-    0b000: np.kron(qcore.I2, qcore.I2),
-    0b001: np.kron(qcore.SIGMA_Z, qcore.I2),
-    0b010: np.kron(qcore.I2, qcore.SIGMA_X),
-    0b011: np.kron(qcore.SIGMA_Z, qcore.SIGMA_X),
-    0b100: np.kron(qcore.SIGMA_X, qcore.I2),
-    0b101: np.kron(-1j * qcore.SIGMA_Y, qcore.I2),
-    0b110: np.kron(qcore.SIGMA_X, qcore.SIGMA_X),
-    0b111: np.kron(-1j * qcore.SIGMA_Y, qcore.SIGMA_X),
-}
 
 
 def test_criterion_1_noiseless_capacity_anchor():
@@ -49,9 +39,9 @@ def test_criterion_1_noiseless_capacity_anchor():
 
 def test_criterion_2_encoder_correctness():
     start = time.perf_counter()
-    for value, want in TABLE_OPERATORS.items():
-        got = encode_usdc(Codeword(3, value)).matrix
-        assert np.max(np.abs(got - want)) < 1e-12, f"operator mismatch at {value:03b}"
+    for value in range(8):
+        got = np.kron(qcore.I2, encode_usdc(Codeword(3, value)).matrix)
+        assert np.max(np.abs(got - reference.encoder(3, value))) < 1e-12, f"operator mismatch at {value:03b}"
     for n in (3, 4, 5, 6):
         images = np.array([ideal_received_state(Codeword(n, v)).amplitudes
                            for v in range(2 ** n)])
@@ -92,20 +82,8 @@ def test_criterion_4_purification_gain():
                                  make_channel(NoiseKind.BIT_FLIP, q), [0])
             result = purify_iterated(copy, 1)
             assert ghz_fidelity(result.kept_state) > ghz_fidelity(copy), f"no gain at n={n}, q={q}"
-            # oracle: explicit embedded conjugation plus projector post-selection
-            m = 2 * n
-            layer = np.eye(2 ** m, dtype=complex)
-            for i in range(n):
-                layer = full_space.embedded_matrix(full_space.CNOT, [i, n + i], m) @ layer
-            rho = layer @ full_space.tensor_product(copy, copy).matrix @ layer.conj().T
-            kept = np.zeros((2 ** n, 2 ** n), dtype=complex)
-            success = 0.0
-            for outcome in (0, 2 ** n - 1):
-                t = rho.reshape(2 ** n, 2 ** n, 2 ** n, 2 ** n)
-                block = t[:, outcome, :, outcome]
-                success += float(np.trace(block).real)
-                kept += block
-            kept /= success
+            # oracle: explicit CNOT layer on the pair, then post-selection
+            kept, success = reference.purify(copy.matrix, n)
             assert abs(result.success_probability - success) < 1e-9
             assert np.max(np.abs(result.kept_state.matrix - kept)) < 1e-9
     elapsed = time.perf_counter() - start
@@ -155,27 +133,6 @@ def test_criterion_6_dimension_five_degradation():
 
 
 def test_criterion_7_entropy_exchange_oracle():
-    def stinespring_environment_entropy(ens, ch):
-        # isometry V|phi> = sum_k (K_k|phi>) (x) |k>_env acting on the
-        # system half of the eigenpurification of the ensemble average
-        mix = sum(1.0 / len(ens) * s.matrix for s in ens)
-        evals, vecs = np.linalg.eigh(mix)
-        dim = mix.shape[0]
-        branches = len(ch.kraus_ops)
-        # joint pure state on (env, system, reference)
-        joint = np.zeros(branches * dim * dim, dtype=complex)
-        for lam, i in [(l, i) for i, l in enumerate(evals) if l > 1e-14]:
-            for k, op in enumerate(ch.kraus_ops):
-                sys_part = op @ vecs[:, i]
-                contrib = np.kron(np.eye(branches)[k],
-                                  np.kron(sys_part, vecs[:, i].conj()))
-                joint += np.sqrt(lam) * contrib
-        t = joint.reshape(branches, dim * dim)
-        env = t @ t.conj().T
-        evs = np.linalg.eigvalsh(env)
-        evs = evs[evs > 1e-12]
-        return float(-np.sum(evs * np.log2(evs)))
-
     ens = [ideal_received_state(Codeword(3, v)).density() for v in range(8)]
     identity = QuantumChannel((np.eye(8),))
     assert abs(entropy_exchange(ens, identity)) < 1e-12

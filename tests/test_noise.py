@@ -9,9 +9,9 @@ from ghzsdc.noise import (
     make_channel,
     sample_trajectories,
 )
-from ghzsdc.qcore import DensityOperator, StateVector, _apply_each
+from ghzsdc.qcore import StateVector, _apply_each
 
-from full_space import apply_channel, basis_state
+from full_space import apply_channel, basis_state, random_state
 
 ALL_KINDS = list(NoiseKind)
 
@@ -27,9 +27,7 @@ def test_kraus_completeness(kind, p):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_p_zero_is_identity(kind):
     ch = make_channel(kind, 0.0)
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = DensityOperator((a @ a.conj().T) / np.trace(a @ a.conj().T))
+    rho = random_state(np.random.default_rng(1), 1, 2)
     out = apply_channel(rho, ch, [0])
     assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-12
 
@@ -38,9 +36,7 @@ def test_amplitude_damping_p1_resets_everything():
     ch = make_channel(NoiseKind.AMPLITUDE_DAMPING, 1.0)
     rng = np.random.default_rng(2)
     for _ in range(5):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho = DensityOperator((a @ a.conj().T) / np.trace(a @ a.conj().T))
-        out = apply_channel(rho, ch, [0])
+        out = apply_channel(random_state(rng, 1, 2), ch, [0])
         assert np.allclose(out.matrix, basis_state(1, 0).density().matrix, atol=1e-12)
 
 
@@ -48,9 +44,7 @@ def test_depolarizing_three_quarters_is_uniform():
     ch = make_channel(NoiseKind.DEPOLARIZING, 0.75)
     rng = np.random.default_rng(3)
     for _ in range(5):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho = DensityOperator((a @ a.conj().T) / np.trace(a @ a.conj().T))
-        out = apply_channel(rho, ch, [0])
+        out = apply_channel(random_state(rng, 1, 2), ch, [0])
         assert np.allclose(out.matrix, np.eye(2) / 2, atol=1e-12)
 
 
@@ -59,6 +53,11 @@ def test_out_of_range_p_rejected():
         make_channel(NoiseKind.BIT_FLIP, 1.5)
     with pytest.raises(ValueError):
         NoiseSpec(NoiseKind.BIT_FLIP, -0.1)
+
+
+def test_unknown_kind_rejected():
+    with pytest.raises(ValueError, match="^unknown noise kind bit-flip$"):
+        make_channel("bit-flip", 0.1)
 
 
 class TestTrajectories:

@@ -1,65 +1,26 @@
-from functools import lru_cache
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzsdc.noise import NoiseKind, NoiseSpec, make_channel
+from ghzsdc.noise import NoiseKind, NoiseSpec
 from ghzsdc.purify import PurificationUnderflow, purify_iterated
 from ghzsdc.qcore import DensityOperator
 from ghzsdc.sdc import distribute, ghz_fidelity, shared_state
 
-from full_space import CNOT, apply_channel, embedded_matrix, fidelity, tensor_product
+import reference
+from full_space import fidelity, random_state
 
 
-def noisy_ghz(n, q, kind=NoiseKind.BIT_FLIP):
-    rho = shared_state(n).density()
-    return apply_channel(rho, make_channel(kind, q), [0])
-
-
-@lru_cache(maxsize=None)
-def cnot_layer(n):
-    """The CNOTs from qubit i to qubit n + i, i < n, as one 4^n x 4^n matrix."""
-    layer = np.eye(4 ** n, dtype=complex)
-    for i in range(n):
-        layer = embedded_matrix(CNOT, [i, n + i], 2 * n) @ layer
-    layer.flags.writeable = False  # shared by every call
-    return layer
-
-
-def brute_force_round(pair_matrix, n, accept=lambda bits: len(set(bits)) == 1):
-    """Independent oracle: one explicit 4^(2n)-entry conjugation by the CNOT
-    layer, then projector post-selection over all accepting B outcomes
-    (default: all bits equal)."""
-    layer = cnot_layer(n)
-    rho = layer @ pair_matrix @ layer.conj().T
-    kept = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    success = 0.0
-    for outcome in range(2 ** n):
-        bits = [(outcome >> (n - 1 - i)) & 1 for i in range(n)]
-        if not accept(bits):
-            continue
-        ket = np.zeros(2 ** n, dtype=complex)
-        ket[outcome] = 1.0
-        proj = np.kron(np.eye(2 ** n, dtype=complex), np.outer(ket, ket.conj()))
-        projected = proj @ rho @ proj
-        success += float(np.trace(projected).real)
-        # B register is pure |outcome>, so the A block is the outcome slice
-        t = projected.reshape(2 ** n, 2 ** n, 2 ** n, 2 ** n)
-        kept += t[:, outcome, :, outcome]
-    return success, kept / success
-
-
-def repeated_brute_force(state, rounds):
-    """`rounds` oracle rounds, each on the pair of two copies of the last
-    kept state, and their compound success probability."""
-    compound = 1.0
+def repeated_oracle(state, rounds):
+    """`rounds` rounds of the textbook oracle `reference.purify`, each on
+    the pair of two copies of the last kept state, and their compound
+    success probability."""
+    rho, compound = state.matrix, 1.0
     for _ in range(rounds):
-        success, kept = brute_force_round(tensor_product(state, state).matrix, state.qubit_count)
-        state = DensityOperator(kept)
+        rho, success = reference.purify(rho, state.qubit_count)
         compound *= success
-    return state, compound
+    return rho, compound
 
 
 class TestSingleRound:
@@ -70,38 +31,11 @@ class TestSingleRound:
         assert abs(ghz_fidelity(result.kept_state) - 1) < 1e-9
         assert fidelity(shared_state(n), result.kept_state) > 1 - 1e-9
 
-    def test_bell_case_gain(self):
-        copy = noisy_ghz(2, 0.25)
-        result = purify_iterated(copy, 1)
-        assert ghz_fidelity(result.kept_state) > ghz_fidelity(copy)
-        # 16x16 brute-force oracle
-        success, kept = brute_force_round(tensor_product(copy, copy).matrix, 2)
-        assert abs(result.success_probability - success) < 1e-9
-        assert np.max(np.abs(result.kept_state.matrix - kept)) < 1e-9
-
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("q", [0.05, 0.15, 0.25, 0.35, 0.45])
-    def test_gain_against_oracle(self, n, q):
-        copy = noisy_ghz(n, q)
-        result = purify_iterated(copy, 1)
-        assert ghz_fidelity(result.kept_state) > ghz_fidelity(copy)
-        success, kept = brute_force_round(tensor_product(copy, copy).matrix, n)
-        assert abs(result.success_probability - success) < 1e-9
-        assert np.max(np.abs(result.kept_state.matrix - kept)) < 1e-9
-
-    def test_success_and_rejection_sum_to_one(self):
-        n = 2
-        copy = noisy_ghz(n, 0.3)
-        accepted = purify_iterated(copy, 1).success_probability
-        rejected, _ = brute_force_round(tensor_product(copy, copy).matrix, n,
-                                        accept=lambda bits: len(set(bits)) != 1)
-        assert abs(accepted + rejected - 1) < 1e-9
-
     def test_single_round_matches_brute_force(self):
-        copy = noisy_ghz(2, 0.2)
+        copy = distribute(2, NoiseSpec(NoiseKind.BIT_FLIP, 0.2))
         result = purify_iterated(copy, 1)
-        state, success = repeated_brute_force(copy, 1)
-        assert np.max(np.abs(result.kept_state.matrix - state.matrix)) < 1e-12
+        state, success = repeated_oracle(copy, 1)
+        assert np.max(np.abs(result.kept_state.matrix - state)) < 1e-12
         assert abs(result.success_probability - success) < 1e-12
 
 
@@ -112,7 +46,7 @@ class TestPurifyIterated:
         assert abs(result.success_probability - 1) < 1e-9
 
     def test_second_round_does_not_hurt(self):
-        copy = noisy_ghz(3, 0.2)
+        copy = distribute(3, NoiseSpec(NoiseKind.BIT_FLIP, 0.2))
         one = purify_iterated(copy, 1)
         two = purify_iterated(copy, 2)
         assert ghz_fidelity(two.kept_state) >= ghz_fidelity(one.kept_state)
@@ -129,12 +63,10 @@ class TestPurifyIterated:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_equals_repeated_pair_rounds(self, n, rank, rounds, seed):
         # the factored i.i.d. round against the oracle on the built pair
-        rng = np.random.default_rng(seed)
-        g = rng.normal(size=(2 ** n, rank)) + 1j * rng.normal(size=(2 ** n, rank))
-        source = DensityOperator(g @ g.conj().T / np.linalg.norm(g) ** 2)
+        source = random_state(np.random.default_rng(seed), n, rank)
         result = purify_iterated(source, rounds)
-        state, compound = repeated_brute_force(source, rounds)
-        assert np.max(np.abs(result.kept_state.matrix - state.matrix)) < 1e-12
+        state, compound = repeated_oracle(source, rounds)
+        assert np.max(np.abs(result.kept_state.matrix - state)) < 1e-12
         assert abs(result.success_probability - compound) < 1e-12
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
@@ -147,8 +79,8 @@ class TestPurifyIterated:
         # leaves the compound probability as the only underflow floor
         source = distribute(n, NoiseSpec(kind, p))
         result = purify_iterated(source, rounds)
-        state, compound = repeated_brute_force(source, rounds)
-        assert np.max(np.abs(result.kept_state.matrix - state.matrix)) < 1e-12
+        state, compound = repeated_oracle(source, rounds)
+        assert np.max(np.abs(result.kept_state.matrix - state)) < 1e-12
         assert abs(result.success_probability - compound) < 1e-12
         assert result.success_probability >= 2.0 ** (-n * rounds) - 1e-12
 
@@ -158,7 +90,7 @@ class TestPurifyIterated:
         # flipped alike, so success = (1-q)^2 + q^2 and the kept GHZ weight is
         # (1-q)^2 / success
         q = 0.2
-        result = purify_iterated(noisy_ghz(n, q), 1)
+        result = purify_iterated(distribute(n, NoiseSpec(NoiseKind.BIT_FLIP, q)), 1)
         success = (1 - q) ** 2 + q ** 2
         assert abs(result.success_probability - success) < 1e-12
         assert abs(ghz_fidelity(result.kept_state) ** 2 - (1 - q) ** 2 / success) < 1e-12

@@ -11,8 +11,6 @@ from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, sample_trajectories
 from ghzsdc.qcore import (
     I2,
     SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     DensityOperator,
     QuantumChannel,
     StateVector,
@@ -23,41 +21,11 @@ from ghzsdc.qcore import (
     _spectrum_entropy,
     von_neumann_entropy,
 )
-from ghzsdc.sdc import Codeword, distribute, ghz_fidelity, run_protocol, transmit
+from ghzsdc.sdc import Codeword, distribute, run_protocol, shared_state, transmit
 
-from full_space import (
-    CNOT,
-    apply_channel,
-    apply_unitary,
-    basis_state,
-    embedded_matrix,
-    fidelity,
-    identity_model,
-    kraus_sum,
-    partial_trace,
-    random_channel,
-    tensor_product,
-)
+from full_space import CNOT, apply_unitary, basis_state, identity_model, kraus_sum, random_channel, random_state
 
 NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.nan)]
-
-
-def bell_state():
-    return StateVector(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
-
-
-def random_density(rng, m):
-    d = 2 ** m
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    mat = a @ a.conj().T
-    return DensityOperator(mat / np.trace(mat))
-
-
-def random_unitary(rng, k):
-    d = 2 ** k
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(a)
-    return Unitary(q * (np.diag(r) / np.abs(np.diag(r))))
 
 
 class TestValidation:
@@ -177,11 +145,8 @@ class TestSpectrum:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 6), rank=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
     def test_is_the_validation_eigensolve_and_read_only(self, n, rank, seed):
-        rng = np.random.default_rng(seed)
         d = 2 ** n
-        g = rng.normal(size=(d, min(rank, d))) + 1j * rng.normal(size=(d, min(rank, d)))
-        mat = g @ g.conj().T
-        rho = DensityOperator(mat / np.trace(mat).real)
+        rho = random_state(np.random.default_rng(seed), n, min(rank, d))
         assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(rho.matrix))
         assert not rho.spectrum.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -192,8 +157,8 @@ class TestSpectrum:
 
 
 @pytest.mark.parametrize("make", [
-    bell_state,
-    lambda: bell_state().density(),
+    lambda: basis_state(2, 0),
+    lambda: basis_state(2, 0).density(),
     lambda: Unitary(SIGMA_X),
     lambda: QuantumChannel((I2,)),
     lambda: identity_model(1, 1),
@@ -209,104 +174,18 @@ def test_array_holders_compare_and_hash_by_identity(make):
     assert len({a, b}) == 2
 
 
-class TestTensorProduct:
-    def test_identity_case(self):
-        eye = Unitary(I2)
-        assert np.allclose(tensor_product(eye, eye).matrix, np.eye(4))
-
-    def test_basis_kets(self):
-        out = tensor_product(basis_state(1, 0), basis_state(1, 1))
-        assert np.allclose(out.amplitudes, [0, 1, 0, 0])
-
-    def test_z_tensor_x_by_hand(self):
-        # hand-multiplied entries of sigma_z (x) sigma_x
-        expected = np.zeros((4, 4))
-        expected[0, 1] = expected[1, 0] = 1
-        expected[2, 3] = expected[3, 2] = -1
-        out = tensor_product(Unitary(SIGMA_Z), Unitary(SIGMA_X))
-        assert np.allclose(out.matrix, expected)
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(TypeError):
-            tensor_product(basis_state(1, 0), Unitary(I2))
-
-
-class TestPartialTrace:
-    def test_product_state(self):
-        rho = basis_state(2, 0).density()
-        out = partial_trace(rho, [0])
-        assert np.allclose(out.matrix, basis_state(1, 0).density().matrix)
-
-    def test_bell_reduction_is_maximally_mixed(self):
-        rho = bell_state().density()
-        for keep in ([0], [1]):
-            out = partial_trace(rho, keep)
-            assert np.allclose(out.matrix, np.eye(2) / 2, atol=1e-12)
-
-    def test_ghz_trace_out_last_qubit(self):
-        # derived by expanding the 3-qubit GHZ state and summing the traced index
-        amps = np.zeros(8, dtype=complex)
-        amps[0] = amps[7] = 1 / np.sqrt(2)
-        rho = StateVector(amps).density()
-        out = partial_trace(rho, [0, 1])
-        expected = np.zeros((4, 4))
-        expected[0, 0] = expected[3, 3] = 0.5
-        assert np.allclose(out.matrix, expected, atol=1e-12)
-
-    def test_empty_keep_rejected(self):
-        with pytest.raises(ValueError):
-            partial_trace(bell_state().density(), [])
-
-    def test_tensor_then_trace_recovers_factor(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = random_density(rng, 1)
-            b = random_density(rng, 2)
-            joint = tensor_product(a, b)
-            assert np.max(np.abs(partial_trace(joint, [0]).matrix - a.matrix)) < 1e-10
-            assert np.max(np.abs(partial_trace(joint, [1, 2]).matrix - b.matrix)) < 1e-10
-
-
 class TestApplyUnitary:
-    def test_flip_qubit(self):
-        rho = basis_state(1, 0).density()
-        out = apply_unitary(rho, Unitary(SIGMA_X), [0])
-        assert np.allclose(out.matrix, basis_state(1, 1).density().matrix)
-
-    def test_identity_exact(self):
-        rng = np.random.default_rng(0)
-        rho = random_density(rng, 2)
-        out = apply_unitary(rho, Unitary(np.eye(4)), [0, 1])
-        assert np.array_equal(out.matrix, rho.matrix) or np.max(np.abs(out.matrix - rho.matrix)) < 1e-15
-
-    def test_cnot_row_mapping(self):
-        # CNOT maps basis index 2 -> 3
-        rho = basis_state(2, 2).density()
-        out = apply_unitary(rho, Unitary(CNOT), [0, 1])
-        assert np.allclose(out.matrix, basis_state(2, 3).density().matrix)
-
     def test_repeated_target_rejected(self):
         with pytest.raises(ValueError, match="repeated"):
-            apply_unitary(bell_state().density(), Unitary(CNOT), [0, 0])
+            apply_unitary(shared_state(2).density(), Unitary(CNOT), [0, 0])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            apply_unitary(bell_state().density(), Unitary(CNOT), [0])
-
-    def test_eigenvalues_preserved(self):
-        rng = np.random.default_rng(5)
-        for m in (2, 3, 4):
-            rho = random_density(rng, m)
-            u = random_unitary(rng, 2)
-            targets = list(rng.choice(m, size=2, replace=False))
-            out = apply_unitary(rho, u, targets)
-            before = np.sort(np.linalg.eigvalsh(rho.matrix))
-            after = np.sort(np.linalg.eigvalsh(out.matrix))
-            assert np.max(np.abs(before - after)) < 1e-9
+            apply_unitary(shared_state(2).density(), Unitary(CNOT), [0])
 
 
 def kron_embedding(mat, targets, m):
-    """Independent oracle for `embedded_matrix`: mat (x) I with the targets as
+    """The operator mat on `targets` of m qubits: mat (x) I with the targets as
     the high qubits, then the basis relabelled bit by bit into qubit order."""
     order = list(targets) + [q for q in range(m) if q not in targets]
     x = np.arange(2 ** m)
@@ -334,18 +213,16 @@ class TestApplyEach:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), m=st.integers(1, 8), columns=st.integers(1, 3),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_embedded_matrix(self, data, m, columns, seed):
+    def test_matches_kron_embedding(self, data, m, columns, seed):
         # ordered, possibly non-contiguous targets on rows of several columns
         k = data.draw(st.integers(1, min(m, 3)))
         targets = tuple(data.draw(st.permutations(range(m)))[:k])
         rng = np.random.default_rng(seed)
         mat = random_matrix(rng, k)
         arr = rng.normal(size=(2 ** m, columns)) + 1j * rng.normal(size=(2 ** m, columns))
-        full = embedded_matrix(mat, targets, m)
-        assert np.max(np.abs(full - kron_embedding(mat, targets, m))) < 1e-12
         out = _apply_each([mat], [targets], arr, m)
         assert out.shape == arr.shape
-        assert np.max(np.abs(out - full @ arr)) < 1e-12
+        assert np.max(np.abs(out - kron_embedding(mat, targets, m) @ arr)) < 1e-12
         rows = _retarget(arr, (), targets, m)
         assert rows.shape == (2 ** k, 2 ** (m - k) * columns)
         assert np.array_equal(_retarget(rows, targets, (), m).reshape(arr.shape), arr)
@@ -375,7 +252,7 @@ class TestApplyEach:
                               _retarget(_retarget(arr, src, (), m), (), dst, m))
 
     def test_state_vector_keeps_its_shape(self):
-        amps = bell_state().amplitudes
+        amps = shared_state(2).amplitudes
         out = _apply_each([SIGMA_X], [(1,)], amps, 2)
         assert out.shape == (4,)
         assert np.array_equal(out, amps[[1, 0, 3, 2]])
@@ -419,42 +296,6 @@ class TestMoveCount:
         assert len(moves) == depth * n
 
 
-class TestApplyChannel:
-    def test_identity_channel(self):
-        ch = QuantumChannel((I2,))
-        rho = bell_state().density()
-        out = apply_channel(rho, ch, [1])
-        assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-12
-
-    def test_fully_depolarizing_gives_maximally_mixed(self):
-        ch = QuantumChannel((0.5 * I2, 0.5 * SIGMA_X, 0.5 * SIGMA_Y, 0.5 * SIGMA_Z))
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            out = apply_channel(random_density(rng, 1), ch, [0])
-            assert np.allclose(out.matrix, np.eye(2) / 2, atol=1e-12)
-
-    def test_amplitude_damping_p1_resets(self):
-        ch = QuantumChannel((np.array([[1, 0], [0, 0]], dtype=complex),
-                             np.array([[0, 1], [0, 0]], dtype=complex)))
-        out = apply_channel(basis_state(1, 1).density(), ch, [0])
-        assert np.allclose(out.matrix, basis_state(1, 0).density().matrix)
-
-    def test_trace_and_psd_preserved_on_random_inputs(self):
-        rng = np.random.default_rng(17)
-        for _ in range(1000):
-            rho = random_density(rng, 2)
-            # random 2-outcome channel from a Stinespring pair
-            u = random_unitary(rng, 2).matrix
-            k0, k1 = u[:2, :2], u[2:, :2]
-            # rescale to completeness via polar trick: columns of a random isometry
-            a = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-            q, _ = np.linalg.qr(a)
-            ch = QuantumChannel((q[:2, :], q[2:, :]))
-            out = apply_channel(rho, ch, [int(rng.integers(2))])
-            assert abs(np.trace(out.matrix).real - 1) < 1e-10
-            assert np.linalg.eigvalsh(out.matrix).min() > -1e-10
-
-
 class TestSuperoperator:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), k=st.integers(1, 2), r=st.integers(1, 6),
@@ -464,7 +305,7 @@ class TestSuperoperator:
         targets = data.draw(st.permutations(range(m)))[:k]
         rng = np.random.default_rng(seed)
         ch = random_channel(rng, k, r)
-        rho = random_density(rng, m).matrix
+        rho = random_state(rng, m, 2 ** m).matrix
         out = _kraus_sum(ch, rho, [targets], m)
         assert out.shape == rho.shape
         assert np.max(np.abs(out - kraus_sum(ch, rho, targets, m))) < 1e-14
@@ -483,22 +324,14 @@ class TestSuperoperator:
             ch.superoperator = expected
 
 
-class TestFidelityAndEntropy:
-    def test_pure_state_fidelity_one(self):
+class TestEntropy:
+    def test_pure_state_entropy_zero(self):
         rng = np.random.default_rng(29)
         for _ in range(30):
-            amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-            psi = StateVector(amps / np.linalg.norm(amps))
-            assert abs(fidelity(psi, psi.density()) - 1) < 1e-9
-            assert abs(von_neumann_entropy(psi.density())) < 1e-9
-
-    def test_orthogonal_zero(self):
-        assert fidelity(basis_state(1, 0), basis_state(1, 1).density()) == 0
+            assert abs(von_neumann_entropy(random_state(rng, 2).density())) < 1e-9
 
     def test_maximally_mixed_single_qubit(self):
-        mixed = DensityOperator(np.eye(2) / 2)
-        assert abs(fidelity(basis_state(1, 0), mixed) - 1 / np.sqrt(2)) < 1e-12
-        assert abs(von_neumann_entropy(mixed) - 1) < 1e-12
+        assert abs(von_neumann_entropy(DensityOperator(np.eye(2) / 2)) - 1) < 1e-12
 
     def test_entropy_three_quarters(self):
         rho = DensityOperator(np.diag([0.75, 0.25]))
@@ -506,25 +339,12 @@ class TestFidelityAndEntropy:
         assert abs(von_neumann_entropy(rho) - expected) < 1e-12
         assert round(expected, 4) == 0.8113
 
-    def test_dimension_mismatch(self):
-        # the GHZ basis the package's fidelity reads needs two qubits
-        with pytest.raises(ValueError, match="GHZ decoding needs at least 2 qubits, got 1"):
-            ghz_fidelity(DensityOperator(np.eye(2) / 2))
-
     def test_entropy_admits_what_validation_admits(self):
         # validation accepts eigenvalues down to -ATOL, so the entropy must too
         rho = DensityOperator(np.diag([1 + 5e-11, -5e-11]))
         assert abs(von_neumann_entropy(rho)) < 1e-9
         with pytest.raises(ValueError, match="clamp floor"):
             _spectrum_entropy(np.array([1 + 2e-10, -2e-10]))
-
-    def test_fidelity_admits_what_validation_admits(self):
-        # GHZ-basis weights 1 + ATOL / 2 and -ATOL / 2 still validate, and
-        # ghz_fidelity clamps them to exactly 1 and 0
-        c = 0.5 + 5e-11
-        rho = DensityOperator(np.array([[0.5, 0, 0, c], [0, 0, 0, 0], [0, 0, 0, 0], [c, 0, 0, 0.5]]))
-        assert ghz_fidelity(rho, 0) == 1.0
-        assert ghz_fidelity(rho, 1) == 0.0
 
     def test_entropy_counts_tiny_eigenvalues(self):
         # x log x is continuous at 0: an eigenvalue of 1e-13 carries 4.3e-12 bits

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ghzsdc import qnn
 from ghzsdc.harness import trajectory_pairs
 from ghzsdc.noise import NoiseKind, make_channel
-from ghzsdc.qcore import StateVector, Unitary
+from ghzsdc.qcore import DensityOperator, StateVector, Unitary
 from ghzsdc.sdc import shared_state
 
 from full_space import (
@@ -22,8 +22,7 @@ from full_space import (
     gradients,
     identity_model,
     partial_trace,
-    random_mixed_state,
-    tensor_product,
+    random_state,
 )
 
 SWAP = Unitary(np.array(
@@ -31,11 +30,6 @@ SWAP = Unitary(np.array(
      [0, 0, 1, 0],
      [0, 1, 0, 0],
      [0, 0, 0, 1]], dtype=complex))
-
-
-def random_state(rng, m):
-    amps = rng.normal(size=2 ** m) + 1j * rng.normal(size=2 ** m)
-    return StateVector(amps / np.linalg.norm(amps))
 
 
 def dense_feedforward(model, rho_in):
@@ -46,7 +40,7 @@ def dense_feedforward(model, rho_in):
     zeros = basis_state(n, 0).density()
     rho = rho_in
     for layer in model.stack.reshape(-1, n, 2 ** (n + 1), 2 ** (n + 1)):
-        joint = tensor_product(rho, zeros)
+        joint = DensityOperator(np.kron(rho.matrix, zeros.matrix))
         for j, u in enumerate(layer):
             joint = apply_unitary(joint, Unitary(u), list(range(n)) + [n + j])
         rho = partial_trace(joint, range(n, 2 * n))
@@ -154,17 +148,17 @@ class TestFeedforward:
         with pytest.raises(ValueError):
             qnn.feedforward(model, basis_state(1, 0).density())
 
-    def test_matches_pure_state_cost_path(self):
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_matches_pure_state_cost_path(self, depth):
         rng = np.random.default_rng(9)
-        for depth in (1, 2):
-            model = qnn.random_model(2, depth, rng, spread=0.5)
-            psi = random_state(rng, 2)
-            target = random_state(rng, 2)
-            dense = float(np.real(target.amplitudes.conj()
-                                  @ qnn.feedforward(model, psi.density()).matrix
-                                  @ target.amplitudes))
-            pure = cost(model, [qnn.TrainingPair(psi, target)])
-            assert abs(dense - pure) < 1e-10
+        model = qnn.random_model(2, depth, rng, spread=0.5)
+        psi = random_state(rng, 2)
+        target = random_state(rng, 2)
+        dense = float(np.real(target.amplitudes.conj()
+                              @ qnn.feedforward(model, psi.density()).matrix
+                              @ target.amplitudes))
+        pure = cost(model, [qnn.TrainingPair(psi, target)])
+        assert abs(dense - pure) < 1e-10
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 4), depth=st.integers(1, 3), rank_draw=st.integers(1, 16),
@@ -172,7 +166,7 @@ class TestFeedforward:
     def test_matches_dense_oracle(self, n, depth, rank_draw, seed):
         rng = np.random.default_rng(seed)
         model = qnn.random_model(n, depth, rng, spread=0.5)
-        rho = random_mixed_state(rng, n, 1 + (rank_draw - 1) % 2 ** n)
+        rho = random_state(rng, n, 1 + (rank_draw - 1) % 2 ** n)
         got = qnn.feedforward(model, rho).matrix
         want = dense_feedforward(model, rho).matrix
         assert np.max(np.abs(got - want)) < 1e-12
@@ -182,7 +176,7 @@ class TestFeedforward:
         # and give what rebuilding the Kraus operators at every call gives
         rng = np.random.default_rng(12)
         model = qnn.random_model(2, 2, rng, spread=0.5)
-        rhos = [random_mixed_state(rng, 2, rank) for rank in (1, 3)]
+        rhos = [random_state(rng, 2, rank) for rank in (1, 3)]
         want = [feedforward_rebuilt(model, rho.matrix) for rho in rhos]
         calls = []
         forward = qnn._forward
@@ -281,53 +275,53 @@ class TestTraining:
         for u in model.stack:
             assert np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) < 1e-9
 
-    def test_ascent_direction_matches_finite_differences(self):
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_ascent_direction_matches_finite_differences(self, n):
         # the analytic direction must have positive overlap with the
         # finite-difference gradient over a Hermitian perturbation basis
         rng = np.random.default_rng(13)
-        for n in (1, 2):
-            model = qnn.random_model(n, 1, rng, spread=0.4)
-            pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n))
-                     for _ in range(3)]
-            grads = gradients(model, pairs)
-            dim = 2 ** (n + 1)
-            eps = 1e-6
-            for idx in range(len(grads)):
-                fd = np.zeros((dim, dim), dtype=complex)
-                base = cost(model, pairs)
-                for r in range(dim):
-                    for c in range(r, dim):
-                        for basis in ([1.0], [1j]) if r != c else ([1.0],):
-                            h = np.zeros((dim, dim), dtype=complex)
-                            h[r, c] = basis[0]
-                            h[c, r] = np.conj(basis[0])
-                            bumped = stepped(model, [h if i == idx else np.zeros_like(h)
-                                                     for i in range(len(grads))], eps)
-                            d = (cost(bumped, pairs) - base) / eps
-                            fd += d * h / (np.linalg.norm(h) ** 2)
-                inner = np.real(np.trace(grads[idx].conj().T @ fd))
-                assert inner > 0
+        model = qnn.random_model(n, 1, rng, spread=0.4)
+        pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n))
+                 for _ in range(3)]
+        grads = gradients(model, pairs)
+        dim = 2 ** (n + 1)
+        eps = 1e-6
+        for idx in range(len(grads)):
+            fd = np.zeros((dim, dim), dtype=complex)
+            base = cost(model, pairs)
+            for r in range(dim):
+                for c in range(r, dim):
+                    for basis in ([1.0], [1j]) if r != c else ([1.0],):
+                        h = np.zeros((dim, dim), dtype=complex)
+                        h[r, c] = basis[0]
+                        h[c, r] = np.conj(basis[0])
+                        bumped = stepped(model, [h if i == idx else np.zeros_like(h)
+                                                 for i in range(len(grads))], eps)
+                        d = (cost(bumped, pairs) - base) / eps
+                        fd += d * h / (np.linalg.norm(h) ** 2)
+            inner = np.real(np.trace(grads[idx].conj().T @ fd))
+            assert inner > 0
 
-    def test_directional_derivative_matches_gradient_at_depth_2(self):
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_directional_derivative_matches_gradient_at_depth_2(self, n):
         # d/d(eps) cost(U_i <- exp(i eps H) U_i) at eps = 0 is tr(K_i H); at
         # depth 2 the second transition's perceptrons read qubits n..2n-1
         rng = np.random.default_rng(14)
         eps = 1e-5
-        for n in (1, 2, 3):
-            model = qnn.random_model(n, 2, rng, spread=0.4)
-            pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n))
-                     for _ in range(3)]
-            grads = gradients(model, pairs)
-            assert len(grads) == 2 * n
-            dim = 2 ** (n + 1)
-            for idx in range(len(grads)):
-                raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                h = (raw + raw.conj().T) / 2
-                bump = [h if i == idx else np.zeros_like(h) for i in range(len(grads))]
-                up = cost(stepped(model, bump, eps), pairs)
-                down = cost(stepped(model, bump, -eps), pairs)
-                analytic = np.real(np.trace(grads[idx] @ h))
-                assert (up - down) / (2 * eps) == pytest.approx(analytic, abs=1e-7)
+        model = qnn.random_model(n, 2, rng, spread=0.4)
+        pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n))
+                 for _ in range(3)]
+        grads = gradients(model, pairs)
+        assert len(grads) == 2 * n
+        dim = 2 ** (n + 1)
+        for idx in range(len(grads)):
+            raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            h = (raw + raw.conj().T) / 2
+            bump = [h if i == idx else np.zeros_like(h) for i in range(len(grads))]
+            up = cost(stepped(model, bump, eps), pairs)
+            down = cost(stepped(model, bump, -eps), pairs)
+            analytic = np.real(np.trace(grads[idx] @ h))
+            assert (up - down) / (2 * eps) == pytest.approx(analytic, abs=1e-7)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 3), depth=st.integers(1, 2), count=st.integers(1, 4),
@@ -436,7 +430,7 @@ class TestTraining:
         assert weights.tolist() == [c / 200 for c in counts]
         assert weights.sum() == pytest.approx(1.0, abs=1e-15)
 
-    def test_gradient_explosion_regime_refused(self):
+    def test_input_above_the_supported_width_refused(self):
         psi = shared_state(7)
         pairs = [qnn.TrainingPair(psi, psi)]
         with pytest.raises(ValueError, match="limited"):
