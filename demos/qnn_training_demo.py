@@ -2,9 +2,9 @@
 
 The training set is built by `harness.trajectory_pairs`, the builder
 that inline training in a sweep uses: pure-state trajectories of the
-shared state under amplitude damping, drawn by one `sample_trajectories`
-call that computes the Kraus branches once; the target is always the
-ideal state. Training steps each perceptron by a matrix polynomial in its
+shared state under amplitude damping on Bob's qubit, one Kraus branch per
+trajectory from branches computed once; the target is always the ideal
+state. Training steps each perceptron by a matrix polynomial in its
 ascent direction, with no eigendecomposition after the initial model,
 and validates the model where it returns it. The trained network is then
 applied as a channel corrector to the protocol's own distributed states,

@@ -3,7 +3,7 @@ entanglement purification, QNN correction, and channel-capacity analysis."""
 
 from .capacity import CapacityReport
 from .harness import CorrectionPipeline, SweepConfig, SweepRecord, emit_records, run_sweep
-from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel, sample_trajectories
+from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from .purify import PurificationResult, PurificationUnderflow, purify_iterated
 from .qcore import (
     DensityOperator,

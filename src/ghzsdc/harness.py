@@ -10,8 +10,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import capacity, purify, qnn
-from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel, sample_trajectories
-from .qcore import DensityOperator
+from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
+from .qcore import DensityOperator, StateVector
 from .sdc import distribute, shared_state
 
 PIPELINES = ("raw", "purify", "qnn", "purify-qnn")
@@ -112,13 +112,25 @@ def p_grid(cfg: SweepConfig) -> List[float]:
 def trajectory_pairs(kind: NoiseKind, n: int, p: float, seed: int,
                      trajectories: int) -> List[qnn.TrainingPair]:
     """`trajectories` noisy-distribution trajectories of the n-qubit shared
-    state, each paired with the ideal shared state as its target; trajectory
-    k is drawn from the k-th of `trajectories` seeds that `seed` draws."""
+    state, each paired with the ideal shared state as its target. Trajectory
+    k is one Kraus branch of the noise on Bob's qubit 0, renormalized, picked
+    by the k-th of `trajectories` seeds that `seed` draws: one uniform from
+    `default_rng(k-th seed)` searched in the Born weights' cumulative sum,
+    built once, which is the pick `Generator.choice(p=weights)` makes. Each
+    drawn branch is validated once and shared by every trajectory that
+    picks it."""
     if trajectories < 1:
         raise ValueError("trajectories must be >= 1")
     psi = shared_state(n)
-    seed_root = np.random.default_rng(seed).integers(0, 2 ** 31, size=trajectories)
-    return [qnn.TrainingPair(x, psi) for x in sample_trajectories(psi, make_channel(kind, p), [0], seed_root)]
+    seeds = np.random.default_rng(seed).integers(0, 2 ** 31, size=trajectories)
+    # qubit 0 is the high bit: the rows of the amplitudes as a (2, 2^(n-1)) matrix
+    branches = [(k @ psi.amplitudes.reshape(2, -1)).reshape(-1) for k in make_channel(kind, p).kraus_ops]
+    weights = np.array([np.linalg.norm(b) ** 2 for b in branches])
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    picks = [int(cdf.searchsorted(np.random.default_rng(int(s)).random(), side="right")) for s in seeds]
+    inputs = {i: StateVector(branches[i] / np.linalg.norm(branches[i])) for i in set(picks)}
+    return [qnn.TrainingPair(inputs[i], psi) for i in picks]
 
 
 def train_inline_model(kind: NoiseKind, n: int, p: float, seed: int, trajectories: int,

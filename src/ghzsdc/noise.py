@@ -1,16 +1,15 @@
-"""Single-qubit noise channels and pure-state trajectory sampling used to
-build QNN training sets."""
+"""Single-qubit noise channels and the noise specification of a protocol
+run."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence
 
 import numpy as np
 
-from .qcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, QuantumChannel, StateVector, _apply_each, _check_targets
+from .qcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, QuantumChannel
 
 
 class NoiseKind(enum.Enum):
@@ -63,25 +62,3 @@ def make_channel(kind: NoiseKind, p: float) -> QuantumChannel:
     else:
         raise ValueError(f"unknown noise kind {kind}")
     return QuantumChannel(tuple(op for op in ops if np.any(op)))
-
-
-def sample_trajectories(psi: StateVector, ch: QuantumChannel, targets: Sequence[int],
-                        seeds: Sequence[int]) -> List[StateVector]:
-    """Per seed, one Kraus branch drawn with its Born probability and
-    renormalized. The branches and weights are computed once, and each drawn
-    branch is validated once and shared by every seed that draws it.
-
-    Deterministic per seed; averaging trajectory outer products over seeds
-    converges to the channel output. A seed picks what
-    `np.random.default_rng(seed).choice(len(weights), p=weights)` picks, by
-    the same search of one uniform draw in the same cumulative sum, built
-    once instead of per draw; a zero-weight branch is never picked.
-    """
-    targets = _check_targets(targets, ch.qubit_count, psi.qubit_count)
-    branches = [_apply_each([k], [targets], psi.amplitudes, psi.qubit_count) for k in ch.kraus_ops]
-    weights = np.array([np.linalg.norm(b) ** 2 for b in branches])
-    cdf = np.cumsum(weights / weights.sum())
-    cdf /= cdf[-1]
-    picks = [int(cdf.searchsorted(np.random.default_rng(int(seed)).random(), side="right")) for seed in seeds]
-    states = {i: StateVector(branches[i] / np.linalg.norm(branches[i])) for i in set(picks)}
-    return [states[i] for i in picks]

@@ -8,21 +8,19 @@ Qubit 0 is the most significant (leftmost) position of a basis label, so
 All entropies are in bits (log base 2). The array-holding value types
 compare and hash by identity, as an array has no single truth value.
 
-`_retarget`, the one move of qubits between array axes, and `_apply_each`,
-the one walk of local matrices over it, apply the noise channels and
-trajectory branches, and the QNN walks its growing register by `_retarget`
-too: each step costs one axis move and one matmul. A channel on a density
-matrix is one matmul: flattened row-major, rho is a vector on 2m qubits
-(its row qubits, then its column qubits), and the channel's superoperator
-sum_k K_k (x) conj(K_k) acts on the row and column copies of the target
-qubits (Wood, Biamonte and Cory, QIC 15, 759 (2015)).
+`_retarget` is the one move of qubits between array axes: `_kraus_sum`
+walks the noise channels over it, and the QNN walks its growing register by
+it too; each step costs one axis move and one matmul. A channel on a
+density matrix is one matmul: flattened row-major, rho is a vector on 2m
+qubits (its row qubits, then its column qubits), and the channel's
+superoperator sum_k K_k (x) conj(K_k) acts on the row and column copies of
+the target qubits (Wood, Biamonte and Cory, QIC 15, 759 (2015)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -164,17 +162,6 @@ class QuantumChannel:
         return sup
 
 
-def _check_targets(targets: Sequence[int], k: int, m: int) -> list:
-    targets = list(targets)
-    if len(targets) != k:
-        raise ValueError(f"operator acts on {k} qubits but {len(targets)} targets given")
-    if len(set(targets)) != len(targets):
-        raise ValueError("repeated target index")
-    if any(t < 0 or t >= m for t in targets):
-        raise ValueError(f"target out of range for {m} qubits")
-    return targets
-
-
 @lru_cache(maxsize=512)
 def _permutation(src: tuple, dst: tuple, m: int) -> tuple:
     """Axis order taking (2,)*m + (columns,) from the layout with the `src`
@@ -193,25 +180,18 @@ def _retarget(arr: np.ndarray, src, dst, m: int) -> np.ndarray:
     return arr.reshape((2,) * m + (-1,)).transpose(order).reshape(2 ** len(dst), -1)
 
 
-def _apply_each(mats, target_sets, arr: np.ndarray, m: int) -> np.ndarray:
-    """Each matrix in turn on its ordered targets of `arr` (a state, a density
-    matrix's rows or a batch of column states): per step one move to the
-    targets' layout and one matmul, then one move back to the natural order;
-    the result has arr's shape."""
-    rows, src = arr, ()
-    for mat, targets in zip(mats, target_sets):
-        rows = mat @ _retarget(rows, src, targets, m)
-        src = targets
-    return _retarget(rows, src, (), m).reshape(arr.shape)
-
-
 def _kraus_sum(ch: QuantumChannel, rho: np.ndarray, target_sets, m: int) -> np.ndarray:
     """`ch` on each target set of the bare matrix rho in turn, as one matmul
     of its superoperator on the row and column copies of the targets of rho
-    flattened to a 2m-qubit column; validates nothing."""
-    doubled = [tuple(t) + tuple(m + q for q in t) for t in target_sets]
-    sup = [ch.superoperator] * len(doubled)
-    return _apply_each(sup, doubled, rho.reshape(-1, 1), 2 * m).reshape(rho.shape)
+    flattened to a 2m-qubit column: per step one move to those copies'
+    layout and one matmul, then one move back to the natural order;
+    validates nothing."""
+    rows, src = rho.reshape(-1, 1), ()
+    for targets in target_sets:
+        dst = tuple(targets) + tuple(m + q for q in targets)
+        rows = ch.superoperator @ _retarget(rows, src, dst, 2 * m)
+        src = dst
+    return _retarget(rows, src, (), 2 * m).reshape(rho.shape)
 
 
 def _spectrum_entropy(evals: np.ndarray) -> float:

@@ -131,7 +131,7 @@ def _batch(training_set: Sequence[TrainingPair], n: int):
     counts: List[float] = []
     for pair in training_set:
         for i, seen in enumerate(unique):
-            # sampled trajectories share one state per drawn branch
+            # `harness.trajectory_pairs` shares one input per drawn branch
             if ((pair.input is seen.input and pair.target is seen.target)
                     or (np.array_equal(pair.input.amplitudes, seen.input.amplitudes)
                         and np.array_equal(pair.target.amplitudes, seen.target.amplitudes))):

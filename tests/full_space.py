@@ -2,17 +2,18 @@
 entropy of a distribution, the partial trace, the dense GHZ basis, the
 noise-free image of the shared state under a codeword, a product of
 single-qubit channels as one channel, the per-qubit factors of the
-protocol's noise, random channels cut from isometries, conjugation by one
-operator on chosen qubits, a channel as the sum of its Kraus conjugations
-and a channel on chosen qubits of a validated state, the dense fidelity of a
-pure state with a density operator, the identity network, the network's cost
-and ascent directions on a training set by training's own `_batch` and
-`_scored_walk`, the ascent directions swept back on the full register and the
-network map rebuilt from its perceptrons at every call, the uniform
-mixture of a sequence of states and its Holevo value as explicit sums, and
-the entropy exchange and coherent information of a channel on pure states,
-with a Stinespring dilation as the entropy exchange's oracle. Inputs are
-trusted: nothing here checks them."""
+protocol's noise, random channels cut from isometries, an operator on
+chosen qubits as its Kronecker embedding and conjugation by that, a channel
+as the sum of its Kraus conjugations and a channel on chosen qubits of a
+validated state, the dense fidelity of a pure state with a density
+operator, the identity network, the network's cost and ascent directions on
+a training set by training's own `_batch` and `_scored_walk`, the ascent
+directions swept back on the full register and the network map rebuilt
+from its perceptrons at every call, the uniform mixture of a sequence of
+states and its Holevo value as explicit sums, and the entropy exchange and
+coherent information of a channel on pure states, with a Stinespring
+dilation as the entropy exchange's oracle. Inputs are trusted: nothing
+here checks them."""
 
 from typing import Sequence
 
@@ -26,8 +27,6 @@ from ghzsdc.qcore import (
     QuantumChannel,
     StateVector,
     Unitary,
-    _apply_each,
-    _check_targets,
     _kraus_sum,
     _retarget,
     von_neumann_entropy,
@@ -135,12 +134,21 @@ def random_channel(rng, m, r):
     return QuantumChannel(tuple(q[k * d:(k + 1) * d] for k in range(r)))
 
 
+def kron_embedding(mat, targets, m):
+    """The operator mat on `targets` of m qubits: mat (x) I with the targets as
+    the high qubits, then the basis relabelled bit by bit into qubit order."""
+    order = list(targets) + [q for q in range(m) if q not in targets]
+    x = np.arange(2 ** m)
+    relabel = sum(((x >> (m - 1 - q)) & 1) << (m - 1 - pos) for pos, q in enumerate(order))
+    full = np.kron(mat, np.eye(2 ** (m - len(targets))))
+    return full[np.ix_(relabel, relabel)]
+
+
 def conjugate_matrix(mat: np.ndarray, rho: np.ndarray, targets, m: int) -> np.ndarray:
     """mat rho mat^dag with mat on the ordered `targets` of the bare matrix rho,
-    as mat on rho's rows, then conj(mat) on its columns."""
-    # flattened to one column, rho is a 2m-qubit vector: rows, then columns
-    t = _apply_each([mat], [targets], rho, m)
-    return _apply_each([mat.conj()], [[m + q for q in targets]], t.reshape(-1, 1), 2 * m).reshape(rho.shape)
+    by its Kronecker embedding on all m qubits."""
+    full = kron_embedding(mat, targets, m)
+    return full @ rho @ full.conj().T
 
 
 def kraus_sum(ch: QuantumChannel, rho: np.ndarray, targets, m: int) -> np.ndarray:
@@ -154,13 +162,11 @@ def kraus_sum(ch: QuantumChannel, rho: np.ndarray, targets, m: int) -> np.ndarra
 
 def apply_unitary(rho: DensityOperator, u: Unitary, targets: Sequence[int]) -> DensityOperator:
     """Conjugate rho by u embedded on the given (ordered) target qubits."""
-    targets = _check_targets(targets, u.qubit_count, rho.qubit_count)
     return DensityOperator(conjugate_matrix(u.matrix, rho.matrix, targets, rho.qubit_count))
 
 
 def apply_channel(rho: DensityOperator, ch: QuantumChannel, targets: Sequence[int]) -> DensityOperator:
     """`ch` on the given target qubits of rho, by its superoperator."""
-    targets = _check_targets(targets, ch.qubit_count, rho.qubit_count)
     return DensityOperator(_kraus_sum(ch, rho.matrix, [targets], rho.qubit_count))
 
 

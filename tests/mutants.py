@@ -142,11 +142,13 @@ MUTANTS = (
            "window = 5",
            "training stops on a flat stretch of 5 steps, mid-plateau"),
     Mutant("inline-training-at-p-0.3", "src/ghzsdc/harness.py",
-           "return [qnn.TrainingPair(x, psi) for x in sample_trajectories("
-           "psi, make_channel(kind, p), [0], seed_root)]",
-           "return [qnn.TrainingPair(x, psi) for x in sample_trajectories("
-           "psi, make_channel(kind, 0.3), [0], seed_root)]",
+           "branches = [(k @ psi.amplitudes.reshape(2, -1)).reshape(-1) for k in make_channel(kind, p).kraus_ops]",
+           "branches = [(k @ psi.amplitudes.reshape(2, -1)).reshape(-1) for k in make_channel(kind, 0.3).kraus_ops]",
            "the training trajectories ignore the p they are asked for"),
+    Mutant("trajectory-uniform-from-next-seed", "src/ghzsdc/harness.py",
+           'picks = [int(cdf.searchsorted(np.random.default_rng(int(s)).random(), side="right")) for s in seeds]',
+           'picks = [int(cdf.searchsorted(np.random.default_rng(int(s) + 1).random(), side="right")) for s in seeds]',
+           "trajectory k draws its uniform from the seed after its own, so no pick is Generator.choice's"),
     Mutant("train-at-ignored", "src/ghzsdc/harness.py",
            "p_train = cfg.train_at if cfg.train_at is not None else 0.3",
            "p_train = 0.3",
@@ -184,10 +186,6 @@ MUTANTS = (
            "if op.shape != (dim, dim):",
            "if op.shape[0] != dim:",
            "a non-square Kraus operator fails later, in the completeness check"),
-    Mutant("target-past-last-qubit", "src/ghzsdc/qcore.py",
-           "if any(t < 0 or t >= m for t in targets):",
-           "if any(t < 0 or t > m for t in targets):",
-           "a target one past the last qubit fails later, in the layout move"),
     Mutant("train-zero-iterations", "src/ghzsdc/qnn.py",
            "if max_iters < 1:",
            "if max_iters < 0:",

@@ -16,6 +16,7 @@ from ghzsdc.harness import (
     emit_records,
     p_grid,
     run_sweep,
+    trajectory_pairs,
 )
 from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from ghzsdc.sdc import (
@@ -29,7 +30,7 @@ from ghzsdc.sdc import (
     twirl,
 )
 
-from full_space import holevo, identity_model, mixture, shannon_entropy
+from full_space import holevo, identity_model, kron_embedding, mixture, shannon_entropy
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -437,6 +438,60 @@ class TestEmitRecords:
         path = tmp_path / "out.csv"
         emit_records(run_sweep(cfg), path)
         assert path.read_bytes() == (DATA_DIR / golden).read_bytes()
+
+
+class TestTrajectoryPairs:
+    """The QNN training set: pure-state trajectories of the distribution
+    noise on Bob's qubit 0 of the shared state, a Monte-Carlo unravelling of
+    the channel (Dalibard, Castin and Molmer, PRL 68, 580 (1992))."""
+
+    @staticmethod
+    def branches(kind, n, p):
+        """The renormalized Kraus branches of the noise on qubit 0 of the
+        shared state, by the Kronecker embedding, and their Born weights."""
+        psi = shared_state(n).amplitudes
+        raw = [kron_embedding(k, [0], n) @ psi for k in make_channel(kind, p).kraus_ops]
+        weights = np.array([np.vdot(b, b).real for b in raw])
+        return [b / np.linalg.norm(b) for b in raw], weights / weights.sum()
+
+    def test_deterministic_per_seed(self):
+        a, b = (trajectory_pairs(NoiseKind.DEPOLARIZING, 3, 0.4, 11, 50) for _ in range(2))
+        assert [x.input.amplitudes.tobytes() for x in a] == [x.input.amplitudes.tobytes() for x in b]
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_picks_match_generator_choice(self, kind):
+        # trajectory k picks what Generator.choice picks from the Born weights
+        # with the k-th of the seeds that the root seed draws
+        n, p, seed, count = 3, 0.6, 4, 2000
+        branches, weights = self.branches(kind, n, p)
+        seeds = np.random.default_rng(seed).integers(0, 2 ** 31, size=count)
+        picks = [int(np.random.default_rng(int(s)).choice(len(weights), p=weights)) for s in seeds]
+        assert set(picks) == set(range(len(weights)))
+        for pair, pick in zip(trajectory_pairs(kind, n, p, seed, count), picks):
+            assert np.max(np.abs(pair.input.amplitudes - branches[pick])) < 1e-12
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_one_shared_input_per_drawn_branch(self, kind):
+        pairs = trajectory_pairs(kind, 3, 0.6, 4, 500)
+        assert len({id(x.input) for x in pairs}) == len({x.input.amplitudes.tobytes() for x in pairs})
+        assert len({id(x.target) for x in pairs}) == 1
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_p_zero_gives_ghz_inputs(self, kind):
+        psi = shared_state(4).amplitudes
+        for pair in trajectory_pairs(kind, 4, 0.0, 0, 20):
+            assert np.max(np.abs(pair.input.amplitudes - psi)) < 1e-12
+            assert np.array_equal(pair.target.amplitudes, psi)
+
+    @pytest.mark.parametrize("p", [0.35, 1.0])
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_mixture_of_inputs_is_the_distributed_state(self, kind, p):
+        # Monte-Carlo oracle: the mean outer product of the trajectories
+        # converges to the state that distribution noise leaves
+        n, count = 3, 10_000
+        amps = np.array([pair.input.amplitudes for pair in trajectory_pairs(kind, n, p, 0, count)])
+        mean = amps.T @ amps.conj() / count
+        assert np.max(np.abs(mean - distribute(n, NoiseSpec(kind, p)).matrix)) < 0.02
 
 
 class TestInlineTraining:

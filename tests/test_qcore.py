@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzsdc import qcore, qnn
-from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, sample_trajectories
+from ghzsdc import qcore
+from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage
 from ghzsdc.qcore import (
     I2,
     SIGMA_X,
@@ -15,15 +15,14 @@ from ghzsdc.qcore import (
     QuantumChannel,
     StateVector,
     Unitary,
-    _apply_each,
     _kraus_sum,
     _retarget,
     _spectrum_entropy,
     von_neumann_entropy,
 )
-from ghzsdc.sdc import Codeword, distribute, run_protocol, shared_state, transmit
+from ghzsdc.sdc import Codeword, distribute, transmit
 
-from full_space import CNOT, apply_unitary, basis_state, identity_model, kraus_sum, random_channel, random_state
+from full_space import basis_state, kraus_sum, random_channel, random_state
 
 NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.nan)]
 
@@ -90,10 +89,9 @@ class TestValidation:
             QuantumChannel((0.5 * I2,))
 
 
-# Every refusal of the value types and of the target check, by its exact
-# type and message; the package reaches the target check through
-# `sample_trajectories`. Oversized inputs are zero-stride views, so the size
-# checks are reached without allocating the state.
+# Every refusal of the value types, by its exact type and message.
+# Oversized inputs are zero-stride views, so the size checks are reached
+# without allocating the state.
 REFUSALS = {
     "state-above-cap": (
         lambda: StateVector(np.broadcast_to(np.complex128(1), (2 ** (qcore.MAX_STATE_QUBITS + 1),))),
@@ -118,12 +116,6 @@ REFUSALS = {
     "kraus-two-widths": (
         lambda: QuantumChannel((np.eye(2) / np.sqrt(2), np.eye(4) / np.sqrt(2))),
         "Kraus operators must share one square shape"),
-    "target-past-last": (
-        lambda: sample_trajectories(basis_state(2, 0), QuantumChannel((I2,)), [2], [0]),
-        "target out of range for 2 qubits"),
-    "target-negative": (
-        lambda: sample_trajectories(basis_state(2, 0), QuantumChannel((I2,)), [-1], [0]),
-        "target out of range for 2 qubits"),
     # a trace-one Hermitian matrix whose overlap with |0> is 2 ATOL above 1
     # carries an eigenvalue 2 ATOL below 0, so no fidelity ever reads it
     "overlap-above-one": (
@@ -161,9 +153,7 @@ class TestSpectrum:
     lambda: basis_state(2, 0).density(),
     lambda: Unitary(SIGMA_X),
     lambda: QuantumChannel((I2,)),
-    lambda: identity_model(1, 1),
-    lambda: run_protocol(Codeword(3, 5), NoiseSpec(NoiseKind.BIT_FLIP, 0.1)),
-], ids=["StateVector", "DensityOperator", "Unitary", "QuantumChannel", "QnnModel", "SdcRunResult"])
+], ids=["StateVector", "DensityOperator", "Unitary", "QuantumChannel"])
 def test_array_holders_compare_and_hash_by_identity(make):
     # elementwise array equality has no single truth value, so two distinct
     # equal-valued instances are unequal rather than raising
@@ -174,94 +164,56 @@ def test_array_holders_compare_and_hash_by_identity(make):
     assert len({a, b}) == 2
 
 
-class TestApplyUnitary:
-    def test_repeated_target_rejected(self):
-        with pytest.raises(ValueError, match="repeated"):
-            apply_unitary(shared_state(2).density(), Unitary(CNOT), [0, 0])
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            apply_unitary(shared_state(2).density(), Unitary(CNOT), [0])
-
-
-def kron_embedding(mat, targets, m):
-    """The operator mat on `targets` of m qubits: mat (x) I with the targets as
-    the high qubits, then the basis relabelled bit by bit into qubit order."""
-    order = list(targets) + [q for q in range(m) if q not in targets]
-    x = np.arange(2 ** m)
-    relabel = sum(((x >> (m - 1 - q)) & 1) << (m - 1 - pos) for pos, q in enumerate(order))
-    full = np.kron(mat, np.eye(2 ** (m - len(targets))))
-    return full[np.ix_(relabel, relabel)]
-
-
-def einsum_step(mat, arr, targets, m):
-    """Oracle for one step of `_apply_each` that never moves an axis: mat
-    contracted with the target axes of arr as a (2,)*m + (columns,) tensor."""
-    k = len(targets)
-    fresh = list(range(m + 1, m + 1 + k))
-    out_axes = [fresh[targets.index(q)] if q in targets else q for q in range(m + 1)]
-    tensor = arr.reshape((2,) * m + (-1,))
-    return np.einsum(mat.reshape((2,) * 2 * k), fresh + list(targets),
-                     tensor, list(range(m + 1)), out_axes).reshape(arr.shape)
-
-
-def random_matrix(rng, k):
-    return rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k))
-
-
-class TestApplyEach:
+class TestKrausWalk:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), m=st.integers(1, 8), columns=st.integers(1, 3),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_kron_embedding(self, data, m, columns, seed):
+    def test_retarget_round_trip(self, data, m, columns, seed):
         # ordered, possibly non-contiguous targets on rows of several columns
         k = data.draw(st.integers(1, min(m, 3)))
         targets = tuple(data.draw(st.permutations(range(m)))[:k])
         rng = np.random.default_rng(seed)
-        mat = random_matrix(rng, k)
         arr = rng.normal(size=(2 ** m, columns)) + 1j * rng.normal(size=(2 ** m, columns))
-        out = _apply_each([mat], [targets], arr, m)
-        assert out.shape == arr.shape
-        assert np.max(np.abs(out - kron_embedding(mat, targets, m) @ arr)) < 1e-12
         rows = _retarget(arr, (), targets, m)
         assert rows.shape == (2 ** k, 2 ** (m - k) * columns)
         assert np.array_equal(_retarget(rows, targets, (), m).reshape(arr.shape), arr)
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), m=st.integers(1, 7), steps=st.integers(1, 4),
-           columns=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
-    def test_walk_matches_einsum_and_the_steps_through_natural_order(self, data, m, steps,
-                                                                     columns, seed):
-        target_sets = [tuple(data.draw(st.permutations(range(m)))[:data.draw(st.integers(1, min(m, 3)))])
-                       for _ in range(steps)]
+    @given(data=st.data(), k=st.integers(1, 2), r=st.integers(1, 4), steps=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_walk_matches_the_oracle_and_the_steps_through_natural_order(self, data, k, r, steps, seed):
+        m = data.draw(st.integers(k, 5))
+        target_sets = [tuple(data.draw(st.permutations(range(m)))[:k]) for _ in range(steps)]
         rng = np.random.default_rng(seed)
-        # unit Frobenius norm keeps every entry of the walk near arr's scale
-        mats = [mat / np.linalg.norm(mat) for mat in (random_matrix(rng, len(t)) for t in target_sets)]
-        arr = rng.normal(size=(2 ** m, columns)) + 1j * rng.normal(size=(2 ** m, columns))
-        walked = _apply_each(mats, target_sets, arr, m)
-        assert walked.shape == arr.shape
-        oracle, stepped = arr, arr
-        for mat, targets in zip(mats, target_sets):
-            oracle = einsum_step(mat, oracle, targets, m)
-            stepped = _apply_each([mat], [targets], stepped, m)
+        ch = random_channel(rng, k, r)
+        rho = rng.normal(size=(2 ** m, 2 ** m)) + 1j * rng.normal(size=(2 ** m, 2 ** m))
+        walked = _kraus_sum(ch, rho, target_sets, m)
+        assert walked.shape == rho.shape
+        oracle, stepped = rho, rho
+        for targets in target_sets:
+            oracle = kraus_sum(ch, oracle, targets, m)
+            stepped = _kraus_sum(ch, stepped, [targets], m)
         assert np.max(np.abs(walked - oracle)) < 1e-12
         # one move between layouts is the same copy as two through the natural order
         assert np.array_equal(walked, stepped)
-        src, dst = target_sets[0], target_sets[-1]
-        assert np.array_equal(_retarget(arr, src, dst, m),
-                              _retarget(_retarget(arr, src, (), m), (), dst, m))
+        doubled = [t + tuple(m + q for q in t) for t in (target_sets[0], target_sets[-1])]
+        flat = rho.reshape(-1, 1)
+        assert np.array_equal(_retarget(flat, *doubled, 2 * m),
+                              _retarget(_retarget(flat, doubled[0], (), 2 * m), (), doubled[1], 2 * m))
 
-    def test_state_vector_keeps_its_shape(self):
-        amps = shared_state(2).amplitudes
-        out = _apply_each([SIGMA_X], [(1,)], amps, 2)
-        assert out.shape == (4,)
-        assert np.array_equal(out, amps[[1, 0, 3, 2]])
+    def test_bit_flip_is_the_exact_permutation(self):
+        rng = np.random.default_rng(5)
+        rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        flip = [1, 0, 3, 2]
+        out = _kraus_sum(QuantumChannel((SIGMA_X,)), rho, [(1,)], 2)
+        assert out.shape == (4, 4)
+        assert np.array_equal(out, rho[np.ix_(flip, flip)])
 
 
 class TestMoveCount:
     """Each local step costs one `_retarget`, and each walk one more to
-    return to the natural order; counted by wrapping the name each module
-    looks up."""
+    return to the natural order; counted by wrapping the name `qcore` looks
+    up."""
 
     @pytest.fixture
     def moves(self, monkeypatch):
@@ -272,7 +224,6 @@ class TestMoveCount:
             return _retarget(*args)
 
         monkeypatch.setattr(qcore, "_retarget", counted)
-        monkeypatch.setattr(qnn, "_retarget", counted)
         return calls
 
     @pytest.mark.parametrize("kind", [NoiseKind.AMPLITUDE_DAMPING, NoiseKind.DEPOLARIZING])
@@ -283,17 +234,6 @@ class TestMoveCount:
         moves.clear()
         transmit(shared, Codeword(n, 2 ** n - 1), spec)
         assert len(moves) == n
-
-    @pytest.mark.parametrize("n, depth", [(1, 1), (2, 2), (3, 1), (3, 2)])
-    def test_forward_and_ascent(self, moves, n, depth):
-        stack = qnn.random_model(n, depth, np.random.default_rng(n)).stack
-        psi = StateVector(np.full(2 ** n, 2 ** (-n / 2)))
-        inputs, bras, weights = qnn._batch([qnn.TrainingPair(psi, psi)], n)
-        _, overlap, outputs = qnn._scored_walk(stack, n, inputs, bras, weights)
-        assert len(moves) == depth * n + 1
-        moves.clear()
-        qnn._ascent(stack, n, outputs, overlap, bras, weights)
-        assert len(moves) == depth * n
 
 
 class TestSuperoperator:

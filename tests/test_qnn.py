@@ -111,6 +111,15 @@ class TestQnnModel:
         stack[0] = 0
         assert np.array_equal(model.stack, [SWAP.matrix])
 
+    def test_compares_and_hashes_by_identity(self):
+        # elementwise array equality has no single truth value, so two distinct
+        # equal-valued models are unequal rather than raising
+        a, b = identity_model(1, 1), identity_model(1, 1)
+        assert a == a
+        assert not a == b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
 
 class TestFeedforward:
     def test_identity_network_on_zero_state(self):
@@ -503,6 +512,35 @@ class TestTraining:
         _, report = qnn.train(pairs, max_iters=max_iters, rng_seed=1)
         assert report.iterations == max_iters
         assert calls == [(2, 8, 8)]
+
+
+class TestMoveCount:
+    """The forward walk costs one `_retarget` per perceptron and one more to
+    return to the natural order, the ascent one per perceptron; counted by
+    wrapping the name `qnn` looks up."""
+
+    @pytest.fixture
+    def moves(self, monkeypatch):
+        calls = []
+        retarget = qnn._retarget
+
+        def counted(*args):
+            calls.append(None)
+            return retarget(*args)
+
+        monkeypatch.setattr(qnn, "_retarget", counted)
+        return calls
+
+    @pytest.mark.parametrize("n, depth", [(1, 1), (2, 2), (3, 1), (3, 2)])
+    def test_forward_and_ascent(self, moves, n, depth):
+        stack = qnn.random_model(n, depth, np.random.default_rng(n)).stack
+        psi = StateVector(np.full(2 ** n, 2 ** (-n / 2)))
+        inputs, bras, weights = qnn._batch([qnn.TrainingPair(psi, psi)], n)
+        _, overlap, outputs = qnn._scored_walk(stack, n, inputs, bras, weights)
+        assert len(moves) == depth * n + 1
+        moves.clear()
+        qnn._ascent(stack, n, outputs, overlap, bras, weights)
+        assert len(moves) == depth * n
 
 
 class TestStepExponential:

@@ -254,6 +254,16 @@ class TestDecode:
 
 
 class TestRunProtocol:
+    def test_result_compares_and_hashes_by_identity(self):
+        # elementwise array equality has no single truth value, so two distinct
+        # equal-valued results are unequal rather than raising
+        spec = NoiseSpec(NoiseKind.BIT_FLIP, 0.1)
+        a, b = run_protocol(Codeword(3, 5), spec), run_protocol(Codeword(3, 5), spec)
+        assert a == a
+        assert not a == b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_noiseless_roundtrip(self, n):
         spec = NoiseSpec(NoiseKind.BIT_FLIP, 0.0)
