@@ -10,9 +10,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import capacity, purify, qnn
-from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
+from .noise import NoiseKind, NoiseSpec, NoiseStage
 from .qcore import DensityOperator, StateVector
-from .sdc import distribute, shared_state
+from .sdc import _kraus_branches, distribute, shared_state
 
 PIPELINES = ("raw", "purify", "qnn", "purify-qnn")
 
@@ -113,18 +113,16 @@ def trajectory_pairs(kind: NoiseKind, n: int, p: float, seed: int,
                      trajectories: int) -> List[qnn.TrainingPair]:
     """`trajectories` noisy-distribution trajectories of the n-qubit shared
     state, each paired with the ideal shared state as its target. Trajectory
-    k is one Kraus branch of the noise on Bob's qubit 0, renormalized, picked
-    by the k-th of `trajectories` seeds that `seed` draws: one uniform from
+    k is one of the `_kraus_branches` that `distribute` mixes, renormalized,
+    picked by the k-th of the seeds that `seed` draws: one uniform from
     `default_rng(k-th seed)` searched in the Born weights' cumulative sum,
-    built once, which is the pick `Generator.choice(p=weights)` makes. Each
-    drawn branch is validated once and shared by every trajectory that
-    picks it."""
+    the pick `Generator.choice(p=weights)` makes. Each drawn branch is
+    validated once and shared by every trajectory that picks it."""
     if trajectories < 1:
         raise ValueError("trajectories must be >= 1")
     psi = shared_state(n)
     seeds = np.random.default_rng(seed).integers(0, 2 ** 31, size=trajectories)
-    # qubit 0 is the high bit: the rows of the amplitudes as a (2, 2^(n-1)) matrix
-    branches = [(k @ psi.amplitudes.reshape(2, -1)).reshape(-1) for k in make_channel(kind, p).kraus_ops]
+    branches = _kraus_branches(n, kind, p)
     weights = np.array([np.linalg.norm(b) ** 2 for b in branches])
     cdf = np.cumsum(weights / weights.sum())
     cdf /= cdf[-1]

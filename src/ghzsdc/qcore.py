@@ -8,13 +8,11 @@ Qubit 0 is the most significant (leftmost) position of a basis label, so
 All entropies are in bits (log base 2). The array-holding value types
 compare and hash by identity, as an array has no single truth value.
 
-`_retarget` is the one move of qubits between array axes: `_kraus_sum`
-walks the noise channels over it, and the QNN walks its growing register by
-it too; each step costs one axis move and one matmul. A channel on a
-density matrix is one matmul: flattened row-major, rho is a vector on 2m
-qubits (its row qubits, then its column qubits), and the channel's
-superoperator sum_k K_k (x) conj(K_k) acts on the row and column copies of
-the target qubits (Wood, Biamonte and Cory, QIC 15, 759 (2015)).
+`_retarget` is the one move of qubits between array axes, one copy per
+step: the QNN walks its growing register by it, and `_kraus_sum`, the
+return-stage noise, applies a channel to rho flattened row-major to 2m
+qubits by its superoperator sum_k K_k (x) conj(K_k) on the row and column
+copies of the targets (Wood, Biamonte and Cory, QIC 15, 759 (2015)).
 """
 
 from __future__ import annotations
@@ -127,8 +125,7 @@ class Unitary:
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """Completely positive trace-preserving map given by Kraus operators;
-    `superoperator` is its matrix on flattened density matrices, built on
-    first use."""
+    `superoperator`, its matrix on flattened density matrices, is lazy."""
 
     kraus_ops: tuple
     qubit_count: int = field(init=False)
@@ -155,8 +152,7 @@ class QuantumChannel:
     @cached_property
     def superoperator(self) -> np.ndarray:
         """sum_k K_k (x) conj(K_k), read-only: the channel on a density matrix
-        flattened row-major. Lazy, because a channel used only to sample
-        trajectories or to score capacity never needs it."""
+        flattened row-major. Lazy, as only the return stage's walk needs it."""
         sup = sum(np.kron(op, op.conj()) for op in self.kraus_ops)
         sup.flags.writeable = False
         return sup
@@ -181,11 +177,10 @@ def _retarget(arr: np.ndarray, src, dst, m: int) -> np.ndarray:
 
 
 def _kraus_sum(ch: QuantumChannel, rho: np.ndarray, target_sets, m: int) -> np.ndarray:
-    """`ch` on each target set of the bare matrix rho in turn, as one matmul
-    of its superoperator on the row and column copies of the targets of rho
-    flattened to a 2m-qubit column: per step one move to those copies'
-    layout and one matmul, then one move back to the natural order;
-    validates nothing."""
+    """`ch` on each target set of the bare matrix rho in turn, flattened to a
+    2m-qubit column: per step one move to the layout of the targets' row and
+    column copies and one matmul by the superoperator, then one move back to
+    the natural order; validates nothing."""
     rows, src = rho.reshape(-1, 1), ()
     for targets in target_sets:
         dst = tuple(targets) + tuple(m + q for q in targets)

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import qcore
-from .noise import NoiseSpec, NoiseStage, make_channel
+from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from .qcore import DensityOperator, StateVector, Unitary
 
 
@@ -104,13 +104,19 @@ def shared_state(n: int) -> StateVector:
     return StateVector(amps)
 
 
+def _kraus_branches(n: int, kind: NoiseKind, p: float) -> np.ndarray:
+    """The unnormalised Kraus branches (K_k (x) I)|GHZ> of the noise on Bob's
+    qubit 0 of `shared_state(n)`, as the rows of an (r, 2^n) array; qubit 0
+    is the high bit, so K_k acts on the amplitudes as a (2, 2^(n-1)) matrix."""
+    amps = shared_state(n).amplitudes.reshape(2, -1)
+    return np.array([(k @ amps).reshape(-1) for k in make_channel(kind, p).kraus_ops])
+
+
 def distribute(n: int, noise: NoiseSpec) -> DensityOperator:
-    """The shared GHZ state after distribution: the channel acts on qubit 0
-    (Bob's) only; Alice's qubits 1..n-1 are untouched. The channel acts on
-    the bare outer product, and only the distributed state is validated."""
-    amps = shared_state(n).amplitudes
-    rho = np.outer(amps, amps.conj())
-    return DensityOperator(qcore._kraus_sum(make_channel(noise.kind, noise.p), rho, [[0]], n))
+    """The shared GHZ state after distribution, noise on Bob's qubit 0 only:
+    sum_k |b_k><b_k| over its `_kraus_branches` b_k, validated once."""
+    branches = _kraus_branches(n, noise.kind, noise.p)
+    return DensityOperator(branches.T @ branches.conj())
 
 
 def transmit(shared: DensityOperator, code: Codeword, noise: NoiseSpec) -> DensityOperator:

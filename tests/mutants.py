@@ -60,6 +60,10 @@ MUTANTS = (
            "rho = qcore._kraus_sum(make_channel(noise.kind, noise.p), rho, [[q] for q in range(1, n)], n)",
            "rho = qcore._kraus_sum(make_channel(noise.kind, noise.p), rho, [[q] for q in range(0, n)], n)",
            "Bob's qubit, which stays with Bob, takes the return noise a second time"),
+    Mutant("distribution-kraus-transposed", "src/ghzsdc/sdc.py",
+           "return np.array([(k @ amps).reshape(-1) for k in make_channel(kind, p).kraus_ops])",
+           "return np.array([(k.T @ amps).reshape(-1) for k in make_channel(kind, p).kraus_ops])",
+           "amplitude damping pumps Bob's qubit towards |1> instead of |0>, in distribute and the trajectories"),
     Mutant("decode-signs-swapped", "src/ghzsdc/sdc.py",
            "return np.clip(np.stack([mean + cross, mean - cross], axis=1).reshape(-1), 0.0, None)",
            "return np.clip(np.stack([mean - cross, mean + cross], axis=1).reshape(-1), 0.0, None)",
@@ -142,8 +146,8 @@ MUTANTS = (
            "window = 5",
            "training stops on a flat stretch of 5 steps, mid-plateau"),
     Mutant("inline-training-at-p-0.3", "src/ghzsdc/harness.py",
-           "branches = [(k @ psi.amplitudes.reshape(2, -1)).reshape(-1) for k in make_channel(kind, p).kraus_ops]",
-           "branches = [(k @ psi.amplitudes.reshape(2, -1)).reshape(-1) for k in make_channel(kind, 0.3).kraus_ops]",
+           "branches = _kraus_branches(n, kind, p)",
+           "branches = _kraus_branches(n, kind, 0.3)",
            "the training trajectories ignore the p they are asked for"),
     Mutant("trajectory-uniform-from-next-seed", "src/ghzsdc/harness.py",
            'picks = [int(cdf.searchsorted(np.random.default_rng(int(s)).random(), side="right")) for s in seeds]',

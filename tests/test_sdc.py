@@ -20,7 +20,8 @@ from ghzsdc.sdc import (
 )
 
 import reference
-from full_space import apply_channel, apply_unitary, fidelity, ghz_basis, ideal_received_state, random_state
+from full_space import (apply_channel, apply_unitary, fidelity, ghz_basis, ideal_received_state, kraus_sum,
+                        kron_embedding, random_state)
 
 
 def assert_decode_matches_dense_basis(rho):
@@ -31,6 +32,26 @@ def assert_decode_matches_dense_basis(rho):
     got = decode_ghz(rho)
     assert np.max(np.abs(got - np.clip(want, 0.0, None))) < 1e-13
     assert abs(got.sum() - 1) < 1e-12
+
+
+def assert_distribute_matches_the_kraus_oracles(n, kind, p):
+    """distribute against the Kraus conjugations of Kronecker embeddings on
+    |GHZ><GHZ|, and against the Born-weighted mixture of the normalised
+    branches (K_k (x) I)|GHZ> that the trajectories unravel it into; its
+    rank is at most the number of Kraus operators."""
+    rho = distribute(n, NoiseSpec(kind, p))
+    ghz = shared_state(n).amplitudes
+    ch = make_channel(kind, p)
+    assert np.max(np.abs(rho.matrix - kraus_sum(ch, np.outer(ghz, ghz.conj()), [0], n))) <= 1e-15
+    mix = np.zeros_like(rho.matrix)
+    for op in ch.kraus_ops:
+        branch = kron_embedding(op, [0], n) @ ghz
+        norm = np.linalg.norm(branch)
+        if norm > 0:  # a branch whose weight underflows adds nothing
+            psi = branch / norm
+            mix += norm ** 2 * np.outer(psi, psi.conj())
+    assert np.max(np.abs(rho.matrix - mix)) <= 1e-15
+    assert np.abs(rho.spectrum[:-len(ch.kraus_ops)]).max(initial=0.0) <= 1e-15
 
 
 class TestSharedState:
@@ -131,9 +152,19 @@ class TestStages:
         assert abs(np.trace(got.matrix).real - 1) < qcore.ATOL
         assert got.spectrum.min() >= -qcore.ATOL
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_distribute_at_p_0_and_1_matches_the_kraus_oracles(self, n, kind, p):
+        assert_distribute_matches_the_kraus_oracles(n, kind, p)
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.sampled_from([2, 3, 5, 10]), kind=st.sampled_from(NoiseKind), p=st.floats(0.0, 1.0))
+    def test_distribute_matches_the_kraus_oracles(self, n, kind, p):
+        assert_distribute_matches_the_kraus_oracles(n, kind, p)
+
     def test_distribute_validates_once(self, monkeypatch):
-        # the noiseless GHZ density is a program constant; only the channel
-        # output is validated
+        # the Kraus branches are bare rows; only their mixture is validated
         built = []
         validate = DensityOperator.__post_init__
 
