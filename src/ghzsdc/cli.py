@@ -84,6 +84,7 @@ def _cmd_train(args) -> None:
     print(f"final cost: {rep.final_cost:.6f}")
     print(f"iterations: {rep.iterations}")
     print(f"converged: {rep.converged}")
+    print(f"stopped: {rep.stop}")
 
 
 def _cmd_purify_demo(args) -> None:

@@ -9,10 +9,12 @@ All entropies are in bits (log base 2). The array-holding value types
 compare and hash by identity, as an array has no single truth value.
 
 `_retarget` is the one move of qubits between array axes, one copy per
-step: the QNN walks its growing register by it, and `_kraus_sum`, the
+step, with its axis order from `_permutation`: `_kraus_sum`, the
 return-stage noise, applies a channel to rho flattened row-major to 2m
 qubits by its superoperator sum_k K_k (x) conj(K_k) on the row and column
-copies of the targets (Wood, Biamonte and Cory, QIC 15, 759 (2015)).
+copies of the targets (Wood, Biamonte and Cory, QIC 15, 759 (2015)). The
+QNN makes the same copy inline, from a plan of `_permutation` orders built
+once per network shape.
 """
 
 from __future__ import annotations

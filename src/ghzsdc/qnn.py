@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .qcore import DensityOperator, StateVector, Unitary, _retarget
+from .qcore import DensityOperator, StateVector, Unitary, _permutation
 
 # The widest input that training supports, and so the widest network that
 # feedforward and model files accept; a wider one is refused, not run.
@@ -84,8 +84,17 @@ class TrainingPair:
 
 @dataclass(frozen=True)
 class TrainingReport:
+    """The cost of every accepted stack, from the start, and why training
+    stopped: "flat window" (the last 25 accepted steps gained less than
+    `tol`), "step floor" (no step size down to 1e-8 kept the cost) or
+    "iteration cap" (`max_iters` steps were taken)."""
     cost_history: List[float]
-    converged: bool
+    stop: str
+
+    @property
+    def converged(self) -> bool:
+        """Whether training stopped before its iteration cap."""
+        return self.stop != "iteration cap"
 
     @property
     def final_cost(self) -> float:
@@ -100,9 +109,13 @@ class TrainingReport:
 # One path for training and `feedforward`: the `_forward` walk applies the
 # perceptrons of `QnnModel.stack` in order to the columns of one (2^n, P)
 # register that grows by one qubit per perceptron: perceptron i takes one
-# `qcore._retarget` of the n + i live qubits and one matmul by its isometry
+# axis move of the n + i live qubits and one matmul by its isometry
 # U_i[:, ::2], which adjoins its fresh qubit n + i in |0>, the qubit no earlier
-# perceptron touched. The walk keeps every perceptron's output, together less
+# perceptron touched. Every move of both walks is read from `_walk_plan`,
+# built once per network shape, and made inline as the one reshape-transpose
+# copy of `qcore._retarget`. The isometries stay strided views: numpy
+# multiplies them by its own loop, where a contiguous copy would take BLAS
+# and other bytes. The walk keeps every perceptron's output, together less
 # than twice the final register. Training takes its P columns, the conjugated
 # targets and the weights from `_batch`, which collapses repeated pairs, and
 # scores each walk by `_scored_walk`, which keeps the overlaps and outputs
@@ -110,9 +123,10 @@ class TrainingReport:
 # walks back only the conjugated weighted target projection, by the
 # transposed isometries, so the swept array loses one qubit per perceptron; it
 # forms each perceptron's T as it reaches it, then every ascent direction at
-# once. Training steps the bare stack by a matrix polynomial in powers of the
-# ascent directions, filled once per ascent into one workspace per run; the
-# model is built where it returns.
+# once, in place. Training steps the bare stack by a matrix polynomial in
+# powers of the ascent directions, filled once per ascent into one workspace
+# per run, with its coefficients built once per step size; the model is
+# built where it returns.
 
 @lru_cache(maxsize=64)
 def _stack_targets(n: int, count: int) -> tuple:
@@ -121,6 +135,28 @@ def _stack_targets(n: int, count: int) -> tuple:
     (t+1)*n + j. Built once per shape."""
     return tuple(tuple(range(t * n, (t + 1) * n)) + ((t + 1) * n + j,)
                  for t, j in (divmod(i, n) for i in range(count)))
+
+
+@lru_cache(maxsize=64)
+def _walk_plan(n: int, count: int) -> tuple:
+    """The axis moves of the walks of the first `count` perceptrons of a
+    width-n network, each as (shape, order, height): the copy
+    `arr.reshape(shape).transpose(order).reshape(height, -1)` that
+    `qcore._retarget` makes. `_forward` takes the `count` moves to each
+    perceptron's n input qubits, then the one of its final register back to
+    the natural order; `_ascent` takes, at index 0, the move of the target
+    projection to the last perceptron's qubits, and at index i > 0 the move
+    from perceptron i's qubits to those of perceptron i - 1. Built once per
+    shape."""
+    qubits = _stack_targets(n, count)
+
+    def move(src, dst, m):
+        return (2,) * m + (-1,), _permutation(src, dst, m), 2 ** len(dst)
+
+    forward = tuple(move(src, dst[:-1], n + i) for i, (src, dst) in enumerate(zip(((),) + qubits, qubits)))
+    ascent = (move((), qubits[-1], count + n),) + tuple(
+        move(qubits[i][:-1], qubits[i - 1], n + i) for i in range(1, count))
+    return forward + (move(qubits[-1], (), count + n),), ascent
 
 
 def _batch(training_set: Sequence[TrainingPair], n: int):
@@ -154,12 +190,13 @@ def _forward(stack: np.ndarray, n: int, inputs: np.ndarray) -> Tuple[np.ndarray,
     Returns the final register of len(stack) + n qubits in the natural order,
     as columns, and each perceptron's output rows, laid out with its targets
     first."""
-    rows, src, outputs = inputs, (), []
-    for i, (u, qubits) in enumerate(zip(stack, _stack_targets(n, len(stack)))):
-        rows = u[:, ::2] @ _retarget(rows, src, qubits[:-1], n + i)
+    moves, _ = _walk_plan(n, len(stack))
+    rows, outputs = inputs, []
+    for u, (shape, order, height) in zip(stack, moves):
+        rows = u[:, ::2] @ rows.reshape(shape).transpose(order).reshape(height, -1)
         outputs.append(rows)
-        src = qubits
-    return _retarget(rows, src, (), len(stack) + n).reshape(-1, inputs.shape[1]), outputs
+    shape, order, _ = moves[-1]
+    return rows.reshape(shape).transpose(order).reshape(-1, inputs.shape[1]), outputs
 
 
 def feedforward(model: QnnModel, rho_in: DensityOperator) -> DensityOperator:
@@ -187,7 +224,7 @@ def _scored_walk(stack: np.ndarray, n: int, inputs: np.ndarray, bras: np.ndarray
     outputs. The final register goes once scored."""
     out, outputs = _forward(stack, n, inputs)
     overlap = np.einsum("rop,op->rp", out.reshape(-1, *bras.shape), bras)
-    return float(weights @ (overlap.real ** 2 + overlap.imag ** 2).sum(axis=0)), overlap, outputs
+    return float(weights @ np.add.reduce(overlap.real ** 2 + overlap.imag ** 2, axis=0)), overlap, outputs
 
 
 def _ascent(stack: np.ndarray, n: int, outputs: List[np.ndarray], overlap: np.ndarray,
@@ -200,18 +237,19 @@ def _ascent(stack: np.ndarray, n: int, outputs: List[np.ndarray], overlap: np.nd
     the target, swept back to just after perceptron i. The sweep carries
     D = conj(C) through the transposed isometries U[:, ::2].T, as A has the
     later fresh qubits in |0>, and T = A D^T is formed before it moves on."""
-    count = len(stack)
-    qubits = _stack_targets(n, count)
+    _, moves = _walk_plan(n, len(stack))
     swept = overlap.conj()[:, None, :] * bras
     swept *= weights
-    rows = _retarget(swept, (), qubits[-1], count + n)
+    shape, order, height = moves[0]
+    rows = swept.reshape(shape).transpose(order).reshape(height, -1)
     del swept  # the sweep needs only its moved copy
-    t_ac = np.empty_like(stack)
-    for idx in range(count - 1, -1, -1):
-        np.matmul(outputs.pop(), rows.T, out=t_ac[idx])
+    grads = np.empty_like(stack)  # each T, then K in place
+    for idx in range(len(stack) - 1, -1, -1):
+        np.matmul(outputs.pop(), rows.T, out=grads[idx])
         if idx:
-            rows = _retarget(stack[idx][:, ::2].T @ rows, qubits[idx][:-1], qubits[idx - 1], n + idx)
-    grads = t_ac - t_ac.conj().swapaxes(-1, -2)
+            shape, order, height = moves[idx]
+            rows = (stack[idx][:, ::2].T @ rows).reshape(shape).transpose(order).reshape(height, -1)
+    grads -= grads.conj().swapaxes(-1, -2)
     grads *= 1j
     return grads
 
@@ -227,7 +265,8 @@ def _fill_powers(powers: np.ndarray, grads: np.ndarray) -> None:
     I, with K, K^2, K^3 and K^4 of the directions K: `grads` over their
     largest Frobenius norm, or `grads` themselves when that is below 1e-12.
     Either way the spectral norm of every K is at most 1."""
-    largest = np.linalg.norm(grads, axis=(1, 2)).max()
+    # np.linalg.norm's Frobenius expression, without its wrapper
+    largest = np.sqrt(np.add.reduce((grads.conj() * grads).real, axis=(1, 2)).max())
     if largest > 1e-12:
         np.divide(grads, largest, out=powers[1])
     else:
@@ -244,6 +283,16 @@ _BLOCK_WEIGHTS = np.array([[1 / factorial(e) for e in row] for row in _BLOCK_EXP
 _BLOCK_WEIGHTS[:2, 4] = 0
 
 
+@lru_cache(maxsize=128)
+def _block_coefficients(eps: float) -> np.ndarray:
+    """The (3, 5) coefficients of the Taylor blocks at x = i*eps, read-only;
+    built once per step size, which takes STEP_SIZE and the few values of
+    its halvings and recoveries."""
+    coefficients = (1j * eps) ** _BLOCK_EXPONENTS * _BLOCK_WEIGHTS
+    coefficients.flags.writeable = False
+    return coefficients
+
+
 def _expm_i_powers(powers: np.ndarray, eps: float) -> np.ndarray:
     """exp(i * eps * h) from I, h, h^2, h^3 and h^4 (`_fill_powers`) as the
     degree-12 Taylor polynomial in Paterson-Stockmeyer form at x = i*eps.
@@ -251,8 +300,7 @@ def _expm_i_powers(powers: np.ndarray, eps: float) -> np.ndarray:
     inside 1/4, where no scaling and squaring is needed (Higham, SIAM J.
     Matrix Anal. Appl. 26, 1179 (2005)); the truncation error is below
     0.1^13/13! ~ 1.6e-23."""
-    coefficients = (1j * eps) ** _BLOCK_EXPONENTS * _BLOCK_WEIGHTS
-    b0, b1, b2 = (coefficients @ powers.reshape(5, -1)).reshape((3,) + powers.shape[1:])
+    b0, b1, b2 = (_block_coefficients(eps) @ powers.reshape(5, -1)).reshape((3,) + powers.shape[1:])
     b1 += powers[4] @ b2  # Horner in place: b0 + h^4 (b1 + h^4 b2)
     b0 += powers[4] @ b1
     return b0
@@ -310,7 +358,7 @@ def train(
     # the current stack's cost, and the overlaps and outputs its gradient reads
     current, overlap, outputs = _scored_walk(stack, n, inputs, bras, weights)
     history = [current]
-    converged = False
+    stop = "iteration cap"
     for _ in range(max_iters):
         # the ascent consumes the outputs; every step-halving retry
         # exponentiates from these powers
@@ -323,7 +371,7 @@ def train(
                 break
             eps /= 2
         else:  # no step size down to 1e-8 keeps the cost
-            converged = True
+            stop = "step floor"
             break
         stack, overlap = candidate, candidate_overlap
         eps = min(eps * 1.05, STEP_SIZE)
@@ -333,9 +381,9 @@ def train(
         # require the whole recent stretch to be flat
         window = 25
         if len(history) > window and history[-1] - history[-1 - window] < tol:
-            converged = True
+            stop = "flat window"
             break
-    return QnnModel(stack), TrainingReport(history, converged)
+    return QnnModel(stack), TrainingReport(history, stop)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ chosen qubits as its Kronecker embedding and conjugation by that, a channel
 as the sum of its Kraus conjugations and a channel on chosen qubits of a
 validated state, the dense fidelity of a pure state with a density
 operator, the identity network, the network's cost and ascent directions on
-a training set by training's own `_batch` and `_scored_walk`, the ascent
+a training set by training's own `_batch` and `_scored_walk`, the forward
+walk and the ascent with every move made by `qcore._retarget`, the ascent
 directions swept back on the full register and the network map rebuilt
 from its perceptrons at every call, the uniform mixture of a sequence of
 states and its Holevo value as explicit sums, and the entropy exchange and
@@ -215,6 +216,41 @@ def gradients(model: QnnModel, training_set: Sequence[TrainingPair], weights=Non
     weights = counted if weights is None else np.asarray(weights)
     _, overlap, outputs = _scored_walk(stack, n, inputs, bras, weights)
     return _ascent(stack, n, outputs, overlap, bras, weights)
+
+
+def forward_by_retarget(stack, n, inputs):
+    """`qnn._forward` with each move made by `_retarget` between the
+    perceptrons' qubit layouts: perceptron i moves the n + i live qubits to
+    its n input qubits first and multiplies by U_i[:, ::2]; the final
+    register moves back to the natural order. Returns it as columns, and the
+    perceptron outputs."""
+    rows, src, outputs = inputs, (), []
+    for i, (u, qubits) in enumerate(zip(stack, _stack_targets(n, len(stack)))):
+        rows = u[:, ::2] @ _retarget(rows, src, qubits[:-1], n + i)
+        outputs.append(rows)
+        src = qubits
+    return _retarget(rows, src, (), len(stack) + n).reshape(-1, inputs.shape[1]), outputs
+
+
+def ascent_by_retarget(stack, n, outputs, overlap, bras, weights):
+    """`qnn._ascent` with each move made by `_retarget`: the weighted
+    conjugated target projection moves to the last perceptron's qubits, and
+    after each perceptron i > 0 from its input qubits to the qubits of
+    perceptron i - 1; T_i = A_i D^T, then K = i(T - T^dag). Consumes
+    `outputs`."""
+    count = len(stack)
+    qubits = _stack_targets(n, count)
+    swept = overlap.conj()[:, None, :] * bras
+    swept *= weights
+    rows = _retarget(swept, (), qubits[-1], count + n)
+    t_ac = np.empty_like(stack)
+    for idx in range(count - 1, -1, -1):
+        np.matmul(outputs.pop(), rows.T, out=t_ac[idx])
+        if idx:
+            rows = _retarget(stack[idx][:, ::2].T @ rows, qubits[idx][:-1], qubits[idx - 1], n + idx)
+    grads = t_ac - t_ac.conj().swapaxes(-1, -2)
+    grads *= 1j
+    return grads
 
 
 def ascent_full_register(stack, n, out, overlap, targets, weights) -> np.ndarray:

@@ -85,13 +85,18 @@ MUTANTS = (
            "grads *= -1j",
            "training descends the cost, so no step is accepted"),
     Mutant("fresh-qubit-in-one", "src/ghzsdc/qnn.py",
-           "rows = u[:, ::2] @ _retarget(rows, src, qubits[:-1], n + i)",
-           "rows = u[:, 1::2] @ _retarget(rows, src, qubits[:-1], n + i)",
+           "rows = u[:, ::2] @ rows.reshape(shape).transpose(order).reshape(height, -1)",
+           "rows = u[:, 1::2] @ rows.reshape(shape).transpose(order).reshape(height, -1)",
            "every perceptron's fresh qubit joins the walk in |1> instead of |0>"),
     Mutant("sweep-fresh-qubit-in-one", "src/ghzsdc/qnn.py",
-           "rows = _retarget(stack[idx][:, ::2].T @ rows, qubits[idx][:-1], qubits[idx - 1], n + idx)",
-           "rows = _retarget(stack[idx][:, 1::2].T @ rows, qubits[idx][:-1], qubits[idx - 1], n + idx)",
+           "rows = (stack[idx][:, ::2].T @ rows).reshape(shape).transpose(order).reshape(height, -1)",
+           "rows = (stack[idx][:, 1::2].T @ rows).reshape(shape).transpose(order).reshape(height, -1)",
            "the backward sweep keeps the projection's |1> part of each fresh qubit, which the state lacks"),
+    Mutant("ascent-head-to-first-perceptron", "src/ghzsdc/qnn.py",
+           "ascent = (move((), qubits[-1], count + n),) + tuple(",
+           "ascent = (move((), qubits[0], count + n),) + tuple(",
+           "the backward sweep starts in the first perceptron's layout, not the last one's, in every network"
+           " of more than one perceptron"),
     Mutant("acceptance-slack-1e-3", "src/ghzsdc/qnn.py",
            "if new_cost >= current - 1e-9:",
            "if new_cost >= current - 1e-3:",

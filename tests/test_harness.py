@@ -573,14 +573,16 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == f"saved model to {model_path}"
         printed = dict(line.split(": ") for line in lines[1:])
-        assert set(printed) == {"final cost", "iterations", "converged"}
+        assert set(printed) == {"final cost", "iterations", "converged", "stopped"}
         assert 1 <= int(printed["iterations"]) <= 3
         assert printed["converged"] in ("True", "False")
+        assert printed["stopped"] in ("flat window", "step floor", "iteration cap")
         _, report = harness.train_inline_model(NoiseKind.AMPLITUDE_DAMPING, 2, 0.3, seed=0,
                                                trajectories=20, iters=3, layers=1)
         assert printed["final cost"] == f"{report.final_cost:.6f}"
         assert printed["iterations"] == str(report.iterations)
         assert printed["converged"] == str(report.converged)
+        assert printed["stopped"] == report.stop
 
     def test_purify_demo_reports_gain(self, capsys):
         rc = cli.main(["purify-demo", "--noise", "bit-flip", "--p", "0.2",

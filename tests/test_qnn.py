@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ghzsdc import qnn
@@ -14,11 +14,13 @@ from ghzsdc.sdc import shared_state
 from full_space import (
     apply_channel,
     apply_unitary,
+    ascent_by_retarget,
     ascent_full_register,
     basis_state,
     cost,
     feedforward_rebuilt,
     fidelity,
+    forward_by_retarget,
     gradients,
     identity_model,
     partial_trace,
@@ -274,8 +276,34 @@ class TestTraining:
         _, report = qnn.train(pairs, max_iters=200, tol=1e-6, rng_seed=3)
         history = np.array(report.cost_history)
         assert report.converged and report.iterations < 200
+        assert report.stop == "flat window"
         assert history[-1] - history[-26] < 1e-6
         assert np.all(history[25:-1] - history[:-26] >= 1e-6)
+
+    def test_stops_at_the_iteration_cap(self):
+        # one step cannot fill the 25-step window
+        pairs = trajectory_pairs(NoiseKind.AMPLITUDE_DAMPING, 2, 0.3, 0, 20)
+        _, report = qnn.train(pairs, max_iters=1, rng_seed=1)
+        assert (report.stop, report.converged, report.iterations) == ("iteration cap", False, 1)
+
+    def test_stops_at_the_step_floor(self, monkeypatch):
+        # every candidate scores below the start, so the first ascent halves
+        # eps from STEP_SIZE to the 1e-8 floor and training keeps the start
+        pairs = trajectory_pairs(NoiseKind.AMPLITUDE_DAMPING, 2, 0.3, 0, 20)
+        scored_walk = qnn._scored_walk
+        walks = []
+
+        def losing(*args):
+            cost, overlap, outputs = scored_walk(*args)
+            walks.append(cost)
+            return (cost if len(walks) == 1 else -1.0), overlap, outputs
+
+        monkeypatch.setattr(qnn, "_scored_walk", losing)
+        model, report = qnn.train(pairs, max_iters=5, rng_seed=1)
+        assert (report.stop, report.converged, report.iterations) == ("step floor", True, 0)
+        step_sizes = sum(qnn.STEP_SIZE / 2 ** k > 1e-8 for k in range(64))
+        assert len(walks) == 1 + step_sizes == 25
+        assert np.array_equal(model.stack, qnn.random_model(2, 1, np.random.default_rng(1)).stack)
 
     @pytest.mark.parametrize("n, depth", [(2, 1), (3, 2)])
     def test_unitarity_preserved_after_training(self, n, depth):
@@ -515,32 +543,63 @@ class TestTraining:
 
 
 class TestMoveCount:
-    """The forward walk costs one `_retarget` per perceptron and one more to
-    return to the natural order, the ascent one per perceptron; counted by
-    wrapping the name `qnn` looks up."""
-
-    @pytest.fixture
-    def moves(self, monkeypatch):
-        calls = []
-        retarget = qnn._retarget
-
-        def counted(*args):
-            calls.append(None)
-            return retarget(*args)
-
-        monkeypatch.setattr(qnn, "_retarget", counted)
-        return calls
+    """The forward walk costs one move per perceptron and one more to return
+    to the natural order, the ascent one per perceptron; counted on the walk
+    plan, whose moves the walks make, as `TestWalkPlan` checks."""
 
     @pytest.mark.parametrize("n, depth", [(1, 1), (2, 2), (3, 1), (3, 2)])
-    def test_forward_and_ascent(self, moves, n, depth):
-        stack = qnn.random_model(n, depth, np.random.default_rng(n)).stack
-        psi = StateVector(np.full(2 ** n, 2 ** (-n / 2)))
-        inputs, bras, weights = qnn._batch([qnn.TrainingPair(psi, psi)], n)
-        _, overlap, outputs = qnn._scored_walk(stack, n, inputs, bras, weights)
-        assert len(moves) == depth * n + 1
-        moves.clear()
-        qnn._ascent(stack, n, outputs, overlap, bras, weights)
-        assert len(moves) == depth * n
+    def test_forward_and_ascent(self, n, depth):
+        forward, ascent = qnn._walk_plan(n, depth * n)
+        assert len(forward) == depth * n + 1
+        assert len(ascent) == depth * n
+
+
+class TestWalkPlan:
+    """The walks made from `_walk_plan` against the same walks made by
+    `qcore._retarget`, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 5), depth=st.integers(1, 3), count=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=4, depth=3, count=4, seed=0)
+    @example(n=5, depth=2, count=4, seed=0)
+    def test_walks_match_retarget_walks(self, n, depth, count, seed):
+        # final registers of up to 16 qubits: only n = 5 at depth 3 is left out
+        assume(n * (depth + 1) <= 16)
+        rng = np.random.default_rng(seed)
+        stack = qnn.random_model(n, depth, rng, spread=0.5).stack
+        pairs = [qnn.TrainingPair(random_state(rng, n), random_state(rng, n)) for _ in range(count)]
+        inputs, bras, _ = qnn._batch(pairs, n)
+        weights = rng.uniform(0.1, 1.0, count)
+        out, outputs = qnn._forward(stack, n, inputs)
+        want_out, want_outputs = forward_by_retarget(stack, n, inputs)
+        assert np.array_equal(out, want_out)
+        assert all(np.array_equal(a, b) for a, b in zip(outputs, want_outputs, strict=True))
+        _, overlap, _ = qnn._scored_walk(stack, n, inputs, bras, weights)
+        assert np.array_equal(qnn._ascent(stack, n, outputs, overlap, bras, weights),
+                              ascent_by_retarget(stack, n, want_outputs, overlap, bras, weights))
+
+    def test_training_matches_training_on_retarget_walks(self, monkeypatch):
+        pairs = trajectory_pairs(NoiseKind.DEPOLARIZING, 3, 0.3, 0, 100)
+        model, report = qnn.train(pairs, 2, max_iters=20, rng_seed=4)
+        monkeypatch.setattr(qnn, "_forward", forward_by_retarget)
+        monkeypatch.setattr(qnn, "_ascent", ascent_by_retarget)
+        want_model, want_report = qnn.train(pairs, 2, max_iters=20, rng_seed=4)
+        assert report.iterations == 20
+        assert report == want_report
+        assert np.array_equal(model.stack, want_model.stack)
+
+    def test_built_once_per_shape(self):
+        # training's walks share the plan of its stack; the Kraus operators
+        # walk one transition, a second shape
+        pairs = trajectory_pairs(NoiseKind.AMPLITUDE_DAMPING, 2, 0.3, 0, 20)
+        qnn._walk_plan.cache_clear()
+        model, report = qnn.train(pairs, 2, max_iters=20, rng_seed=1)
+        built = qnn._walk_plan.cache_info()
+        assert built.misses == 1
+        assert built.hits >= 2 * report.iterations
+        assert model.kraus.shape == (2, 4, 4, 4)
+        assert qnn._walk_plan.cache_info().misses == 2
 
 
 class TestStepExponential:
