@@ -10,7 +10,7 @@ import numpy as np
 
 from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from .qcore import DensityOperator, QuantumChannel, _spectrum_entropy, von_neumann_entropy
-from .sdc import Codeword, ghz_fidelity, transmit, twirl
+from .sdc import Codeword, _return_walk, ghz_fidelity, transmit, twirl
 
 
 @dataclass(frozen=True)
@@ -53,32 +53,31 @@ def report(shared: DensityOperator, spec: NoiseSpec) -> CapacityReport:
     U_x sigma U_x^dag of one state (Hiroshima, J. Phys. A 34, 6907 (2001)).
     Distribution noise acts before the Pauli encoders U_x, and a Pauli
     return channel commutes with them, so there the outputs are one orbit:
-    sigma is the shared state, with the return noise applied once at stage
-    both (codeword 0 encodes with the identity). Every fidelity is then
-    sigma's with the GHZ state, every output entropy S(sigma), and the mixture
-    the twirl of sigma (Bowen, PRA 63, 022302 (2001)). Amplitude-damping return
-    noise breaks the orbit, so each codeword is sent and scored on its own,
-    and by linearity the outputs mix to the returned twirl of the shared state.
+    sigma is the shared state, after one return walk at stage both. Every
+    fidelity is then sigma's with the GHZ state, every output entropy
+    S(sigma), and the mixture the twirl of sigma (Bowen, PRA 63, 022302
+    (2001)). Amplitude-damping return noise breaks the orbit, so each
+    codeword is sent and scored on its own, and by linearity the outputs mix
+    to the return walk of the shared state's twirl.
     Codeword X's fidelity is read off outcome X of the GHZ decoder.
 
     The channel side scores the noise on the ideal encoded inputs, as one
     term of the channel on I/2 per noisy qubit and 0 and 1 bit per untouched
     one: the ideal inputs mix to I/d, and the noise is a product."""
     n = shared.qubit_count
-    if spec.stage is NoiseStage.DISTRIBUTION_ONLY or spec.kind is not NoiseKind.AMPLITUDE_DAMPING:
-        sigma = shared
-        if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN:
-            sigma = transmit(shared, Codeword(n, 0), spec)
+    ch = make_channel(spec.kind, spec.p)
+    both = spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN
+    if not both or spec.kind is not NoiseKind.AMPLITUDE_DAMPING:
+        sigma = DensityOperator(_return_walk(ch, shared.matrix)) if both else shared
         fidelities = [ghz_fidelity(sigma)] * 2 ** n
         outputs, mixture = [sigma], twirl(sigma)
     else:
         outputs = [transmit(shared, Codeword(n, x), spec) for x in range(2 ** n)]
         fidelities = [ghz_fidelity(rho, x) for x, rho in enumerate(outputs)]
-        mixture = transmit(twirl(shared), Codeword(n, 0), spec)
+        mixture = DensityOperator(_return_walk(ch, twirl(shared).matrix))
     prior = 1.0 / len(outputs)
     conditional = sum(prior * von_neumann_entropy(rho) for rho in outputs)
-    noisy = n if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN else 1
-    ch = make_channel(spec.kind, spec.p)
+    noisy = n if both else 1
     half = np.eye(2, dtype=complex) / 2
     s_e = _exchange(half, ch)
     term = von_neumann_entropy(_channel_output(half, ch)) - s_e

@@ -102,7 +102,7 @@ def _cmd_capacity(args) -> None:
     print(f"classical capacity: {rep.holevo:.6f} bits")
     print(f"entropy exchange: {rep.entropy_exchange:.6f} bits")
     print(f"coherent information: {rep.coherent_information:.6f} bits")
-    print(f"quantum capacity: {rep.quantum_capacity:.6f} bits")
+    print(f"quantum capacity: {rep.quantum_capacity:.6f} qubits")
 
 
 # command name -> (help text, adds its arguments, handler)

@@ -8,13 +8,10 @@ Qubit 0 is the most significant (leftmost) position of a basis label, so
 All entropies are in bits (log base 2). The array-holding value types
 compare and hash by identity, as an array has no single truth value.
 
-`_retarget` is the one move of qubits between array axes, one copy per
-step, with its axis order from `_permutation`: `_kraus_sum`, the
-return-stage noise, applies a channel to rho flattened row-major to 2m
-qubits by its superoperator sum_k K_k (x) conj(K_k) on the row and column
-copies of the targets (Wood, Biamonte and Cory, QIC 15, 759 (2015)). The
-QNN makes the same copy inline, from a plan of `_permutation` orders built
-once per network shape.
+`_move` is the one move of qubits between array axes: the cached shape,
+axis order and height of one reshape-transpose copy between two qubit
+layouts. The return walk of `sdc` and both QNN walks read their moves from
+plans of `_move` copies built once per width or network shape.
 """
 
 from __future__ import annotations
@@ -161,34 +158,16 @@ class QuantumChannel:
 
 
 @lru_cache(maxsize=512)
-def _permutation(src: tuple, dst: tuple, m: int) -> tuple:
-    """Axis order taking (2,)*m + (columns,) from the layout with the `src`
-    qubits first, in order, then the other qubits, then the columns, to the
-    layout with the `dst` qubits first. Computed once per pair of layouts."""
+def _move(src: tuple, dst: tuple, m: int) -> tuple:
+    """The move of an array of 2^m entries per column, any columns, laid out
+    with its `src` qubits first, in order, then the other qubits, to 2^len(dst)
+    rows laid out with its `dst` qubits first, as (shape, order, height): the
+    copy `arr.reshape(shape).transpose(order).reshape(height, -1)`. The
+    natural order is the layout with no qubits first. Built once per pair of
+    layouts."""
     old = src + tuple(q for q in range(m) if q not in src)
     new = dst + tuple(q for q in range(m) if q not in dst)
-    return tuple(old.index(q) for q in new) + (m,)
-
-
-def _retarget(arr: np.ndarray, src, dst, m: int) -> np.ndarray:
-    """`arr` (2^m entries per column, any columns), laid out with its `src`
-    qubits first, as 2^len(dst) rows laid out with its `dst` qubits first;
-    the natural order is the layout with no qubits first. One copy."""
-    order = _permutation(tuple(src), tuple(dst), m)
-    return arr.reshape((2,) * m + (-1,)).transpose(order).reshape(2 ** len(dst), -1)
-
-
-def _kraus_sum(ch: QuantumChannel, rho: np.ndarray, target_sets, m: int) -> np.ndarray:
-    """`ch` on each target set of the bare matrix rho in turn, flattened to a
-    2m-qubit column: per step one move to the layout of the targets' row and
-    column copies and one matmul by the superoperator, then one move back to
-    the natural order; validates nothing."""
-    rows, src = rho.reshape(-1, 1), ()
-    for targets in target_sets:
-        dst = tuple(targets) + tuple(m + q for q in targets)
-        rows = ch.superoperator @ _retarget(rows, src, dst, 2 * m)
-        src = dst
-    return _retarget(rows, src, (), 2 * m).reshape(rho.shape)
+    return (2,) * m + (-1,), tuple(old.index(q) for q in new) + (m,), 2 ** len(dst)
 
 
 def _spectrum_entropy(evals: np.ndarray) -> float:

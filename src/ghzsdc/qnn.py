@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .qcore import DensityOperator, StateVector, Unitary, _permutation
+from .qcore import DensityOperator, StateVector, Unitary, _move
 
 # The widest input that training supports, and so the widest network that
 # feedforward and model files accept; a wider one is refused, not run.
@@ -111,9 +111,10 @@ class TrainingReport:
 # register that grows by one qubit per perceptron: perceptron i takes one
 # axis move of the n + i live qubits and one matmul by its isometry
 # U_i[:, ::2], which adjoins its fresh qubit n + i in |0>, the qubit no earlier
-# perceptron touched. Every move of both walks is read from `_walk_plan`,
-# built once per network shape, and made inline as the one reshape-transpose
-# copy of `qcore._retarget`. The isometries stay strided views: numpy
+# perceptron touched. Every move of both walks is a `qcore._move`, the one
+# move kernel, which the return walk of `sdc` uses as well; the moves are read
+# from `_walk_plan`, built once per network shape, and each is made inline as
+# its one reshape-transpose copy. The isometries stay strided views: numpy
 # multiplies them by its own loop, where a contiguous copy would take BLAS
 # and other bytes. The walk keeps every perceptron's output, together less
 # than twice the final register. Training takes its P columns, the conjugated
@@ -128,35 +129,28 @@ class TrainingReport:
 # per run, with its coefficients built once per step size; the model is
 # built where it returns.
 
-@lru_cache(maxsize=64)
 def _stack_targets(n: int, count: int) -> tuple:
     """Qubits of each of the first `count` perceptrons, layer-major:
     perceptron j of transition t acts on t*n..(t+1)*n-1, then its fresh qubit
-    (t+1)*n + j. Built once per shape."""
+    (t+1)*n + j."""
     return tuple(tuple(range(t * n, (t + 1) * n)) + ((t + 1) * n + j,)
                  for t, j in (divmod(i, n) for i in range(count)))
 
 
 @lru_cache(maxsize=64)
 def _walk_plan(n: int, count: int) -> tuple:
-    """The axis moves of the walks of the first `count` perceptrons of a
-    width-n network, each as (shape, order, height): the copy
-    `arr.reshape(shape).transpose(order).reshape(height, -1)` that
-    `qcore._retarget` makes. `_forward` takes the `count` moves to each
+    """The `qcore._move` copies of the walks of the first `count` perceptrons
+    of a width-n network. `_forward` takes the `count` moves to each
     perceptron's n input qubits, then the one of its final register back to
     the natural order; `_ascent` takes, at index 0, the move of the target
     projection to the last perceptron's qubits, and at index i > 0 the move
     from perceptron i's qubits to those of perceptron i - 1. Built once per
     shape."""
     qubits = _stack_targets(n, count)
-
-    def move(src, dst, m):
-        return (2,) * m + (-1,), _permutation(src, dst, m), 2 ** len(dst)
-
-    forward = tuple(move(src, dst[:-1], n + i) for i, (src, dst) in enumerate(zip(((),) + qubits, qubits)))
-    ascent = (move((), qubits[-1], count + n),) + tuple(
-        move(qubits[i][:-1], qubits[i - 1], n + i) for i in range(1, count))
-    return forward + (move(qubits[-1], (), count + n),), ascent
+    forward = tuple(_move(src, dst[:-1], n + i) for i, (src, dst) in enumerate(zip(((),) + qubits, qubits)))
+    ascent = (_move((), qubits[-1], count + n),) + tuple(
+        _move(qubits[i][:-1], qubits[i - 1], n + i) for i in range(1, count))
+    return forward + (_move(qubits[-1], (), count + n),), ascent
 
 
 def _batch(training_set: Sequence[TrainingPair], n: int):

@@ -5,16 +5,17 @@ single-qubit channels as one channel, the per-qubit factors of the
 protocol's noise, random channels cut from isometries, an operator on
 chosen qubits as its Kronecker embedding and conjugation by that, a channel
 as the sum of its Kraus conjugations and a channel on chosen qubits of a
-validated state, the dense fidelity of a pure state with a density
-operator, the identity network, the network's cost and ascent directions on
-a training set by training's own `_batch` and `_scored_walk`, the forward
-walk and the ascent with every move made by `qcore._retarget`, the ascent
-directions swept back on the full register and the network map rebuilt
-from its perceptrons at every call, the uniform mixture of a sequence of
-states and its Holevo value as explicit sums, and the entropy exchange and
-coherent information of a channel on pure states, with a Stinespring
-dilation as the entropy exchange's oracle. Inputs are trusted: nothing
-here checks them."""
+validated state by its superoperator contracted with `np.tensordot`, a move
+of qubits between array axes by `np.moveaxis`, the dense fidelity of a pure
+state with a density operator, the identity network, the network's cost and
+ascent directions on a training set by training's own `_batch` and
+`_scored_walk`, the forward walk and the ascent with every move made by
+that `retarget`, the ascent directions swept back on the full register and
+the network map rebuilt from its perceptrons at every call, the uniform
+mixture of a sequence of states and its Holevo value as explicit sums, and
+the entropy exchange and coherent information of a channel on pure states,
+with a Stinespring dilation as the entropy exchange's oracle. Inputs are
+trusted: nothing here checks them."""
 
 from typing import Sequence
 
@@ -28,8 +29,6 @@ from ghzsdc.qcore import (
     QuantumChannel,
     StateVector,
     Unitary,
-    _kraus_sum,
-    _retarget,
     von_neumann_entropy,
 )
 from ghzsdc.qnn import (
@@ -167,8 +166,24 @@ def apply_unitary(rho: DensityOperator, u: Unitary, targets: Sequence[int]) -> D
 
 
 def apply_channel(rho: DensityOperator, ch: QuantumChannel, targets: Sequence[int]) -> DensityOperator:
-    """`ch` on the given target qubits of rho, by its superoperator."""
-    return DensityOperator(_kraus_sum(ch, rho.matrix, [targets], rho.qubit_count))
+    """`ch` on the given (ordered) target qubits of rho: its superoperator
+    sum_k K_k (x) conj(K_k), as a tensor, contracted by `np.tensordot` with
+    the targets' row and column axes of rho, which `np.moveaxis` then puts
+    back in their places."""
+    m, k = rho.qubit_count, len(targets)
+    axes = list(targets) + [m + q for q in targets]
+    sup = ch.superoperator.reshape((2,) * (4 * k))
+    out = np.tensordot(sup, rho.matrix.reshape((2,) * (2 * m)), axes=(list(range(2 * k, 4 * k)), axes))
+    return DensityOperator(np.moveaxis(out, range(2 * k), axes).reshape(rho.matrix.shape))
+
+
+def retarget(arr: np.ndarray, src, dst, m: int) -> np.ndarray:
+    """`arr` (2^m entries per column, any columns), laid out with its `src`
+    qubits first, in order, then the other qubits, as 2^len(dst) rows laid
+    out with its `dst` qubits first; the natural order is the layout with no
+    qubits first. By `np.moveaxis`, through the natural order."""
+    natural = np.moveaxis(arr.reshape((2,) * m + (-1,)), range(len(src)), src)
+    return np.moveaxis(natural, dst, range(len(dst))).reshape(2 ** len(dst), -1)
 
 
 def fidelity(psi: StateVector, rho: DensityOperator) -> float:
@@ -219,21 +234,21 @@ def gradients(model: QnnModel, training_set: Sequence[TrainingPair], weights=Non
 
 
 def forward_by_retarget(stack, n, inputs):
-    """`qnn._forward` with each move made by `_retarget` between the
+    """`qnn._forward` with each move made by `retarget` between the
     perceptrons' qubit layouts: perceptron i moves the n + i live qubits to
     its n input qubits first and multiplies by U_i[:, ::2]; the final
     register moves back to the natural order. Returns it as columns, and the
     perceptron outputs."""
     rows, src, outputs = inputs, (), []
     for i, (u, qubits) in enumerate(zip(stack, _stack_targets(n, len(stack)))):
-        rows = u[:, ::2] @ _retarget(rows, src, qubits[:-1], n + i)
+        rows = u[:, ::2] @ retarget(rows, src, qubits[:-1], n + i)
         outputs.append(rows)
         src = qubits
-    return _retarget(rows, src, (), len(stack) + n).reshape(-1, inputs.shape[1]), outputs
+    return retarget(rows, src, (), len(stack) + n).reshape(-1, inputs.shape[1]), outputs
 
 
 def ascent_by_retarget(stack, n, outputs, overlap, bras, weights):
-    """`qnn._ascent` with each move made by `_retarget`: the weighted
+    """`qnn._ascent` with each move made by `retarget`: the weighted
     conjugated target projection moves to the last perceptron's qubits, and
     after each perceptron i > 0 from its input qubits to the qubits of
     perceptron i - 1; T_i = A_i D^T, then K = i(T - T^dag). Consumes
@@ -242,12 +257,12 @@ def ascent_by_retarget(stack, n, outputs, overlap, bras, weights):
     qubits = _stack_targets(n, count)
     swept = overlap.conj()[:, None, :] * bras
     swept *= weights
-    rows = _retarget(swept, (), qubits[-1], count + n)
+    rows = retarget(swept, (), qubits[-1], count + n)
     t_ac = np.empty_like(stack)
     for idx in range(count - 1, -1, -1):
         np.matmul(outputs.pop(), rows.T, out=t_ac[idx])
         if idx:
-            rows = _retarget(stack[idx][:, ::2].T @ rows, qubits[idx][:-1], qubits[idx - 1], n + idx)
+            rows = retarget(stack[idx][:, ::2].T @ rows, qubits[idx][:-1], qubits[idx - 1], n + idx)
     grads = t_ac - t_ac.conj().swapaxes(-1, -2)
     grads *= 1j
     return grads
@@ -265,14 +280,14 @@ def ascent_full_register(stack, n, out, overlap, targets, weights) -> np.ndarray
     # the leading qubit moves every perceptron qubit up by one
     qubits = [tuple(q + 1 for q in targets_i) for targets_i in _stack_targets(n, count)]
     chi = (overlap[:, None, :] * targets[None, :, :]).reshape(out.shape) * weights
-    rows = _retarget(np.concatenate([out, chi]), (), qubits[-1], m + 1)
+    rows = retarget(np.concatenate([out, chi]), (), qubits[-1], m + 1)
     half = rows.shape[1] // 2
     grads = np.empty_like(stack)
     for idx in range(count - 1, -1, -1):
         t_ac = rows[:, :half] @ rows[:, half:].conj().T
         grads[idx] = 1j * (t_ac - t_ac.conj().T)
         if idx:
-            rows = _retarget(stack[idx].conj().T @ rows, qubits[idx], qubits[idx - 1], m + 1)
+            rows = retarget(stack[idx].conj().T @ rows, qubits[idx], qubits[idx - 1], m + 1)
     return grads
 
 

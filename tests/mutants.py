@@ -57,9 +57,13 @@ MUTANTS = (
            "pass",
            "the coherences that the sign pairs cancel survive in the twirl"),
     Mutant("return-noise-on-bob", "src/ghzsdc/sdc.py",
-           "rho = qcore._kraus_sum(make_channel(noise.kind, noise.p), rho, [[q] for q in range(1, n)], n)",
-           "rho = qcore._kraus_sum(make_channel(noise.kind, noise.p), rho, [[q] for q in range(0, n)], n)",
+           "layouts = ((),) + tuple((q, n + q) for q in range(1, n)) + ((),)",
+           "layouts = ((),) + tuple((q, n + q) for q in range(0, n)) + ((),)",
            "Bob's qubit, which stays with Bob, takes the return noise a second time"),
+    Mutant("return-walk-not-moved-back", "src/ghzsdc/sdc.py",
+           "layouts = ((),) + tuple((q, n + q) for q in range(1, n)) + ((),)",
+           "layouts = ((),) + tuple((q, n + q) for q in range(1, n))",
+           "the return walk skips its last qubit's noise and leaves the matrix in that qubit's layout"),
     Mutant("distribution-kraus-transposed", "src/ghzsdc/sdc.py",
            "return np.array([(k @ amps).reshape(-1) for k in make_channel(kind, p).kraus_ops])",
            "return np.array([(k.T @ amps).reshape(-1) for k in make_channel(kind, p).kraus_ops])",
@@ -73,8 +77,8 @@ MUTANTS = (
            "return float(np.sqrt(min(probs[x ^ 1], 1.0)))",
            "every fidelity is read off the +/- partner of the sent codeword's outcome"),
     Mutant("noisy-qubit-count", "src/ghzsdc/capacity.py",
-           "noisy = n if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN else 1",
-           "noisy = n - 1 if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN else 1",
+           "noisy = n if both else 1",
+           "noisy = n - 1 if both else 1",
            "one noisy qubit of a both-stage point is scored as noiseless"),
     Mutant("depolarizing-y-as-z", "src/ghzsdc/noise.py",
            "np.sqrt(p / 3) * SIGMA_Y,",
@@ -93,8 +97,8 @@ MUTANTS = (
            "rows = (stack[idx][:, 1::2].T @ rows).reshape(shape).transpose(order).reshape(height, -1)",
            "the backward sweep keeps the projection's |1> part of each fresh qubit, which the state lacks"),
     Mutant("ascent-head-to-first-perceptron", "src/ghzsdc/qnn.py",
-           "ascent = (move((), qubits[-1], count + n),) + tuple(",
-           "ascent = (move((), qubits[0], count + n),) + tuple(",
+           "ascent = (_move((), qubits[-1], count + n),) + tuple(",
+           "ascent = (_move((), qubits[0], count + n),) + tuple(",
            "the backward sweep starts in the first perceptron's layout, not the last one's, in every network"
            " of more than one perceptron"),
     Mutant("acceptance-slack-1e-3", "src/ghzsdc/qnn.py",
@@ -118,13 +122,12 @@ MUTANTS = (
            "holevo=max(von_neumann_entropy(mixture) - conditional, 0.0) + (1e-9 if n >= 7 else 0.0),",
            "the Holevo value of every point at n >= 7 is 1e-9 too high"),
     Mutant("return-mixture-before-return", "src/ghzsdc/capacity.py",
-           "mixture = transmit(twirl(shared), Codeword(n, 0), spec)",
+           "mixture = DensityOperator(_return_walk(ch, twirl(shared).matrix))",
            "mixture = twirl(shared)",
            "amplitude-damping return points mix the outputs as if the return were noiseless"),
     Mutant("orbit-includes-ad-return", "src/ghzsdc/capacity.py",
-           "if spec.stage is NoiseStage.DISTRIBUTION_ONLY or spec.kind is not NoiseKind.AMPLITUDE_DAMPING:",
-           "if spec.stage is NoiseStage.DISTRIBUTION_ONLY or spec.kind is not NoiseKind.AMPLITUDE_DAMPING"
-           " or True:",
+           "if not both or spec.kind is not NoiseKind.AMPLITUDE_DAMPING:",
+           "if not both or spec.kind is not NoiseKind.AMPLITUDE_DAMPING or True:",
            "amplitude-damping return points are scored as one orbit, which that noise breaks"),
     Mutant("fidelity-before-from-kept", "src/ghzsdc/cli.py",
            'print(f"fidelity before: {ghz_fidelity(rho):.6f}")',

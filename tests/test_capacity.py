@@ -189,6 +189,25 @@ class TestReport:
         spec = NoiseSpec(NoiseKind.DEPOLARIZING, 0.0)
         assert abs(capacity.report(distribute(n, spec), spec).holevo - n) < 1e-12
 
+    @pytest.mark.parametrize("stage, validated", [(NoiseStage.DISTRIBUTION_ONLY, 1),
+                                                  (NoiseStage.DISTRIBUTION_AND_RETURN, 2)])
+    def test_an_orbit_point_validates_its_return_and_its_twirl(self, stage, validated, monkeypatch):
+        # a dist-stage point scores the validated shared state itself; stage
+        # both validates the return walk's output once (the one-qubit states
+        # are the channel side's)
+        spec = NoiseSpec(NoiseKind.DEPOLARIZING, 0.3, stage)
+        shared = distribute(4, spec)
+        built = []
+        validate = DensityOperator.__post_init__
+
+        def counted(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(DensityOperator, "__post_init__", counted)
+        capacity.report(shared, spec)
+        assert sum(rho.qubit_count == 4 for rho in built) == validated
+
     def test_one_eigensolve_for_the_output_mixture(self, monkeypatch):
         # every output carries the spectrum its validation computed, so at
         # n = 4 the 16 x 16 eigensolves are the 16 outputs, the twirl of the

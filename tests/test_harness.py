@@ -22,6 +22,7 @@ from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from ghzsdc.sdc import (
     Codeword,
     _frame,
+    _return_walk,
     distribute,
     ghz_fidelity,
     run_protocol,
@@ -237,24 +238,27 @@ class TestOrbitScoring:
     @pytest.mark.parametrize("kind", list(NoiseKind))
     @pytest.mark.parametrize("stage", list(NoiseStage))
     def test_orbit_predicate(self, kind, stage, monkeypatch):
-        # none at stage dist, one at an orbit point of stage both, and every
-        # codeword where amplitude-damping return noise breaks the orbit,
-        # plus the returned twirl that mixes them
+        # no codeword is sent at an orbit point, and at stage both its shared
+        # state takes one return walk; amplitude-damping return noise breaks
+        # the orbit, so every codeword is sent, and one return walk of the
+        # twirl mixes them
         n = 4
-        sent = []
+        sent, walked = [], []
 
         def counted(shared, code, spec):
             sent.append(code)
             return transmit(shared, code, spec)
 
+        def walk(ch, rho):
+            walked.append(rho)
+            return _return_walk(ch, rho)
+
         monkeypatch.setattr(capacity, "transmit", counted)
+        monkeypatch.setattr(capacity, "_return_walk", walk)
         spec = NoiseSpec(kind, 0.3, stage)
         capacity.report(distribute(n, spec), spec)
-        if (kind, stage) in ORBIT_NOISE:
-            expected = 0 if stage is NoiseStage.DISTRIBUTION_ONLY else 1
-        else:
-            expected = 2 ** n + 1
-        assert len(sent) == expected
+        assert len(sent) == (0 if (kind, stage) in ORBIT_NOISE else 2 ** n)
+        assert len(walked) == (stage is NoiseStage.DISTRIBUTION_AND_RETURN)
 
     @settings(max_examples=30, deadline=None)
     @example(n=3, noise_=ORBIT_NOISE[0], pipeline="raw", p=0.0)
@@ -605,6 +609,10 @@ class TestCli:
         for field in ("holevo", "classical capacity", "entropy exchange",
                       "coherent information", "quantum capacity"):
             assert field in out
+        # the quantum capacity is a rate of qubits, every other field of bits
+        printed = dict(line.split(": ") for line in out.splitlines())
+        assert printed["quantum capacity"].endswith(" qubits")
+        assert all(value.endswith(" bits") for field, value in printed.items() if field != "quantum capacity")
 
     def test_capacity_above_density_cap_fails_fast(self, capsys):
         rc = cli.main(["capacity", "--noise", "amplitude-damping", "--n", "11", "--p", "0.2"])

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzsdc import qcore
-from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage
 from ghzsdc.qcore import (
     I2,
     SIGMA_X,
@@ -15,14 +14,12 @@ from ghzsdc.qcore import (
     QuantumChannel,
     StateVector,
     Unitary,
-    _kraus_sum,
-    _retarget,
+    _move,
     _spectrum_entropy,
     von_neumann_entropy,
 )
-from ghzsdc.sdc import Codeword, distribute, transmit
 
-from full_space import basis_state, kraus_sum, random_channel, random_state
+from full_space import basis_state, random_channel, random_state, retarget
 
 NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.nan)]
 
@@ -164,92 +161,31 @@ def test_array_holders_compare_and_hash_by_identity(make):
     assert len({a, b}) == 2
 
 
-class TestKrausWalk:
+class TestMove:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), m=st.integers(1, 8), columns=st.integers(1, 3),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_retarget_round_trip(self, data, m, columns, seed):
+    def test_round_trip(self, data, m, columns, seed):
         # ordered, possibly non-contiguous targets on rows of several columns
         k = data.draw(st.integers(1, min(m, 3)))
         targets = tuple(data.draw(st.permutations(range(m)))[:k])
         rng = np.random.default_rng(seed)
         arr = rng.normal(size=(2 ** m, columns)) + 1j * rng.normal(size=(2 ** m, columns))
-        rows = _retarget(arr, (), targets, m)
+
+        def move(a, src, dst):
+            shape, order, height = _move(src, dst, m)
+            return a.reshape(shape).transpose(order).reshape(height, -1)
+
+        rows = move(arr, (), targets)
         assert rows.shape == (2 ** k, 2 ** (m - k) * columns)
-        assert np.array_equal(_retarget(rows, targets, (), m).reshape(arr.shape), arr)
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), k=st.integers(1, 2), r=st.integers(1, 4), steps=st.integers(1, 4),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_walk_matches_the_oracle_and_the_steps_through_natural_order(self, data, k, r, steps, seed):
-        m = data.draw(st.integers(k, 5))
-        target_sets = [tuple(data.draw(st.permutations(range(m)))[:k]) for _ in range(steps)]
-        rng = np.random.default_rng(seed)
-        ch = random_channel(rng, k, r)
-        rho = rng.normal(size=(2 ** m, 2 ** m)) + 1j * rng.normal(size=(2 ** m, 2 ** m))
-        walked = _kraus_sum(ch, rho, target_sets, m)
-        assert walked.shape == rho.shape
-        oracle, stepped = rho, rho
-        for targets in target_sets:
-            oracle = kraus_sum(ch, oracle, targets, m)
-            stepped = _kraus_sum(ch, stepped, [targets], m)
-        assert np.max(np.abs(walked - oracle)) < 1e-12
+        assert np.array_equal(rows, retarget(arr, (), targets, m))
+        assert np.array_equal(move(rows, targets, ()).reshape(arr.shape), arr)
         # one move between layouts is the same copy as two through the natural order
-        assert np.array_equal(walked, stepped)
-        doubled = [t + tuple(m + q for q in t) for t in (target_sets[0], target_sets[-1])]
-        flat = rho.reshape(-1, 1)
-        assert np.array_equal(_retarget(flat, *doubled, 2 * m),
-                              _retarget(_retarget(flat, doubled[0], (), 2 * m), (), doubled[1], 2 * m))
-
-    def test_bit_flip_is_the_exact_permutation(self):
-        rng = np.random.default_rng(5)
-        rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        flip = [1, 0, 3, 2]
-        out = _kraus_sum(QuantumChannel((SIGMA_X,)), rho, [(1,)], 2)
-        assert out.shape == (4, 4)
-        assert np.array_equal(out, rho[np.ix_(flip, flip)])
-
-
-class TestMoveCount:
-    """Each local step costs one `_retarget`, and each walk one more to
-    return to the natural order; counted by wrapping the name `qcore` looks
-    up."""
-
-    @pytest.fixture
-    def moves(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(None)
-            return _retarget(*args)
-
-        monkeypatch.setattr(qcore, "_retarget", counted)
-        return calls
-
-    @pytest.mark.parametrize("kind", [NoiseKind.AMPLITUDE_DAMPING, NoiseKind.DEPOLARIZING])
-    @pytest.mark.parametrize("n", [3, 4, 6])
-    def test_transmit_at_stage_both_moves_n_times(self, moves, kind, n):
-        spec = NoiseSpec(kind, 0.3, NoiseStage.DISTRIBUTION_AND_RETURN)
-        shared = distribute(n, spec)
-        moves.clear()
-        transmit(shared, Codeword(n, 2 ** n - 1), spec)
-        assert len(moves) == n
+        other = tuple(data.draw(st.permutations(range(m)))[:data.draw(st.integers(0, m))])
+        assert np.array_equal(move(rows, targets, other), move(move(rows, targets, ()), (), other))
 
 
 class TestSuperoperator:
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), k=st.integers(1, 2), r=st.integers(1, 6),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_kraus_sum_matches_the_kraus_conjugations(self, data, k, r, seed):
-        m = data.draw(st.integers(k, 6))
-        targets = data.draw(st.permutations(range(m)))[:k]
-        rng = np.random.default_rng(seed)
-        ch = random_channel(rng, k, r)
-        rho = random_state(rng, m, 2 ** m).matrix
-        out = _kraus_sum(ch, rho, [targets], m)
-        assert out.shape == rho.shape
-        assert np.max(np.abs(out - kraus_sum(ch, rho, targets, m))) < 1e-14
-
     def test_is_the_cached_read_only_kron_sum(self):
         ch = random_channel(np.random.default_rng(3), 2, 3)
         assert "superoperator" not in ch.__dict__

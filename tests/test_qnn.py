@@ -555,8 +555,8 @@ class TestMoveCount:
 
 
 class TestWalkPlan:
-    """The walks made from `_walk_plan` against the same walks made by
-    `qcore._retarget`, bit for bit."""
+    """The walks made from `_walk_plan` against the same walks made by the
+    test-local `retarget`, bit for bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 5), depth=st.integers(1, 3), count=st.integers(1, 4),

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ghzsdc import qcore
+from ghzsdc import qcore, sdc
 from ghzsdc.harness import CorrectionPipeline
 from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
-from ghzsdc.qcore import I2, SIGMA_X, SIGMA_Y, DensityOperator, StateVector
+from ghzsdc.qcore import I2, SIGMA_X, SIGMA_Y, DensityOperator, QuantumChannel, StateVector
 from ghzsdc.sdc import (
     Codeword,
     decode_ghz,
@@ -21,7 +21,7 @@ from ghzsdc.sdc import (
 
 import reference
 from full_space import (apply_channel, apply_unitary, fidelity, ghz_basis, ideal_received_state, kraus_sum,
-                        kron_embedding, random_state)
+                        kron_embedding, random_channel, random_state)
 
 
 def assert_decode_matches_dense_basis(rho):
@@ -198,6 +198,64 @@ class TestStages:
             twirl(DensityOperator(np.eye(2 ** n) / 2 ** n))
         assert refused.type is ValueError
         assert str(refused.value) == "the bitwise encoder requires n >= 3"
+
+
+class TestReturnWalk:
+    # the walk on a bare n-qubit matrix against the sum of the Kraus
+    # conjugations of each of qubits 1..n-1 in turn; noise is None for a
+    # random single-qubit channel of r Kraus operators, else the (kind, p) of
+    # a protocol channel
+    @settings(max_examples=60, deadline=None)
+    @example(n=2, r=1, noise=(NoiseKind.AMPLITUDE_DAMPING, 0.0), seed=0)
+    @example(n=7, r=1, noise=(NoiseKind.AMPLITUDE_DAMPING, 1.0), seed=1)
+    @example(n=5, r=1, noise=(NoiseKind.DEPOLARIZING, 0.0), seed=2)
+    @example(n=6, r=1, noise=(NoiseKind.DEPOLARIZING, 1.0), seed=3)
+    @given(n=st.integers(2, 7), r=st.integers(1, 4), noise=st.none(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_kraus_oracle(self, n, r, noise, seed):
+        rng = np.random.default_rng(seed)
+        ch = random_channel(rng, 1, r) if noise is None else make_channel(*noise)
+        rho = random_state(rng, n, int(rng.integers(1, 2 ** n + 1))).matrix
+        walked = sdc._return_walk(ch, rho)
+        want = rho
+        for q in range(1, n):
+            want = kraus_sum(ch, want, [q], n)
+        assert walked.shape == rho.shape
+        assert np.max(np.abs(walked - want)) < 1e-14
+
+    def test_bit_flip_is_the_exact_permutation(self):
+        rng = np.random.default_rng(5)
+        rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        flip = [1, 0, 3, 2]
+        assert np.array_equal(sdc._return_walk(QuantumChannel((SIGMA_X,)), rho), rho[np.ix_(flip, flip)])
+
+    @pytest.mark.parametrize("kind", [NoiseKind.AMPLITUDE_DAMPING, NoiseKind.DEPOLARIZING])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 10])
+    def test_a_width_n_walk_makes_n_moves(self, n, kind, monkeypatch):
+        # one move per qubit 1..n-1 and one back to the natural order,
+        # counted as the walk unpacks each move of its plan
+        made = []
+
+        class Counted(tuple):
+            def __iter__(self):
+                made.append(self)
+                return super().__iter__()
+
+        plan = tuple(Counted(move) for move in sdc._return_plan(n))
+        assert [height for _, _, height in plan] == [4] * (n - 1) + [1]
+        made.clear()
+        monkeypatch.setattr(sdc, "_return_plan", lambda width: plan)
+        ch = make_channel(kind, 0.3)
+        rho = random_state(np.random.default_rng(n), n, 2).matrix
+        sdc._return_walk(ch, rho)
+        assert made == list(plan)
+
+    def test_plan_built_once_per_width(self):
+        spec = NoiseSpec(NoiseKind.AMPLITUDE_DAMPING, 0.3, NoiseStage.DISTRIBUTION_AND_RETURN)
+        shared = distribute(4, spec)
+        sdc._return_plan.cache_clear()
+        for value in range(16):
+            transmit(shared, Codeword(4, value), spec)
+        assert sdc._return_plan.cache_info().misses == 1
 
 
 class TestDecode:
