@@ -104,3 +104,64 @@ def score(kind: str, p: float, n: int, both: bool, rounds: int = 0) -> dict:
     return {"avg_fidelity": float(np.mean(np.sqrt(np.clip(overlaps, 0, None)))), "holevo": chi,
             "entropy_exchange": s_e, "coherent_info": icoh, "quantum_capacity": max(icoh, 0.0),
             "min_overlap": min(overlaps)}
+
+
+def ghz_channel(weights: np.ndarray, ops: list, qubit: int, n: int) -> np.ndarray:
+    """The GHZ-basis weights after the Kraus operators `ops` act on `qubit`
+    of a GHZ-diagonal state with weights `weights`, where entry 2k + s weighs
+    (|k> + (-1)^s |~k>)/sqrt(2), k < 2^(n-1), ~k = 2^n - 1 - k. Each operator
+    sends basis state (k, s) into the span of the basis states at k and at
+    the representative of k with the qubit's bit flipped; the output weights
+    sum |<(k', s')|K|(k, s)>|^2 over every source. A channel of scaled Paulis
+    keeps the state GHZ-diagonal, so for the Pauli kinds these weights are
+    the state."""
+    d, half, bit = 2 ** n, 2 ** (n - 1), n - 1 - qubit
+    k = np.repeat(np.arange(half), 2)
+    s = np.tile([0, 1], half)
+    flipped = k ^ (1 << bit)
+    targets = {True: 2 * k, False: 2 * np.minimum(flipped, d - 1 - flipped)}
+    out = np.zeros(d)
+    for op in ops:
+        images = {True: np.zeros((d, 2), dtype=complex), False: np.zeros((d, 2), dtype=complex)}
+        # the two kets of the source, each at amplitude +-1/sqrt(2)
+        for ket, amp in ((k, np.ones(d)), (d - 1 - k, (-1.0) ** s)):
+            old = (ket >> bit) & 1
+            for new in (0, 1):
+                image = ket & ~(1 << bit) | (new << bit)
+                # |image> is 1/sqrt(2) of (k', +) and +-1/sqrt(2) of (k', -),
+                # minus when it is the complement ~k' of its representative
+                coords = np.stack([np.ones(d), np.where(image < half, 1.0, -1.0)], axis=1)
+                term = (op[new, old] * amp / 2)[:, None] * coords
+                for same in (True, False):
+                    images[same] += np.where(((old == new) == same)[:, None], term, 0)
+        for same in (True, False):
+            np.add.at(out, targets[same][:, None] + [0, 1], weights[:, None] * np.abs(images[same]) ** 2)
+    return out
+
+
+def ghz_frame_score(kind: str, p: float, n: int, both: bool, rounds: int = 0) -> dict:
+    """The average fidelity and Holevo value of one Pauli-noise grid point
+    (bit flip, phase flip or depolarizing), from the GHZ-basis weights q of
+    the corrected shared state, with no operator on n qubits:
+    - distribution noise on qubit 0, then (stage both) the return noise on
+      qubits 1..n-1, each by `ghz_channel`; the return acts after the
+      encoder, a Pauli, with which a Pauli channel commutes;
+    - a purification round takes q(k, +) to q(k, +)^2 + q(k, -)^2 and
+      q(k, -) to 2 q(k, +) q(k, -), renormalized (Murao et al., PRA 57,
+      R4075 (1998));
+    - the encoders map basis state 0 onto every basis state, one each, so
+      the outputs mix to I/2^n, the Holevo value is n - H(q) and every
+      codeword's fidelity is sqrt(q(0, +)) (Bowen, PRA 63, 022302 (2001))."""
+    ops = kraus(kind, p)
+    q = np.zeros(2 ** n)
+    q[0] = 1.0
+    q = ghz_channel(q, ops, 0, n)
+    for _ in range(rounds):
+        plus, minus = q[0::2], q[1::2]
+        kept = np.stack([plus ** 2 + minus ** 2, 2 * plus * minus], axis=1).reshape(-1)
+        q = kept / kept.sum()
+    for qubit in range(1, n) if both else ():
+        q = ghz_channel(q, ops, qubit, n)
+    support = q[q > 0]
+    return {"avg_fidelity": float(np.sqrt(q[0])), "holevo": max(n + float(np.sum(support * np.log2(support))), 0.0),
+            "min_overlap": float(q[0])}

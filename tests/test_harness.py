@@ -31,6 +31,7 @@ from ghzsdc.sdc import (
     twirl,
 )
 
+import reference
 from full_space import holevo, identity_model, kron_embedding, mixture, shannon_entropy
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -378,6 +379,34 @@ class TestDistributionClosedForms:
             assert record.avg_fidelity == 0
         else:
             assert abs(record.avg_fidelity - fidelity) <= 1e-12 * fidelity
+
+
+class TestGhzFrameScores:
+    # Pauli noise keeps the shared state diagonal in the GHZ basis, so every
+    # raw and purify point of the Pauli kinds has the closed form of
+    # reference.ghz_frame_score, cheap enough at every width up to
+    # MAX_DENSITY_QUBITS; rounds = 0 is the raw pipeline
+    @settings(max_examples=40, deadline=None)
+    @example(kind=NoiseKind.DEPOLARIZING, stage=NoiseStage.DISTRIBUTION_AND_RETURN, n=10, rounds=0, p=0.75)
+    @example(kind=NoiseKind.BIT_FLIP, stage=NoiseStage.DISTRIBUTION_AND_RETURN, n=9, rounds=3, p=1.0)
+    @example(kind=NoiseKind.PHASE_FLIP, stage=NoiseStage.DISTRIBUTION_ONLY, n=10, rounds=2, p=0.0)
+    @example(kind=NoiseKind.DEPOLARIZING, stage=NoiseStage.DISTRIBUTION_ONLY, n=3, rounds=1, p=0.75)
+    @example(kind=NoiseKind.BIT_FLIP, stage=NoiseStage.DISTRIBUTION_ONLY, n=4, rounds=0, p=1.0)
+    @example(kind=NoiseKind.PHASE_FLIP, stage=NoiseStage.DISTRIBUTION_AND_RETURN, n=5, rounds=1, p=0.0)
+    @given(kind=st.sampled_from([NoiseKind.BIT_FLIP, NoiseKind.PHASE_FLIP, NoiseKind.DEPOLARIZING]),
+           stage=st.sampled_from(NoiseStage), n=st.integers(3, 10), rounds=st.integers(0, 3),
+           p=st.floats(0.0, 1.0))
+    def test_pauli_point_matches_the_frame_reference(self, kind, stage, n, rounds, p):
+        (record,) = run_sweep(small_config(noise_kind=kind, noise_stage=stage, n=n, rounds=max(rounds, 1),
+                                           pipeline="purify" if rounds else "raw", p_start=p, p_stop=p))
+        want = reference.ghz_frame_score(kind.value, p, n, stage is NoiseStage.DISTRIBUTION_AND_RETURN, rounds)
+        assert abs(record.holevo - want["holevo"]) < 1e-12
+        # as in tests/test_reference.py, the fidelity is held through its
+        # square where the rounding of a GHZ weight near 0 dominates its root
+        if want["min_overlap"] < 1e-8:
+            assert abs(record.avg_fidelity ** 2 - want["avg_fidelity"] ** 2) < 1e-12
+        else:
+            assert abs(record.avg_fidelity - want["avg_fidelity"]) < 1e-12
 
 
 class TestEmitRecords:

@@ -2,7 +2,8 @@
 hand: the partial trace, the dense GHZ basis, the protocol's noise as one
 full-space channel, the dense fidelity, the Holevo value of an ensemble,
 conjugation by an operator on chosen qubits and a channel on chosen
-qubits."""
+qubits; and the GHZ-frame score of tests/reference.py against its textbook
+score."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from ghzsdc.qcore import SIGMA_X, DensityOperator, StateVector, Unitary
 from ghzsdc.sdc import Codeword, shared_state
 
+import reference
 from full_space import (
     CNOT,
     apply_channel,
@@ -190,3 +192,19 @@ class TestApplyChannel:
             out = apply_channel(rho, random_channel(rng, 1, 2), [int(rng.integers(2))])
             assert abs(np.trace(out.matrix).real - 1) < 1e-10
             assert np.linalg.eigvalsh(out.matrix).min() > -1e-10
+
+
+class TestGhzFrameReference:
+    # the two scores of tests/reference.py share only the Kraus table: the
+    # frame keeps the GHZ-basis weights, the textbook score builds every
+    # operator on the full space and the 2n-qubit purification pair, whose
+    # n = 4 rounds are the slow part
+    @pytest.mark.parametrize("kind", ["bit-flip", "phase-flip", "depolarizing"])
+    @pytest.mark.parametrize("both", [False, True])
+    def test_matches_the_textbook_score(self, kind, both):
+        grid = [(3, rounds, p) for rounds in (0, 1, 2) for p in (0.0, 0.1, 0.37, 0.75, 1.0)]
+        for n, rounds, p in grid + [(4, 0, 0.37), (4, 1, 0.37)]:
+            want = reference.score(kind, p, n, both, rounds)
+            got = reference.ghz_frame_score(kind, p, n, both, rounds)
+            assert abs(got["holevo"] - want["holevo"]) < 1e-12
+            assert abs(got["avg_fidelity"] ** 2 - want["avg_fidelity"] ** 2) < 1e-12
