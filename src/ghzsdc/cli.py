@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import capacity, harness, purify, qnn
-from .harness import SweepConfig, train_inline_model
+from . import harness, purify, qnn
+from .harness import CorrectionPipeline, SweepConfig, train_inline_model
 from .noise import NoiseKind, NoiseSpec, NoiseStage
 from .sdc import distribute, ghz_fidelity
 
@@ -97,7 +97,7 @@ def _cmd_purify_demo(args) -> None:
 
 def _cmd_capacity(args) -> None:
     spec = NoiseSpec(NoiseKind(args.noise), args.p, NoiseStage(args.noise_stage))
-    rep = capacity.report(distribute(args.n, spec), spec)
+    rep = CorrectionPipeline().score(args.n, spec)
     print(f"holevo: {rep.holevo:.6f} bits")
     print(f"classical capacity: {rep.holevo:.6f} bits")
     print(f"entropy exchange: {rep.entropy_exchange:.6f} bits")

@@ -12,7 +12,7 @@ import numpy as np
 from . import capacity, purify, qnn
 from .noise import NoiseKind, NoiseSpec, NoiseStage
 from .qcore import DensityOperator, StateVector
-from .sdc import _kraus_branches, distribute, shared_state
+from .sdc import _check_width, _ghz_distribute, _kraus_branches, distribute, shared_state
 
 PIPELINES = ("raw", "purify", "qnn", "purify-qnn")
 
@@ -98,6 +98,28 @@ class CorrectionPipeline:
             rho = qnn.feedforward(self.model, rho)
         return rho
 
+    def score(self, n: int, spec: NoiseSpec) -> capacity.CapacityReport:
+        """The report of the n-qubit point of `spec`, distributed and then
+        corrected by this pipeline, by the path that the noise kind, the
+        stage and the pipeline pick:
+        - a Pauli kind with no model: the shared state's GHZ-basis weights,
+          purified and scored in closed form (`capacity.ghz_report`);
+        - amplitude damping at stage dist with no model: the corrected
+          3-qubit state, widened to n (`capacity.widened_report`);
+        - amplitude-damping return, and every model: the corrected n-qubit
+          state (`capacity.report`)."""
+        _check_width(n)
+        if n < 3:
+            raise ValueError("the bitwise encoder requires n >= 3")
+        if self.model is None and spec.kind is not NoiseKind.AMPLITUDE_DAMPING:
+            weights = _ghz_distribute(n, spec.kind, spec.p)
+            if self.purify_rounds > 0:
+                weights, _ = purify.purify_ghz_weights(weights, self.purify_rounds)
+            return capacity.ghz_report(weights, spec)
+        if self.model is None and spec.stage is NoiseStage.DISTRIBUTION_ONLY:
+            return capacity.widened_report(self(distribute(3, spec)), spec, n)
+        return capacity.report(self(distribute(n, spec)), spec)
+
 
 def p_grid(cfg: SweepConfig) -> List[float]:
     values = []
@@ -159,13 +181,13 @@ def _build_corrector(cfg: SweepConfig) -> CorrectionPipeline:
 
 
 def run_sweep(cfg: SweepConfig) -> List[SweepRecord]:
-    """One record per grid point, whose shared state is distributed, corrected
-    and scored by `capacity.report` once. Deterministic for a fixed seed."""
+    """One record per grid point, distributed, corrected and scored once by
+    `CorrectionPipeline.score`. Deterministic for a fixed seed."""
     corrector = _build_corrector(cfg)
     records = []
     for p in p_grid(cfg):
         spec = NoiseSpec(cfg.noise_kind, p, cfg.noise_stage)
-        rep = capacity.report(corrector(distribute(cfg.n, spec)), spec)
+        rep = corrector.score(cfg.n, spec)
         records.append(SweepRecord(
             noise=cfg.noise_kind.value,
             p=p,

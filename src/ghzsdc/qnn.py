@@ -279,9 +279,12 @@ _BLOCK_WEIGHTS[:2, 4] = 0
 
 @lru_cache(maxsize=128)
 def _block_coefficients(eps: float) -> np.ndarray:
-    """The (3, 5) coefficients of the Taylor blocks at x = i*eps, read-only;
-    built once per step size, which takes STEP_SIZE and the few values of
-    its halvings and recoveries."""
+    """The (3, 5) coefficients of the Taylor blocks at x = i*eps, read-only,
+    cached per step size. `train` halves eps on a rejected step and recovers
+    it by x1.05 on an accepted one, through floats that rarely repeat, so
+    most calls miss: 286 hits against 2598 misses over 16 default n = 3
+    amplitude-damping trainings (p = 0.3, seeds 0..15), each from an empty
+    cache."""
     coefficients = (1j * eps) ** _BLOCK_EXPONENTS * _BLOCK_WEIGHTS
     coefficients.flags.writeable = False
     return coefficients

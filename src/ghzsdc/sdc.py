@@ -1,6 +1,7 @@
 """The bitwise superdense-coding encoder, closed-form GHZ-basis decoding and
 the fidelities read off it, and the protocol stages `distribute`, `transmit`
-and its return walk.
+and its return walk; and, for the Pauli kinds, the distribution and return
+stages on the GHZ-basis weights of a GHZ-diagonal state.
 
 Qubit 0 of the shared state is Bob's (distributed through the noisy channel);
 qubits 1..n-1 are Alice's and carry the encoding.
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import qcore
 from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
-from .qcore import DensityOperator, QuantumChannel, StateVector, Unitary
+from .qcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityOperator, QuantumChannel, StateVector, Unitary
 
 
 @dataclass(frozen=True)
@@ -94,11 +95,16 @@ def ghz_fidelity(rho: DensityOperator, x: int = 0) -> float:
     return float(np.sqrt(min(probs[x], 1.0)))
 
 
+def _check_width(n: int) -> None:
+    """Refuses a shared state of n qubits outside 2..MAX_DENSITY_QUBITS."""
+    if not 2 <= n <= qcore.MAX_DENSITY_QUBITS:
+        raise ValueError(f"the shared GHZ state supports 2..{qcore.MAX_DENSITY_QUBITS} qubits, got {n}")
+
+
 @lru_cache(maxsize=None)
 def shared_state(n: int) -> StateVector:
     """The pre-shared n-qubit GHZ state (|0...0> + |1...1>)/sqrt(2)."""
-    if not 2 <= n <= qcore.MAX_DENSITY_QUBITS:
-        raise ValueError(f"the shared GHZ state supports 2..{qcore.MAX_DENSITY_QUBITS} qubits, got {n}")
+    _check_width(n)
     amps = np.zeros(2 ** n, dtype=complex)
     amps[[0, -1]] = 1 / np.sqrt(2)
     return StateVector(amps)
@@ -117,6 +123,39 @@ def distribute(n: int, noise: NoiseSpec) -> DensityOperator:
     sum_k |b_k><b_k| over its `_kraus_branches` b_k, validated once."""
     branches = _kraus_branches(n, noise.kind, noise.p)
     return DensityOperator(branches.T @ branches.conj())
+
+
+# Each Pauli maps GHZ basis state (k, s), (|k> + (-1)^s |~k>)/sqrt(2), to
+# another, up to a phase: sigma_x flips k's bit of the qubit, sigma_z flips
+# s, and sigma_y does both. As (Pauli, flips k, flips s):
+_GHZ_MOVES = ((I2, False, False), (SIGMA_X, True, False), (SIGMA_Y, True, True), (SIGMA_Z, False, True))
+
+
+def _ghz_walk(weights: np.ndarray, ch: QuantumChannel, qubits) -> np.ndarray:
+    """The Pauli channel `ch` on each of `qubits` of a GHZ-diagonal n-qubit
+    state, held as its GHZ-basis weights in `decode_ghz`'s order (entry
+    2k + s): per qubit, a sum of the `_GHZ_MOVES` gathers of the weights,
+    weighted by sum_K |tr(P^dag K)|^2 / 4 over `ch`'s Kraus operators, each
+    of them a scaled Pauli. sigma_x on Bob's qubit 0 takes |k> to
+    |k xor 2^(n-1)>, whose complement k xor (2^(n-1) - 1) is the new k."""
+    n = weights.size.bit_length() - 1
+    k = np.arange(2 ** (n - 1))
+    moves = [(sum(abs(np.vdot(pauli, op)) ** 2 for op in ch.kraus_ops) / 4, flips_k, flips_s)
+             for pauli, flips_k, flips_s in _GHZ_MOVES]
+    table = weights.reshape(-1, 2)
+    for qubit in qubits:
+        mask = 2 ** (n - 1) - 1 if qubit == 0 else 1 << (n - 1 - qubit)
+        table = sum(w * table[k ^ mask if flips_k else k, ::-1 if flips_s else 1]
+                    for w, flips_k, flips_s in moves if w)
+    return table.reshape(-1)
+
+
+def _ghz_distribute(n: int, kind: NoiseKind, p: float) -> np.ndarray:
+    """`distribute` for a Pauli kind, as GHZ-basis weights: the GHZ state is
+    basis state 0, and the noise hits Bob's qubit 0."""
+    weights = np.zeros(2 ** n)
+    weights[0] = 1.0
+    return _ghz_walk(weights, make_channel(kind, p), [0])
 
 
 @lru_cache(maxsize=None)

@@ -222,6 +222,22 @@ MUTANTS = (
            "if n < 3:",
            "if n < 2:",
            "a 2-qubit state is twirled by an encoder that needs 3 qubits"),
+    Mutant("ghz-y-as-x", "src/ghzsdc/sdc.py",
+           "_GHZ_MOVES = ((I2, False, False), (SIGMA_X, True, False), (SIGMA_Y, True, True), (SIGMA_Z, False, True))",
+           "_GHZ_MOVES = ((I2, False, False), (SIGMA_X, True, False), (SIGMA_Y, True, False), (SIGMA_Z, False, True))",
+           "depolarizing noise moves GHZ-basis weight as sigma_x would, keeping the sign s that sigma_y flips"),
+    Mutant("ghz-purify-minus-weight-halved", "src/ghzsdc/purify.py",
+           "kept = np.stack([plus * plus + minus * minus, 2 * plus * minus], axis=1).reshape(-1)",
+           "kept = np.stack([plus * plus + minus * minus, plus * minus], axis=1).reshape(-1)",
+           "a round on GHZ-basis weights keeps half the pairs of opposite sign, so its yield and kept state are wrong"),
+    Mutant("ghz-return-noise-on-bob", "src/ghzsdc/capacity.py",
+           "weights = _ghz_walk(weights, make_channel(spec.kind, spec.p), range(1, n))",
+           "weights = _ghz_walk(weights, make_channel(spec.kind, spec.p), range(0, n))",
+           "a Pauli both-stage point scored from its GHZ-basis weights takes Bob's noise a second time"),
+    Mutant("widened-at-stage-both", "src/ghzsdc/harness.py",
+           "if self.model is None and spec.stage is NoiseStage.DISTRIBUTION_ONLY:",
+           "if self.model is None:",
+           "amplitude-damping return points are scored from 3 qubits, though the return noise hits every one"),
 )
 
 

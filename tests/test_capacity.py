@@ -9,7 +9,8 @@ from ghzsdc import capacity
 from ghzsdc.harness import SweepConfig, run_sweep
 from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from ghzsdc.qcore import DensityOperator, QuantumChannel
-from ghzsdc.sdc import Codeword, distribute, shared_state, transmit
+from ghzsdc.purify import purify_iterated
+from ghzsdc.sdc import Codeword, decode_ghz, distribute, shared_state, transmit
 
 from full_space import (
     basis_state,
@@ -277,3 +278,41 @@ class TestReport:
         assert abs(rep.entropy_exchange - entropy_exchange(ideal, oracle)) < 1e-12
         assert abs(rep.coherent_information - coherent_information(ideal, oracle)) < 1e-12
         assert rep.quantum_capacity == max(rep.coherent_information, 0.0)
+
+
+class TestReductions:
+    # the reduced scorers against the dense one on the same corrected
+    # states; the channel side is one code for all three, so it matches
+    # bit for bit
+    @staticmethod
+    def assert_matches(rep, want):
+        assert abs(rep.holevo - want.holevo) < 1e-12
+        assert abs(rep.avg_fidelity ** 2 - want.avg_fidelity ** 2) < 1e-12
+        assert (rep.entropy_exchange, rep.coherent_information, rep.quantum_capacity) == (
+            want.entropy_exchange, want.coherent_information, want.quantum_capacity)
+
+    @settings(max_examples=40, deadline=None)
+    @example(n=4, kind=NoiseKind.DEPOLARIZING, stage=NoiseStage.DISTRIBUTION_AND_RETURN, rounds=0, p=0.75)
+    @example(n=7, kind=NoiseKind.BIT_FLIP, stage=NoiseStage.DISTRIBUTION_AND_RETURN, rounds=2, p=1.0)
+    @example(n=3, kind=NoiseKind.PHASE_FLIP, stage=NoiseStage.DISTRIBUTION_ONLY, rounds=1, p=0.0)
+    @given(n=st.integers(3, 7), kind=st.sampled_from([NoiseKind.BIT_FLIP, NoiseKind.PHASE_FLIP,
+                                                      NoiseKind.DEPOLARIZING]),
+           stage=st.sampled_from(NoiseStage), rounds=st.integers(0, 2), p=st.floats(0.0, 1.0))
+    def test_ghz_report_matches_the_dense_report(self, n, kind, stage, rounds, p):
+        spec = NoiseSpec(kind, p, stage)
+        shared = distribute(n, spec)
+        if rounds:
+            shared = purify_iterated(shared, rounds).kept_state
+        self.assert_matches(capacity.ghz_report(decode_ghz(shared), spec), capacity.report(shared, spec))
+
+    @settings(max_examples=20, deadline=None)
+    @example(n=7, kind=NoiseKind.AMPLITUDE_DAMPING, rounds=1, p=1.0)
+    @example(n=4, kind=NoiseKind.AMPLITUDE_DAMPING, rounds=0, p=0.0)
+    @given(n=st.integers(3, 7), kind=st.sampled_from(NoiseKind), rounds=st.integers(0, 2),
+           p=st.floats(0.0, 1.0))
+    def test_widened_report_matches_the_dense_report(self, n, kind, rounds, p):
+        spec = NoiseSpec(kind, p)
+        narrow, wide = distribute(3, spec), distribute(n, spec)
+        if rounds:
+            narrow, wide = (purify_iterated(rho, rounds).kept_state for rho in (narrow, wide))
+        self.assert_matches(capacity.widened_report(narrow, spec, n), capacity.report(wide, spec))

@@ -175,23 +175,31 @@ class TestRunSweep:
         assert abs(record.coherent_info - 6 * (1 - per_qubit)) < 1e-12
         assert record.quantum_capacity == 0.0
 
-    def test_correction_runs_once_per_grid_point(self, monkeypatch):
+    # a Pauli kind purifies the GHZ-basis weights, amplitude damping the
+    # dense state
+    @pytest.mark.parametrize("kind, rounds", [(NoiseKind.BIT_FLIP, "purify_ghz_weights"),
+                                              (NoiseKind.AMPLITUDE_DAMPING, "purify_iterated")])
+    def test_correction_runs_once_per_grid_point(self, kind, rounds, monkeypatch):
         calls = []
-        original = purify.purify_iterated
+        original = getattr(purify, rounds)
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(purify, "purify_iterated", counted)
-        cfg = small_config(pipeline="purify")
+        monkeypatch.setattr(purify, rounds, counted)
+        cfg = small_config(noise_kind=kind, pipeline="purify")
         run_sweep(cfg)
         assert len(calls) == len(p_grid(cfg))
 
+    @pytest.mark.parametrize("kind", [NoiseKind.BIT_FLIP, NoiseKind.AMPLITUDE_DAMPING])
     @pytest.mark.parametrize("pipeline", ["raw", "purify"])
     @pytest.mark.parametrize("stage", list(NoiseStage))
-    def test_sweep_matches_single_codeword_runs(self, pipeline, stage):
-        cfg = small_config(pipeline=pipeline, noise_stage=stage,
+    def test_sweep_matches_single_codeword_runs(self, kind, pipeline, stage):
+        # amplitude damping scores the dense state, bit for bit as the runs
+        # do; bit flip reads the same fidelity off its GHZ-basis weights,
+        # which round differently
+        cfg = small_config(noise_kind=kind, pipeline=pipeline, noise_stage=stage,
                            p_start=0.1, p_stop=0.3, p_step=0.2)
         corrector = CorrectionPipeline(purify_rounds=cfg.rounds) if pipeline == "purify" else None
         records = run_sweep(cfg)
@@ -200,7 +208,10 @@ class TestRunSweep:
             spec = NoiseSpec(cfg.noise_kind, record.p, stage)
             single = [run_protocol(Codeword(cfg.n, x), spec, corrector).post_fidelity
                       for x in range(2 ** cfg.n)]
-            assert record.avg_fidelity == np.mean(single)
+            if kind is NoiseKind.AMPLITUDE_DAMPING:
+                assert record.avg_fidelity == np.mean(single)
+            else:
+                assert abs(record.avg_fidelity - np.mean(single)) < 1e-15
 
     def test_return_channel_built_once_per_point(self, monkeypatch):
         # amplitude-damping return noise is scored per codeword; the 2^n
@@ -218,6 +229,34 @@ class TestRunSweep:
                            p_stop=0.3, noise_stage=NoiseStage.DISTRIBUTION_AND_RETURN)
         run_sweep(cfg)
         assert len(built) == 1
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("stage", list(NoiseStage))
+    def test_widths_above_the_density_cap_refused_on_every_path(self, kind, stage):
+        with pytest.raises(ValueError, match=r"supports 2\.\.10 qubits, got 11"):
+            run_sweep(small_config(noise_kind=kind, noise_stage=stage, n=11, p_start=0.2, p_stop=0.2))
+
+    # amplitude damping at stage dist scores its 3-qubit state; both-stage
+    # depolarizing solves only the channel side's 4 x 4 environment Gram
+    # matrix, where the dense n = 10 state took 1024 x 1024 solves
+    @pytest.mark.parametrize("kind, stage, widest", [
+        (NoiseKind.AMPLITUDE_DAMPING, NoiseStage.DISTRIBUTION_ONLY, 8),
+        (NoiseKind.DEPOLARIZING, NoiseStage.DISTRIBUTION_AND_RETURN, 4),
+    ])
+    @pytest.mark.parametrize("pipeline", ["raw", "purify"])
+    def test_ten_qubit_point_solves_nothing_wider_than_its_reduction(self, kind, stage, widest, pipeline,
+                                                                      monkeypatch):
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        run_sweep(small_config(noise_kind=kind, noise_stage=stage, n=10, pipeline=pipeline,
+                               p_start=0.2, p_stop=0.2))
+        assert max(sizes) == widest
 
     def test_model_width_mismatch_rejected(self, tmp_path):
         model = identity_model(2, 1)
@@ -294,8 +333,10 @@ class TestOrbitScoring:
         assert np.max(np.abs(twirl(sigma).matrix - explicit / 2 ** n)) < 1e-15
 
     # Distribution noise touches qubit 0 only, so an n-qubit point is the
-    # 3-qubit point plus n - 3 noiseless bits; this is the only check at
-    # n = 8..10, where the per-codeword oracle is too slow.
+    # 3-qubit point plus n - 3 noiseless bits, which is how a sweep scores an
+    # amplitude-damping dist point; the dense n-qubit state scored by
+    # capacity.report is the oracle, the only one at n = 8..10, where the
+    # per-codeword oracle is too slow.
     @settings(max_examples=20, deadline=None)
     @example(n=10, kind=NoiseKind.AMPLITUDE_DAMPING, pipeline="raw", p=0.2)
     @example(n=4, kind=NoiseKind.DEPOLARIZING, pipeline="purify", p=0.0)
@@ -305,11 +346,12 @@ class TestOrbitScoring:
     def test_distribution_noise_reduces_to_three_qubits(self, n, kind, pipeline, p):
         (wide,) = run_sweep(small_config(noise_kind=kind, n=n, pipeline=pipeline,
                                          p_start=p, p_stop=p))
-        (narrow,) = run_sweep(small_config(noise_kind=kind, n=3, pipeline=pipeline,
-                                           p_start=p, p_stop=p))
-        assert abs(wide.holevo - (n - 3) - narrow.holevo) < 1e-12
-        assert abs(wide.avg_fidelity - narrow.avg_fidelity) < 1e-15
-        assert abs(wide.coherent_info - narrow.coherent_info - (n - 3)) < 1e-12
+        spec = NoiseSpec(kind, p)
+        corrector = CorrectionPipeline(purify_rounds=1 if pipeline == "purify" else 0)
+        dense = capacity.report(corrector(distribute(n, spec)), spec)
+        assert abs(wide.holevo - dense.holevo) < 1e-12
+        assert abs(wide.avg_fidelity - dense.avg_fidelity) < 1e-15
+        assert abs(wide.coherent_info - dense.coherent_information) < 1e-12
 
 
 class TestReturnScoring:
@@ -647,6 +689,14 @@ class TestCli:
         rc = cli.main(["capacity", "--noise", "amplitude-damping", "--n", "11", "--p", "0.2"])
         assert rc == 1
         assert "shared GHZ state supports 2..10 qubits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("n, message", [(1, "the shared GHZ state supports 2..10 qubits, got 1"),
+                                            (2, "the bitwise encoder requires n >= 3")])
+    def test_capacity_below_three_qubits_fails(self, kind, n, message, capsys):
+        rc = cli.main(["capacity", "--noise", kind.value, "--n", str(n), "--p", "0.2"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     @pytest.mark.parametrize("stage", list(NoiseStage))

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghzsdc.harness import SweepConfig, run_sweep
 from ghzsdc.noise import NoiseKind, NoiseSpec
-from ghzsdc.purify import PurificationUnderflow, purify_iterated
+from ghzsdc.purify import PurificationUnderflow, purify_ghz_weights, purify_iterated
 from ghzsdc.qcore import DensityOperator
-from ghzsdc.sdc import distribute, ghz_fidelity, shared_state
+from ghzsdc.sdc import decode_ghz, distribute, ghz_fidelity, shared_state
 
 import reference
-from full_space import fidelity, random_state
+from full_space import fidelity, ghz_basis, random_state
 
 
 def repeated_oracle(state, rounds):
@@ -120,3 +121,43 @@ class TestPurifyIterated:
         assert purify_iterated(mixed, 5).success_probability == 2.0 ** -35
         with pytest.raises(PurificationUnderflow):
             purify_iterated(mixed, 6)
+
+
+class TestGhzWeights:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 5), rounds=st.integers(1, 3), zeros=st.integers(0, 31),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_dense_rounds(self, n, rounds, zeros, seed):
+        # a random GHZ-diagonal state, some of its weights 0, purified as a
+        # dense state and as its weights; the kept state stays GHZ-diagonal
+        rng = np.random.default_rng(seed)
+        weights = rng.dirichlet(np.ones(2 ** n))
+        weights[rng.choice(2 ** n, size=min(zeros, 2 ** n - 1), replace=False)] = 0.0
+        weights /= weights.sum()
+        basis = ghz_basis(n)
+        result = purify_iterated(DensityOperator((basis.T * weights) @ basis.conj()), rounds)
+        kept, compound = purify_ghz_weights(weights, rounds)
+        assert np.max(np.abs(result.kept_state.matrix - (basis.T * kept) @ basis.conj())) < 1e-12
+        assert np.max(np.abs(decode_ghz(result.kept_state) - kept)) < 1e-12
+        assert abs(result.success_probability - compound) < 1e-12
+
+    def test_sweep_underflows_at_the_dense_round(self):
+        # bit flip at p = 1/2 puts weight 1/2 on GHZ states (0, +) and
+        # (L, +), a fixed point of a round with yield 1/2, so the compound
+        # yield 2^-r crosses the floor at round 40; a sweep purifies the
+        # weights, and fails there as the dense rounds do
+        spec = NoiseSpec(NoiseKind.BIT_FLIP, 0.5)
+        assert purify_iterated(distribute(3, spec), 39).success_probability == 2.0 ** -39
+        with pytest.raises(PurificationUnderflow) as dense:
+            purify_iterated(distribute(3, spec), 40)
+        for rounds in (39, 40):
+            cfg = SweepConfig(noise_kind=spec.kind, p_start=0.5, p_stop=0.5, p_step=1.0, n=5,
+                              pipeline="purify", rounds=rounds)
+            if rounds == 39:
+                (record,) = run_sweep(cfg)
+                assert record.avg_fidelity == np.sqrt(0.5)
+                continue
+            with pytest.raises(PurificationUnderflow) as frame:
+                run_sweep(cfg)
+            assert frame.type is PurificationUnderflow
+            assert str(frame.value) == str(dense.value)

@@ -258,6 +258,44 @@ class TestReturnWalk:
         assert sdc._return_plan.cache_info().misses == 1
 
 
+def ghz_diagonal(weights: np.ndarray) -> np.ndarray:
+    """The dense state sum_i weights[i] |GHZ_i><GHZ_i| over the GHZ basis."""
+    basis = ghz_basis(weights.size.bit_length() - 1)
+    return (basis.T * weights) @ basis.conj()
+
+
+class TestGhzWalk:
+    # the walk on GHZ-basis weights against the dense walk of the same
+    # GHZ-diagonal state, read back by the decoder: a Pauli channel keeps the
+    # state diagonal, so the weights are the whole state
+    @settings(max_examples=40, deadline=None)
+    @example(n=2, kind=NoiseKind.DEPOLARIZING, p=1.0, seed=0)
+    @example(n=6, kind=NoiseKind.PHASE_FLIP, p=0.0, seed=1)
+    @given(n=st.integers(2, 6), kind=st.sampled_from([NoiseKind.BIT_FLIP, NoiseKind.PHASE_FLIP,
+                                                      NoiseKind.DEPOLARIZING]),
+           p=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_dense_return_walk(self, n, kind, p, seed):
+        weights = np.random.default_rng(seed).dirichlet(np.ones(2 ** n))
+        ch = make_channel(kind, p)
+        walked = sdc._ghz_walk(weights, ch, range(1, n))
+        dense = sdc._return_walk(ch, ghz_diagonal(weights))
+        assert np.max(np.abs(dense - ghz_diagonal(walked))) < 1e-14
+        assert np.max(np.abs(walked - decode_ghz(DensityOperator(dense)))) < 1e-14
+
+    @pytest.mark.parametrize("kind", [NoiseKind.BIT_FLIP, NoiseKind.PHASE_FLIP, NoiseKind.DEPOLARIZING])
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.75, 1.0])
+    def test_distribute_matches_the_dense_state(self, kind, n, p):
+        want = decode_ghz(distribute(n, NoiseSpec(kind, p)))
+        assert np.max(np.abs(sdc._ghz_distribute(n, kind, p) - want)) < 1e-15
+
+    def test_depolarizing_weights_are_the_pauli_weights(self):
+        # qubit 1 of 2: sigma_x moves GHZ state (0, +) to (1, +), sigma_z to
+        # (0, -) and sigma_y to (1, -)
+        walked = sdc._ghz_walk(np.eye(4)[0], make_channel(NoiseKind.DEPOLARIZING, 0.3), [1])
+        assert np.allclose(walked, [0.7, 0.1, 0.1, 0.1], rtol=0, atol=1e-15)
+
+
 class TestDecode:
     def test_point_mass_on_basis_member(self):
         rho = StateVector(ghz_basis(3)[0]).density()
