@@ -9,6 +9,7 @@ points, and `report` is their test oracle."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -75,7 +76,12 @@ def report(shared: DensityOperator, spec: NoiseSpec) -> CapacityReport:
     """Score one grid point from its corrected shared state and its noise:
     the dense scorer, which every point with a QNN model and every
     amplitude-damping return point takes, and the test oracle of the
-    reductions below.
+    reductions below."""
+    return _report(shared.qubit_count, spec, *_dense_scores(shared, spec))
+
+
+def _dense_scores(shared: DensityOperator, spec: NoiseSpec) -> Tuple[float, float]:
+    """The average fidelity and Holevo value of `report`.
 
     The Holevo value is S(mixture) - mean S(output) of the outputs at
     uniform priors, the optimum over priors when they are one orbit
@@ -102,11 +108,7 @@ def report(shared: DensityOperator, spec: NoiseSpec) -> CapacityReport:
         mixture = DensityOperator(_return_walk(ch, twirl(shared).matrix))
     prior = 1.0 / len(outputs)
     conditional = sum(prior * von_neumann_entropy(rho) for rho in outputs)
-    return _report(
-        n, spec,
-        avg_fidelity=float(np.mean(fidelities)),
-        holevo=max(von_neumann_entropy(mixture) - conditional, 0.0),
-    )
+    return float(np.mean(fidelities)), max(von_neumann_entropy(mixture) - conditional, 0.0)
 
 
 def ghz_report(weights: np.ndarray, spec: NoiseSpec) -> CapacityReport:
@@ -134,5 +136,5 @@ def widened_report(narrow: DensityOperator, spec: NoiseSpec, n: int) -> Capacity
     only Bob's qubit 0, so the n-qubit point is the 3-qubit one plus n - 3
     noiseless bits: those add n - 3 to the Holevo value and leave every
     fidelity; the channel side is the n-qubit one."""
-    rep = report(narrow, spec)
-    return _report(n, spec, avg_fidelity=rep.avg_fidelity, holevo=rep.holevo + (n - narrow.qubit_count))
+    avg_fidelity, holevo = _dense_scores(narrow, spec)
+    return _report(n, spec, avg_fidelity=avg_fidelity, holevo=holevo + (n - narrow.qubit_count))

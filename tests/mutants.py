@@ -118,8 +118,9 @@ MUTANTS = (
            "rho = np.tensordot(kraus @ rho, kraus, axes=([0, 2], [0, 2]))",
            "K rho K^T replaces K rho K^dag, which differs for complex perceptrons"),
     Mutant("chi-offset-from-n-7", "src/ghzsdc/capacity.py",
-           "holevo=max(von_neumann_entropy(mixture) - conditional, 0.0),",
-           "holevo=max(von_neumann_entropy(mixture) - conditional, 0.0) + (1e-9 if n >= 7 else 0.0),",
+           "return float(np.mean(fidelities)), max(von_neumann_entropy(mixture) - conditional, 0.0)",
+           "return float(np.mean(fidelities)), max(von_neumann_entropy(mixture) - conditional, 0.0)"
+           " + (1e-9 if n >= 7 else 0.0)",
            "the Holevo value of every point at n >= 7 is 1e-9 too high"),
     Mutant("return-mixture-before-return", "src/ghzsdc/capacity.py",
            "mixture = DensityOperator(_return_walk(ch, twirl(shared).matrix))",
