@@ -114,7 +114,7 @@ def _dense_scores(shared: DensityOperator, spec: NoiseSpec) -> Tuple[float, floa
 def ghz_report(weights: np.ndarray, spec: NoiseSpec) -> CapacityReport:
     """`report` of a Pauli-noise point from the GHZ-basis weights of its
     corrected shared state, with no state of 2^n x 2^n entries and no
-    eigensolve. Pauli noise keeps the state GHZ-diagonal; at stage both the
+    eigensolve of one. Pauli noise keeps the state GHZ-diagonal; at stage both the
     return walk acts on the weights. The encoders map GHZ basis state 0 onto
     every basis state, one each, so the outputs mix to I/2^n: the Holevo
     value is n - H(weights), and every codeword's fidelity is

@@ -236,9 +236,9 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=r"supports 2\.\.10 qubits, got 11"):
             run_sweep(small_config(noise_kind=kind, noise_stage=stage, n=11, p_start=0.2, p_stop=0.2))
 
-    # amplitude damping at stage dist scores its 3-qubit state; both-stage
-    # depolarizing solves only the channel side's 4 x 4 environment Gram
-    # matrix, where the dense n = 10 state took 1024 x 1024 solves
+    # amplitude damping at stage dist scores its 3-qubit state, and
+    # both-stage depolarizing solves only the channel side's 4 x 4
+    # environment Gram matrix: no 1024 x 1024 state is solved
     @pytest.mark.parametrize("kind, stage, widest", [
         (NoiseKind.AMPLITUDE_DAMPING, NoiseStage.DISTRIBUTION_ONLY, 8),
         (NoiseKind.DEPOLARIZING, NoiseStage.DISTRIBUTION_AND_RETURN, 4),
