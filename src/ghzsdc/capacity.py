@@ -15,7 +15,7 @@ import numpy as np
 
 from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from .qcore import DensityOperator, QuantumChannel, _spectrum_entropy, von_neumann_entropy
-from .sdc import Codeword, _ghz_walk, _return_walk, ghz_fidelity, transmit, twirl
+from .sdc import Codeword, _ghz_moves, _ghz_walk, _return_walk, ghz_fidelity, transmit, twirl
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def ghz_report(weights: np.ndarray, spec: NoiseSpec) -> CapacityReport:
     sqrt(weight 0) (Bowen, PRA 63, 022302 (2001))."""
     n = weights.size.bit_length() - 1
     if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN:
-        weights = _ghz_walk(weights, make_channel(spec.kind, spec.p), range(1, n))
+        weights = _ghz_walk(weights, _ghz_moves(spec.kind, spec.p), range(1, n))
     # the walks keep the sum of the weights at 1 only to the rounding of the
     # Pauli weights, which n - H would read as entropy; the dense path
     # cancels it against the twirl's

@@ -108,9 +108,7 @@ class CorrectionPipeline:
           3-qubit state, widened to n (`capacity.widened_report`);
         - amplitude-damping return, and every model: the corrected n-qubit
           state (`capacity.report`)."""
-        _check_width(n)
-        if n < 3:
-            raise ValueError("the bitwise encoder requires n >= 3")
+        _check_width(n, encoded=True)
         if self.model is None and spec.kind is not NoiseKind.AMPLITUDE_DAMPING:
             weights = _ghz_distribute(n, spec.kind, spec.p)
             if self.purify_rounds > 0:

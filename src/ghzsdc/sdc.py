@@ -20,6 +20,9 @@ from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from .qcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityOperator, QuantumChannel, StateVector, Unitary
 
 
+_ENCODER_REFUSAL = "the bitwise encoder requires n >= 3"
+
+
 @dataclass(frozen=True)
 class Codeword:
     """n classical bits X = x_{n-1}...x_0 driving the encoder."""
@@ -29,7 +32,7 @@ class Codeword:
 
     def __post_init__(self):
         if self.n < 3:
-            raise ValueError("the bitwise encoder requires n >= 3")
+            raise ValueError(_ENCODER_REFUSAL)
         if not 0 <= self.value < 2 ** self.n:
             raise ValueError(f"codeword value {self.value} out of range for {self.n} bits")
 
@@ -95,10 +98,13 @@ def ghz_fidelity(rho: DensityOperator, x: int = 0) -> float:
     return float(np.sqrt(min(probs[x], 1.0)))
 
 
-def _check_width(n: int) -> None:
-    """Refuses a shared state of n qubits outside 2..MAX_DENSITY_QUBITS."""
+def _check_width(n: int, encoded: bool = False) -> None:
+    """Refuses a shared state of n qubits outside 2..MAX_DENSITY_QUBITS and,
+    if it is to be `encoded`, one of fewer than the encoder's 3 qubits."""
     if not 2 <= n <= qcore.MAX_DENSITY_QUBITS:
         raise ValueError(f"the shared GHZ state supports 2..{qcore.MAX_DENSITY_QUBITS} qubits, got {n}")
+    if encoded and n < 3:
+        raise ValueError(_ENCODER_REFUSAL)
 
 
 @lru_cache(maxsize=None)
@@ -131,22 +137,32 @@ def distribute(n: int, noise: NoiseSpec) -> DensityOperator:
 _GHZ_MOVES = ((I2, False, False), (SIGMA_X, True, False), (SIGMA_Y, True, True), (SIGMA_Z, False, True))
 
 
-def _ghz_walk(weights: np.ndarray, ch: QuantumChannel, qubits) -> np.ndarray:
-    """The Pauli channel `ch` on each of `qubits` of a GHZ-diagonal n-qubit
-    state, held as its GHZ-basis weights in `decode_ghz`'s order (entry
-    2k + s): per qubit, a sum of the `_GHZ_MOVES` gathers of the weights,
-    weighted by sum_K |tr(P^dag K)|^2 / 4 over `ch`'s Kraus operators, each
-    of them a scaled Pauli. sigma_x on Bob's qubit 0 takes |k> to
+@lru_cache(maxsize=128)
+def _ghz_moves(kind: NoiseKind, p: float) -> tuple:
+    """The `_GHZ_MOVES` of the Pauli channel `make_channel(kind, p)`, as
+    (weight, flips k, flips s), each Pauli P weighted by
+    sum_K |tr(P^dag K)|^2 / 4 over the channel's Kraus operators, each of
+    them a scaled Pauli; moves of weight 0 are dropped. Built once per
+    channel, as the channel is."""
+    ops = make_channel(kind, p).kraus_ops
+    moves = ((sum(abs(np.vdot(pauli, op)) ** 2 for op in ops) / 4, flips_k, flips_s)
+             for pauli, flips_k, flips_s in _GHZ_MOVES)
+    return tuple(move for move in moves if move[0])
+
+
+def _ghz_walk(weights: np.ndarray, moves: tuple, qubits) -> np.ndarray:
+    """The Pauli channel of `moves`, from `_ghz_moves`, on each of `qubits`
+    of a GHZ-diagonal n-qubit state, held as its GHZ-basis weights in
+    `decode_ghz`'s order (entry 2k + s): per qubit, the weighted sum of the
+    moves' gathers of the weights. sigma_x on Bob's qubit 0 takes |k> to
     |k xor 2^(n-1)>, whose complement k xor (2^(n-1) - 1) is the new k."""
     n = weights.size.bit_length() - 1
     k = np.arange(2 ** (n - 1))
-    moves = [(sum(abs(np.vdot(pauli, op)) ** 2 for op in ch.kraus_ops) / 4, flips_k, flips_s)
-             for pauli, flips_k, flips_s in _GHZ_MOVES]
     table = weights.reshape(-1, 2)
     for qubit in qubits:
         mask = 2 ** (n - 1) - 1 if qubit == 0 else 1 << (n - 1 - qubit)
         table = sum(w * table[k ^ mask if flips_k else k, ::-1 if flips_s else 1]
-                    for w, flips_k, flips_s in moves if w)
+                    for w, flips_k, flips_s in moves)
     return table.reshape(-1)
 
 
@@ -155,7 +171,7 @@ def _ghz_distribute(n: int, kind: NoiseKind, p: float) -> np.ndarray:
     basis state 0, and the noise hits Bob's qubit 0."""
     weights = np.zeros(2 ** n)
     weights[0] = 1.0
-    return _ghz_walk(weights, make_channel(kind, p), [0])
+    return _ghz_walk(weights, _ghz_moves(kind, p), [0])
 
 
 @lru_cache(maxsize=None)
@@ -209,7 +225,7 @@ def twirl(state: DensityOperator) -> DensityOperator:
     one gather back; no loop over codewords."""
     n = state.qubit_count
     if n < 3:
-        raise ValueError("the bitwise encoder requires n >= 3")
+        raise ValueError(_ENCODER_REFUSAL)
     a = np.arange(2 ** n)
     by_offset = state.matrix[a[:, None], a[:, None] ^ a]
     table = by_offset.reshape(2, -1, 2 ** n).sum(axis=1) / 2 ** (n - 1)

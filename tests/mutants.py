@@ -232,8 +232,8 @@ MUTANTS = (
            "kept = np.stack([plus * plus + minus * minus, plus * minus], axis=1).reshape(-1)",
            "a round on GHZ-basis weights keeps half the pairs of opposite sign, so its yield and kept state are wrong"),
     Mutant("ghz-return-noise-on-bob", "src/ghzsdc/capacity.py",
-           "weights = _ghz_walk(weights, make_channel(spec.kind, spec.p), range(1, n))",
-           "weights = _ghz_walk(weights, make_channel(spec.kind, spec.p), range(0, n))",
+           "weights = _ghz_walk(weights, _ghz_moves(spec.kind, spec.p), range(1, n))",
+           "weights = _ghz_walk(weights, _ghz_moves(spec.kind, spec.p), range(0, n))",
            "a Pauli both-stage point scored from its GHZ-basis weights takes Bob's noise a second time"),
     Mutant("widened-at-stage-both", "src/ghzsdc/harness.py",
            "if self.model is None and spec.stage is NoiseStage.DISTRIBUTION_ONLY:",

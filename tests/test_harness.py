@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ghzsdc import capacity, cli, harness, purify, qcore, qnn
+from ghzsdc import capacity, cli, harness, purify, qcore, qnn, sdc
 from ghzsdc.harness import (
     CSV_HEADER,
     CorrectionPipeline,
@@ -196,22 +196,43 @@ class TestRunSweep:
     @pytest.mark.parametrize("pipeline", ["raw", "purify"])
     @pytest.mark.parametrize("stage", list(NoiseStage))
     def test_sweep_matches_single_codeword_runs(self, kind, pipeline, stage):
-        # amplitude damping scores the dense state, bit for bit as the runs
-        # do; bit flip reads the same fidelity off its GHZ-basis weights,
-        # which round differently
+        # the dense scorer reads every codeword's fidelity off the corrected
+        # shared state once, bit for bit as the runs read each; amplitude
+        # damping's sweep is that scorer, while bit flip's reads the same
+        # value off GHZ-basis weights, whose own rounding leaves it within
+        # 2 ulps
         cfg = small_config(noise_kind=kind, pipeline=pipeline, noise_stage=stage,
                            p_start=0.1, p_stop=0.3, p_step=0.2)
-        corrector = CorrectionPipeline(purify_rounds=cfg.rounds) if pipeline == "purify" else None
+        corrector = CorrectionPipeline(purify_rounds=cfg.rounds if pipeline == "purify" else 0)
         records = run_sweep(cfg)
         assert [r.p for r in records] == p_grid(cfg)
         for record in records:
             spec = NoiseSpec(cfg.noise_kind, record.p, stage)
             single = [run_protocol(Codeword(cfg.n, x), spec, corrector).post_fidelity
                       for x in range(2 ** cfg.n)]
+            dense = capacity.report(corrector(distribute(cfg.n, spec)), spec).avg_fidelity
+            assert dense == np.mean(single)
             if kind is NoiseKind.AMPLITUDE_DAMPING:
-                assert record.avg_fidelity == np.mean(single)
+                assert record.avg_fidelity == dense
             else:
-                assert abs(record.avg_fidelity - np.mean(single)) < 1e-15
+                assert abs(record.avg_fidelity - dense) <= 2 * np.spacing(dense)
+
+    def test_pauli_weights_read_once_per_point(self, monkeypatch):
+        # a both-stage Pauli point walks its GHZ-basis weights twice, at
+        # distribution and at return, on one reading of the channel's Pauli
+        # weights: 4 Paulis against the 4 depolarizing Kraus operators
+        reads = []
+        vdot = np.vdot
+
+        def counted(*args):
+            reads.append(args)
+            return vdot(*args)
+
+        sdc._ghz_moves.cache_clear()
+        monkeypatch.setattr(np, "vdot", counted)
+        run_sweep(small_config(noise_kind=NoiseKind.DEPOLARIZING, n=5, pipeline="purify", p_start=0.3,
+                               p_stop=0.3, noise_stage=NoiseStage.DISTRIBUTION_AND_RETURN))
+        assert len(reads) == 16
 
     def test_return_channel_built_once_per_point(self, monkeypatch):
         # amplitude-damping return noise is scored per codeword; the 2^n

@@ -277,7 +277,7 @@ class TestGhzWalk:
     def test_matches_the_dense_return_walk(self, n, kind, p, seed):
         weights = np.random.default_rng(seed).dirichlet(np.ones(2 ** n))
         ch = make_channel(kind, p)
-        walked = sdc._ghz_walk(weights, ch, range(1, n))
+        walked = sdc._ghz_walk(weights, sdc._ghz_moves(kind, p), range(1, n))
         dense = sdc._return_walk(ch, ghz_diagonal(weights))
         assert np.max(np.abs(dense - ghz_diagonal(walked))) < 1e-14
         assert np.max(np.abs(walked - decode_ghz(DensityOperator(dense)))) < 1e-14
@@ -292,7 +292,7 @@ class TestGhzWalk:
     def test_depolarizing_weights_are_the_pauli_weights(self):
         # qubit 1 of 2: sigma_x moves GHZ state (0, +) to (1, +), sigma_z to
         # (0, -) and sigma_y to (1, -)
-        walked = sdc._ghz_walk(np.eye(4)[0], make_channel(NoiseKind.DEPOLARIZING, 0.3), [1])
+        walked = sdc._ghz_walk(np.eye(4)[0], sdc._ghz_moves(NoiseKind.DEPOLARIZING, 0.3), [1])
         assert np.allclose(walked, [0.7, 0.1, 0.1, 0.1], rtol=0, atol=1e-15)
 
 
