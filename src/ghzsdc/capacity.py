@@ -2,20 +2,19 @@
 2^n codewords sent from the corrected shared state, and the entropy exchange
 and coherent information that score the noise channel.
 
-`report` scores a dense shared state; `ghz_report` and `widened_report` are
-exact reductions of it, for the Pauli kinds and for distribution-stage
-points, and `report` is their test oracle."""
+`report` scores a dense shared state, for the points with a QNN model;
+`_x_report` scores the X-state (`sdc`) of every raw and purify point exactly,
+and `report` is its test oracle."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
 from .qcore import DensityOperator, QuantumChannel, _spectrum_entropy, von_neumann_entropy
-from .sdc import Codeword, _ghz_moves, _ghz_walk, _return_walk, ghz_fidelity, transmit, twirl
+from .sdc import Codeword, _ghz_weights, _return_walk, _x_maps, _x_walk, ghz_fidelity, transmit, twirl
 
 
 @dataclass(frozen=True)
@@ -74,14 +73,8 @@ def _report(n: int, spec: NoiseSpec, avg_fidelity: float, holevo: float) -> Capa
 
 def report(shared: DensityOperator, spec: NoiseSpec) -> CapacityReport:
     """Score one grid point from its corrected shared state and its noise:
-    the dense scorer, which every point with a QNN model and every
-    amplitude-damping return point takes, and the test oracle of the
-    reductions below."""
-    return _report(shared.qubit_count, spec, *_dense_scores(shared, spec))
-
-
-def _dense_scores(shared: DensityOperator, spec: NoiseSpec) -> Tuple[float, float]:
-    """The average fidelity and Holevo value of `report`.
+    the dense scorer, which every point with a QNN model takes, and the test
+    oracle of `_x_report`.
 
     The Holevo value is S(mixture) - mean S(output) of the outputs at
     uniform priors, the optimum over priors when they are one orbit
@@ -108,33 +101,47 @@ def _dense_scores(shared: DensityOperator, spec: NoiseSpec) -> Tuple[float, floa
         mixture = DensityOperator(_return_walk(ch, twirl(shared).matrix))
     prior = 1.0 / len(outputs)
     conditional = sum(prior * von_neumann_entropy(rho) for rho in outputs)
-    return float(np.mean(fidelities)), max(von_neumann_entropy(mixture) - conditional, 0.0)
+    return _report(n, spec, float(np.mean(fidelities)), max(von_neumann_entropy(mixture) - conditional, 0.0))
 
 
-def ghz_report(weights: np.ndarray, spec: NoiseSpec) -> CapacityReport:
-    """`report` of a Pauli-noise point from the GHZ-basis weights of its
-    corrected shared state, with no state of 2^n x 2^n entries and no
-    eigensolve of one. Pauli noise keeps the state GHZ-diagonal; at stage both the
-    return walk acts on the weights. The encoders map GHZ basis state 0 onto
-    every basis state, one each, so the outputs mix to I/2^n: the Holevo
-    value is n - H(weights), and every codeword's fidelity is
-    sqrt(weight 0) (Bowen, PRA 63, 022302 (2001))."""
-    n = weights.size.bit_length() - 1
-    if spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN:
-        weights = _ghz_walk(weights, _ghz_moves(spec.kind, spec.p), range(1, n))
-    # the walks keep the sum of the weights at 1 only to the rounding of the
-    # Pauli weights, which n - H would read as entropy; the dense path
-    # cancels it against the twirl's
-    weights = weights / weights.sum()
-    return _report(n, spec, avg_fidelity=float(np.sqrt(min(weights[0], 1.0))),
-                   holevo=max(n - _spectrum_entropy(weights), 0.0))
+def _x_spectrum(x: np.ndarray) -> np.ndarray:
+    """The eigenvalues of the X-states `x`, flattened. Each pair {a, ~a}
+    with a < 2^(n-1) spans a 2 x 2 block [[diag[a], anti[a]],
+    [conj(anti[a]), diag[~a]]], whose eigenvalues are m +/- sqrt(delta^2 +
+    |anti[a]|^2) for m and delta the half sum and half difference of
+    diag[a] and diag[~a]."""
+    half = x.shape[-1] // 2
+    diag = x[..., 0, :].real
+    mean = (diag + diag[..., ::-1])[..., :half] / 2
+    root = np.hypot((diag - diag[..., ::-1])[..., :half] / 2, abs(x[..., 1, :half]))
+    return np.concatenate([mean - root, mean + root], axis=None)
 
 
-def widened_report(narrow: DensityOperator, spec: NoiseSpec, n: int) -> CapacityReport:
-    """`report` of an n-qubit distribution-stage point from `narrow`, the
-    corrected shared state of its 3-qubit point. Distribution noise touches
-    only Bob's qubit 0, so the n-qubit point is the 3-qubit one plus n - 3
-    noiseless bits: those add n - 3 to the Holevo value and leave every
-    fidelity; the channel side is the n-qubit one."""
-    avg_fidelity, holevo = _dense_scores(narrow, spec)
-    return _report(n, spec, avg_fidelity=avg_fidelity, holevo=holevo + (n - narrow.qubit_count))
+def _x_report(shared: np.ndarray, spec: NoiseSpec) -> CapacityReport:
+    """`report` of a raw or purify point from the X-state of its corrected
+    shared state (`sdc`), with no 2^n x 2^n matrix and no eigensolve of one.
+    As in `report`, the outputs are one orbit, scored by their image at
+    codeword 0, unless amplitude-damping return noise breaks it; then the
+    2^n outputs are walked and scored as one batch. The encoder of codeword
+    x moves entry a of diag and anti to a xor floor(x/2) and, when x_0 is
+    set, negates anti. The outputs mix to the return walk of the twirl, and
+    the twirl of an X-state is diagonal: 2^-(n-1) times its qubit-0
+    marginal, so the mixture's spectrum is its diagonal."""
+    n = shared.shape[-1].bit_length() - 1
+    both = spec.stage is NoiseStage.DISTRIBUTION_AND_RETURN
+    if both and spec.kind is NoiseKind.AMPLITUDE_DAMPING:
+        codes = np.arange(2 ** n)
+        outputs = shared[:, np.arange(2 ** n) ^ (codes[:, None] >> 1)].swapaxes(0, 1)
+        outputs[:, 1] *= np.where(codes & 1, -1, 1)[:, None]
+    else:
+        codes, outputs = np.zeros(1, dtype=int), shared[None]
+    # the twirl rides in the outputs' batch, as its last member
+    mix = np.zeros((1, 2, 2 ** n), dtype=complex)
+    mix[0, 0] = np.repeat(shared[0].real.reshape(2, -1).sum(axis=1) / 2 ** (n - 1), 2 ** (n - 1))
+    states = np.concatenate([outputs, mix])
+    if both:
+        states = _x_walk(states, _x_maps(spec.kind, spec.p), range(1, n))
+    outputs, mixture = states[:-1], states[-1, 0].real
+    fidelities = np.sqrt(np.minimum(_ghz_weights(outputs)[codes, codes], 1.0))
+    conditional = _spectrum_entropy(_x_spectrum(outputs)) / len(codes)
+    return _report(n, spec, float(fidelities.mean()), max(_spectrum_entropy(mixture) - conditional, 0.0))

@@ -12,7 +12,7 @@ import numpy as np
 from . import capacity, purify, qnn
 from .noise import NoiseKind, NoiseSpec, NoiseStage
 from .qcore import DensityOperator, StateVector
-from .sdc import _check_width, _ghz_distribute, _kraus_branches, distribute, shared_state
+from .sdc import _check_width, _kraus_branches, _x_distribute, distribute, shared_state
 
 PIPELINES = ("raw", "purify", "qnn", "purify-qnn")
 
@@ -100,23 +100,18 @@ class CorrectionPipeline:
 
     def score(self, n: int, spec: NoiseSpec) -> capacity.CapacityReport:
         """The report of the n-qubit point of `spec`, distributed and then
-        corrected by this pipeline, by the path that the noise kind, the
-        stage and the pipeline pick:
-        - a Pauli kind with no model: the shared state's GHZ-basis weights,
-          purified and scored in closed form (`capacity.ghz_report`);
-        - amplitude damping at stage dist with no model: the corrected
-          3-qubit state, widened to n (`capacity.widened_report`);
-        - amplitude-damping return, and every model: the corrected n-qubit
-          state (`capacity.report`)."""
+        corrected by this pipeline. With no model, the shared state is held
+        as its X-state (`sdc._x_distribute`), purified in closed form
+        (`purify._x_round`) and scored exactly (`capacity._x_report`); with a
+        model, the corrected dense n-qubit state is scored
+        (`capacity.report`)."""
         _check_width(n, encoded=True)
-        if self.model is None and spec.kind is not NoiseKind.AMPLITUDE_DAMPING:
-            weights = _ghz_distribute(n, spec.kind, spec.p)
-            if self.purify_rounds > 0:
-                weights, _ = purify.purify_ghz_weights(weights, self.purify_rounds)
-            return capacity.ghz_report(weights, spec)
-        if self.model is None and spec.stage is NoiseStage.DISTRIBUTION_ONLY:
-            return capacity.widened_report(self(distribute(3, spec)), spec, n)
-        return capacity.report(self(distribute(n, spec)), spec)
+        if self.model is not None:
+            return capacity.report(self(distribute(n, spec)), spec)
+        shared = _x_distribute(n, spec.kind, spec.p)
+        if self.purify_rounds > 0:
+            shared, _ = purify._iterate(shared, self.purify_rounds, purify._x_round)
+        return capacity._x_report(shared, spec)
 
 
 def p_grid(cfg: SweepConfig) -> List[float]:

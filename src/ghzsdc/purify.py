@@ -12,16 +12,15 @@ rho o sum over accepted m of rho[a xor m, b xor m] ("o" is the entrywise
 product), its trace is the success probability, and n reaches
 MAX_DENSITY_QUBITS.
 
-On a GHZ-diagonal state, held as its GHZ-basis weights q in `decode_ghz`'s
-order, a round is closed form: it keeps basis state (k, +) with weight
-q(k, +)^2 + q(k, -)^2 and (k, -) with 2 q(k, +) q(k, -), and nothing else
-(Murao et al., PRA 57, R4075 (1998)).
+A round multiplies entry (a, b) by the entries (a, b) and (~a, ~b), so it
+keeps an X-state (`sdc`) an X-state; on its vectors diag and anti it is
+v o v + v o reverse(v), each vector on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -68,13 +67,11 @@ def _round(state: DensityOperator) -> tuple:
     return DensityOperator(kept / success), success
 
 
-def _ghz_round(weights: np.ndarray) -> tuple:
-    """One round on GHZ-basis weights, in the closed form above."""
-    plus, minus = weights[0::2], weights[1::2]
-    kept = np.stack([plus * plus + minus * minus, 2 * plus * minus], axis=1).reshape(-1)
-    # the trace that _round reads: rho's diagonal holds (q(k, +) + q(k, -)) / 2
-    # at k and at ~k
-    success = float(kept.sum())
+def _x_round(x: np.ndarray) -> tuple:
+    """One round on an X-state (`sdc`): `_round` on its rows diag and anti,
+    where the index reversal reverses each row."""
+    kept = x * x + x * x[:, ::-1]
+    success = float(kept[0].real.sum())
     return kept / success, success
 
 
@@ -84,10 +81,3 @@ def purify_iterated(source_state: DensityOperator, rounds: int) -> PurificationR
     raises PurificationUnderflow once it falls below 1e-12."""
     state, compound = _iterate(source_state, rounds, _round)
     return PurificationResult(kept_state=state, success_probability=compound)
-
-
-def purify_ghz_weights(weights: np.ndarray, rounds: int) -> Tuple[np.ndarray, float]:
-    """`purify_iterated` on a GHZ-diagonal state given by its GHZ-basis
-    weights: the kept state's weights and the compound success probability,
-    with the same floor."""
-    return _iterate(weights, rounds, _ghz_round)

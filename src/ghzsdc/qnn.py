@@ -277,19 +277,6 @@ _BLOCK_WEIGHTS = np.array([[1 / factorial(e) for e in row] for row in _BLOCK_EXP
 _BLOCK_WEIGHTS[:2, 4] = 0
 
 
-@lru_cache(maxsize=128)
-def _block_coefficients(eps: float) -> np.ndarray:
-    """The (3, 5) coefficients of the Taylor blocks at x = i*eps, read-only,
-    cached per step size. `train` halves eps on a rejected step and recovers
-    it by x1.05 on an accepted one, through floats that rarely repeat, so
-    most calls miss: 286 hits against 2598 misses over 16 default n = 3
-    amplitude-damping trainings (p = 0.3, seeds 0..15), each from an empty
-    cache."""
-    coefficients = (1j * eps) ** _BLOCK_EXPONENTS * _BLOCK_WEIGHTS
-    coefficients.flags.writeable = False
-    return coefficients
-
-
 def _expm_i_powers(powers: np.ndarray, eps: float) -> np.ndarray:
     """exp(i * eps * h) from I, h, h^2, h^3 and h^4 (`_fill_powers`) as the
     degree-12 Taylor polynomial in Paterson-Stockmeyer form at x = i*eps.
@@ -297,7 +284,8 @@ def _expm_i_powers(powers: np.ndarray, eps: float) -> np.ndarray:
     inside 1/4, where no scaling and squaring is needed (Higham, SIAM J.
     Matrix Anal. Appl. 26, 1179 (2005)); the truncation error is below
     0.1^13/13! ~ 1.6e-23."""
-    b0, b1, b2 = (_block_coefficients(eps) @ powers.reshape(5, -1)).reshape((3,) + powers.shape[1:])
+    coefficients = (1j * eps) ** _BLOCK_EXPONENTS * _BLOCK_WEIGHTS
+    b0, b1, b2 = (coefficients @ powers.reshape(5, -1)).reshape((3,) + powers.shape[1:])
     b1 += powers[4] @ b2  # Horner in place: b0 + h^4 (b1 + h^4 b2)
     b0 += powers[4] @ b1
     return b0

@@ -1,10 +1,18 @@
 """The bitwise superdense-coding encoder, closed-form GHZ-basis decoding and
 the fidelities read off it, and the protocol stages `distribute`, `transmit`
-and its return walk; and, for the Pauli kinds, the distribution and return
-stages on the GHZ-basis weights of a GHZ-diagonal state.
+and its return walk; and the distribution and noise stages on X-states.
 
 Qubit 0 of the shared state is Bob's (distributed through the noisy channel);
 qubits 1..n-1 are Alice's and carry the encoding.
+
+Every raw and purify state is an X-state: its only nonzero entries lie on the
+diagonal and the anti-diagonal (Yu and Eberly, Quantum Inf. Comput. 7, 459
+(2007); Rau, J. Phys. A 42, 412002 (2009)). It is held as its vectors diag and
+anti, diag[a] = rho[a, a] and anti[a] = rho[a, ~a] with ~a = a xor (2^n - 1),
+stacked as the rows of one (2, 2^n) complex array; a batch of them is an
+(m, 2, 2^n) array. Each Kraus operator of the four kinds, each encoder and
+each purification round maps entry (a, b) to (a xor f, b xor f), which keeps
+a xor b in {0, 2^n - 1}.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import numpy as np
 
 from . import qcore
 from .noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
-from .qcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityOperator, QuantumChannel, StateVector, Unitary
+from .qcore import DensityOperator, QuantumChannel, StateVector, Unitary
 
 
 _ENCODER_REFUSAL = "the bitwise encoder requires n >= 3"
@@ -79,12 +87,17 @@ def decode_ghz(rho: DensityOperator) -> np.ndarray:
     +/- Re rho[k,~k]: two diagonal entries and one off-diagonal entry each."""
     if rho.qubit_count < 2:
         raise ValueError(f"GHZ decoding needs at least 2 qubits, got {rho.qubit_count}")
-    mat = rho.matrix
-    k = np.arange(mat.shape[0] // 2)
-    partner = (mat.shape[0] - 1) ^ k
-    mean = (mat[k, k].real + mat[partner, partner].real) / 2
-    cross = mat[k, partner].real
-    return np.clip(np.stack([mean + cross, mean - cross], axis=1).reshape(-1), 0.0, None)
+    return _ghz_weights(np.array([rho.matrix.diagonal(), rho.matrix[:, ::-1].diagonal()]))
+
+
+def _ghz_weights(x: np.ndarray) -> np.ndarray:
+    """`decode_ghz` of the X-states `x`: it reads only the diagonal and the
+    anti-diagonal."""
+    half = x.shape[-1] // 2
+    diag = x[..., 0, :].real
+    mean = (diag + diag[..., ::-1])[..., :half] / 2
+    cross = x[..., 1, :half].real
+    return np.clip((mean[..., None] + cross[..., None] * [1.0, -1.0]).reshape(diag.shape), 0.0, None)
 
 
 def ghz_fidelity(rho: DensityOperator, x: int = 0) -> float:
@@ -131,47 +144,37 @@ def distribute(n: int, noise: NoiseSpec) -> DensityOperator:
     return DensityOperator(branches.T @ branches.conj())
 
 
-# Each Pauli maps GHZ basis state (k, s), (|k> + (-1)^s |~k>)/sqrt(2), to
-# another, up to a phase: sigma_x flips k's bit of the qubit, sigma_z flips
-# s, and sigma_y does both. As (Pauli, flips k, flips s):
-_GHZ_MOVES = ((I2, False, False), (SIGMA_X, True, False), (SIGMA_Y, True, True), (SIGMA_Z, False, True))
+def _x_distribute(n: int, kind: NoiseKind, p: float) -> np.ndarray:
+    """`distribute` as an X-state: the GHZ state's, whose diag and anti are
+    1/2 at 0 and 2^n - 1 and 0 elsewhere, after the noise on Bob's qubit 0,
+    with no 2^n x 2^n matrix."""
+    ghz = np.zeros((2, 2 ** n), dtype=complex)
+    ghz[:, [0, -1]] = 0.5
+    return _x_walk(ghz, _x_maps(kind, p), [0])
 
 
 @lru_cache(maxsize=128)
-def _ghz_moves(kind: NoiseKind, p: float) -> tuple:
-    """The `_GHZ_MOVES` of the Pauli channel `make_channel(kind, p)`, as
-    (weight, flips k, flips s), each Pauli P weighted by
-    sum_K |tr(P^dag K)|^2 / 4 over the channel's Kraus operators, each of
-    them a scaled Pauli; moves of weight 0 are dropped. Built once per
+def _x_maps(kind: NoiseKind, p: float) -> np.ndarray:
+    """The channel `make_channel(kind, p)` on one qubit of an X-state, as a
+    read-only (2, 2, 2) array of the 2 x 2 maps of that qubit's axis of
+    diag, sum_K |K[new, old]|^2, and of anti,
+    sum_K K[new, old] conj(K[1 - new, 1 - old]): exact, since each Kraus
+    operator of the four kinds is diagonal or anti-diagonal. Built once per
     channel, as the channel is."""
-    ops = make_channel(kind, p).kraus_ops
-    moves = ((sum(abs(np.vdot(pauli, op)) ** 2 for op in ops) / 4, flips_k, flips_s)
-             for pauli, flips_k, flips_s in _GHZ_MOVES)
-    return tuple(move for move in moves if move[0])
+    ops = np.stack(make_channel(kind, p).kraus_ops)
+    maps = np.stack([(abs(ops) ** 2).sum(axis=0), (ops * ops[:, ::-1, ::-1].conj()).sum(axis=0)])
+    maps.flags.writeable = False
+    return maps
 
 
-def _ghz_walk(weights: np.ndarray, moves: tuple, qubits) -> np.ndarray:
-    """The Pauli channel of `moves`, from `_ghz_moves`, on each of `qubits`
-    of a GHZ-diagonal n-qubit state, held as its GHZ-basis weights in
-    `decode_ghz`'s order (entry 2k + s): per qubit, the weighted sum of the
-    moves' gathers of the weights. sigma_x on Bob's qubit 0 takes |k> to
-    |k xor 2^(n-1)>, whose complement k xor (2^(n-1) - 1) is the new k."""
-    n = weights.size.bit_length() - 1
-    k = np.arange(2 ** (n - 1))
-    table = weights.reshape(-1, 2)
+def _x_walk(x: np.ndarray, maps: np.ndarray, qubits) -> np.ndarray:
+    """The channel of `maps`, from `_x_maps`, on each of `qubits` of the
+    X-states `x`: one batched 2 x 2 matmul per qubit, on that qubit's axis
+    of diag and of anti."""
+    n = x.shape[-1].bit_length() - 1
     for qubit in qubits:
-        mask = 2 ** (n - 1) - 1 if qubit == 0 else 1 << (n - 1 - qubit)
-        table = sum(w * table[k ^ mask if flips_k else k, ::-1 if flips_s else 1]
-                    for w, flips_k, flips_s in moves)
-    return table.reshape(-1)
-
-
-def _ghz_distribute(n: int, kind: NoiseKind, p: float) -> np.ndarray:
-    """`distribute` for a Pauli kind, as GHZ-basis weights: the GHZ state is
-    basis state 0, and the noise hits Bob's qubit 0."""
-    weights = np.zeros(2 ** n)
-    weights[0] = 1.0
-    return _ghz_walk(weights, _ghz_moves(kind, p), [0])
+        x = (maps[:, None] @ x.reshape(-1, 2, 2 ** qubit, 2, 2 ** (n - 1 - qubit))).reshape(x.shape)
+    return x
 
 
 @lru_cache(maxsize=None)

@@ -14,8 +14,9 @@ that `retarget`, the ascent directions swept back on the full register and
 the network map rebuilt from its perceptrons at every call, the uniform
 mixture of a sequence of states and its Holevo value as explicit sums, and
 the entropy exchange and coherent information of a channel on pure states,
-with a Stinespring dilation as the entropy exchange's oracle. Inputs are
-trusted: nothing here checks them."""
+with a Stinespring dilation as the entropy exchange's oracle, and random
+X-states with the moves between an X-state's two vectors and its dense
+matrix. Inputs are trusted: nothing here checks them."""
 
 from typing import Sequence
 
@@ -98,6 +99,36 @@ def ghz_basis(n: int) -> np.ndarray:
             rows[2 * k + i, k] = 1 / np.sqrt(2)
             rows[2 * k + i, (dim - 1) ^ k] = sign / np.sqrt(2)
     return rows
+
+
+def random_x_state(rng, n: int, zeros: int = 0) -> np.ndarray:
+    """A random n-qubit X-state as a dense matrix: a 2 x 2 density block on
+    each pair {k, ~k}, ~k = (2^n - 1) xor k, the blocks mixed by Dirichlet
+    weights, `zeros` of them (at most all but one) 0."""
+    dim = 2 ** n
+    weights = rng.dirichlet(np.ones(dim // 2))
+    weights[rng.choice(dim // 2, size=min(zeros, dim // 2 - 1), replace=False)] = 0.0
+    rho = np.zeros((dim, dim), dtype=complex)
+    for k, w in enumerate(weights / weights.sum()):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho[np.ix_([k, dim - 1 - k], [k, dim - 1 - k])] = w * (g @ g.conj().T) / np.trace(g @ g.conj().T).real
+    return rho
+
+
+def x_state(rho: np.ndarray) -> np.ndarray:
+    """The X-state of the matrix rho, as the package holds it: the rows
+    rho[a, a] and rho[a, a xor (2^n - 1)], read by explicit indices."""
+    a = np.arange(len(rho))
+    return np.array([rho[a, a], rho[a, (len(rho) - 1) ^ a]])
+
+
+def x_matrix(x: np.ndarray) -> np.ndarray:
+    """The dense matrix of the X-state `x`."""
+    a = np.arange(x.shape[-1])
+    rho = np.zeros((len(a), len(a)), dtype=complex)
+    rho[a, a] = x[0]
+    rho[a, (len(a) - 1) ^ a] = x[1]
+    return rho
 
 
 def ideal_received_state(code: Codeword) -> StateVector:

@@ -69,8 +69,8 @@ MUTANTS = (
            "return np.array([(k.T @ amps).reshape(-1) for k in make_channel(kind, p).kraus_ops])",
            "amplitude damping pumps Bob's qubit towards |1> instead of |0>, in distribute and the trajectories"),
     Mutant("decode-signs-swapped", "src/ghzsdc/sdc.py",
-           "return np.clip(np.stack([mean + cross, mean - cross], axis=1).reshape(-1), 0.0, None)",
-           "return np.clip(np.stack([mean - cross, mean + cross], axis=1).reshape(-1), 0.0, None)",
+           "return np.clip((mean[..., None] + cross[..., None] * [1.0, -1.0]).reshape(diag.shape), 0.0, None)",
+           "return np.clip((mean[..., None] + cross[..., None] * [-1.0, 1.0]).reshape(diag.shape), 0.0, None)",
            "every codeword decodes to its +/- partner outcome"),
     Mutant("ghz-fidelity-partner-outcome", "src/ghzsdc/sdc.py",
            "return float(np.sqrt(min(probs[x], 1.0)))",
@@ -118,9 +118,9 @@ MUTANTS = (
            "rho = np.tensordot(kraus @ rho, kraus, axes=([0, 2], [0, 2]))",
            "K rho K^T replaces K rho K^dag, which differs for complex perceptrons"),
     Mutant("chi-offset-from-n-7", "src/ghzsdc/capacity.py",
-           "return float(np.mean(fidelities)), max(von_neumann_entropy(mixture) - conditional, 0.0)",
-           "return float(np.mean(fidelities)), max(von_neumann_entropy(mixture) - conditional, 0.0)"
-           " + (1e-9 if n >= 7 else 0.0)",
+           "return _report(n, spec, float(np.mean(fidelities)), max(von_neumann_entropy(mixture) - conditional, 0.0))",
+           "return _report(n, spec, float(np.mean(fidelities)), max(von_neumann_entropy(mixture) - conditional, 0.0)"
+           " + (1e-9 if n >= 7 else 0.0))",
            "the Holevo value of every point at n >= 7 is 1e-9 too high"),
     Mutant("return-mixture-before-return", "src/ghzsdc/capacity.py",
            "mixture = DensityOperator(_return_walk(ch, twirl(shared).matrix))",
@@ -223,22 +223,32 @@ MUTANTS = (
            "if n < 3:",
            "if n < 2:",
            "a 2-qubit state is twirled by an encoder that needs 3 qubits"),
-    Mutant("ghz-y-as-x", "src/ghzsdc/sdc.py",
-           "_GHZ_MOVES = ((I2, False, False), (SIGMA_X, True, False), (SIGMA_Y, True, True), (SIGMA_Z, False, True))",
-           "_GHZ_MOVES = ((I2, False, False), (SIGMA_X, True, False), (SIGMA_Y, True, False), (SIGMA_Z, False, True))",
-           "depolarizing noise moves GHZ-basis weight as sigma_x would, keeping the sign s that sigma_y flips"),
-    Mutant("ghz-purify-minus-weight-halved", "src/ghzsdc/purify.py",
-           "kept = np.stack([plus * plus + minus * minus, 2 * plus * minus], axis=1).reshape(-1)",
-           "kept = np.stack([plus * plus + minus * minus, plus * minus], axis=1).reshape(-1)",
-           "a round on GHZ-basis weights keeps half the pairs of opposite sign, so its yield and kept state are wrong"),
-    Mutant("ghz-return-noise-on-bob", "src/ghzsdc/capacity.py",
-           "weights = _ghz_walk(weights, _ghz_moves(spec.kind, spec.p), range(1, n))",
-           "weights = _ghz_walk(weights, _ghz_moves(spec.kind, spec.p), range(0, n))",
-           "a Pauli both-stage point scored from its GHZ-basis weights takes Bob's noise a second time"),
-    Mutant("widened-at-stage-both", "src/ghzsdc/harness.py",
-           "if self.model is None and spec.stage is NoiseStage.DISTRIBUTION_ONLY:",
-           "if self.model is None:",
-           "amplitude-damping return points are scored from 3 qubits, though the return noise hits every one"),
+    Mutant("x-anti-map-conj-dropped", "src/ghzsdc/sdc.py",
+           "maps = np.stack([(abs(ops) ** 2).sum(axis=0), (ops * ops[:, ::-1, ::-1].conj()).sum(axis=0)])",
+           "maps = np.stack([(abs(ops) ** 2).sum(axis=0), (ops * ops[:, ::-1, ::-1]).sum(axis=0)])",
+           "sigma_y keeps the sign of the anti-diagonal that it flips, so depolarizing noise damps the coherences"
+           " too little"),
+    Mutant("x-distribute-on-alice", "src/ghzsdc/sdc.py",
+           "return _x_walk(ghz, _x_maps(kind, p), [0])",
+           "return _x_walk(ghz, _x_maps(kind, p), [1])",
+           "raw and purify points take the distribution noise on Alice's first qubit instead of Bob's"),
+    Mutant("x-round-without-reversed-term", "src/ghzsdc/purify.py",
+           "kept = x * x + x * x[:, ::-1]",
+           "kept = x * x",
+           "a round on an X-state drops the outcome m = 2^n - 1, so its yield and kept state are wrong"),
+    Mutant("x-return-noise-on-bob", "src/ghzsdc/capacity.py",
+           "states = _x_walk(states, _x_maps(spec.kind, spec.p), range(1, n))",
+           "states = _x_walk(states, _x_maps(spec.kind, spec.p), range(0, n))",
+           "a both-stage point scored from its X-state takes Bob's noise a second time"),
+    Mutant("x-encoder-sign-dropped", "src/ghzsdc/capacity.py",
+           "outputs[:, 1] *= np.where(codes & 1, -1, 1)[:, None]",
+           "pass",
+           "amplitude-damping return outputs of the codewords with x_0 set keep the anti-diagonal sign that"
+           " sigma_z flips, so their fidelities are read off the wrong outcome"),
+    Mutant("x-purify-one-round", "src/ghzsdc/harness.py",
+           "shared, _ = purify._iterate(shared, self.purify_rounds, purify._x_round)",
+           "shared, _ = purify._iterate(shared, 1, purify._x_round)",
+           "a raw or purify sweep of several rounds scores one"),
 )
 
 

@@ -175,19 +175,17 @@ class TestRunSweep:
         assert abs(record.coherent_info - 6 * (1 - per_qubit)) < 1e-12
         assert record.quantum_capacity == 0.0
 
-    # a Pauli kind purifies the GHZ-basis weights, amplitude damping the
-    # dense state
-    @pytest.mark.parametrize("kind, rounds", [(NoiseKind.BIT_FLIP, "purify_ghz_weights"),
-                                              (NoiseKind.AMPLITUDE_DAMPING, "purify_iterated")])
-    def test_correction_runs_once_per_grid_point(self, kind, rounds, monkeypatch):
+    # every kind purifies the X-state, through the rounds' one loop
+    @pytest.mark.parametrize("kind", [NoiseKind.BIT_FLIP, NoiseKind.AMPLITUDE_DAMPING])
+    def test_correction_runs_once_per_grid_point(self, kind, monkeypatch):
         calls = []
-        original = getattr(purify, rounds)
+        original = purify._iterate
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(purify, rounds, counted)
+        monkeypatch.setattr(purify, "_iterate", counted)
         cfg = small_config(noise_kind=kind, pipeline="purify")
         run_sweep(cfg)
         assert len(calls) == len(p_grid(cfg))
@@ -197,10 +195,9 @@ class TestRunSweep:
     @pytest.mark.parametrize("stage", list(NoiseStage))
     def test_sweep_matches_single_codeword_runs(self, kind, pipeline, stage):
         # the dense scorer reads every codeword's fidelity off the corrected
-        # shared state once, bit for bit as the runs read each; amplitude
-        # damping's sweep is that scorer, while bit flip's reads the same
-        # value off GHZ-basis weights, whose own rounding leaves it within
-        # 2 ulps
+        # shared state once, bit for bit as the runs read each; the sweep
+        # reads the same value off the X-state, whose own rounding leaves it
+        # within 2 ulps
         cfg = small_config(noise_kind=kind, pipeline=pipeline, noise_stage=stage,
                            p_start=0.1, p_stop=0.3, p_step=0.2)
         corrector = CorrectionPipeline(purify_rounds=cfg.rounds if pipeline == "purify" else 0)
@@ -212,31 +209,20 @@ class TestRunSweep:
                       for x in range(2 ** cfg.n)]
             dense = capacity.report(corrector(distribute(cfg.n, spec)), spec).avg_fidelity
             assert dense == np.mean(single)
-            if kind is NoiseKind.AMPLITUDE_DAMPING:
-                assert record.avg_fidelity == dense
-            else:
-                assert abs(record.avg_fidelity - dense) <= 2 * np.spacing(dense)
+            assert abs(record.avg_fidelity - dense) <= 2 * np.spacing(dense)
 
-    def test_pauli_weights_read_once_per_point(self, monkeypatch):
-        # a both-stage Pauli point walks its GHZ-basis weights twice, at
-        # distribution and at return, on one reading of the channel's Pauli
-        # weights: 4 Paulis against the 4 depolarizing Kraus operators
-        reads = []
-        vdot = np.vdot
-
-        def counted(*args):
-            reads.append(args)
-            return vdot(*args)
-
-        sdc._ghz_moves.cache_clear()
-        monkeypatch.setattr(np, "vdot", counted)
-        run_sweep(small_config(noise_kind=NoiseKind.DEPOLARIZING, n=5, pipeline="purify", p_start=0.3,
+    @pytest.mark.parametrize("kind", [NoiseKind.DEPOLARIZING, NoiseKind.AMPLITUDE_DAMPING])
+    def test_x_maps_built_once_per_point(self, kind):
+        # a both-stage point walks its outputs and their mixture on one
+        # reading of the channel's X maps
+        sdc._x_maps.cache_clear()
+        run_sweep(small_config(noise_kind=kind, n=5, pipeline="purify", p_start=0.3,
                                p_stop=0.3, noise_stage=NoiseStage.DISTRIBUTION_AND_RETURN))
-        assert len(reads) == 16
+        assert sdc._x_maps.cache_info().misses == 1
 
     def test_return_channel_built_once_per_point(self, monkeypatch):
-        # amplitude-damping return noise is scored per codeword; the 2^n
-        # transmits and the capacity report share one channel
+        # amplitude-damping return noise is scored as a batch of the 2^n
+        # outputs; their walk and the capacity report share one channel
         built = []
         validate = qcore.QuantumChannel.__post_init__
 
@@ -257,11 +243,12 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=r"supports 2\.\.10 qubits, got 11"):
             run_sweep(small_config(noise_kind=kind, noise_stage=stage, n=11, p_start=0.2, p_stop=0.2))
 
-    # amplitude damping at stage dist scores its 3-qubit state, and
-    # both-stage depolarizing solves only the channel side's 4 x 4
-    # environment Gram matrix: no 1024 x 1024 state is solved
+    # an X-state is solved in closed form, so only the channel side's
+    # environment Gram matrix and output are solved, 2 x 2 for amplitude
+    # damping and 4 x 4 for depolarizing: no 1024 x 1024 state is solved
     @pytest.mark.parametrize("kind, stage, widest", [
-        (NoiseKind.AMPLITUDE_DAMPING, NoiseStage.DISTRIBUTION_ONLY, 8),
+        (NoiseKind.AMPLITUDE_DAMPING, NoiseStage.DISTRIBUTION_ONLY, 2),
+        (NoiseKind.AMPLITUDE_DAMPING, NoiseStage.DISTRIBUTION_AND_RETURN, 2),
         (NoiseKind.DEPOLARIZING, NoiseStage.DISTRIBUTION_AND_RETURN, 4),
     ])
     @pytest.mark.parametrize("pipeline", ["raw", "purify"])
@@ -354,10 +341,9 @@ class TestOrbitScoring:
         assert np.max(np.abs(twirl(sigma).matrix - explicit / 2 ** n)) < 1e-15
 
     # Distribution noise touches qubit 0 only, so an n-qubit point is the
-    # 3-qubit point plus n - 3 noiseless bits, which is how a sweep scores an
-    # amplitude-damping dist point; the dense n-qubit state scored by
-    # capacity.report is the oracle, the only one at n = 8..10, where the
-    # per-codeword oracle is too slow.
+    # 3-qubit point plus n - 3 noiseless bits; a sweep scores its X-state,
+    # and the dense n-qubit state scored by capacity.report is the oracle,
+    # the only one at n = 8..10, where the per-codeword oracle is too slow.
     @settings(max_examples=20, deadline=None)
     @example(n=10, kind=NoiseKind.AMPLITUDE_DAMPING, pipeline="raw", p=0.2)
     @example(n=4, kind=NoiseKind.DEPOLARIZING, pipeline="purify", p=0.0)

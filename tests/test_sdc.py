@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ghzsdc import qcore, sdc
 from ghzsdc.harness import CorrectionPipeline
 from ghzsdc.noise import NoiseKind, NoiseSpec, NoiseStage, make_channel
+from ghzsdc.purify import purify_iterated
 from ghzsdc.qcore import I2, SIGMA_X, SIGMA_Y, DensityOperator, QuantumChannel, StateVector
 from ghzsdc.sdc import (
     Codeword,
@@ -21,7 +22,7 @@ from ghzsdc.sdc import (
 
 import reference
 from full_space import (apply_channel, apply_unitary, fidelity, ghz_basis, ideal_received_state, kraus_sum,
-                        kron_embedding, random_channel, random_state)
+                        kron_embedding, random_channel, random_state, random_x_state, x_matrix, x_state)
 
 
 def assert_decode_matches_dense_basis(rho):
@@ -258,42 +259,60 @@ class TestReturnWalk:
         assert sdc._return_plan.cache_info().misses == 1
 
 
-def ghz_diagonal(weights: np.ndarray) -> np.ndarray:
-    """The dense state sum_i weights[i] |GHZ_i><GHZ_i| over the GHZ basis."""
-    basis = ghz_basis(weights.size.bit_length() - 1)
-    return (basis.T * weights) @ basis.conj()
-
-
-class TestGhzWalk:
-    # the walk on GHZ-basis weights against the dense walk of the same
-    # GHZ-diagonal state, read back by the decoder: a Pauli channel keeps the
-    # state diagonal, so the weights are the whole state
+class TestXState:
+    # the X-state stages against the dense ones on the same state: an
+    # X-state is its diagonal and anti-diagonal, so those two vectors are the
+    # whole state
     @settings(max_examples=40, deadline=None)
     @example(n=2, kind=NoiseKind.DEPOLARIZING, p=1.0, seed=0)
-    @example(n=6, kind=NoiseKind.PHASE_FLIP, p=0.0, seed=1)
-    @given(n=st.integers(2, 6), kind=st.sampled_from([NoiseKind.BIT_FLIP, NoiseKind.PHASE_FLIP,
-                                                      NoiseKind.DEPOLARIZING]),
-           p=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=6, kind=NoiseKind.AMPLITUDE_DAMPING, p=0.0, seed=1)
+    @example(n=3, kind=NoiseKind.AMPLITUDE_DAMPING, p=1.0, seed=2)
+    @given(n=st.integers(2, 6), kind=st.sampled_from(NoiseKind), p=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_the_dense_return_walk(self, n, kind, p, seed):
-        weights = np.random.default_rng(seed).dirichlet(np.ones(2 ** n))
-        ch = make_channel(kind, p)
-        walked = sdc._ghz_walk(weights, sdc._ghz_moves(kind, p), range(1, n))
-        dense = sdc._return_walk(ch, ghz_diagonal(weights))
-        assert np.max(np.abs(dense - ghz_diagonal(walked))) < 1e-14
-        assert np.max(np.abs(walked - decode_ghz(DensityOperator(dense)))) < 1e-14
+        rho = random_x_state(np.random.default_rng(seed), n)
+        walked = sdc._x_walk(x_state(rho), sdc._x_maps(kind, p), range(1, n))
+        dense = sdc._return_walk(make_channel(kind, p), rho)
+        assert np.max(np.abs(dense - x_matrix(walked))) < 1e-14
 
-    @pytest.mark.parametrize("kind", [NoiseKind.BIT_FLIP, NoiseKind.PHASE_FLIP, NoiseKind.DEPOLARIZING])
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("qubit", [0, 1, 3])
+    def test_one_qubit_matches_the_kraus_oracle(self, kind, qubit):
+        # Bob's qubit 0 too, which the return walk never touches
+        rho = random_x_state(np.random.default_rng(qubit), 4, zeros=2)
+        walked = sdc._x_walk(x_state(rho), sdc._x_maps(kind, 0.3), [qubit])
+        assert np.max(np.abs(kraus_sum(make_channel(kind, 0.3), rho, [qubit], 4) - x_matrix(walked))) < 1e-15
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
     @pytest.mark.parametrize("n", [2, 3, 6])
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.75, 1.0])
     def test_distribute_matches_the_dense_state(self, kind, n, p):
-        want = decode_ghz(distribute(n, NoiseSpec(kind, p)))
-        assert np.max(np.abs(sdc._ghz_distribute(n, kind, p) - want)) < 1e-15
+        want = distribute(n, NoiseSpec(kind, p)).matrix
+        assert np.max(np.abs(x_matrix(sdc._x_distribute(n, kind, p)) - want)) < 1e-15
 
-    def test_depolarizing_weights_are_the_pauli_weights(self):
-        # qubit 1 of 2: sigma_x moves GHZ state (0, +) to (1, +), sigma_z to
-        # (0, -) and sigma_y to (1, -)
-        walked = sdc._ghz_walk(np.eye(4)[0], sdc._ghz_moves(NoiseKind.DEPOLARIZING, 0.3), [1])
-        assert np.allclose(walked, [0.7, 0.1, 0.1, 0.1], rtol=0, atol=1e-15)
+    def test_depolarizing_maps(self):
+        # sigma_x and sigma_y move diagonal weight to the other value of the
+        # qubit; on the anti-diagonal sigma_x keeps its sign, and sigma_y and
+        # sigma_z flip it, so the anti map scales by 1 - p - p/3
+        diag, anti = sdc._x_maps(NoiseKind.DEPOLARIZING, 0.3)
+        assert np.allclose(diag, [[0.8, 0.2], [0.2, 0.8]], rtol=0, atol=1e-15)
+        assert np.allclose(anti, 0.6 * I2, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("stage", list(NoiseStage))
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_protocol_states_are_x_states(self, n, kind, stage):
+        # the closure that makes the X-state stages exact: every distributed,
+        # purified and transmitted state is exactly 0 off the diagonal and
+        # the anti-diagonal
+        a = np.arange(2 ** n)
+        off = (a[:, None] ^ a != 0) & (a[:, None] ^ a != 2 ** n - 1)
+        for p in (0.0, 0.3, 0.7, 1.0):
+            spec = NoiseSpec(kind, p, stage)
+            shared = distribute(n, spec)
+            states = [shared, purify_iterated(shared, 1).kept_state]
+            states += [transmit(rho, Codeword(n, x), spec) for rho in states[:2] for x in range(2 ** n)]
+            assert not any(rho.matrix[off].any() for rho in states)
 
 
 class TestDecode:
